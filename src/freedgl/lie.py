@@ -13,7 +13,8 @@ truncations is a hard error, never a silent coercion.
 Lie membership and canonical coordinates use two classical tools:
 
   * the Dynkin map theta (left-to-right bracketing), with theta(x_n) = n*x_n
-    characterizing Lie elements among length-n tensors;
+    characterizing Lie elements among length-n tensors; the check runs on
+    integer numerators over one common denominator (it is scale-invariant);
   * the Lyndon-Shirshov basis: standard bracketings b_w of Lyndon words w,
     plus [b_w, b_w] for w of odd total degree.  b_w = w + (lex-higher words)
     and [b_w, b_w] = 2*ww + (lex-higher), so coordinate extraction is
@@ -24,6 +25,7 @@ Degrees are integers >= -1.  Degree -2 or lower is rejected at construction.
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 
 class ConfigError(ValueError):
@@ -268,8 +270,8 @@ def truncate(x, M):
 def concat_terms(a, b, N, out=None, scale=ONE):
     """Concatenation product of two word->coeff dicts, truncated at N.
 
-    Accumulates into out if given.  Used for the tensor product and for the
-    exp/log arithmetic in the series module (where the empty word may occur).
+    Accumulates into out if given.  Used for the tensor product in
+    substitute (where the empty word may occur).
     """
     if out is None:
         out = {}
@@ -284,6 +286,41 @@ def concat_terms(a, b, N, out=None, scale=ONE):
             else:
                 out[w] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# Integer word kernel: word->int dicts holding the numerators of word->Fraction
+# dicts over one common denominator that the caller keeps.
+
+
+def clear_denominators(terms):
+    """(numerators, D): terms[w] == Fraction(numerators[w], D) for every w,
+    with D the lcm of the denominators of terms (1 for an empty dict)."""
+    D = lcm(*[c.denominator for c in terms.values()]) if terms else 1
+    return {w: c.numerator * (D // c.denominator) for w, c in terms.items()}, D
+
+
+def word_buckets(b, N):
+    """fits[r] lists the (word, coeff) items of b of length <= r, r = 0..N.
+
+    Concatenating onto a left word u needs only fits[N - len(u)], so pairs
+    longer than N are never visited."""
+    return [[(v, c) for v, c in b.items() if len(v) <= r] for r in range(N + 1)]
+
+
+def int_concat(a, fits, N):
+    """Concatenation product of the word->int dict a with the word_buckets
+    fits of a right factor, truncated at N; zero entries are dropped."""
+    out = {}
+    get = out.get
+    for u, cu in a.items():
+        room = N - len(u)
+        if room < 0:
+            continue
+        for v, cv in fits[room]:
+            w = u + v
+            out[w] = get(w, 0) + cu * cv
+    return {w: c for w, c in out.items() if c}
 
 
 def bracket(x, y):
@@ -329,19 +366,42 @@ def dynkin_theta(x):
     return out
 
 
+def _theta_words(word, degs):
+    """theta(word) as its 2^(k-1) signed words: bracketing the next letter g
+    onto the prefix p appends g, or prepends it with sign
+    -(-1)^{|p||g|}, the Koszul sign of bracket."""
+    out = [(word[:1], 1)]
+    dp = degs[word[0]]
+    for g in word[1:]:
+        dg = degs[g]
+        s = 1 if (dp & 1) and (dg & 1) else -1
+        out = [(v + (g,), c) for v, c in out] + [((g,) + v, s * c) for v, c in out]
+        dp += dg
+    return out
+
+
 def dynkin_verify(x):
     """Check theta(x_n) = n * x_n for every word length n.
 
     Returns (ok, defects) where defects lists (length, defect Elt) for the
-    lengths that fail.  The zero element verifies trivially.
+    lengths that fail.  The zero element verifies trivially.  The test runs
+    on the integer numerators of x; defects are rebuilt from x itself.
     """
+    num, _ = clear_denominators(x.terms)
+    degs = x.gens.degrees
+    residues = {}
+    for w, c in num.items():
+        n = len(w)
+        res = residues.setdefault(n, {})
+        get = res.get
+        for v, s in _theta_words(w, degs):
+            res[v] = get(v, 0) + s * c
+        res[w] = get(w, 0) - n * c
     defects = []
-    lengths = sorted({len(w) for w in x.terms})
-    for n in lengths:
-        part = x.length_part(n)
-        d = dynkin_theta(part) - n * part
-        if not d.is_zero():
-            defects.append((n, d))
+    for n in sorted(residues):
+        if any(residues[n].values()):
+            part = x.length_part(n)
+            defects.append((n, dynkin_theta(part) - n * part))
     return (not defects, defects)
 
 
@@ -674,11 +734,3 @@ class FreeDGL:
             raise ConfigError("cannot raise truncation from %d to %d" % (self.N, M))
         images = {i: img.truncated(M) for i, img in self.diff.images.items()}
         return FreeDGL(self.gens, M, images)
-
-
-def apply_differential(L, x):
-    return L.d(x)
-
-
-def check_d_squared(L):
-    return L.check_d_squared()

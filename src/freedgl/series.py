@@ -9,14 +9,19 @@ product log(exp x . exp y) on degree-0 elements, exponentials of adjoint
 derivations, the Bernoulli operator ad_x/(e^{ad_x}-1) and its series inverse
 (e^{ad_x}-1)/ad_x, the gauge action of degree-0 elements on Maurer-Cartan
 elements, the MC equation checker, and differential twisting d + ad_a.
+
+The BCH exp/log runs on integer numerators over one common denominator (the
+integer word kernel of the lie module); each coefficient of the result is an
+exact Fraction, and the result still passes the Dynkin Lie check.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, gcd, lcm
 
 from .lie import (
     ConfigError, DomainError,
-    Elt, FreeDGL, bracket, concat_terms, dynkin_verify,
+    Elt, FreeDGL, bracket, clear_denominators, dynkin_verify, int_concat,
+    word_buckets,
 )
 
 ZERO = Fraction(0)
@@ -50,44 +55,50 @@ def _require_degree(x, d, what):
 
 
 # ---------------------------------------------------------------------------
-# exp/log with the unit word; internal helpers over word->coeff dicts
+# exp/log with the unit word, on integer numerators over one denominator
+#
+# An argument X = A/D (A a word->int dict) has
+#     exp(X) = sum_k A^k (N!/k!) D^(N-k)  /  N! D^N,
+# the exponentials multiply as integer dicts with the gcd stripped after each
+# factor, and the product P = (E + U)/E (U without the unit word) has
+#     log(P) = sum_k (-1)^(k+1) U^k (L/k) E^(N-k)  /  L E^N,  L = lcm(1..N).
+# Each output coefficient is built once as an exact Fraction.
 
 
-def _exp_terms(terms, N):
-    out = {(): ONE}
-    power = {(): ONE}
+def _exp_numerators(A, D, N):
+    """(numerators, denominator) of exp(A/D) truncated at N."""
+    fits = word_buckets(A, N)
+    fact = factorial(N)
+    out = {(): fact * D ** N}
+    power = {(): 1}
     for k in range(1, N + 1):
-        power = concat_terms(power, terms, N, scale=Fraction(1, k))
+        power = int_concat(power, fits, N)
         if not power:
             break
+        scale = fact // factorial(k) * D ** (N - k)
         for w, c in power.items():
-            acc = out.get(w, ZERO) + c
-            if acc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-    return out
+            out[w] = out.get(w, 0) + c * scale
+    return out, fact * D ** N
 
 
-def _log_terms(terms, N):
-    u = dict(terms)
-    unit = u.pop((), ZERO)
-    if unit != 1:
-        raise DomainError("log requires a grouplike input with unit part 1")
+def _log_numerators(P, E, N):
+    """(numerators, denominator) of log(P/E) for a grouplike P/E, that is
+    one whose unit word has numerator E."""
+    U = {w: c for w, c in P.items() if w}
+    fits = word_buckets(U, N)
+    L = lcm(*range(1, N + 1))
     out = {}
-    power = {(): ONE}
+    power = {(): 1}
     for k in range(1, N + 1):
-        power = concat_terms(power, u, N)
+        power = int_concat(power, fits, N)
         if not power:
             break
-        sign = Fraction((-1) ** (k + 1), k)
+        scale = (L // k) * E ** (N - k)
+        if not k & 1:
+            scale = -scale
         for w, c in power.items():
-            acc = out.get(w, ZERO) + sign * c
-            if acc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-    return out
+            out[w] = out.get(w, 0) + c * scale
+    return out, L * E ** N
 
 
 def bch(*xs):
@@ -105,10 +116,19 @@ def bch(*xs):
     for x in xs:
         _require_degree(x, 0, "bch argument")
     N = first.N
-    prod = {(): ONE}
+    prod, den = {(): 1}, 1
     for x in xs:
-        prod = concat_terms(prod, _exp_terms(x.terms, N), N)
-    out = Elt(first.gens, N, _log_terms(prod, N))
+        if not x.terms:
+            continue
+        e, d = _exp_numerators(*clear_denominators(x.terms), N)
+        prod = int_concat(prod, word_buckets(e, N), N)
+        den *= d
+        g = gcd(den, *prod.values())
+        if g > 1:
+            prod = {w: c // g for w, c in prod.items()}
+            den //= g
+    num, den = _log_numerators(prod, den, N)
+    out = Elt(first.gens, N, {w: Fraction(c, den) for w, c in num.items() if c})
     ok, defects = dynkin_verify(out)
     if not ok:
         raise RuntimeError(

@@ -2,7 +2,8 @@
 
 Nothing here imports the package under test.  Dimension counts come from the
 graded Witt recursion; simplicial homology comes from a plain dense boundary
-matrix elimination over Fraction.
+matrix elimination over Fraction; the BCH product comes from exp and log
+power series over word->Fraction dicts.
 """
 
 from fractions import Fraction
@@ -147,3 +148,71 @@ def simplicial_betti(maximal):
     for q in range(0, top + 1):
         betti[q] = len(by_dim.get(q, [])) - ranks.get(q, 0) - ranks.get(q + 1, 0)
     return betti
+
+
+# ---------------------------------------------------------------------------
+# BCH product in the truncated tensor algebra over Q
+#
+# Elements are dicts from words (tuples of letters) to nonzero Fractions; the
+# empty word is the unit.  log(exp(a_1) ... exp(a_k)) is computed from the
+# power series of exp and log, every coefficient a Fraction, words longer
+# than N dropped.
+
+
+def _concat(a, b, N, scale=Fraction(1)):
+    out = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            if len(u) + len(v) > N:
+                continue
+            w = u + v
+            acc = out.get(w, Fraction(0)) + cu * cv * scale
+            if acc == 0:
+                out.pop(w, None)
+            else:
+                out[w] = acc
+    return out
+
+
+def _accumulate(out, terms, scale):
+    for w, c in terms.items():
+        acc = out.get(w, Fraction(0)) + scale * c
+        if acc == 0:
+            out.pop(w, None)
+        else:
+            out[w] = acc
+
+
+def tensor_exp(terms, N):
+    """exp of a word->Fraction dict without unit word, truncated at N."""
+    out = {(): Fraction(1)}
+    power = {(): Fraction(1)}
+    for k in range(1, N + 1):
+        power = _concat(power, terms, N, Fraction(1, k))
+        if not power:
+            break
+        _accumulate(out, power, Fraction(1))
+    return out
+
+
+def tensor_log(terms, N):
+    """log of a word->Fraction dict with unit part 1, truncated at N."""
+    u = dict(terms)
+    if u.pop((), Fraction(0)) != 1:
+        raise ValueError("log needs unit part 1")
+    out = {}
+    power = {(): Fraction(1)}
+    for k in range(1, N + 1):
+        power = _concat(power, u, N)
+        if not power:
+            break
+        _accumulate(out, power, Fraction((-1) ** (k + 1), k))
+    return out
+
+
+def bch_terms(args, N):
+    """log(exp(a_1) ... exp(a_k)) for word->Fraction dicts, truncated at N."""
+    prod = {(): Fraction(1)}
+    for a in args:
+        prod = _concat(prod, tensor_exp(a, N), N)
+    return tensor_log(prod, N)

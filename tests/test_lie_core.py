@@ -13,6 +13,7 @@ from freedgl.lie import (
     lyndon_slice_basis, slice_coordinates, elt_from_slice_coords,
     substitute, concat_terms,
 )
+from freedgl.serialize import emit_element
 from oracles import free_lie_slice_dim
 
 GENS = GenSet([("a", -1), ("b", 0), ("c", 1), ("d", 0)])
@@ -88,6 +89,36 @@ def test_dynkin_rejects_non_lie():
     ok, defects = dynkin_verify(x)
     assert not ok
     assert defects[0][0] == 2
+    a, b, c, d = (gen(i) for i in range(4))
+    u = bracket(a, b)                      # odd, so [u, u] is a nonzero Lie element
+    lie = bracket(a, bracket(b, c)) + Fraction(-2, 3) * bracket(d, bracket(d, a))
+    stray = Elt(GENS, N, {(3, 1, 2): Fraction(1, 7)})
+    cases = [
+        x,
+        Elt(GENS, N, {(0, 0): Fraction(1)}),
+        Elt(GENS, N, {(2, 0, 1): Fraction(-3, 5), (3,): Fraction(4)}),
+        bracket(a, a), bracket(c, c), bracket(u, u),
+        bracket(u, u) + Elt(GENS, N, {(0, 1, 0, 1): Fraction(1, 2)}),
+        lie, lie + stray,
+    ]
+    for y in cases:
+        want = []
+        for n in sorted({len(w) for w in y.terms}):
+            part = y.length_part(n)
+            residue = dynkin_theta(part) - n * part
+            if not residue.is_zero():
+                want.append((n, residue))
+        ok, defects = dynkin_verify(y)
+        assert defects == want
+        assert ok == (not want)
+    assert dynkin_verify(bracket(u, u))[0]
+    assert [n for n, _ in dynkin_verify(lie + stray)[1]] == [3]
+    for q in range(-5, 6):
+        for n in range(1, 6):
+            for _, terms, _ in lyndon_slice_basis(GENS, q, n):
+                assert dynkin_verify(Elt(GENS, N, terms))[0]
+    with pytest.raises(DomainError):
+        emit_element(lie + stray)
 
 
 def test_dynkin_on_odd_square():

@@ -13,6 +13,7 @@ from freedgl.series import (
     bernoulli_numbers, bch, exp_ad, bernoulli_op, bernoulli_op_inverse,
     is_mc, mc_residue, gauge, twist,
 )
+from oracles import bch_terms
 
 
 def test_bernoulli_first_kind():
@@ -61,6 +62,47 @@ def test_bch_identity_and_inverse():
     assert bch(x, zero) == x
     assert bch(zero, x) == x
     assert bch(x, -x).is_zero()
+
+
+small_fractions = st.builds(Fraction,
+                            st.integers(min_value=-9, max_value=9),
+                            st.integers(min_value=1, max_value=7))
+
+
+@st.composite
+def bch_arguments(draw):
+    """1-4 degree-0 Lie elements on 2-3 generators at N <= 5; later arguments
+    may be zero or the negative of an earlier one."""
+    gens = GenSet([("x", 0), ("y", 0), ("z", 0)][:draw(st.integers(2, 3))])
+    n = draw(st.integers(1, 5))
+    basis = [terms for k in range(1, n + 1)
+             for _, terms, _ in lyndon_slice_basis(gens, 0, k)]
+    args = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("new", "zero", "neg") if args else ("new", "zero")))
+        if kind == "zero":
+            args.append(Elt(gens, n, {}))
+        elif kind == "neg":
+            args.append(-draw(st.sampled_from(args)))
+        else:
+            picks = draw(st.lists(st.tuples(st.integers(0, len(basis) - 1),
+                                            small_fractions),
+                                  min_size=1, max_size=6))
+            x = Elt(gens, n, {})
+            for i, c in picks:
+                x = x + Elt(gens, n, basis[i]) * c
+            args.append(x)
+    return args
+
+
+@given(bch_arguments())
+@settings(max_examples=60, deadline=None)
+def test_bch_matches_fraction_oracle(xs):
+    out = bch(*xs)
+    assert out.terms == bch_terms([x.terms for x in xs], xs[0].N)
+    # emit_element divides each coefficient by the word length: an int
+    # coefficient would come out as a float there
+    assert all(type(c) is Fraction for c in out.terms.values())
 
 
 @given(st.lists(st.builds(Fraction,
