@@ -4,7 +4,7 @@ from .lie import (
     ConfigError, DomainError, StructError, SolveError,
     GenSet, Elt, FreeDGL, DGLMap, Derivation,
     bracket, dynkin_theta, dynkin_verify, is_lie,
-    lyndon_words, lyndon_basis, generator_elt, zero_elt, truncate,
+    lyndon_words, lyndon_basis, generator_elt, zero_elt,
 )
 from .series import (
     bch, exp_ad, bernoulli_op, bernoulli_op_inverse,
@@ -33,7 +33,7 @@ __all__ = [
     "ConfigError", "DomainError", "StructError", "SolveError",
     "GenSet", "Elt", "FreeDGL", "DGLMap", "Derivation",
     "bracket", "dynkin_theta", "dynkin_verify", "is_lie",
-    "lyndon_words", "lyndon_basis", "generator_elt", "zero_elt", "truncate",
+    "lyndon_words", "lyndon_basis", "generator_elt", "zero_elt",
     "bch", "exp_ad", "bernoulli_op", "bernoulli_op_inverse",
     "is_mc", "mc_residue", "gauge", "twist",
     "ParseError", "emit_element", "parse_element", "emit_dgl", "parse_dgl",

@@ -17,7 +17,7 @@ from .lie import (
     Elt, DGLMap, zero_elt,
     lyndon_slice_basis, slice_coordinates, elt_from_slice_coords,
 )
-from .series import bch, gauge, is_mc, twist
+from .series import bch, gauge, is_mc
 from .linalg import SpanReducer, FractionFreeReducer, _int_vec
 
 ONE = Fraction(1)
@@ -132,8 +132,8 @@ def homology(L, N=None, degrees=None):
     """
     if N is not None and N != L.N:
         L = L.truncated(N)
-    dmin = min(L.gens.degrees)
-    dmax = max(L.gens.degrees)
+    dmin = min(L.gens.degrees, default=0)
+    dmax = max(L.gens.degrees, default=0)
     if degrees is None:
         lo = min(dmin, L.N * dmin)
         hi = max(dmax, L.N * dmax)
@@ -332,7 +332,7 @@ def _h0_quotient(L):
 def pi_n(L, n, N=None):
     """Realization homotopy group of a non-negatively graded L on L/L^{>N}:
     the H_{n-1} report entry for n >= 2, the BCH group on H_0 for n = 1."""
-    if min(L.gens.degrees) < 0:
+    if min(L.gens.degrees, default=0) < 0:
         raise DomainError(
             "homotopy groups need a non-negatively graded Lie algebra")
     if n < 1:
@@ -371,32 +371,27 @@ def gauge_equivalent_certificate(L, a, b, x):
 
 
 def malcev_tower(K, basepoint, N_max):
-    """BCH groups of the basepoint-twisted complex model for N = 1..N_max,
-    with surjectivity of every connecting projection checked.
+    """BCH groups of the minimal model of K at the basepoint for
+    N = 1..N_max, with surjectivity of every connecting projection checked.
 
-    The N = 1 quotient is the abelianization; each later stage refines the
-    previous one by the classes new at word length N.
+    One minimal model is built at N_max and stage N is pi_1 of its
+    truncation to N.  Its differential has no linear part, so truncating by
+    word length commutes with H_0; the stage representatives are elements
+    of the minimal model.  The N = 1 quotient is the abelianization; each
+    later stage refines the previous one by the classes new at word length
+    N.
     """
-    from .complexes import model_of_complex, components
+    from .complexes import minimal_model
 
-    if len(components(K)) != 1:
-        raise DomainError(
-            "the tower needs a connected complex; split it with components()")
-    quotients = []
-    for N in range(1, N_max + 1):
-        cm = model_of_complex(K, N)
-        tw = twist(cm.dgl, cm.gen((basepoint,)))
-        quotients.append(_h0_quotient(tw))
+    M = minimal_model(K, basepoint, N_max)
+    quotients = [pi_n(M, 1, N) for N in range(1, N_max + 1)]
     for N in range(2, N_max + 1):
         big = quotients[N - 1]
         small = quotients[N - 2]
         red = SpanReducer()
         hit = 0
         for rep in big.basis:
-            down = Elt(small.L.gens, small.N,
-                       {w: c for w, c in rep.terms.items()
-                        if len(w) <= small.N})
-            coords = small.class_coords(down)
+            coords = small.class_coords(rep.truncated(small.N))
             piv, _ = red.insert(
                 {i: c for i, c in enumerate(coords) if c}, hit)
             if piv is not None:

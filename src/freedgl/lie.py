@@ -263,10 +263,6 @@ def zero_elt(gens, N):
     return Elt(gens, N, {})
 
 
-def truncate(x, M):
-    return x.truncated(M)
-
-
 def concat_terms(a, b, N, out=None, scale=ONE):
     """Concatenation product of two word->coeff dicts, truncated at N.
 
@@ -329,10 +325,12 @@ def bracket(x, y):
     gens = x.gens
     N = x.N
     degs = gens.degrees
+    right = [(v, cv, sum(degs[i] for i in v) & 1)
+             for v, cv in y.terms.items()]
     terms = {}
     for u, cu in x.terms.items():
         du = sum(degs[i] for i in u)
-        for v, cv in y.terms.items():
+        for v, cv, dv in right:
             if len(u) + len(v) > N:
                 continue
             c = cu * cv
@@ -342,8 +340,7 @@ def bracket(x, y):
                 terms.pop(w, None)
             else:
                 terms[w] = acc
-            dv = sum(degs[i] for i in v)
-            s = -c if (du & 1) and (dv & 1) else c
+            s = -c if (du & 1) and dv else c
             w = v + u
             acc = terms.get(w, ZERO) - s
             if acc == 0:

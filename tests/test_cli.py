@@ -7,6 +7,7 @@ from freedgl.serialize import parse_dgl
 
 CIRCLE = "0 1\n1 2\n0 2\n"
 FIG8 = "0 1\n1 2\n0 2\n0 3\n3 4\n0 4\n"
+S2 = "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
 
 
 def go(capsys, argv):
@@ -79,6 +80,13 @@ def test_malcev_stages(tmp_path, capsys):
     assert "stage 1: dim 2 new 2" in out
     assert "stage 2: dim 3 new 1" in out
     assert "stage 3: dim 5 new 2" in out
+    sphere = tmp_path / "s2.cpx"
+    sphere.write_text(S2)
+    code, out, _ = go(capsys, ["malcev", "--complex", str(sphere),
+                               "--trunc", "3"])
+    assert code == 0
+    for k in (1, 2, 3):
+        assert "stage %d: dim 0 new 0" % k in out
 
 
 def test_pi_subcommand(tmp_path, capsys):
@@ -99,6 +107,12 @@ def test_pi_subcommand(tmp_path, capsys):
                                "--trunc", "3"])
     assert code == 0
     assert "pi_2 dim 0" in out
+
+    tri = tmp_path / "tri.cpx"
+    tri.write_text("0 1 2\n")
+    code, out, _ = go(capsys, ["pi", "--complex", str(tri), "--n", "1"])
+    assert code == 0
+    assert "pi_1 dim 0" in out and "abelian yes" in out
 
 
 def test_whitney_listing_and_suite(capsys):

@@ -8,7 +8,9 @@ from freedgl.lie import DomainError, StructError, generator_elt, zero_elt
 from freedgl.serialize import ParseError
 from freedgl.series import is_mc, twist
 from freedgl.simplex import seed_family, interval_model
-from freedgl.homology import linear_homology, homology, malcev_tower, tower_layers
+from freedgl.homology import (
+    linear_homology, homology, malcev_tower, tower_layers, _h0_quotient,
+)
 from freedgl.complexes import (
     SimplicialComplex, parse_complex, model_of_complex, components,
     subcomplex, component_inclusion_check, localize, maximal_tree,
@@ -20,6 +22,8 @@ from oracles import simplicial_betti, free_lie_slice_dim
 CIRCLE = "0 1\n1 2\n0 2"
 FIG8 = "0 1\n1 2\n0 2\n0 3\n3 4\n0 4"
 WEDGE = "0 1\n1 2\n0 2\n0 3 4\n0 3 5\n0 4 5\n3 4 5"
+S2 = "0 1 2\n0 1 3\n0 2 3\n1 2 3"
+BOUQUET3 = FIG8 + "\n0 5\n5 6\n0 6"
 TORUS = "\n".join("%d %d %d" % (i, (i + 1) % 7, (i + 3) % 7)
                   for i in range(7)) + "\n" + \
         "\n".join("%d %d %d" % (i, (i + 2) % 7, (i + 3) % 7)
@@ -232,3 +236,26 @@ def test_malcev_tower_circle_and_contractible():
     two = SimplicialComplex([(0,), (1,)])
     with pytest.raises(DomainError):
         malcev_tower(two, 0, 2)
+    with pytest.raises(DomainError):
+        malcev_tower(circ, 7, 2)
+    for text, layers in ((S2, [0, 0, 0]), (TORUS, [2, 0, 0]),
+                         (WEDGE, [1, 0, 0])):
+        qs = malcev_tower(parse_complex(text), 0, 3)
+        assert tower_layers(qs) == layers, text
+        assert qs[-1].is_abelian(), text
+
+
+def _twisted_full_model_h0(K, N):
+    """H_0 of the full complex model twisted at vertex 0: the tower route
+    that is correct on 1-dimensional complexes only."""
+    cm = model_of_complex(K, N)
+    return _h0_quotient(twist(cm.dgl, cm.gen((0,))))
+
+
+def test_malcev_tower_matches_twisted_full_model_on_graphs():
+    for text, N_max in ((CIRCLE, 4), (FIG8, 3), (BOUQUET3, 3)):
+        K = parse_complex(text)
+        for N, q in enumerate(malcev_tower(K, 0, N_max), start=1):
+            old = _twisted_full_model_h0(K, N)
+            assert (q.dim, q.is_abelian()) == (old.dim, old.is_abelian()), \
+                (text, N)
