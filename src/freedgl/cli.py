@@ -132,6 +132,8 @@ def _validate(args):
     if args.command == "homology":
         if (args.model is None) == (args.complex is None):
             raise _UsageError("give exactly one of --model / --complex")
+        if args.degrees is not None and args.model is None:
+            raise _UsageError("--degrees needs --model")
     if args.command == "check":
         if (args.model is None) == (args.n is None):
             raise _UsageError("give exactly one of --model / --n")
@@ -184,6 +186,9 @@ def _cmd_homology(args):
     lines = ["homology"]
     if args.model:
         L = parse_dgl(_read(args.model))
+        bad = [name for name, _ in L.check_d_squared()]
+        if bad:
+            raise DomainError("d^2 is not zero on %s" % ", ".join(bad))
         degrees = _parse_degrees(args.degrees) if args.degrees else None
         report = homology(L, degrees=degrees)
         lines.append("trunc %d" % L.N)

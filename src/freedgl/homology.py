@@ -177,54 +177,19 @@ def homology(L, N=None, degrees=None):
 
 
 def linear_homology(L):
-    """Homology of the generator span under the length-preserving part of
-    the differential.  Returns (dims, reps) keyed by degree; representatives
-    are generator combinations."""
-    gens = L.gens
-    by_degree = {}
-    for i, d in enumerate(gens.degrees):
-        by_degree.setdefault(d, []).append(i)
+    """Homology of the generator span under the length-preserving part d1
+    of the differential.
 
-    rank = {}
-    kernels = {}
-    images = {}
-    for q, idxs in sorted(by_degree.items()):
-        aux = len(gens)
-        red = FractionFreeReducer(aux_base=aux)
-        kers = []
-        cols = []
-        for j, i in enumerate(idxs):
-            dx = L.d1(Elt(gens, L.N, {(i,): ONE}))
-            raw = {w[0]: c for w, c in dx.terms.items()}
-            cols.append(_int_vec(raw))
-            vec = dict(raw)
-            vec[aux + j] = ONE
-            res = red.insert(vec)
-            if res is not None:
-                kers.append({idxs[i2 - aux]: c for i2, c in res.items()})
-        rank[q] = red.rank()
-        kernels[q] = kers
-        images[q - 1] = cols
-
-    dims = {}
-    reps = {}
-    for q, idxs in sorted(by_degree.items()):
-        h = len(idxs) - rank.get(q, 0) - rank.get(q + 1, 0)
-        red = FractionFreeReducer()
-        for col in images.get(q, []):
-            red.insert(dict(col))
-        found = []
-        for kv in kernels[q]:
-            if red.insert(dict(kv)) is None:
-                x = zero_elt(gens, L.N)
-                for i, c in sorted(kv.items()):
-                    x = x + Fraction(c) * Elt(gens, L.N, {(i,): ONE})
-                found.append(x)
-        if len(found) != h:
-            raise StructError("linear homology bookkeeping mismatch")
-        if h:
-            dims[q] = h
-            reps[q] = found
+    On generators d1 is the differential of L/L^{>1}, so this is
+    homology(L.truncated(1)) with its zero degrees dropped.  Returns (dims,
+    reps) keyed by degree; representatives are generator combinations,
+    lifted back to truncation L.N, with homology()'s sign convention: the
+    coefficient of the lowest-index generator is positive.
+    """
+    entries = homology(L.truncated(1)).entries
+    dims = {q: e["h"] for q, e in entries.items() if e["h"]}
+    reps = {q: [x.at_truncation(L.N) for x in entries[q]["reps"]]
+            for q in dims}
     return dims, reps
 
 

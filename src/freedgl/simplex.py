@@ -32,7 +32,8 @@ from .lie import (
     lyndon_slice_basis, slice_coordinates, elt_from_slice_coords,
 )
 from .series import bch, exp_ad, bernoulli_op, is_mc, twist, gauge
-from .linalg import SpanReducer, solve_columns
+from .linalg import SpanReducer, FractionFreeReducer, solve_columns
+from .homology import linear_homology
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -392,8 +393,8 @@ def permutation_map(model, sigma):
         img_verts = [sigma[v] for v in face]
         sign = _sort_sign(img_verts)
         tgt = tuple(sorted(img_verts))
-        images[gens.index(face_name(face))] = (
-            Fraction(sign) * generator_elt(gens, model.N, face_name(tgt)))
+        images[gens.index(face_name(face))] = Elt(
+            gens, model.N, {(gens.index(face_name(tgt)),): Fraction(sign)})
     return DGLMap(model.dgl, model.dgl, images)
 
 
@@ -780,70 +781,37 @@ def generator_homology(model, invariant=False):
     one), or of its permutation-invariant subcomplex.
 
     Returns (dims, reps): degree -> dimension and degree -> representative
-    cycles (Elt).  For a simplex model the expected answer is one class in
-    degree -1, represented invariantly by the barycenter sum.
+    cycles (Elt).  The plain classes are linear_homology(model.dgl), with
+    its representatives and their sign convention.  The invariant ones are
+    their images under the average over the vertex permutations: averaging
+    is a chain map onto the invariant subcomplex and, over Q, maps homology
+    onto its homology, so the projected representatives that stay
+    independent modulo d1-boundaries are a basis.  For a simplex model the
+    answer is one class in degree -1, represented invariantly by the
+    barycenter sum.
     """
+    dims, reps = linear_homology(model.dgl)
+    if not invariant:
+        return dims, reps
     L = model.dgl
     gens = model.gens
-    N = model.N
-    n = model.n
-    maps = None
-    if invariant:
-        maps = [permutation_map(model, sigma)
-                for sigma in permutations(range(n + 1))]
-        avg = Fraction(1, len(maps))
-
-    basis = {}
-    for q in sorted(set(gens.degrees)):
-        vecs = []
-        red = SpanReducer()
+    inv_dims = {}
+    inv_reps = {}
+    for q, classes in reps.items():
+        red = FractionFreeReducer()
         for i, d in enumerate(gens.degrees):
-            if d != q:
-                continue
-            x = Elt(gens, N, {(i,): ONE})
-            if invariant:
-                total = zero_elt(gens, N)
-                for m in maps:
-                    total = total + m(x)
-                x = avg * total
-                if x.is_zero():
-                    continue
-            piv, _ = red.insert({w[0]: c for w, c in x.terms.items()}, 0)
-            if piv is not None:
-                vecs.append(x)
-        if vecs:
-            basis[q] = vecs
-
-    bound = {}   # degree -> SpanReducer of d1-images landing there
-    rank = {}
-    for q, vecs in basis.items():
-        red = SpanReducer()
-        for x in vecs:
-            dx = L.d1(x)
-            if not dx.is_zero():
-                red.insert({w[0]: c for w, c in dx.terms.items()}, 0)
-        bound[q - 1] = red
-        rank[q] = red.rank()
-
-    dims = {}
-    reps = {}
-    for q, vecs in basis.items():
-        h = len(vecs) - rank.get(q, 0) - rank.get(q + 1, 0)
-        if not h:
-            continue
-        dims[q] = h
-        red = SpanReducer()
-        for row in sorted(bound.get(q, SpanReducer()).rows):
-            red.insert(dict(bound[q].rows[row]), 0)
+            if d == q + 1:
+                dx = L.d1(Elt(gens, model.N, {(i,): ONE}))
+                red.insert({w[0]: c for w, c in dx.terms.items()})
         found = []
-        for x in vecs:
-            if not L.d1(x).is_zero():
-                continue
-            piv, _ = red.insert({w[0]: c for w, c in x.terms.items()}, 0)
-            if piv is not None:
-                found.append(x)
-        reps[q] = found
-    return dims, reps
+        for x in classes:
+            y = reynolds_invariant_project(model, x)
+            if red.insert({w[0]: c for w, c in y.terms.items()}) is None:
+                found.append(y)
+        if found:
+            inv_dims[q] = len(found)
+            inv_reps[q] = found
+    return inv_dims, inv_reps
 
 
 def invariant_linear_homology(model):
@@ -857,17 +825,6 @@ def invariant_linear_homology(model):
     L = model.dgl
     gens = model.gens
     N = model.N
-    n = model.n
-    maps = [permutation_map(model, sigma)
-            for sigma in permutations(range(n + 1))]
-    avg = Fraction(1, len(maps))
-
-    def project(x):
-        total = zero_elt(gens, N)
-        for m in maps:
-            total = total + m(x)
-        return avg * total
-
     mindeg = min(gens.degrees)
     maxdeg = max(gens.degrees)
 
@@ -880,7 +837,7 @@ def invariant_linear_homology(model):
             red = SpanReducer()
             vecs = []
             for _, terms, _ in basis:
-                proj = project(Elt(gens, N, terms))
+                proj = reynolds_invariant_project(model, Elt(gens, N, terms))
                 if proj.is_zero():
                     continue
                 coords = slice_coordinates(proj, basis)

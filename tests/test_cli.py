@@ -58,6 +58,12 @@ def test_homology_of_complex(tmp_path, capsys):
     assert code == 0
     assert "H[-1] = 1" in out and "H[0] = 1" in out
 
+    # the degree window belongs to the model route only
+    code, out, err = go(capsys, ["homology", "--complex", str(path),
+                                 "--degrees=0:1"])
+    assert code == 2 and out == ""
+    assert "--degrees" in err
+
 
 def test_homology_of_model_file(tmp_path, capsys):
     path = tmp_path / "tri.dgl"
@@ -69,6 +75,14 @@ def test_homology_of_model_file(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "homology"
     assert "H[-2] = 0" in lines and "H[-1] = 0" in lines and "H[0] = 0" in lines
+
+    # d(d a) = c != 0: rejected before any homology is computed
+    bad = tmp_path / "bad.dgl"
+    bad.write_text("dgl\ngens a:1 b:0 c:-1\ntrunc 2\n"
+                   "d a = 1 b\nd b = 1 c\nd c = 0\n")
+    code, out, err = go(capsys, ["homology", "--model", str(bad)])
+    assert code == 2 and out == ""
+    assert "d^2 is not zero on a" in err
 
 
 def test_malcev_stages(tmp_path, capsys):

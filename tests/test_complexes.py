@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from freedgl.lie import DomainError, StructError, generator_elt, zero_elt
+from freedgl.linalg import rank_columns
 from freedgl.serialize import ParseError
 from freedgl.series import is_mc, twist
 from freedgl.simplex import seed_family, interval_model
@@ -86,17 +87,37 @@ def test_model_linear_part_is_chain_differential():
 def test_linear_homology_matches_simplicial_betti():
     cases = [
         (CIRCLE, 2), (FIG8, 2), (WEDGE, 2), (TORUS, 2), ("0 1 2", 2),
+        (S2, 2),
     ]
     for text, N in cases:
         K = parse_complex(text)
         cm = model_of_complex(K, N)
-        dims, _ = linear_homology(cm.dgl)
+        dims, reps = linear_homology(cm.dgl)
         betti = simplicial_betti([tuple(f) for f in K.maximal])
         expected = {}
         for p, b in betti.items():
             if b:
                 expected[p - 1] = b
         assert dims == expected, text
+
+        # the reps are d1-cycles at cm.N, independent mod d1-boundaries
+        L = cm.dgl
+        assert set(reps) == set(dims), text
+        for q, xs in reps.items():
+            boundaries = [_gen_coords(L.d1(generator_elt(L.gens, N, name)))
+                          for name, d in zip(L.gens.names, L.gens.degrees)
+                          if d == q + 1]
+            for x in xs:
+                assert x.N == cm.N and L.d1(x).is_zero(), (text, q)
+            vecs = [_gen_coords(x) for x in xs]
+            assert len(vecs) == dims[q], (text, q)
+            assert (rank_columns(boundaries + vecs)
+                    == rank_columns(boundaries) + len(vecs)), (text, q)
+
+
+def _gen_coords(x):
+    assert all(len(w) == 1 for w in x.terms)
+    return {w[0]: c for w, c in x.terms.items()}
 
 
 def test_components_and_subcomplex():

@@ -244,13 +244,15 @@ def test_barycentric_mc():
 
 def test_generator_homology_point_like():
     for n, N in [(1, 4), (2, 4), (3, 3)]:
-        m = seed_family(N).model(n)
-        dims, reps = generator_homology(m)
-        assert dims == {-1: 1}
-        idims, ireps = generator_homology(m, invariant=True)
-        assert idims == {-1: 1}
-        assert len(ireps[-1]) == 1
-        assert ireps[-1][0] == barycenter(m)
+        flavors = ["seed", "inductive"] + (["symmetric"] if n >= 2 else [])
+        for flavor in flavors:
+            m = ModelFamily(N, flavor).model(n)
+            dims, reps = generator_homology(m)
+            assert dims == {-1: 1}, (flavor, n)
+            idims, ireps = generator_homology(m, invariant=True)
+            assert idims == {-1: 1}, (flavor, n)
+            assert len(ireps[-1]) == 1
+            assert ireps[-1][0] == barycenter(m), (flavor, n)
 
 
 def test_invariant_slice_homology_triangle():
