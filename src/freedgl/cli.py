@@ -90,14 +90,14 @@ def _build_parser():
 
     p = sub.add_parser("malcev", help="group tower dims of a complex")
     p.add_argument("--complex", required=True, metavar="PATH")
-    p.add_argument("--basepoint", type=int, default=0, metavar="V")
+    p.add_argument("--basepoint", type=int, metavar="V", help="vertex id")
     common(p)
 
     p = sub.add_parser("pi", help="homotopy group dims of a complex")
     p.add_argument("--complex", required=True, metavar="PATH")
     p.add_argument("--n", type=int, required=True, metavar="K",
                    help="which homotopy group (K >= 1)")
-    p.add_argument("--basepoint", type=int, default=0, metavar="V")
+    p.add_argument("--basepoint", type=int, metavar="V", help="vertex id")
     common(p)
 
     p = sub.add_parser("bch", help="product of free degree-0 generators")
@@ -147,11 +147,22 @@ def _read(path):
         raise _UsageError("cannot read %s: %s" % (path, e)) from None
 
 
+def _basepoint(K, vertex):
+    """Dense index of a vertex id of the complex file (None: the smallest)."""
+    if vertex is not None and vertex not in K.labels:
+        raise _UsageError("basepoint %d is not a vertex of the complex"
+                          % vertex)
+    return 0 if vertex is None else K.labels.index(vertex)
+
+
 def _emit(args, text):
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _UsageError("cannot write %s: %s" % (out, e)) from None
     else:
         sys.stdout.write(text)
     return 0
@@ -207,7 +218,7 @@ def _cmd_homology(args):
 
 def _cmd_malcev(args):
     K = parse_complex(_read(args.complex))
-    quotients = malcev_tower(K, args.basepoint, args.trunc)
+    quotients = malcev_tower(K, _basepoint(K, args.basepoint), args.trunc)
     layers = tower_layers(quotients)
     lines = ["malcev", "trunc %d" % args.trunc]
     for k, (q, new) in enumerate(zip(quotients, layers), start=1):
@@ -218,7 +229,7 @@ def _cmd_malcev(args):
 
 def _cmd_pi(args):
     K = parse_complex(_read(args.complex))
-    M = minimal_model(K, args.basepoint, args.trunc)
+    M = minimal_model(K, _basepoint(K, args.basepoint), args.trunc)
     group = pi_n(M, args.n)
     if args.n == 1:
         lines = ["pi_1 dim %d" % group.dim,

@@ -6,16 +6,18 @@ own faces: each face's differential is the relabeled top differential of its
 dimension, which is supported on the face's subfaces, so the restriction
 closes whenever the face set is closed under subsets.  On top of the raw
 model: component splitting, localization at a Maurer-Cartan element, and the
-two-stage reduction to a minimal model (kill a spanning tree, then eliminate
-linear pairs until the linear differential vanishes).
+minimal model as one quotient (kill the vertices and a spanning tree, pair
+the other generators in one echelon of the linear differential, and solve
+every partner's image in one fixed-point loop).
 """
 
 from fractions import Fraction
 
 from .lie import (
     ConfigError, DomainError, StructError, SolveError,
-    GenSet, Elt, FreeDGL, DGLMap, generator_elt, zero_elt, substitute,
+    GenSet, Elt, FreeDGL, DGLMap, generator_elt, substitute,
 )
+from .linalg import SpanReducer
 from .series import twist
 from .serialize import ParseError
 from .simplex import ModelFamily, face_name, face_degree, relabel_element
@@ -259,7 +261,6 @@ class LocalizedDGL:
             if not self.L.d(b).is_zero():
                 return False
         lay0 = _DegreeLayout(self.L, 0)
-        from .linalg import SpanReducer
         red = SpanReducer()
         for i, b in enumerate(self.kernel_basis):
             red.insert(lay0.coords(b), i)
@@ -326,95 +327,73 @@ def maximal_tree(K, basepoint=None):
     return tuple(sorted(tree))
 
 
-def _restricted_dgl(source, keep_names, zero_names, solved, N):
-    """Quotient of a free DGL along a generator substitution: kept names map
-    to themselves, zero_names to 0, solved names to the given expressions
-    (supported on kept letters only).  The projection is verified to be a
-    chain map on every source generator; a residue is a loud failure."""
-    pairs = [(n, source.gens.degrees[source.gens.index(n)])
-             for n in keep_names]
-    gens = GenSet(pairs)
-    conv = {source.gens.index(n): generator_elt(gens, N, n)
-            for n in keep_names}
-    full_images = dict(conv)
-    for n in zero_names:
-        full_images[source.gens.index(n)] = zero_elt(gens, N)
-    for n, expr in solved.items():
-        full_images[source.gens.index(n)] = substitute(expr, gens, N, conv)
+def _restricted_dgl(source, keep, images, N):
+    """Quotient of a free DGL along the projection sending generator i to
+    images[i], an expression in the kept letters (keep: their indices, in
+    order).  The projection is verified to be a chain map on every source
+    generator; a residue is a loud failure."""
+    src = source.gens
+    gens = GenSet([(src.names[i], src.degrees[i]) for i in keep])
+    conv = {i: Elt(gens, N, {(j,): ONE}) for j, i in enumerate(keep)}
+    proj = {i: substitute(x, gens, N, conv) for i, x in images.items()}
     d_images = {}
-    for j, name in enumerate(keep_names):
-        dx = source.d(generator_elt(source.gens, N, name))
-        img = substitute(dx, gens, N, full_images)
+    for j, i in enumerate(keep):
+        img = substitute(source.d(Elt(src, N, {(i,): ONE})), gens, N, proj)
         if not img.is_zero():
             d_images[j] = img
     out = FreeDGL(gens, N, d_images)
-    proj = DGLMap(source, out, full_images)
-    bad = [n for n, r in proj.chain_residues() if not r.is_zero()]
+    bad = [n for n, r in DGLMap(source, out, proj).chain_residues()
+           if not r.is_zero()]
     if bad:
         raise SolveError(
             "reduction projection is not a chain map on %s" % ", ".join(bad))
     return out
 
 
-def _eliminate_pair(L, src_idx, tgt_idx, coeff):
-    """Remove the generator pair (src, tgt) where d(src) = coeff*tgt + rest:
-    solve tgt from the relation and substitute it everywhere."""
-    gens = L.gens
-    N = L.N
-    rest = L.d(generator_elt(gens, N, gens.names[src_idx])) \
-        - coeff * Elt(gens, N, {(tgt_idx,): ONE})
-    identity = {i: Elt(gens, N, {(i,): ONE}) for i in range(len(gens))}
-    u = zero_elt(gens, N)
-    for _ in range(N + 1):
-        imgs = dict(identity)
-        imgs[src_idx] = zero_elt(gens, N)
-        imgs[tgt_idx] = u
-        nxt = (Fraction(-1) / coeff) * substitute(rest, gens, N, imgs)
-        if nxt == u:
-            break
-        u = nxt
-    else:
-        raise SolveError("elimination substitution failed to stabilize")
-    keep = [n for i, n in enumerate(gens.names)
-            if i not in (src_idx, tgt_idx)]
-    return _restricted_dgl(
-        L, keep, [gens.names[src_idx]], {gens.names[tgt_idx]: u}, N)
-
-
 def minimal_model(K, basepoint, N):
-    """Minimal model of a connected complex at truncation N.
+    """Minimal model of a connected complex at truncation N, as one quotient
+    of its model.
 
-    Stage 1 kills all vertices and a spanning tree (an acyclic ideal), so
-    the remaining generators live in degrees >= 0.  Stage 2 repeatedly
-    eliminates a generator together with its first linear-differential
-    partner, lowest degree first, until the linear part of the differential
-    vanishes.  The surviving generator count per degree equals the reduced
-    homology of K shifted down by one.
+    The vertices and a spanning tree (an acyclic ideal) are killed.  The
+    other generators, lowest degree first, put their linear differentials,
+    killed letters dropped, into one echelon: a row with a pivot kills its
+    generator (a source) and pairs it with the pivot letter (its partner).
+    The surviving generator count per degree equals the reduced homology of
+    K shifted down by one.
     """
     comps = components(K)
     if len(comps) != 1:
         raise DomainError(
             "minimal models need a connected complex; "
             "split it with components() first")
-    cm = model_of_complex(K, N)
+    L = model_of_complex(K, N).dgl
+    gens = L.gens
     tree = set(maximal_tree(K, basepoint))
-    zero_names = [face_name((v,), cm.wide) for v in range(K.n_vertices)]
-    zero_names += [face_name(e, cm.wide) for e in sorted(tree)]
-    keep = [face_name(f, cm.wide) for f in K.faces
-            if len(f) > 2 or (len(f) == 2 and f not in tree)]
-    L = _restricted_dgl(cm.dgl, keep, zero_names, {}, N)
-
-    while True:
-        order = sorted(range(len(L.gens)),
-                       key=lambda i: (L.gens.degrees[i], i))
-        pick = None
-        for i in order:
-            d1x = L.d1(generator_elt(L.gens, N, L.gens.names[i]))
-            if d1x.is_zero():
-                continue
-            tgt = min(w[0] for w in d1x.terms)
-            pick = (i, tgt, d1x.terms[(tgt,)])
+    killed = {i for i, f in enumerate(K.faces) if len(f) == 1 or f in tree}
+    red = SpanReducer()
+    for i in sorted(set(range(len(gens))) - killed,
+                    key=lambda i: (gens.degrees[i], i)):
+        d1 = L.d1(Elt(gens, N, {(i,): ONE})).terms
+        row = {w[0]: c for w, c in d1.items() if w[0] not in killed}
+        if red.insert(row, i)[0] is not None:
+            killed.add(i)
+    # the source combination e_t has d1(e_t) = t + (kept letters), so the
+    # projection p must send the partner t to u_t = -p(d(e_t) - t)
+    rest = {t: L.d(Elt(gens, N, {(s,): c for s, c in comb.items()}))
+            - Elt(gens, N, {(t,): ONE}) for t, comb in red.combs.items()}
+    images = {i: Elt(gens, N, {} if i in killed or i in rest else {(i,): ONE})
+              for i in range(len(gens))}
+    for _ in range(N + 1):
+        nxt = {t: -substitute(r, gens, N, images) for t, r in rest.items()}
+        if all(nxt[t] == images[t] for t in rest):
             break
-        if pick is None:
-            return L
-        L = _eliminate_pair(L, *pick)
+        images.update(nxt)
+    else:
+        raise SolveError("partner substitution failed to stabilize")
+    keep = [i for i in range(len(gens)) if i not in killed and i not in rest]
+    M = _restricted_dgl(L, keep, images, N)
+    live = [n for n in M.gens.names if not M.d1(M.gen(n)).is_zero()]
+    if live:
+        raise StructError(
+            "linear differential survives on %s" % ", ".join(live))
+    return M

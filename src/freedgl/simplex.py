@@ -23,7 +23,6 @@ Three ways to produce top differentials:
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
 
 from .lie import (
     ConfigError, DomainError, StructError, SolveError,
@@ -102,7 +101,7 @@ def _face_of_name(name, gens):
 class SimplexModel:
     """A free DGL model of Delta^n plus its construction context."""
 
-    __slots__ = ("n", "N", "dgl", "flavor", "family")
+    __slots__ = ("n", "N", "dgl", "flavor", "family", "perms")
 
     def __init__(self, n, N, dgl, flavor, family=None):
         self.n = n
@@ -110,6 +109,7 @@ class SimplexModel:
         self.dgl = dgl
         self.flavor = flavor
         self.family = family
+        self.perms = None   # (sign, map) per vertex permutation, on demand
 
     @property
     def gens(self):
@@ -413,23 +413,31 @@ def equivariance_residues(model, sigma):
     return out
 
 
+def _reynolds_average(model, x, signed):
+    """Average of sigma(x), times eps_sigma when signed, over the vertex
+    permutation group.  The maps are built once per model and, as they send
+    letters to signed letters, hold one shared Elt per signed letter."""
+    if model.perms is None:
+        model.perms, letters = [], {}
+        for sigma in permutations(range(model.n + 1)):
+            m = permutation_map(model, sigma)
+            for i, img in m.images.items():
+                m.images[i] = letters.setdefault(tuple(img.terms.items()), img)
+            model.perms.append((perm_sign(sigma), m))
+    total = zero_elt(model.gens, model.N)
+    for sign, m in model.perms:
+        total = total + (Fraction(sign) * m(x) if signed else m(x))
+    return Fraction(1, len(model.perms)) * total
+
+
 def reynolds_sign_project(model, x):
     """Average of eps_sigma * sigma(x) over the vertex permutation group."""
-    n = model.n
-    total = zero_elt(model.gens, model.N)
-    for sigma in permutations(range(n + 1)):
-        m = permutation_map(model, sigma)
-        total = total + Fraction(perm_sign(sigma)) * m(x)
-    return Fraction(1, factorial(n + 1)) * total
+    return _reynolds_average(model, x, True)
 
 
 def reynolds_invariant_project(model, x):
     """Plain average of sigma(x) over the vertex permutation group."""
-    n = model.n
-    total = zero_elt(model.gens, model.N)
-    for sigma in permutations(range(n + 1)):
-        total = total + permutation_map(model, sigma)(x)
-    return Fraction(1, factorial(n + 1)) * total
+    return _reynolds_average(model, x, False)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,20 @@ def test_pi_subcommand(tmp_path, capsys):
     assert "pi_1 dim 0" in out and "abelian yes" in out
 
 
+def test_basepoint_is_a_vertex_id_of_the_file(tmp_path, capsys):
+    path = tmp_path / "shifted.cpx"
+    path.write_text("10 11\n11 12\n10 12\n")
+    for cmd, line in ((["pi", "--n", "1"], "pi_1 dim 1"),
+                      (["malcev"], "stage 2: dim 1 new 0")):
+        argv = cmd + ["--complex", str(path), "--trunc", "2"]
+        for extra in ([], ["--basepoint", "10"], ["--basepoint", "12"]):
+            code, out, _ = go(capsys, argv + extra)
+            assert code == 0 and line in out, (cmd, extra)
+        code, out, err = go(capsys, argv + ["--basepoint", "0"])
+        assert code == 2 and out == "", cmd
+        assert "basepoint 0 is not a vertex" in err
+
+
 def test_whitney_listing_and_suite(capsys):
     code, out, _ = go(capsys, ["whitney", "--n", "1"])
     assert code == 0
@@ -175,6 +189,8 @@ def test_usage_errors_exit_two(capsys):
         ["pi", "--complex", "x.cpx", "--n", "0"],
         ["check"],
         ["check", "--model", "/nonexistent/path.dgl"],
+        ["build-model", "--n", "1", "--out", "/nonexistent/dir/m.dgl"],
+        ["build-model", "--n", "1", "--out", "/"],
     ):
         code, _, err = go(capsys, argv)
         assert code == 2, argv

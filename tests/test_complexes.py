@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from freedgl.lie import DomainError, StructError, generator_elt, zero_elt
-from freedgl.linalg import rank_columns
+from freedgl.lie import (
+    DomainError, StructError, SolveError, Elt, GenSet, FreeDGL, DGLMap,
+    generator_elt, zero_elt, substitute,
+)
+from freedgl.linalg import SpanReducer, rank_columns
 from freedgl.serialize import ParseError
 from freedgl.series import is_mc, twist
 from freedgl.simplex import seed_family, interval_model
 from freedgl.homology import (
     linear_homology, homology, malcev_tower, tower_layers, _h0_quotient,
 )
+from freedgl import complexes
 from freedgl.complexes import (
     SimplicialComplex, parse_complex, model_of_complex, components,
     subcomplex, component_inclusion_check, localize, maximal_tree,
@@ -25,6 +29,8 @@ FIG8 = "0 1\n1 2\n0 2\n0 3\n3 4\n0 4"
 WEDGE = "0 1\n1 2\n0 2\n0 3 4\n0 3 5\n0 4 5\n3 4 5"
 S2 = "0 1 2\n0 1 3\n0 2 3\n1 2 3"
 BOUQUET3 = FIG8 + "\n0 5\n5 6\n0 6"
+RP2 = "0 1 2\n0 2 3\n0 3 4\n0 4 5\n0 1 5\n1 2 4\n2 3 5\n1 3 4\n2 4 5\n1 3 5"
+OCTAHEDRON = "0 2 4\n0 2 5\n0 3 4\n0 3 5\n1 2 4\n1 2 5\n1 3 4\n1 3 5"
 TORUS = "\n".join("%d %d %d" % (i, (i + 1) % 7, (i + 3) % 7)
                   for i in range(7)) + "\n" + \
         "\n".join("%d %d %d" % (i, (i + 2) % 7, (i + 3) % 7)
@@ -227,6 +233,112 @@ def test_minimal_model_generator_counts_match_reduced_betti():
         assert counts == expected, text
         for n in mm.gens.names:
             assert mm.d1(generator_elt(mm.gens, 2, n)).is_zero()
+
+
+def _named_quotient(source, keep_names, zero_names, solved, N):
+    """Quotient of a free DGL along a generator substitution: kept names map
+    to themselves, zero_names to 0, solved names to the given expressions
+    (supported on kept letters only).  The projection is verified to be a
+    chain map on every source generator."""
+    pairs = [(n, source.gens.degrees[source.gens.index(n)])
+             for n in keep_names]
+    gens = GenSet(pairs)
+    conv = {source.gens.index(n): generator_elt(gens, N, n)
+            for n in keep_names}
+    full_images = dict(conv)
+    for n in zero_names:
+        full_images[source.gens.index(n)] = zero_elt(gens, N)
+    for n, expr in solved.items():
+        full_images[source.gens.index(n)] = substitute(expr, gens, N, conv)
+    d_images = {}
+    for j, name in enumerate(keep_names):
+        dx = source.d(generator_elt(source.gens, N, name))
+        img = substitute(dx, gens, N, full_images)
+        if not img.is_zero():
+            d_images[j] = img
+    out = FreeDGL(gens, N, d_images)
+    assert DGLMap(source, out, full_images).is_chain_map()
+    return out
+
+
+def _eliminate_pair(L, src_idx, tgt_idx, coeff):
+    """Remove the generator pair (src, tgt) where d(src) = coeff*tgt + rest:
+    solve tgt from the relation and substitute it everywhere."""
+    gens = L.gens
+    N = L.N
+    rest = L.d(generator_elt(gens, N, gens.names[src_idx])) \
+        - coeff * Elt(gens, N, {(tgt_idx,): Fraction(1)})
+    identity = {i: Elt(gens, N, {(i,): Fraction(1)}) for i in range(len(gens))}
+    u = zero_elt(gens, N)
+    for _ in range(N + 1):
+        imgs = dict(identity)
+        imgs[src_idx] = zero_elt(gens, N)
+        imgs[tgt_idx] = u
+        nxt = (Fraction(-1) / coeff) * substitute(rest, gens, N, imgs)
+        if nxt == u:
+            break
+        u = nxt
+    else:
+        raise SolveError("elimination substitution failed to stabilize")
+    keep = [n for i, n in enumerate(gens.names)
+            if i not in (src_idx, tgt_idx)]
+    return _named_quotient(
+        L, keep, [gens.names[src_idx]], {gens.names[tgt_idx]: u}, N)
+
+
+def _pairwise_minimal_model(K, basepoint, N):
+    """The minimal model by eliminating one linear pair at a time and
+    rebuilding the quotient after each: kill the vertices and a spanning
+    tree, then repeatedly take the first generator in (degree, index) order
+    with a nonzero linear differential and pair it with its lowest letter."""
+    cm = model_of_complex(K, N)
+    tree = set(maximal_tree(K, basepoint))
+    zero_names = [cm.gens.names[i] for i, f in enumerate(K.faces)
+                  if len(f) == 1 or f in tree]
+    keep = [n for n in cm.gens.names if n not in zero_names]
+    L = _named_quotient(cm.dgl, keep, zero_names, {}, N)
+    while True:
+        order = sorted(range(len(L.gens)),
+                       key=lambda i: (L.gens.degrees[i], i))
+        pick = None
+        for i in order:
+            d1x = L.d1(generator_elt(L.gens, N, L.gens.names[i]))
+            if d1x.is_zero():
+                continue
+            tgt = min(w[0] for w in d1x.terms)
+            pick = (i, tgt, d1x.terms[(tgt,)])
+            break
+        if pick is None:
+            return L
+        L = _eliminate_pair(L, *pick)
+
+
+def test_minimal_model_matches_pairwise_elimination():
+    cases = [(text, N) for text in (S2, RP2, WEDGE, OCTAHEDRON)
+             for N in (1, 2, 3)]
+    cases += [(TORUS, 1), (TORUS, 2)]
+    for text, N in cases:
+        K = parse_complex(text)
+        for b in (0, K.n_vertices - 1):
+            mm = minimal_model(K, b, N)
+            old = _pairwise_minimal_model(K, b, N)
+            assert mm.gens == old.gens, (text, N, b)
+            assert set(mm.diff.images) == set(old.diff.images), (text, N, b)
+            for i, img in mm.diff.images.items():
+                assert img.terms == old.diff.images[i].terms, (text, N, b)
+            for n in mm.gens.names:
+                assert mm.d1(generator_elt(mm.gens, N, n)).is_zero()
+
+
+def test_minimal_model_rejects_a_surviving_linear_part(monkeypatch):
+    class NoPivots(SpanReducer):
+        def insert(self, v, tag):
+            return None, {}
+
+    monkeypatch.setattr(complexes, "SpanReducer", NoPivots)
+    with pytest.raises(StructError) as e:
+        minimal_model(parse_complex(S2), 0, 2)
+    assert "linear differential survives" in str(e.value)
 
 
 def test_minimal_model_rejects_disconnected():
