@@ -17,7 +17,7 @@ from .lie import (
     ConfigError, DomainError, StructError, SolveError,
     GenSet, Elt, FreeDGL, DGLMap, generator_elt, substitute,
 )
-from .linalg import SpanReducer
+from .linalg import SpanReducer, FractionFreeReducer
 from .series import twist
 from .serialize import ParseError
 from .simplex import ModelFamily, face_name, face_degree, relabel_element
@@ -261,13 +261,11 @@ class LocalizedDGL:
             if not self.L.d(b).is_zero():
                 return False
         lay0 = _DegreeLayout(self.L, 0)
-        red = SpanReducer()
-        for i, b in enumerate(self.kernel_basis):
-            red.insert(lay0.coords(b), i)
+        red = FractionFreeReducer()
+        for b in self.kernel_basis:
+            red.insert(lay0.coords(b))
         for x in _DegreeLayout(self.L, 1).basis_elements(self.L):
-            vec = lay0.coords(self.L.d(x))
-            residual, _ = red.reduce(vec)
-            if residual:
+            if red.reduce(lay0.coords(self.L.d(x))):
                 return False
         return True
 

@@ -15,10 +15,10 @@ from fractions import Fraction
 from .lie import (
     DomainError, StructError,
     Elt, DGLMap, zero_elt,
-    lyndon_slice_basis, slice_coordinates, elt_from_slice_coords,
+    lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
 from .series import bch, gauge, is_mc
-from .linalg import SpanReducer, FractionFreeReducer, _int_vec
+from .linalg import SpanReducer, FractionFreeReducer
 
 ONE = Fraction(1)
 
@@ -40,36 +40,39 @@ class _DegreeLayout:
         for k in range(1, L.N + 1):
             basis = lyndon_slice_basis(L.gens, q, k)
             if basis:
-                self.blocks.append((k, off, basis))
+                lead_index = {lead: i for i, (lead, _, _) in enumerate(basis)}
+                self.blocks.append((k, off, basis, lead_index))
                 off += len(basis)
         self.dim = off
 
     def coords(self, x):
         """Global coordinate dict of a degree-q element, or None if some
         length part falls outside its slice span."""
+        parts = {}
+        for w, c in x.terms.items():
+            parts.setdefault(len(w), {})[w] = c
         out = {}
-        for k, off, basis in self.blocks:
-            part = x.length_part(k)
-            if part.is_zero():
+        for k, off, basis, lead_index in self.blocks:
+            part = parts.get(k)
+            if part is None:
                 continue
-            c = slice_coordinates(part, basis)
+            c = _slice_coords(part, basis, lead_index)
             if c is None:
                 return None
-            for i, ci in enumerate(c):
-                if ci:
-                    out[off + i] = ci
+            for i, ci in c.items():
+                out[off + i] = ci
         return out
 
     def element(self, L, vec, scale=ONE):
         out = zero_elt(L.gens, L.N)
-        for k, off, basis in self.blocks:
+        for k, off, basis, _ in self.blocks:
             coords = [scale * vec.get(off + j, 0) for j in range(len(basis))]
             if any(coords):
                 out = out + elt_from_slice_coords(L.gens, L.N, basis, coords)
         return out
 
     def basis_elements(self, L):
-        for k, off, basis in self.blocks:
+        for k, off, basis, _ in self.blocks:
             for _, terms, _ in basis:
                 yield Elt(L.gens, L.N, terms)
 
@@ -160,7 +163,7 @@ def homology(L, N=None, degrees=None):
             vec = lay.coords(L.d(x))
             if vec is None:
                 raise StructError("differential left its degree slice")
-            red.insert(_int_vec(vec))
+            red.insert(vec)
         im_rank = red.rank()
         reps = []
         for kv in kernels:
@@ -273,10 +276,6 @@ class MalcevQuotient:
                 bch(self.basis[i], self.basis[j]))
         return self._table[key]
 
-    def full_table(self):
-        return {(i, j): self.table(i, j)
-                for i in range(self.dim) for j in range(self.dim)}
-
     def is_abelian(self):
         return all(self.table(i, j) == self.table(j, i)
                    for i in range(self.dim) for j in range(i + 1, self.dim))
@@ -353,15 +352,11 @@ def malcev_tower(K, basepoint, N_max):
     for N in range(2, N_max + 1):
         big = quotients[N - 1]
         small = quotients[N - 2]
-        red = SpanReducer()
-        hit = 0
+        red = FractionFreeReducer()
         for rep in big.basis:
             coords = small.class_coords(rep.truncated(small.N))
-            piv, _ = red.insert(
-                {i: c for i, c in enumerate(coords) if c}, hit)
-            if piv is not None:
-                hit += 1
-        if hit != small.dim:
+            red.insert({i: c for i, c in enumerate(coords) if c})
+        if red.rank() != small.dim:
             raise StructError(
                 "tower projection at N=%d is not surjective" % N)
     return quotients

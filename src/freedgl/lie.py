@@ -224,12 +224,6 @@ class Elt:
         return Elt(self.gens, self.N,
                    {w: c for w, c in self.terms.items() if len(w) == k})
 
-    def min_length(self):
-        """Smallest word length present, or None for the zero element."""
-        if not self.terms:
-            return None
-        return min(len(w) for w in self.terms)
-
     def truncated(self, M):
         """Drop words longer than M.  M may not exceed the current truncation."""
         if M > self.N:
@@ -500,18 +494,28 @@ def slice_coordinates(x, basis):
     degree, letters inside the basis subset).  Reduction is triangular on
     leading words.
     """
-    work = dict(x.terms)
-    coords = [ZERO] * len(basis)
     lead_index = {lead: i for i, (lead, _, _) in enumerate(basis)}
+    sparse = _slice_coords(x.terms, basis, lead_index)
+    if sparse is None:
+        return None
+    return [sparse.get(i, ZERO) for i in range(len(basis))]
+
+
+def _slice_coords(terms, basis, lead_index):
+    """slice_coordinates of a word->coeff dict as a sparse dict position ->
+    coefficient, given the basis's lead word -> position index, so that the
+    cost follows the terms of x rather than the size of the slice."""
+    work = dict(terms)
+    coords = {}
     while work:
         w = min(work)
         i = lead_index.get(w)
         if i is None:
             return None
-        _, terms, doubled = basis[i]
+        _, bterms, doubled = basis[i]
         c = work[w] / (2 if doubled else 1)
         coords[i] = c
-        for v, cv in terms.items():
+        for v, cv in bterms.items():
             acc = work.get(v, ZERO) - c * cv
             if acc == 0:
                 work.pop(v, None)
@@ -660,7 +664,7 @@ class FreeDGL:
     the table; d^2 = 0 is checked by check_d_squared, not assumed.
     """
 
-    __slots__ = ("gens", "N", "diff")
+    __slots__ = ("gens", "N", "diff", "_d1")
 
     def __init__(self, gens, N, images):
         self.gens = gens
@@ -669,16 +673,7 @@ class FreeDGL:
             if not 0 <= i < len(gens):
                 raise StructError("differential table has a bad generator index")
         self.diff = Derivation(gens, N, images, -1)
-
-    @classmethod
-    def from_table(cls, pairs, N, table):
-        """pairs: (name, degree) list; table: name -> (word list) builder run
-        after generators exist.  Convenience for tests."""
-        gens = GenSet(pairs)
-        images = {}
-        for name, fn in table.items():
-            images[gens.index(name)] = fn(gens, N)
-        return cls(gens, N, images)
+        self._d1 = None   # the linear part, built on first use
 
     def gen(self, name):
         return generator_elt(self.gens, self.N, name)
@@ -690,26 +685,12 @@ class FreeDGL:
         return self.diff(x)
 
     def d1(self, x):
-        """Linear (length-preserving) part of the differential."""
-        gens = self.gens
-        out = {}
-        for w, c in x.terms.items():
-            sign = 1
-            for i, g in enumerate(w):
-                img = self.diff.images.get(g)
-                if img is not None:
-                    for v, cv in img.terms.items():
-                        if len(v) != 1:
-                            continue
-                        word = w[:i] + v + w[i + 1:]
-                        acc = out.get(word, ZERO) + sign * c * cv
-                        if acc == 0:
-                            out.pop(word, None)
-                        else:
-                            out[word] = acc
-                if gens.degrees[g] & 1:
-                    sign = -sign
-        return Elt(gens, self.N, out)
+        """Linear (length-preserving) part of the differential: the
+        derivation extending the length-1 parts of the generator images."""
+        if self._d1 is None:
+            ones = {i: img.length_part(1) for i, img in self.diff.images.items()}
+            self._d1 = Derivation(self.gens, self.N, ones, -1)
+        return self._d1(x)
 
     def check_d_squared(self):
         """Apply d twice to every generator; returns the nonzero residues as
@@ -721,9 +702,6 @@ class FreeDGL:
             if not r.is_zero():
                 out.append((name, r))
         return out
-
-    def with_images(self, images):
-        return FreeDGL(self.gens, self.N, images)
 
     def truncated(self, M):
         """The same presentation at a lower truncation."""

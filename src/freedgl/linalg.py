@@ -13,6 +13,8 @@ randomization anywhere.
 from fractions import Fraction
 from math import gcd
 
+from .lie import clear_denominators
+
 ZERO = Fraction(0)
 
 
@@ -153,13 +155,8 @@ def _int_vec(v):
     """Clear denominators and strip content; int dict, deterministic sign."""
     if not v:
         return {}
-    den = 1
-    for c in v.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    out = {i: int(c * den) for i, c in v.items()}
-    g = 0
-    for c in out.values():
-        g = gcd(g, c)
+    out, _ = clear_denominators(v)
+    g = gcd(*out.values())
     if g > 1:
         out = {i: c // g for i, c in out.items()}
     if out[min(out)] < 0:

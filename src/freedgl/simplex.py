@@ -19,6 +19,11 @@ Three ways to produce top differentials:
   * the symmetric builder: the length-k parts of d(top) are solved from
     d^2 = 0 and averaged to the sign-isotypic component, giving a model on
     which the vertex-permutation action commutes with d.
+
+All three share one relabel table (_face_images: every face's image is the
+top differential of its dimension, relabeled), which also assembles the
+finished models, and the two solving builders share one length-stage solver
+(_solve_stage: the canonical preimage under d1 on one Lyndon slice).
 """
 
 from fractions import Fraction
@@ -31,7 +36,7 @@ from .lie import (
     lyndon_slice_basis, slice_coordinates, elt_from_slice_coords,
 )
 from .series import bch, exp_ad, bernoulli_op, is_mc, twist, gauge
-from .linalg import SpanReducer, FractionFreeReducer, solve_columns
+from .linalg import FractionFreeReducer, solve_columns
 from .homology import linear_homology
 
 ONE = Fraction(1)
@@ -128,15 +133,23 @@ class SimplexModel:
         return "SimplexModel(n=%d, N=%d, flavor=%s)" % (self.n, self.N, self.flavor)
 
 
-def assemble_model(n, N, top_diffs, flavor, family=None):
-    """Build the model of Delta^n from top differentials for dims 0..n."""
-    gens = simplex_genset(n)
+def _face_images(gens, n, N, diffs):
+    """Differential table of Delta^n on its faces of dimension p < len(diffs):
+    a_F goes to diffs[dim F] relabeled onto F; zero images are left out."""
     images = {}
     for face in faces_of_simplex(n):
         p = len(face) - 1
-        img = relabel_element(top_diffs[p], face, gens, N)
-        if not img.is_zero():
-            images[gens.index(face_name(face))] = img
+        if p < len(diffs):
+            img = relabel_element(diffs[p], face, gens, N)
+            if not img.is_zero():
+                images[gens.index(face_name(face))] = img
+    return images
+
+
+def assemble_model(n, N, top_diffs, flavor, family=None):
+    """Build the model of Delta^n from top differentials for dims 0..n."""
+    gens = simplex_genset(n)
+    images = _face_images(gens, n, N, top_diffs)
     return SimplexModel(n, N, FreeDGL(gens, N, images), flavor, family)
 
 
@@ -219,15 +232,7 @@ def tetra_top_diff(N):
     differential."""
     lower = [vertex_top_diff(N), interval_top_diff(N), triangle_top_diff(N)]
     gens = simplex_genset(3)
-    images = {}
-    for face in faces_of_simplex(3):
-        if len(face) == 4:
-            continue
-        p = len(face) - 1
-        img = relabel_element(lower[p], face, gens, N)
-        if not img.is_zero():
-            images[gens.index(face_name(face))] = img
-    partial = FreeDGL(gens, N, images)
+    partial = FreeDGL(gens, N, _face_images(gens, 3, N, lower))
     a0 = generator_elt(gens, N, "a0")
     twisted = twist(partial, a0)
     e_list = [generator_elt(gens, N, "a012"),
@@ -248,20 +253,54 @@ def tetra_model(N):
 # Length-by-length boundary solving
 
 
+def _solve_stage(L, r, allowed=None):
+    """The canonical x with d1(x) = r, for r of one degree and one word
+    length: x lies on the Lyndon slice of the sub-alphabet `allowed`
+    (default: every letter) one degree above r, with the free variables
+    pinned to 0 under the basis order.  Raises SolveError when r or a d1
+    column leaves the sub-alphabet's slice, or, with a homology witness,
+    when r is not a d1-boundary."""
+    gens = L.gens
+    k = len(next(iter(r.terms)))
+    tdeg = r.degree()
+    tbasis = lyndon_slice_basis(gens, tdeg, k, allowed)
+    b = slice_coordinates(r, tbasis)
+    if b is None:
+        raise SolveError(
+            "stage length %d: residue is not a Lie element of the "
+            "sub-alphabet: %s" % (k, r.pretty()))
+    sbasis = lyndon_slice_basis(gens, tdeg + 1, k, allowed)
+    cols = []
+    for _, terms, _ in sbasis:
+        coords = slice_coordinates(L.d1(Elt(gens, L.N, terms)), tbasis)
+        if coords is None:
+            raise SolveError("stage length %d: d1 leaves the sub-alphabet" % k)
+        cols.append({i: c for i, c in enumerate(coords) if c})
+    x, residual = solve_columns(cols, {i: c for i, c in enumerate(b) if c})
+    if x is None:
+        witness = elt_from_slice_coords(
+            gens, L.N, tbasis, [residual.get(i, 0) for i in range(len(tbasis))])
+        raise SolveError(
+            "no boundary at degree %d, length %d; homology witness: %s"
+            % (tdeg, k, witness.pretty()))
+    return elt_from_slice_coords(
+        gens, L.N, sbasis, [x.get(j, 0) for j in range(len(sbasis))])
+
+
 def solve_boundary(L, target, allowed):
     """A solution beta of d(beta) = target with all letters in `allowed`.
 
-    Works length stage by length stage: the length-preserving part of d is
-    inverted on the Lyndon slice basis of the sub-alphabet (free variables
-    pinned to 0 under the basis order, so the output is canonical), then the
-    full differential of the stage solution is subtracted from the target.
+    Works length stage by length stage: each stage inverts the
+    length-preserving part of d on the Lyndon slice basis of the
+    sub-alphabet (_solve_stage, so the output is canonical), then the full
+    differential of the stage solution is subtracted from the target.
     Requires d to preserve the sub-alphabet's span; raises SolveError with
-    the first infeasible stage's residue as witness.
+    the first infeasible stage's witness.
     """
     allowed = tuple(sorted(allowed))
     if target.is_zero():
         return zero_elt(L.gens, L.N)
-    tdeg = target.degree()
+    target.degree()   # DomainError unless target is homogeneous
     if not target.support_in(allowed):
         raise SolveError("target leaves the solving sub-alphabet")
     beta = zero_elt(L.gens, L.N)
@@ -270,31 +309,7 @@ def solve_boundary(L, target, allowed):
         rk = rest.length_part(k)
         if rk.is_zero():
             continue
-        tbasis = lyndon_slice_basis(L.gens, tdeg, k, allowed)
-        b = slice_coordinates(rk, tbasis)
-        if b is None:
-            raise SolveError(
-                "stage length %d: residue is not a Lie element of the "
-                "sub-alphabet: %s" % (k, rk.pretty()))
-        sbasis = lyndon_slice_basis(L.gens, tdeg + 1, k, allowed)
-        cols = []
-        for _, terms, _ in sbasis:
-            col = L.d1(Elt(L.gens, L.N, terms))
-            coords = slice_coordinates(col, tbasis)
-            if coords is None:
-                raise SolveError("stage length %d: d1 leaves the sub-alphabet" % k)
-            cols.append({i: c for i, c in enumerate(coords) if c})
-        x, residual = solve_columns(cols, {i: c for i, c in enumerate(b) if c})
-        if x is None:
-            witness = elt_from_slice_coords(L.gens, L.N, tbasis,
-                                            [residual.get(i, Fraction(0))
-                                             for i in range(len(tbasis))])
-            raise SolveError(
-                "no boundary at degree %d, length %d; homology witness: %s"
-                % (tdeg, k, witness.pretty()))
-        stage = elt_from_slice_coords(
-            L.gens, L.N, sbasis,
-            [x.get(j, Fraction(0)) for j in range(len(sbasis))])
+        stage = _solve_stage(L, rk, allowed)
         beta = beta + stage
         rest = rest - L.d(stage)
     if not rest.is_zero():
@@ -333,15 +348,7 @@ def inductive_top_diff(n, N, lower_diffs):
     if n < 2:
         raise DomainError("the inductive builder starts at dimension 2")
     gens = simplex_genset(n)
-    images = {}
-    for face in faces_of_simplex(n):
-        p = len(face) - 1
-        if p == n:
-            continue
-        img = relabel_element(lower_diffs[p], face, gens, N)
-        if not img.is_zero():
-            images[gens.index(face_name(face))] = img
-    partial = FreeDGL(gens, N, images)
+    partial = FreeDGL(gens, N, _face_images(gens, n, N, lower_diffs[:n]))
     a0 = generator_elt(gens, N, "a0")
     twisted = twist(partial, a0)
 
@@ -452,58 +459,29 @@ def symmetric_top_diff(n, N, lower_diffs):
     if n < 2:
         raise DomainError("the symmetric builder starts at dimension 2")
     gens = simplex_genset(n)
-    images = {}
-    for face in faces_of_simplex(n):
-        p = len(face) - 1
-        if p == n:
-            continue
-        img = relabel_element(lower_diffs[p], face, gens, N)
-        if not img.is_zero():
-            images[gens.index(face_name(face))] = img
+    images = _face_images(gens, n, N, lower_diffs[:n])
 
     top_face = tuple(range(n + 1))
     top_idx = gens.index(face_name(top_face))
-    x1 = zero_elt(gens, N)
+    top = zero_elt(gens, N)
     for sign, sub in chain_boundary(top_face):
-        x1 = x1 + Fraction(sign) * generator_elt(gens, N, face_name(sub))
-    parts = [x1]
+        top = top + Fraction(sign) * generator_elt(gens, N, face_name(sub))
 
     # a throwaway carrier for the Reynolds projector
     shell = SimplexModel(n, N, FreeDGL(gens, N, {}), "symmetric")
 
     for k in range(2, N + 1):
-        partial = dict(images)
-        partial[top_idx] = sum(parts[1:], parts[0])
-        Lp = FreeDGL(gens, N, partial)
-        rk = Lp.d(partial[top_idx]).length_part(k)
+        Lp = FreeDGL(gens, N, {**images, top_idx: top})
+        rk = Lp.d(top).length_part(k)
         if rk.is_zero():
-            parts.append(zero_elt(gens, N))
             continue
-        tbasis = lyndon_slice_basis(gens, n - 3, k)
-        b = slice_coordinates(rk, tbasis)
-        if b is None:
-            raise SolveError("symmetric stage %d: defect outside the slice" % k)
-        sbasis = lyndon_slice_basis(gens, n - 2, k)
-        cols = []
-        for _, terms, _ in sbasis:
-            col = Lp.d1(Elt(gens, N, terms))
-            coords = slice_coordinates(col, tbasis)
-            cols.append({i: c for i, c in enumerate(coords) if c})
-        x, residual = solve_columns(cols, {i: -c for i, c in enumerate(b) if c})
-        if x is None:
-            raise SolveError(
-                "symmetric stage %d infeasible; invariant homology witness "
-                "present" % k)
-        stage = elt_from_slice_coords(
-            gens, N, sbasis, [x.get(j, Fraction(0)) for j in range(len(sbasis))])
-        stage = reynolds_sign_project(shell, stage)
+        stage = reynolds_sign_project(shell, _solve_stage(Lp, -rk))
         if Lp.d1(stage) != -rk:
             raise SolveError(
                 "symmetric stage %d: sign projection broke the solution "
                 "(defect not isotypic)" % k)
-        parts.append(stage)
-
-    return sum(parts[1:], parts[0])
+        top = top + stage
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -842,22 +820,21 @@ def invariant_linear_homology(model):
             basis = lyndon_slice_basis(gens, q, k)
             if not basis:
                 continue
-            red = SpanReducer()
+            red = FractionFreeReducer()
             vecs = []
             for _, terms, _ in basis:
                 proj = reynolds_invariant_project(model, Elt(gens, N, terms))
                 if proj.is_zero():
                     continue
                 coords = slice_coordinates(proj, basis)
-                piv, _ = red.insert({i: c for i, c in enumerate(coords) if c}, 0)
-                if piv is not None:
+                if red.insert({i: c for i, c in enumerate(coords) if c}) is None:
                     vecs.append(proj)
             if vecs:
                 inv_basis[(q, k)] = vecs
 
     ranks = {}
     for (q, k), vecs in sorted(inv_basis.items()):
-        red = SpanReducer()
+        red = FractionFreeReducer()
         for x in vecs:
             dx = L.d1(x)
             if dx.is_zero():
@@ -866,7 +843,7 @@ def invariant_linear_homology(model):
             coords = slice_coordinates(dx, below)
             if coords is None:
                 raise StructError("linear differential left its slice")
-            red.insert({i: c for i, c in enumerate(coords) if c}, 0)
+            red.insert({i: c for i, c in enumerate(coords) if c})
         ranks[(q, k)] = red.rank()
 
     dims = {}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from freedgl.lie import (
-    DomainError, GenSet, FreeDGL, Elt, zero_elt,
+    DomainError, GenSet, FreeDGL, Elt, zero_elt, slice_coordinates,
 )
 from freedgl.series import bch, twist
 from freedgl.simplex import (
@@ -100,6 +100,20 @@ def test_row_and_column_elimination_agree():
         assert rk == rank_columns(transpose(cols))
         h = layouts[q].dim - rk - rank_columns(up)
         assert h == rep.dims[q]
+
+
+def test_layout_coords_concatenate_slice_coordinates():
+    tri = seed_family(3).model(2)
+    tw = twist(tri.dgl, tri.gen((0,)))
+    for q in range(-3, 1):
+        lay = _DegreeLayout(tw, q)
+        for x in _DegreeLayout(tw, q + 1).basis_elements(tw):
+            dx = tw.d(x)
+            want = {}
+            for k, off, basis, _ in lay.blocks:
+                c = slice_coordinates(dx.length_part(k), basis)
+                want.update({off + i: ci for i, ci in enumerate(c) if ci})
+            assert lay.coords(dx) == want
 
 
 def test_pi_2_of_single_degree_one_generator():

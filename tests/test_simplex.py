@@ -1,11 +1,17 @@
 """Simplex models: seeds, builders, cosimplicial structure, symmetry."""
 
+import hashlib
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from freedgl.lie import Elt, SolveError, ConfigError, DomainError, zero_elt
+from freedgl.lie import (
+    Elt, SolveError, ConfigError, DomainError, zero_elt, lyndon_slice_basis,
+)
+from freedgl.serialize import emit_dgl
 from freedgl.series import bch, exp_ad, bernoulli_op, is_mc, twist
 from freedgl.simplex import (
     faces_of_simplex, face_name, simplex_genset,
@@ -158,6 +164,56 @@ def test_builder_rejects_broken_seeds():
         build_model(2, N, seeds=[vertex_top_diff(N), bad_interval])
     with pytest.raises(ConfigError):
         build_model(3, N, seeds=[vertex_top_diff(N)])
+    # the symmetric builder names the class that blocks its stage
+    fam = ModelFamily(N, "symmetric")
+    fam.install_top_diff(1, 2 * interval_top_diff(N))
+    with pytest.raises(SolveError, match="homology witness: "):
+        fam.model(2)
+
+
+# sha256 of the emit_dgl text of builder outputs; any change to the
+# arithmetic or to the canonical choices of the builders shows here
+BUILDER_TEXT_SHA256 = [
+    ("build_model(3,3)", lambda: build_model(3, 3),
+     "9863ca804d1c8a71d189c46c6c8bff471a0c8466d8a047b4b47911ec20d2e879"),
+    ("symmetric 3-simplex at N=3", lambda: ModelFamily(3, "symmetric").model(3),
+     "3a3a101ee3d1d5b204133ec5eae691147b5ed31f8ab23c002ace668a7c84a26d"),
+    ("build_model(4,2)", lambda: build_model(4, 2),
+     "6f17412e64b408bfc36eac7cfa82feb27437e82880243f18815f855a0211a567"),
+    ("symmetric 4-simplex at N=2", lambda: ModelFamily(2, "symmetric").model(4),
+     "743467f55817bb491a4bf7fec62076410f20dab180a1f655d59f7e0771b4eb05"),
+]
+
+
+@pytest.mark.parametrize("label, make, digest", BUILDER_TEXT_SHA256,
+                         ids=[label for label, _, _ in BUILDER_TEXT_SHA256])
+def test_builder_output_text_is_pinned(label, make, digest):
+    text = emit_dgl(make().dgl)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@cache
+def _three_simplex(flavor):
+    return ModelFamily(3, flavor).model(3)
+
+
+@given(st.sampled_from(["seed", "inductive", "symmetric"]),
+       st.integers(min_value=1, max_value=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_d1_is_the_length_preserving_part_of_d(flavor, k, data):
+    m = _three_simplex(flavor)
+    # generator degrees run from -1 to 2
+    q = data.draw(st.integers(min_value=-k, max_value=2 * k))
+    basis = lyndon_slice_basis(m.gens, q, k)
+    assume(basis)
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(basis) - 1),
+                  st.integers(min_value=-3, max_value=3).filter(bool)),
+        min_size=1, max_size=3))
+    x = zero_elt(m.gens, m.N)
+    for i, c in picks:
+        x = x + c * Elt(m.gens, m.N, basis[i][1])
+    assert m.dgl.d1(x) == m.dgl.d(x).length_part(k)
 
 
 def test_symmetric_models_axioms_and_equivariance():
