@@ -47,13 +47,13 @@ class _DegreeLayout:
 
     def coords(self, x):
         """Global coordinate dict of a degree-q element, or None if some
-        length part falls outside its slice span."""
+        length part falls outside its slice span (an empty slice included)."""
         parts = {}
         for w, c in x.terms.items():
             parts.setdefault(len(w), {})[w] = c
         out = {}
         for k, off, basis, lead_index in self.blocks:
-            part = parts.get(k)
+            part = parts.pop(k, None)
             if part is None:
                 continue
             c = _slice_coords(part, basis, lead_index)
@@ -61,6 +61,8 @@ class _DegreeLayout:
                 return None
             for i, ci in c.items():
                 out[off + i] = ci
+        if parts:
+            return None
         return out
 
     def element(self, L, vec, scale=ONE):

@@ -260,8 +260,8 @@ def zero_elt(gens, N):
 def concat_terms(a, b, N, out=None, scale=ONE):
     """Concatenation product of two word->coeff dicts, truncated at N.
 
-    Accumulates into out if given.  Used for the tensor product in
-    substitute (where the empty word may occur).
+    Accumulates into out if given.  The Fraction form of int_concat; the
+    package's own products run on the integer kernel below.
     """
     if out is None:
         out = {}
@@ -280,7 +280,11 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 
 # ---------------------------------------------------------------------------
 # Integer word kernel: word->int dicts holding the numerators of word->Fraction
-# dicts over one common denominator that the caller keeps.
+# dicts over one common denominator that the caller keeps.  Its users are
+# dynkin_verify, Derivation.__call__ and substitute here, bch in series, and,
+# through clear_denominators, linalg's fraction-free eliminator (solve_columns
+# and the homology kernel passes).  Each builds at most one Fraction per
+# output coefficient.
 
 
 def clear_denominators(terms):
@@ -448,7 +452,8 @@ def lyndon_slice_basis(gens, degree, length, subset=None):
 
     Returns a list of (leading_word, terms_dict, is_doubled) triples sorted by
     leading word; leading coefficient is 1, or 2 for doubled elements
-    [b_w, b_w] (present when b_w has odd degree).  Cached per slice.
+    [b_w, b_w] (present when b_w has odd degree), and every coefficient is
+    an integer.  Cached per slice.
     """
     if subset is None:
         subset = tuple(range(len(gens)))
@@ -504,8 +509,12 @@ def slice_coordinates(x, basis):
 def _slice_coords(terms, basis, lead_index):
     """slice_coordinates of a word->coeff dict as a sparse dict position ->
     coefficient, given the basis's lead word -> position index, so that the
-    cost follows the terms of x rather than the size of the slice."""
-    work = dict(terms)
+    cost follows the terms of x rather than the size of the slice.
+
+    Runs on the integer numerators of terms over one denominator D: basis
+    elements have integer coefficients, so only a doubled lead with an odd
+    numerator leaves the integers, and then D doubles."""
+    work, D = clear_denominators(terms)
     coords = {}
     while work:
         w = min(work)
@@ -513,14 +522,21 @@ def _slice_coords(terms, basis, lead_index):
         if i is None:
             return None
         _, bterms, doubled = basis[i]
-        c = work[w] / (2 if doubled else 1)
-        coords[i] = c
+        c = work[w]
+        if doubled:
+            if c & 1:
+                work = {v: 2 * cv for v, cv in work.items()}
+                D *= 2
+                c *= 2
+            c //= 2
+        coords[i] = Fraction(c, D)
+        get = work.get
         for v, cv in bterms.items():
-            acc = work.get(v, ZERO) - c * cv
-            if acc == 0:
-                work.pop(v, None)
-            else:
+            acc = get(v, 0) - c * cv.numerator
+            if acc:
                 work[v] = acc
+            else:
+                del work[v]
     return coords
 
 
@@ -543,16 +559,19 @@ class Derivation:
     shift is the degree of the derivation (-1 for differentials, +1 for the
     transgression homotopy, 0 for ad-type derivations).  On a word the
     derivation is applied letter by letter with the Koszul sign
-    (-1)^{shift * (degree of the prefix)}.
+    (-1)^{shift * (degree of the prefix)}.  The first call clears the images
+    to integer numerators over one denominator and keeps them, so the images
+    dict must not change afterwards.
     """
 
-    __slots__ = ("gens", "N", "images", "shift")
+    __slots__ = ("gens", "N", "images", "shift", "_num_images")
 
     def __init__(self, gens, N, images, shift):
         self.gens = gens
         self.N = N
         self.images = images
         self.shift = shift
+        self._num_images = None   # the integer images, built on first call
         for i, img in images.items():
             if img.gens is not gens and img.gens != gens:
                 raise ConfigError("derivation image over a different generator set")
@@ -564,6 +583,19 @@ class Derivation:
                     "image of %s must have degree %d, got %d"
                     % (gens.names[i], gens.degrees[i] + shift, d))
 
+    def _integer_images(self):
+        """(numerators, D): every nonzero image as its (word, numerator)
+        items over the one common denominator D, shortest words first."""
+        if self._num_images is None:
+            num, D = clear_denominators(
+                {(g, w): c for g, img in self.images.items()
+                 for w, c in img.terms.items()})
+            items = {}
+            for (g, w), c in sorted(num.items(), key=lambda t: len(t[0][1])):
+                items.setdefault(g, []).append((w, c))
+            self._num_images = (items, D)
+        return self._num_images
+
     def __call__(self, x):
         if x.gens is not self.gens and x.gens != self.gens:
             raise ConfigError("element over a different generator set")
@@ -573,27 +605,26 @@ class Derivation:
         N = self.N
         degs = gens.degrees
         odd_shift = self.shift & 1
+        images, Di = self._integer_images()
+        num, Dx = clear_denominators(x.terms)
         out = {}
-        for w, c in x.terms.items():
-            sign = 1
+        get = out.get
+        for w, c in num.items():
+            room = N + 1 - len(w)
             for i, g in enumerate(w):
-                img = self.images.get(g)
-                if img is not None and img.terms:
+                img = images.get(g)
+                if img is not None:
                     pre = w[:i]
                     post = w[i + 1:]
-                    room = N - len(pre) - len(post)
-                    for v, cv in img.terms.items():
+                    for v, cv in img:
                         if len(v) > room:
-                            continue
+                            break
                         word = pre + v + post
-                        acc = out.get(word, ZERO) + sign * c * cv
-                        if acc == 0:
-                            out.pop(word, None)
-                        else:
-                            out[word] = acc
+                        out[word] = get(word, 0) + c * cv
                 if odd_shift and (degs[g] & 1):
-                    sign = -sign
-        return Elt(gens, N, out)
+                    c = -c
+        D = Dx * Di
+        return Elt(gens, N, {w: Fraction(c, D) for w, c in out.items() if c})
 
 
 def substitute(x, target_gens, target_N, images):
@@ -614,22 +645,33 @@ def substitute(x, target_gens, target_N, images):
             raise DomainError(
                 "image of %s changes degree (%d -> %d); substitution needs "
                 "degree-preserving images" % (x.gens.names[i], src_degs[i], d))
-    out = {}
-    for w, c in x.terms.items():
+    num, D = clear_denominators(x.terms)
+    fits = {}
+    dens = {}
+    for i in x.letters():
+        inum, dens[i] = clear_denominators(images[i].terms)
+        fits[i] = word_buckets(inum, target_N)
+    # each word's product has its own denominator; bring them to their lcm
+    parts = []
+    for w, c in num.items():
         partial = {(): c}
+        den = D
         for g in w:
-            partial = concat_terms(partial, images[g].terms, target_N)
+            partial = int_concat(partial, fits[g], target_N)
             if not partial:
                 break
+            den *= dens[g]
+        if partial:
+            parts.append((partial, den))
+    common = lcm(*[den for _, den in parts]) if parts else 1
+    out = {}
+    get = out.get
+    for partial, den in parts:
+        s = common // den
         for v, cv in partial.items():
-            if not v:
-                continue
-            acc = out.get(v, ZERO) + cv
-            if acc == 0:
-                out.pop(v, None)
-            else:
-                out[v] = acc
-    return Elt(target_gens, target_N, out)
+            out[v] = get(v, 0) + s * cv
+    return Elt(target_gens, target_N,
+               {v: Fraction(c, common) for v, c in out.items() if c})
 
 
 class DGLMap:

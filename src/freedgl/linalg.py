@@ -1,15 +1,21 @@
 """Sparse exact linear algebra over Q.
 
-Vectors are dicts index -> Fraction (no stored zeros).  The workhorse is an
-incremental Gauss-Jordan reducer over a growing span: vectors are inserted in
-a caller-chosen (hence deterministic) order, pivots are always the leftmost
-nonzero coordinate, pivot rows are normalized to leading coefficient 1 and
-kept fully reduced against each other.  Each basis row remembers the
-combination of inserted vectors that produced it, so solving, membership,
-rank and kernel extraction all fall out of one structure with no
-randomization anywhere.
+Vectors are dicts index -> Fraction (no stored zeros).  Two eliminators share
+one pivot rule, the leftmost nonzero coordinate, and insert vectors in a
+caller-chosen (hence deterministic) order, with no randomization anywhere:
+
+  * FractionFreeReducer, forward-only integer elimination with content
+    stripping (fraction-free, after Bareiss 1968).  It carries every exact
+    solve of the builders (solve_columns, called by simplex._solve_stage for
+    solve_boundary and symmetric_top_diff) and the rank, kernel and
+    membership passes of homology and complexes.
+  * SpanReducer, incremental Gauss-Jordan on Fractions whose rows remember
+    the combination of inserted vectors that produced them.  It is left to
+    the callers that read those combinations: MalcevQuotient and
+    minimal_model.
 """
 
+from bisect import bisect_left, insort
 from fractions import Fraction
 from math import gcd
 
@@ -99,21 +105,6 @@ class SpanReducer:
         return not residual
 
 
-def solve_columns(columns, b):
-    """One exact solution x of sum_j x_j * columns[j] = b, or (None, residual).
-
-    Free variables are 0: x is supported on the greedily chosen independent
-    columns, so the output is canonical for a fixed column order.
-    """
-    red = SpanReducer()
-    for j, col in enumerate(columns):
-        red.insert(col, j)
-    residual, comb = red.reduce(b)
-    if residual:
-        return None, residual
-    return comb, None
-
-
 def kernel_columns(columns):
     """Deterministic kernel basis of the map sending e_j to columns[j].
 
@@ -175,11 +166,12 @@ class FractionFreeReducer:
     explicit kernel combination.
     """
 
-    __slots__ = ("rows", "aux_base")
+    __slots__ = ("rows", "aux_base", "_order")
 
     def __init__(self, aux_base=None):
         self.rows = {}
         self.aux_base = aux_base
+        self._order = []   # the pivots in ascending order
 
     def rank(self):
         return len(self.rows)
@@ -200,36 +192,35 @@ class FractionFreeReducer:
             v = _int_vec(v)
         else:
             v = dict(v)
-        while True:
-            hit = None
-            for i in v:
-                if i in self.rows and (self.aux_base is None
-                                       or i < self.aux_base):
-                    if hit is None or i < hit:
-                        hit = i
-            if hit is None:
-                return v
-            row = self.rows[hit]
-            a = row[hit]
-            b = v[hit]
+        if not v:
+            return v
+        rows = self.rows
+        order = self._order
+        # a row's main support starts at its pivot, so eliminating at p
+        # touches no pivot below p: one ascending pass clears them all
+        for k in range(bisect_left(order, min(v)), len(order)):
+            p = order[k]
+            b = v.get(p)
+            if not b:
+                continue
+            row = rows[p]
+            a = row[p]
             g = gcd(a, b)
             a //= g
             b //= g
-            out = {}
-            for i, c in v.items():
-                out[i] = c * a
+            if a != 1:
+                v = {i: c * a for i, c in v.items()}
+            get = v.get
             for i, c in row.items():
-                acc = out.get(i, 0) - b * c
+                acc = get(i, 0) - b * c
                 if acc:
-                    out[i] = acc
+                    v[i] = acc
                 else:
-                    out.pop(i, None)
-            g = 0
-            for c in out.values():
-                g = gcd(g, c)
+                    del v[i]
+            g = gcd(*v.values())
             if g > 1:
-                out = {i: c // g for i, c in out.items()}
-            v = out
+                v = {i: c // g for i, c in v.items()}
+        return v
 
     def insert(self, v):
         """Insert v; returns None if a new pivot row was installed, else the
@@ -242,4 +233,33 @@ class FractionFreeReducer:
         if res[piv] < 0:
             res = {i: -c for i, c in res.items()}
         self.rows[piv] = res
+        insort(self._order, piv)
         return None
+
+
+def solve_columns(columns, b):
+    """One exact solution x of sum_j x_j * columns[j] = b, or (None, residual).
+
+    Free variables are 0: x is supported on the greedily chosen independent
+    columns, so the output is canonical for a fixed column order.  The
+    residual is b minus its part in the column span, with no support on the
+    span's leftmost pivots; both are the Gauss-Jordan (SpanReducer) answers.
+
+    Runs fraction-free: column j, cleared to integers, carries a marker at
+    aux+1+j and b carries one at aux, so eliminating b against the columns
+    leaves x_j = res[aux+1+j] / res[aux].  Indices are ints; the builders'
+    length stages (simplex._solve_stage) are the callers.
+    """
+    aux = max((i for v in (b, *columns) for i in v), default=-1) + 1
+    red = FractionFreeReducer(aux_base=aux)
+    for j, col in enumerate(columns):
+        num, D = clear_denominators(col)
+        num[aux + 1 + j] = D
+        red.insert(num)
+    num, D = clear_denominators(b)
+    num[aux] = -D
+    res = red.reduce(num)
+    den = res.pop(aux)
+    if min(res, default=aux) < aux:
+        return None, {i: Fraction(c, -den) for i, c in res.items() if i < aux}
+    return {i - aux - 1: Fraction(c, den) for i, c in res.items()}, None

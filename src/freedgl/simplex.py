@@ -34,6 +34,7 @@ from .lie import (
     GenSet, Elt, FreeDGL, DGLMap, Derivation,
     bracket, generator_elt, zero_elt, substitute,
     lyndon_slice_basis, slice_coordinates, elt_from_slice_coords,
+    _slice_coords,
 )
 from .series import bch, exp_ad, bernoulli_op, is_mc, twist, gauge
 from .linalg import FractionFreeReducer, solve_columns
@@ -264,7 +265,8 @@ def _solve_stage(L, r, allowed=None):
     k = len(next(iter(r.terms)))
     tdeg = r.degree()
     tbasis = lyndon_slice_basis(gens, tdeg, k, allowed)
-    b = slice_coordinates(r, tbasis)
+    lead_index = {lead: i for i, (lead, _, _) in enumerate(tbasis)}
+    b = _slice_coords(r.terms, tbasis, lead_index)
     if b is None:
         raise SolveError(
             "stage length %d: residue is not a Lie element of the "
@@ -272,11 +274,12 @@ def _solve_stage(L, r, allowed=None):
     sbasis = lyndon_slice_basis(gens, tdeg + 1, k, allowed)
     cols = []
     for _, terms, _ in sbasis:
-        coords = slice_coordinates(L.d1(Elt(gens, L.N, terms)), tbasis)
-        if coords is None:
+        col = _slice_coords(L.d1(Elt(gens, L.N, terms)).terms, tbasis,
+                            lead_index)
+        if col is None:
             raise SolveError("stage length %d: d1 leaves the sub-alphabet" % k)
-        cols.append({i: c for i, c in enumerate(coords) if c})
-    x, residual = solve_columns(cols, {i: c for i, c in enumerate(b) if c})
+        cols.append(col)
+    x, residual = solve_columns(cols, b)
     if x is None:
         witness = elt_from_slice_coords(
             gens, L.N, tbasis, [residual.get(i, 0) for i in range(len(tbasis))])

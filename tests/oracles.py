@@ -3,7 +3,9 @@
 Nothing here imports the package under test.  Dimension counts come from the
 graded Witt recursion; simplicial homology comes from a plain dense boundary
 matrix elimination over Fraction; the BCH product comes from exp and log
-power series over word->Fraction dicts.
+power series over word->Fraction dicts.  The exact solve, derivation and
+substitution oracles are plain Fraction loops over dicts: a dense row-reduced
+echelon form, and the word-by-word derivation and substitution rules.
 """
 
 from fractions import Fraction
@@ -216,3 +218,93 @@ def bch_terms(args, N):
     for a in args:
         prod = _concat(prod, tensor_exp(a, N), N)
     return tensor_log(prod, N)
+
+
+# ---------------------------------------------------------------------------
+# Canonical exact solve from dense reduced row echelon forms
+#
+# Columns and right-hand sides are dicts index -> Fraction.  The solution of
+# sum_j x_j * columns[j] = b puts the free variables at 0, so it lives on the
+# pivot columns of rref(A), which are the greedy (leftmost) independent
+# columns.  An infeasible b has one residual b - A y with no support on the
+# greedy independent rows of A, the pivot columns of rref(A^T).
+
+
+def _rref(rows, ncols):
+    """Reduced row echelon form of a dense list of Fraction rows, in place;
+    returns the pivot columns in order."""
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        lead = rows[r][col]
+        rows[r] = [c / lead for c in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [c - f * p for c, p in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def oracle_solve_columns(columns, b):
+    """(x, None) with free variables 0, or (None, residual)."""
+    coords = sorted(set(b).union(*columns))
+    n = len(columns)
+    aug = [[col.get(i, Fraction(0)) for col in columns] + [b.get(i, Fraction(0))]
+           for i in coords]
+    pivots = _rref(aug, n + 1)
+    if n not in pivots:
+        return {j: aug[r][n] for r, j in enumerate(pivots) if aug[r][n]}, None
+    tr = [[col.get(i, Fraction(0)) for i in coords] for col in columns]
+    independent = [coords[i] for i in _rref(tr, len(coords))]
+    # A_P y = b_P is solvable for the independent rows P; r = b - A y
+    sub = [[col.get(i, Fraction(0)) for col in columns] + [b.get(i, Fraction(0))]
+           for i in independent]
+    y = {j: sub[r][n] for r, j in enumerate(_rref(sub, n))}
+    residual = {}
+    for i in coords:
+        c = b.get(i, Fraction(0)) - sum(
+            (y[j] * columns[j].get(i, Fraction(0)) for j in y), Fraction(0))
+        if c:
+            residual[i] = c
+    return None, residual
+
+
+# ---------------------------------------------------------------------------
+# Derivations and substitutions on word->Fraction dicts
+
+
+def oracle_derivation(terms, images, degrees, shift, N):
+    """The derivation of the given shift sending letter g to images[g] (a
+    word->Fraction dict; missing letters go to 0), applied to terms word by
+    word with the Koszul sign (-1)^(shift * degree of the prefix); words
+    longer than N are dropped."""
+    out = {}
+    for w, c in terms.items():
+        sign = 1
+        for i, g in enumerate(w):
+            for v, cv in images.get(g, {}).items():
+                word = w[:i] + v + w[i + 1:]
+                if len(word) <= N:
+                    out[word] = out.get(word, Fraction(0)) + sign * c * cv
+            if shift % 2 and degrees[g] % 2:
+                sign = -sign
+    return {w: c for w, c in out.items() if c}
+
+
+def oracle_substitute(terms, images, N):
+    """Replace every letter g of every word by the word->Fraction dict
+    images[g] and expand the products, dropping words longer than N."""
+    out = {}
+    for w, c in terms.items():
+        partial = {(): c}
+        for g in w:
+            partial = _concat(partial, images[g], N)
+        for v, cv in partial.items():
+            out[v] = out.get(v, Fraction(0)) + cv
+    return {v: c for v, c in out.items() if c}

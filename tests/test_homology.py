@@ -236,3 +236,14 @@ def test_class_coords_reject_noncycles():
     assert grp.dim == 0
     with pytest.raises(DomainError):
         grp.class_coords(gen_elt(tw, 2))
+
+
+def test_class_coords_reject_a_word_with_an_empty_slice():
+    # degree 0, length 2 over one degree-0 letter has no Lyndon element, so
+    # the bare word x.x is not a Lie element and has no class
+    L = FreeDGL(GenSet([("x", 0)]), 2, {})
+    q = pi_n(L, 1)
+    xx = Elt(L.gens, L.N, {(0, 0): ONE})
+    assert _DegreeLayout(L, 0).coords(xx) is None
+    with pytest.raises(DomainError, match="does not lie in the degree-0 slice"):
+        q.class_coords(xx)

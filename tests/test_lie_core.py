@@ -1,6 +1,7 @@
 """Core graded Lie arithmetic: signs, Dynkin check, Lyndon coordinates."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from freedgl.lie import (
     substitute, concat_terms,
 )
 from freedgl.serialize import emit_element
-from oracles import free_lie_slice_dim
+from oracles import free_lie_slice_dim, oracle_derivation, oracle_substitute
 
 GENS = GenSet([("a", -1), ("b", 0), ("c", 1), ("d", 0)])
 N = 5
@@ -171,6 +172,21 @@ def test_slice_coordinates_round_trip(coeffs, q, n):
     assert slice_coordinates(x, basis) == coords
 
 
+def test_slice_coordinates_halve_a_doubled_lead():
+    # [a, a] = 2 a.a for the odd letter a, so a.a has coordinate 1/2, and
+    # mixed with a lead-1 element the odd numerator forces a finer common
+    # denominator partway through the reduction
+    assert slice_coordinates(Elt(GENS, N, {(0, 0): Fraction(1)}),
+                             lyndon_slice_basis(GENS, -2, 2)) == [Fraction(1, 2)]
+    basis = lyndon_slice_basis(GENS, -2, 4)
+    doubled = [i for i, (_, _, d) in enumerate(basis) if d]
+    assert doubled and len(basis) > len(doubled)
+    coords = [Fraction(i + 1, 3) if i not in doubled else Fraction(1, 2)
+              for i in range(len(basis))]
+    x = elt_from_slice_coords(GENS, N, basis, coords)
+    assert slice_coordinates(x, basis) == coords
+
+
 def test_slice_coordinates_rejects_outside_span():
     basis = lyndon_slice_basis(GENS, 0, 2)
     x = Elt(GENS, N, {(1, 3): Fraction(1)})  # bare word, not in the Lie span
@@ -294,3 +310,71 @@ def test_concat_terms_respects_truncation():
     assert out == {}
     out = concat_terms({(0,): Fraction(2)}, {(1,): Fraction(3)}, 2)
     assert out == {(0, 1): Fraction(6)}
+
+
+# words of length 1..4 over GENS, and random word->Fraction dicts on them with
+# mixed denominators
+WORDS = [w for k in range(1, 5) for w in product(range(len(GENS)), repeat=k)]
+coeffs = st.builds(Fraction,
+                   st.integers(min_value=-7, max_value=7).filter(bool),
+                   st.sampled_from([1, 2, 3, 4, 6, 9]))
+
+
+def word_dicts(pool, max_size):
+    return st.dictionaries(st.sampled_from(pool), coeffs, max_size=max_size)
+
+
+@st.composite
+def generator_images(draw, degree_of, trunc, omit=True):
+    """Images per letter: omitted (when omit), zero, or terms of length <= 2
+    and degree degree_of(g), mostly the last."""
+    images = {}
+    for g in range(len(GENS)):
+        pool = [w for w in WORDS if len(w) <= min(trunc, 2)
+                and GENS.degree_of_word(w) == degree_of(g)]
+        kind = draw(st.sampled_from(
+            ["omit", "zero", "terms", "terms"] if omit
+            else ["zero", "terms", "terms", "terms"]))
+        if kind == "zero" or (kind == "terms" and not pool):
+            images[g] = {}
+        elif kind == "terms":
+            images[g] = draw(word_dicts(pool, 4))
+    return images
+
+
+@given(st.data(), st.sampled_from([-1, 0, 1]),
+       st.integers(min_value=2, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_derivation_matches_the_word_loop_oracle(data, shift, trunc):
+    images = data.draw(generator_images(
+        lambda g: GENS.degrees[g] + shift, trunc))
+    x = data.draw(word_dicts([w for w in WORDS if len(w) <= trunc], 6))
+    D = Derivation(GENS, trunc,
+                   {g: Elt(GENS, trunc, t) for g, t in images.items()}, shift)
+    got = D(Elt(GENS, trunc, x))
+    assert got.terms == oracle_derivation(x, images, GENS.degrees, shift, trunc)
+    # a second call reuses the cached integer images
+    assert D(Elt(GENS, trunc, x)).terms == got.terms
+
+
+TARGET = GenSet([("p", -1), ("q", 0), ("r", 1), ("s", 0)])
+
+
+@given(st.data(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=150, deadline=None)
+def test_substitute_matches_the_word_loop_oracle(data, trunc):
+    images = data.draw(generator_images(
+        lambda g: GENS.degrees[g], trunc, omit=False))
+    x = data.draw(word_dicts([w for w in WORDS if len(w) <= 3], 6))
+    got = substitute(Elt(GENS, 4, x), TARGET, trunc,
+                     {g: Elt(TARGET, trunc, t) for g, t in images.items()})
+    assert got.gens is TARGET and got.N == trunc
+    assert got.terms == oracle_substitute(x, images, trunc)
+
+
+def test_substitute_brings_words_to_one_denominator():
+    # the two words' products have denominators 2 and 3
+    x = Elt(GENS, N, {(1,): Fraction(1), (3,): Fraction(1)})
+    images = {1: Elt(TARGET, N, {(1,): Fraction(1, 2)}),
+              3: Elt(TARGET, N, {(1,): Fraction(1, 3)})}
+    assert substitute(x, TARGET, N, images).terms == {(1,): Fraction(5, 6)}

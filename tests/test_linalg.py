@@ -8,6 +8,7 @@ from freedgl.linalg import (
     SpanReducer, solve_columns, kernel_columns, rank_columns,
     transpose, vec_add, vec_scale,
 )
+from oracles import oracle_solve_columns
 
 
 def F(n, d=1):
@@ -89,3 +90,55 @@ def test_solutions_verify(dense, coeffs):
 def test_rank_nullity(dense):
     cols = [{i: c for i, c in enumerate(col) if c != 0} for col in dense]
     assert rank_columns(cols) + len(kernel_columns(cols)) == len(cols)
+
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6),
+              st.integers(min_value=1, max_value=4)))
+
+
+@st.composite
+def systems(draw):
+    """(columns, b) over spread-out row indices; b is a combination of the
+    columns plus, sometimes, a random vector that may leave their span."""
+    m = draw(st.integers(min_value=0, max_value=5))
+    index = [3 * i + 1 for i in range(m)]
+    dense = draw(st.lists(st.lists(entries, min_size=m, max_size=m),
+                          max_size=6))
+    cols = [{index[i]: c for i, c in enumerate(col) if c} for col in dense]
+    if cols and draw(st.booleans()):
+        # a multiple of an earlier column: always dependent
+        j = draw(st.integers(min_value=0, max_value=len(cols) - 1))
+        cols.append(vec_scale(cols[j], draw(entries)))
+    b = {}
+    for col in cols:
+        b = vec_add(b, col, draw(entries))
+    if draw(st.booleans()):
+        extra = draw(st.lists(entries, min_size=m, max_size=m))
+        b = vec_add(b, {index[i]: c for i, c in enumerate(extra) if c})
+    return cols, b
+
+
+@given(systems())
+@settings(max_examples=300, deadline=None)
+def test_solve_columns_matches_the_dense_oracle(system):
+    cols, b = system
+    assert solve_columns(cols, b) == oracle_solve_columns(cols, b)
+
+
+def test_solve_columns_edge_cases_match_the_oracle():
+    cases = [
+        ([], {}),
+        ([], {2: F(1, 3)}),
+        ([{}, {0: F(1, 2)}, {}], {0: F(3, 4)}),
+        # dependent columns with mixed denominators: x stays on the first
+        ([{0: F(2, 3), 5: F(-1, 6)}, {0: F(4, 5), 5: F(-1, 5)}], {0: F(1), 5: F(-1, 4)}),
+        # infeasible: the residual keeps no support on the pivot rows
+        ([{0: F(1), 1: F(1)}, {1: F(1, 7), 2: F(1)}], {0: F(1, 2), 1: F(1, 3), 2: F(5)}),
+        ([{1: F(1)}, {1: F(2)}], {0: F(1, 9), 1: F(1)}),
+    ]
+    for cols, b in cases:
+        assert solve_columns(cols, b) == oracle_solve_columns(cols, b), (cols, b)
+    assert solve_columns(*cases[3]) == ({0: F(3, 2)}, None)
+    assert solve_columns(*cases[4]) == (None, {2: F(37, 6)})
