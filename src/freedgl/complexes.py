@@ -369,16 +369,23 @@ def minimal_model(K, basepoint, N):
     tree = set(maximal_tree(K, basepoint))
     killed = {i for i, f in enumerate(K.faces) if len(f) == 1 or f in tree}
     red = SpanReducer()
+    partners = []
     for i in sorted(set(range(len(gens))) - killed,
                     key=lambda i: (gens.degrees[i], i)):
         d1 = L.d1(Elt(gens, N, {(i,): ONE})).terms
         row = {w[0]: c for w, c in d1.items() if w[0] not in killed}
-        if red.insert(row, i)[0] is not None:
+        t, _ = red.insert(row, i)
+        if t is not None:
             killed.add(i)
-    # the source combination e_t has d1(e_t) = t + (kept letters), so the
+            partners.append(t)
+    # reducing t leaves a residual off every partner, so its combination is
+    # the source combination e_t with d1(e_t) = t + (kept letters); the
     # projection p must send the partner t to u_t = -p(d(e_t) - t)
-    rest = {t: L.d(Elt(gens, N, {(s,): c for s, c in comb.items()}))
-            - Elt(gens, N, {(t,): ONE}) for t, comb in red.combs.items()}
+    rest = {}
+    for t in partners:
+        comb = red.reduce({t: ONE})[1]
+        rest[t] = (L.d(Elt(gens, N, {(s,): c for s, c in comb.items()}))
+                   - Elt(gens, N, {(t,): ONE}))
     images = {i: Elt(gens, N, {} if i in killed or i in rest else {(i,): ONE})
               for i in range(len(gens))}
     for _ in range(N + 1):

@@ -18,7 +18,7 @@ from .lie import (
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
 from .series import bch, gauge, is_mc
-from .linalg import SpanReducer, FractionFreeReducer
+from .linalg import SpanReducer, FractionFreeReducer, integer_primitive
 
 ONE = Fraction(1)
 
@@ -82,25 +82,21 @@ class _DegreeLayout:
 def _kernel_pass(L, layout_src, layout_tgt):
     """Rank and kernel of the differential on a degree slice.
 
-    Kernel vectors are integer dicts over the source coordinates, one per
-    dependent column, extracted through the auxiliary-tail mechanism.
+    Kernel vectors are primitive integer dicts over the source coordinates,
+    lowest entry positive, one per dependent column j: e_j minus the
+    combination of earlier columns that column j equals.
     """
-    aux = layout_tgt.dim + layout_src.dim + 1
-    red = FractionFreeReducer(aux_base=aux)
+    red = SpanReducer()
     kernels = []
     for j, x in enumerate(layout_src.basis_elements(L)):
         vec = layout_tgt.coords(L.d(x))
         if vec is None:
             raise StructError("differential left its degree slice")
-        # the aux marker must ride along BEFORE any rescaling, so that the
-        # recorded combination refers to the actual columns
-        vec[aux + j] = ONE
-        res = red.insert(vec)
-        if res is not None:
-            kv = {i - aux: c for i, c in res.items()}
-            if kv[min(kv)] < 0:
-                kv = {i: -c for i, c in kv.items()}
-            kernels.append(kv)
+        piv, comb = red.insert(vec, j)
+        if piv is None:
+            kv = {i: -c for i, c in comb.items()}
+            kv[j] = ONE
+            kernels.append(integer_primitive(kv))
     return red.rank(), kernels
 
 

@@ -282,8 +282,9 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # Integer word kernel: word->int dicts holding the numerators of word->Fraction
 # dicts over one common denominator that the caller keeps.  Its users are
 # dynkin_verify, Derivation.__call__ and substitute here, bch in series, and,
-# through clear_denominators, linalg's fraction-free eliminator (solve_columns
-# and the homology kernel passes).  Each builds at most one Fraction per
+# through clear_denominators, linalg's fraction-free eliminator and its
+# SpanReducer front end (solve_columns, the homology kernel passes,
+# MalcevQuotient and minimal_model).  Each builds at most one Fraction per
 # output coefficient.
 
 

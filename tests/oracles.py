@@ -5,11 +5,14 @@ graded Witt recursion; simplicial homology comes from a plain dense boundary
 matrix elimination over Fraction; the BCH product comes from exp and log
 power series over word->Fraction dicts.  The exact solve, derivation and
 substitution oracles are plain Fraction loops over dicts: a dense row-reduced
-echelon form, and the word-by-word derivation and substitution rules.
+echelon form, and the word-by-word derivation and substitution rules.  The
+span reference is incremental Gauss-Jordan on Fractions that tracks the
+combination behind every row.  Lower central series ranks of surface groups
+come from Labute's closed formula.
 """
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import comb, factorial, gcd
 from functools import lru_cache
 from itertools import combinations
 
@@ -308,3 +311,143 @@ def oracle_substitute(terms, images, N):
         for v, cv in partial.items():
             out[v] = out.get(v, Fraction(0)) + cv
     return {v: c for v, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# Incremental Gauss-Jordan with combination tracking
+#
+# Vectors are dicts index -> Fraction with no stored zeros; a combination is
+# a dict tag -> Fraction over the tags of the vectors that added a pivot.
+
+
+def vec_add(a, b, scale=Fraction(1)):
+    """a + scale*b as a fresh dict."""
+    out = dict(a)
+    for i, c in b.items():
+        acc = out.get(i, Fraction(0)) + scale * c
+        if acc == 0:
+            out.pop(i, None)
+        else:
+            out[i] = acc
+    return out
+
+
+def vec_scale(a, scale):
+    if scale == 0:
+        return {}
+    return {i: c * scale for i, c in a.items()}
+
+
+class GaussJordanReducer:
+    """Incremental row-reduced span with combination tracking.
+
+    rows: pivot index -> fully reduced row (row[pivot] == 1)
+    combs: pivot index -> dict tag -> Fraction expressing the row as a
+           combination of the inserted vectors
+    """
+
+    def __init__(self):
+        self.rows = {}
+        self.combs = {}
+
+    def rank(self):
+        return len(self.rows)
+
+    def reduce(self, v):
+        """(residual, comb) with v = sum(comb[tag] * inserted[tag]) +
+        residual and the residual off every pivot."""
+        v = dict(v)
+        comb = {}
+        while True:
+            hit = None
+            for i in v:
+                if i in self.rows and (hit is None or i < hit):
+                    hit = i
+            if hit is None:
+                return v, comb
+            c = v[hit]
+            v = vec_add(v, self.rows[hit], -c)
+            comb = vec_add(comb, self.combs[hit], c)
+
+    def insert(self, v, tag):
+        """(None, comb) when v is already in the span, else (pivot, None)
+        after installing the new normalized row."""
+        residual, comb = self.reduce(v)
+        if not residual:
+            return None, comb
+        pivot = min(residual)
+        lead = residual[pivot]
+        row = vec_scale(residual, 1 / lead)
+        rcomb = vec_scale(comb, -1 / lead)
+        rcomb = vec_add(rcomb, {tag: Fraction(1)}, Fraction(1) / lead)
+        for p, other in self.rows.items():
+            c = other.get(pivot)
+            if c:
+                self.rows[p] = vec_add(other, row, -c)
+                self.combs[p] = vec_add(self.combs[p], rcomb, -c)
+        self.rows[pivot] = row
+        self.combs[pivot] = rcomb
+        return pivot, None
+
+
+def kernel_columns(columns):
+    """Kernel basis of the map sending e_j to columns[j]: one vector per
+    dependent column j, e_j minus the combination of earlier independent
+    columns that matches it."""
+    red = GaussJordanReducer()
+    out = []
+    for j, col in enumerate(columns):
+        pivot, comb = red.insert(col, j)
+        if pivot is None:
+            k = vec_scale(comb, Fraction(-1))
+            k[j] = Fraction(1)
+            out.append(k)
+    return out
+
+
+def transpose(columns):
+    """Row dicts of the matrix whose j-th column is columns[j]."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, c in col.items():
+            rows.setdefault(i, {})[j] = c
+    return [rows[i] for i in sorted(rows)]
+
+
+# ---------------------------------------------------------------------------
+# Lower central series of surface groups
+#
+# Labute (J. Algebra 14, 1970): for the fundamental group of the closed
+# orientable surface of genus g, the n-th quotient of the lower central
+# series has rank phi_n = (1/n) sum_{d | n} mu(n/d) a_d, with
+# a_d = sum_i (-1)^i d/(d-i) C(d-i, i) (2g)^(d-2i).
+
+
+def _mobius(n):
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def surface_lcs_ranks(g, n_max):
+    """[phi_1, ..., phi_n_max] for the genus-g surface group."""
+    def a(d):
+        return sum(Fraction((-1) ** i * d, d - i) * comb(d - i, i)
+                   * (2 * g) ** (d - 2 * i) for i in range(d // 2 + 1))
+
+    out = []
+    for n in range(1, n_max + 1):
+        phi = sum(_mobius(n // d) * a(d) for d in range(1, n + 1)
+                  if n % d == 0) / n
+        if phi.denominator != 1:
+            raise AssertionError("Labute's formula gave a non-integer: %s"
+                                 % phi)
+        out.append(int(phi))
+    return out

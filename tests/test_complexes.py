@@ -8,7 +8,7 @@ from freedgl.lie import (
     DomainError, StructError, SolveError, Elt, GenSet, FreeDGL, DGLMap,
     generator_elt, zero_elt, substitute,
 )
-from freedgl.linalg import SpanReducer, rank_columns
+from freedgl.linalg import SpanReducer
 from freedgl.serialize import ParseError
 from freedgl.series import is_mc, twist
 from freedgl.simplex import seed_family, interval_model
@@ -22,7 +22,9 @@ from freedgl.complexes import (
     minimal_model,
 )
 
-from oracles import simplicial_betti, free_lie_slice_dim
+from oracles import (
+    dense_rank, simplicial_betti, free_lie_slice_dim, surface_lcs_ranks,
+)
 
 CIRCLE = "0 1\n1 2\n0 2"
 FIG8 = "0 1\n1 2\n0 2\n0 3\n3 4\n0 4"
@@ -117,8 +119,9 @@ def test_linear_homology_matches_simplicial_betti():
                 assert x.N == cm.N and L.d1(x).is_zero(), (text, q)
             vecs = [_gen_coords(x) for x in xs]
             assert len(vecs) == dims[q], (text, q)
-            assert (rank_columns(boundaries + vecs)
-                    == rank_columns(boundaries) + len(vecs)), (text, q)
+            n = len(L.gens)
+            assert (dense_rank(boundaries + vecs, n)
+                    == dense_rank(boundaries, n) + len(vecs)), (text, q)
 
 
 def _gen_coords(x):
@@ -376,6 +379,28 @@ def test_malcev_tower_circle_and_contractible():
         qs = malcev_tower(parse_complex(text), 0, 3)
         assert tower_layers(qs) == layers, text
         assert qs[-1].is_abelian(), text
+
+
+def _genus_two():
+    """Two 7-vertex tori, each without triangle (0,1,3), glued along its
+    boundary; the second copy's other vertices become 7-10."""
+    tris = [tuple(map(int, line.split())) for line in TORUS.split("\n")]
+    holed = [t for t in tris if sorted(t) != [0, 1, 3]]
+    assert len(holed) == len(tris) - 1
+    renumber = {0: 0, 1: 1, 3: 3, 2: 7, 4: 8, 5: 9, 6: 10}
+    copy = [tuple(renumber[v] for v in t) for t in holed]
+    return "\n".join(" ".join(map(str, t)) for t in holed + copy)
+
+
+def test_malcev_tower_of_surfaces_matches_labute():
+    # pi_1 of a surface is a one-relator group that is not free: its layers
+    # check minimal_model and MalcevQuotient against Labute's formula
+    assert tower_layers(malcev_tower(parse_complex(TORUS), 0, 3)) \
+        == surface_lcs_ranks(1, 3) == [2, 0, 0]
+    K = parse_complex(_genus_two())
+    assert (K.n_vertices, len(K.faces)) == (11, 76)
+    assert tower_layers(malcev_tower(K, 0, 4)) \
+        == surface_lcs_ranks(2, 4) == [4, 5, 16, 45]
 
 
 def _twisted_full_model_h0(K, N):

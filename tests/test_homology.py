@@ -10,17 +10,18 @@ from freedgl.lie import (
 from freedgl.series import bch, twist
 from freedgl.simplex import (
     seed_family, interval_model, vertex_top_diff, interval_top_diff,
-    relabel_element,
+    relabel_element, tetra_model,
 )
 from freedgl.homology import (
     homology, linear_homology, pi_n, verify_simplex,
     gauge_equivalent_certificate, tower_layers, _DegreeLayout, _h0_quotient,
 )
-from freedgl.linalg import rank_columns, transpose
+from freedgl.complexes import parse_complex, model_of_complex
 
-from oracles import free_lie_slice_dim
+from oracles import dense_rank, free_lie_slice_dim, transpose
 
 ONE = Fraction(1)
+F = Fraction
 
 
 def graph_dgl(nv, edges, N):
@@ -96,9 +97,9 @@ def test_row_and_column_elimination_agree():
         up = []
         for x in layouts[q + 1].basis_elements(tw):
             up.append(layouts[q].coords(tw.d(x)))
-        rk = rank_columns(cols)
-        assert rk == rank_columns(transpose(cols))
-        h = layouts[q].dim - rk - rank_columns(up)
+        rk = dense_rank(cols, layouts[q - 1].dim)
+        assert rk == dense_rank(transpose(cols), layouts[q].dim)
+        h = layouts[q].dim - rk - dense_rank(up, layouts[q].dim)
         assert h == rep.dims[q]
 
 
@@ -247,3 +248,50 @@ def test_class_coords_reject_a_word_with_an_empty_slice():
     assert _DegreeLayout(L, 0).coords(xx) is None
     with pytest.raises(DomainError, match="does not lie in the degree-0 slice"):
         q.class_coords(xx)
+
+
+FIG8 = "0 1\n1 2\n0 2\n0 3\n3 4\n0 4"
+S2 = "0 1 2\n0 1 3\n0 2 3\n1 2 3"
+
+# cycle representatives of the complex models twisted at vertex 0 at N=2,
+# term by term: each is the primitive integer kernel vector of its dependent
+# column, lowest coordinate positive, so a rescaled or re-signed kernel
+# vector shows here
+PINNED_REPS = {
+    (FIG8, 0): [
+        {(5,): F(2), (5, 6): F(-1), (5, 9): F(1), (6,): F(-2), (6, 5): F(1),
+         (6, 9): F(1), (9,): F(2), (9, 5): F(-1), (9, 6): F(-1)},
+        {(7,): F(2), (7, 8): F(-1), (7, 10): F(1), (8,): F(-2), (8, 7): F(1),
+         (8, 10): F(1), (10,): F(2), (10, 7): F(-1), (10, 8): F(-1)},
+        {(5, 7): F(1), (5, 8): F(-1), (5, 10): F(1), (6, 7): F(-1),
+         (6, 8): F(1), (6, 10): F(-1), (7, 5): F(-1), (7, 6): F(1),
+         (7, 9): F(-1), (8, 5): F(1), (8, 6): F(-1), (8, 9): F(1),
+         (9, 7): F(1), (9, 8): F(-1), (9, 10): F(1), (10, 5): F(-1),
+         (10, 6): F(1), (10, 9): F(-1)},
+    ],
+    (FIG8, -1): [
+        {(0, 5): F(1), (0, 6): F(-1), (0, 9): F(1), (5, 0): F(-1),
+         (6, 0): F(1), (9, 0): F(-1)},
+        {(0, 7): F(1), (0, 8): F(-1), (0, 10): F(1), (7, 0): F(-1),
+         (8, 0): F(1), (10, 0): F(-1)},
+    ],
+    (S2, 1): [
+        {(4, 11): F(-1), (4, 12): F(2), (4, 13): F(-2), (5, 11): F(1),
+         (5, 12): F(-1), (6, 12): F(-1), (7, 11): F(-1), (7, 12): F(1),
+         (8, 12): F(1), (10,): F(2), (11,): F(-2), (11, 4): F(1),
+         (11, 5): F(-1), (11, 7): F(1), (12,): F(2), (12, 4): F(-2),
+         (12, 5): F(1), (12, 6): F(1), (12, 7): F(-1), (12, 8): F(-1),
+         (13,): F(-2), (13, 4): F(2)},
+    ],
+}
+
+
+def test_homology_representatives_are_pinned():
+    for (text, q), pinned in PINNED_REPS.items():
+        cm = model_of_complex(parse_complex(text), 2)
+        tw = twist(cm.dgl, cm.gen((0,)))
+        reps = homology(tw, degrees=[q]).entries[q]["reps"]
+        assert [x.terms for x in reps] == pinned, (text, q)
+    # the tetrahedron model is acyclic: its degree -1 kernel is all image
+    e = homology(tetra_model(3).dgl, degrees=[-1]).entries[-1]
+    assert (e["kernel"], e["image"], e["reps"]) == (150, 150, [])

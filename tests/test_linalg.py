@@ -1,14 +1,15 @@
-"""Exact sparse elimination: rank, solve, kernel, row/column agreement."""
+"""Exact sparse elimination: rank, solve, kernel, row/column agreement, and
+the span front end against the Gauss-Jordan reference."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from freedgl.linalg import (
-    SpanReducer, solve_columns, kernel_columns, rank_columns,
+from freedgl.linalg import SpanReducer, solve_columns
+from oracles import (
+    GaussJordanReducer, dense_rank, kernel_columns, oracle_solve_columns,
     transpose, vec_add, vec_scale,
 )
-from oracles import oracle_solve_columns
 
 
 def F(n, d=1):
@@ -24,9 +25,6 @@ def test_reducer_basics():
     assert comb == {"a": F(1, 2)}
     piv, _ = red.insert({1: F(1)}, "c")
     assert piv == 1
-    # rows stay mutually reduced: pivot 0 row has no entry at 1 anymore
-    assert red.rows[0] == {0: F(1)}
-    assert red.rows[1] == {1: F(1)}
 
 
 def test_solve_columns_exact_and_canonical():
@@ -40,10 +38,25 @@ def test_solve_columns_exact_and_canonical():
     assert residual == {1: F(1)}
 
 
+def _rank(vectors):
+    red = SpanReducer()
+    for j, v in enumerate(vectors):
+        red.insert(v, j)
+    return red.rank()
+
+
 def test_kernel_columns():
     cols = [{0: F(1)}, {0: F(2)}, {1: F(1)}, {0: F(1), 1: F(3)}]
     ker = kernel_columns(cols)
     assert ker == [{0: F(-2), 1: F(1)}, {0: F(-1), 2: F(-3), 3: F(1)}]
+    # the front end's dependency combinations give the same kernel
+    red = SpanReducer()
+    front = []
+    for j, col in enumerate(cols):
+        piv, comb = red.insert(col, j)
+        if piv is None:
+            front.append({**vec_scale(comb, F(-1)), j: F(1)})
+    assert front == ker
     for k in ker:
         total = {}
         for j, c in k.items():
@@ -66,7 +79,7 @@ def test_row_rank_equals_column_rank(dense):
     for col in dense:
         cols.append({i: c for i, c in enumerate(col) if c != 0})
     rows = transpose(cols)
-    assert rank_columns(cols) == rank_columns(rows)
+    assert _rank(cols) == _rank(rows) == dense_rank(cols, 4)
 
 
 @given(matrices, st.lists(st.integers(min_value=-4, max_value=4),
@@ -89,7 +102,7 @@ def test_solutions_verify(dense, coeffs):
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(dense):
     cols = [{i: c for i, c in enumerate(col) if c != 0} for col in dense]
-    assert rank_columns(cols) + len(kernel_columns(cols)) == len(cols)
+    assert _rank(cols) + len(kernel_columns(cols)) == len(cols)
 
 
 entries = st.one_of(
@@ -142,3 +155,48 @@ def test_solve_columns_edge_cases_match_the_oracle():
         assert solve_columns(cols, b) == oracle_solve_columns(cols, b), (cols, b)
     assert solve_columns(*cases[3]) == ({0: F(3, 2)}, None)
     assert solve_columns(*cases[4]) == (None, {2: F(37, 6)})
+
+
+# distinct non-int tags, as MalcevQuotient uses them
+TAGS = ["a", ("im", 0), ("rep", 0), (1, "x"), None, "b", ("im", 1)]
+
+
+@st.composite
+def tagged_matrices(draw):
+    """Distinctly tagged Fraction vectors with mixed denominators over
+    spread-out indices (some zero, some combinations of earlier ones), plus
+    vectors to reduce afterwards."""
+    m = draw(st.integers(min_value=0, max_value=5))
+    index = [2 * i + draw(st.integers(min_value=0, max_value=1))
+             for i in range(m)]
+
+    def vector():
+        dense = draw(st.lists(entries, min_size=m, max_size=m))
+        return {index[i]: c for i, c in enumerate(dense) if c}
+
+    inserted = []
+    for tag in TAGS[:draw(st.integers(min_value=0, max_value=len(TAGS)))]:
+        if inserted and draw(st.booleans()):
+            # a combination of earlier vectors: always dependent
+            v = {}
+            for u, _ in inserted:
+                v = vec_add(v, u, draw(entries))
+        else:
+            v = vector()
+        inserted.append((v, tag))
+    probes = [vector() for _ in range(draw(st.integers(min_value=1,
+                                                        max_value=3)))]
+    return inserted, probes
+
+
+@given(tagged_matrices())
+@settings(max_examples=300, deadline=None)
+def test_span_front_end_matches_gauss_jordan(case):
+    inserted, probes = case
+    red, ref = SpanReducer(), GaussJordanReducer()
+    for v, tag in inserted:
+        assert red.insert(v, tag) == ref.insert(v, tag), (v, tag)
+        assert red.rank() == ref.rank()
+    for v in probes:
+        assert red.reduce(v) == ref.reduce(v), v
+        assert red.contains(v) == (not ref.reduce(v)[0])
