@@ -287,8 +287,6 @@ def _whitney_suite(n):
 
 
 def _cmd_whitney(args):
-    if args.n < 0:
-        raise _UsageError("--n must be >= 0")
     lines = ["whitney n=%d" % args.n]
     code = 0
     if args.check:

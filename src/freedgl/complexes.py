@@ -2,25 +2,27 @@
 
 A complex is ingested as a list of maximal faces and closed downward.  Its
 model is the sub-DGL of the ambient simplex family spanned by the complex's
-own faces: each face's differential is the relabeled top differential of its
-dimension, which is supported on the face's subfaces, so the restriction
-closes whenever the face set is closed under subsets.  On top of the raw
-model: component splitting, localization at a Maurer-Cartan element, and the
-minimal model as one quotient (kill the vertices and a spanning tree, pair
-the other generators in one echelon of the linear differential, and solve
-every partner's image in one fixed-point loop).
+own faces: it is the simplex models' face-relabel table (_face_images) taken
+over K's faces, so each face's differential is the relabeled top
+differential of its dimension.  That is supported on the face's subfaces,
+so the restriction closes whenever the face set is closed under subsets.
+On top of the raw model: component splitting, localization at a
+Maurer-Cartan element, and the minimal model as one quotient (kill the
+vertices and a spanning tree, pair the other generators in one echelon of
+the linear differential, and solve every partner's image in one fixed-point
+loop).
 """
 
 from fractions import Fraction
 
 from .lie import (
-    ConfigError, DomainError, StructError, SolveError,
+    DomainError, StructError, SolveError,
     GenSet, Elt, FreeDGL, DGLMap, generator_elt, substitute,
 )
 from .linalg import SpanReducer, FractionFreeReducer
 from .series import twist
 from .serialize import ParseError
-from .simplex import ModelFamily, face_name, face_degree, relabel_element
+from .simplex import ModelFamily, face_name, face_degree, _face_images
 from .homology import homology, _DegreeLayout, _kernel_pass
 
 ONE = Fraction(1)
@@ -67,9 +69,6 @@ class SimplicialComplex:
     def faces_of_dim(self, p):
         return tuple(f for f in self.faces if len(f) == p + 1)
 
-    def has_face(self, face):
-        return tuple(sorted(face)) in set(self.faces)
-
     def __repr__(self):
         return "SimplicialComplex(%d vertices, %d faces, dim %d)" % (
             self.n_vertices, len(self.faces), self.dim)
@@ -115,14 +114,13 @@ class ComplexModel:
     """Free DGL on one generator per face of K, with the differential
     restricted from the ambient simplex family."""
 
-    __slots__ = ("K", "N", "dgl", "wide", "basepoint")
+    __slots__ = ("K", "N", "dgl", "wide")
 
     def __init__(self, K, N, dgl, wide):
         self.K = K
         self.N = N
         self.dgl = dgl
         self.wide = wide
-        self.basepoint = None
 
     @property
     def gens(self):
@@ -134,30 +132,14 @@ class ComplexModel:
 
 
 def model_of_complex(K, N):
-    """The model of K at truncation N, restricted from the ambient family.
-
-    Every face's differential is the relabeled top differential of its
-    dimension; a letter falling outside K's face set is a structure error
-    (cannot happen for subset-closed K with the built-in family, but guards
-    custom seeding).
-    """
+    """The model of K at truncation N, restricted from the ambient family:
+    the face-relabel table of the simplex models (_face_images) over K's
+    faces, with wide names above ten vertices."""
     fam = ModelFamily(N, "seed")
     wide = K.n_vertices > 10
-    pairs = [(face_name(f, wide), face_degree(f)) for f in K.faces]
-    gens = GenSet(pairs)
-    images = {}
-    for idx, face in enumerate(K.faces):
-        p = len(face) - 1
-        top = fam.top_diff(p)
-        vmap = {i: v for i, v in enumerate(face)}
-        try:
-            img = relabel_element(top, vmap, gens, N, wide)
-        except (StructError, KeyError) as e:
-            raise StructError(
-                "differential of face %s leaves the complex: %s"
-                % (face_name(face, wide), e)) from None
-        if not img.is_zero():
-            images[idx] = img
+    gens = GenSet([(face_name(f, wide), face_degree(f)) for f in K.faces])
+    diffs = [fam.top_diff(p) for p in range(K.dim + 1)]
+    images = _face_images(gens, K.faces, N, diffs, wide)
     return ComplexModel(K, N, FreeDGL(gens, N, images), wide)
 
 

@@ -20,13 +20,18 @@ Three ways to produce top differentials:
     d^2 = 0 and averaged to the sign-isotypic component, giving a model on
     which the vertex-permutation action commutes with d.
 
-All three share one relabel table (_face_images: every face's image is the
-top differential of its dimension, relabeled), which also assembles the
-finished models, and the two solving builders share one length-stage solver
-(_solve_stage: the canonical preimage under d1 on one Lyndon slice).
+Every vertex map acts on generators through one relabel table (_face_table:
+a_F goes to the signed letter of F's sorted image, or to 0 when the image
+repeats a vertex), applied to words on integer numerators (_relabel).  It
+gives the cofaces, codegeneracies and permutation maps, the Reynolds
+averages, and _face_images, which relabels each face's top differential
+onto the face to assemble the models of simplices and complexes.  The two
+solving builders share one length-stage solver (_solve_stage: the canonical
+preimage under d1 on one Lyndon slice).
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 from .lie import (
@@ -34,7 +39,7 @@ from .lie import (
     GenSet, Elt, FreeDGL, DGLMap, Derivation,
     bracket, generator_elt, zero_elt, substitute,
     lyndon_slice_basis, slice_coordinates, elt_from_slice_coords,
-    _slice_coords,
+    _slice_coords, clear_denominators,
 )
 from .series import bch, exp_ad, bernoulli_op, is_mc, twist, gauge
 from .linalg import FractionFreeReducer, solve_columns
@@ -79,25 +84,67 @@ def chain_boundary(face):
     return out
 
 
+def perm_sign(sigma):
+    """Sign of the permutation that sorts the distinct entries of sigma."""
+    inv = sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1:])
+    return -1 if inv & 1 else 1
+
+
+def _face_table(n, vertex_map, index, wide=False):
+    """Where a vertex map sends the faces of Delta^n, in faces_of_simplex(n)
+    order (entry i belongs to letter i of simplex_genset(n)): None when the
+    image repeats a vertex, else (index of the sorted image's name, sort
+    sign of the image)."""
+    table = []
+    for face in faces_of_simplex(n):
+        img = [vertex_map[v] for v in face]
+        table.append(None if len(set(img)) < len(img) else
+                     (index(face_name(tuple(sorted(img)), wide)),
+                      perm_sign(img)))
+    return tuple(table)
+
+
+def _relabel(num, table, out, scale=1):
+    """Add scale times the word->int dict num, mapped letter by letter
+    through a face table, into out: the letters' signs multiply, words with
+    a None letter drop, and words that collide add up."""
+    get = out.get
+    for w, c in num.items():
+        img = []
+        for i in w:
+            t = table[i]
+            if t is None:
+                break
+            img.append(t[0])
+            c *= t[1]
+        else:
+            img = tuple(img)
+            out[img] = get(img, 0) + scale * c
+    return out
+
+
 def relabel_element(x, vertex_map, target_gens, target_N, wide=False):
-    """Push an element of a simplex model along a vertex relabeling.
+    """Push an element over simplex_genset(p) along a vertex map.
 
-    vertex_map is a strictly monotone tuple: source vertex v -> vertex_map[v].
+    vertex_map sends vertex v = 0..p to vertex_map[v] (a tuple or a dict);
+    a_F goes to the sort sign times a_{sorted image of F}, named wide when
+    `wide`, or to 0 when the image repeats a vertex.
     """
-    images = {}
-    for i in x.letters():
-        name = x.gens.names[i]
-        src_face = _face_of_name(name, x.gens)
-        tgt_face = tuple(vertex_map[v] for v in src_face)
-        images[i] = generator_elt(target_gens, target_N, face_name(tgt_face, wide))
-    return substitute(x, target_gens, target_N, images)
+    num, D = clear_denominators(x.terms)
+    table = _face_table(len(vertex_map) - 1, vertex_map, target_gens.index,
+                        wide)
+    out = _relabel(num, table, {})
+    return Elt(target_gens, target_N, {w: Fraction(c, D)
+                                       for w, c in out.items()
+                                       if c and len(w) <= target_N})
 
 
-def _face_of_name(name, gens):
-    # names are generated by face_name, so invert by parsing digits
-    if name.startswith("a_"):
-        return tuple(int(v) for v in name[2:].split("_"))
-    return tuple(int(ch) for ch in name[1:])
+def _table_map(source, target, table):
+    """The DGLMap sending letter i to the signed letter table[i], or to 0."""
+    gens, N = target.gens, target.N
+    return DGLMap(source, target, {
+        i: Elt(gens, N, {} if t is None else {(t[0],): Fraction(t[1])})
+        for i, t in enumerate(table)})
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +154,7 @@ def _face_of_name(name, gens):
 class SimplexModel:
     """A free DGL model of Delta^n plus its construction context."""
 
-    __slots__ = ("n", "N", "dgl", "flavor", "family", "perms")
+    __slots__ = ("n", "N", "dgl", "flavor", "family")
 
     def __init__(self, n, N, dgl, flavor, family=None):
         self.n = n
@@ -115,7 +162,6 @@ class SimplexModel:
         self.dgl = dgl
         self.flavor = flavor
         self.family = family
-        self.perms = None   # (sign, map) per vertex permutation, on demand
 
     @property
     def gens(self):
@@ -134,23 +180,23 @@ class SimplexModel:
         return "SimplexModel(n=%d, N=%d, flavor=%s)" % (self.n, self.N, self.flavor)
 
 
-def _face_images(gens, n, N, diffs):
-    """Differential table of Delta^n on its faces of dimension p < len(diffs):
+def _face_images(gens, faces, N, diffs, wide=False):
+    """Differential table on the given faces of dimension p < len(diffs):
     a_F goes to diffs[dim F] relabeled onto F; zero images are left out."""
     images = {}
-    for face in faces_of_simplex(n):
+    for face in faces:
         p = len(face) - 1
         if p < len(diffs):
-            img = relabel_element(diffs[p], face, gens, N)
+            img = relabel_element(diffs[p], face, gens, N, wide)
             if not img.is_zero():
-                images[gens.index(face_name(face))] = img
+                images[gens.index(face_name(face, wide))] = img
     return images
 
 
 def assemble_model(n, N, top_diffs, flavor, family=None):
     """Build the model of Delta^n from top differentials for dims 0..n."""
     gens = simplex_genset(n)
-    images = _face_images(gens, n, N, top_diffs)
+    images = _face_images(gens, faces_of_simplex(n), N, top_diffs)
     return SimplexModel(n, N, FreeDGL(gens, N, images), flavor, family)
 
 
@@ -233,7 +279,8 @@ def tetra_top_diff(N):
     differential."""
     lower = [vertex_top_diff(N), interval_top_diff(N), triangle_top_diff(N)]
     gens = simplex_genset(3)
-    partial = FreeDGL(gens, N, _face_images(gens, 3, N, lower))
+    partial = FreeDGL(gens, N,
+                      _face_images(gens, faces_of_simplex(3), N, lower))
     a0 = generator_elt(gens, N, "a0")
     twisted = twist(partial, a0)
     e_list = [generator_elt(gens, N, "a012"),
@@ -351,7 +398,8 @@ def inductive_top_diff(n, N, lower_diffs):
     if n < 2:
         raise DomainError("the inductive builder starts at dimension 2")
     gens = simplex_genset(n)
-    partial = FreeDGL(gens, N, _face_images(gens, n, N, lower_diffs[:n]))
+    partial = FreeDGL(gens, N, _face_images(gens, faces_of_simplex(n), N,
+                                            lower_diffs[:n]))
     a0 = generator_elt(gens, N, "a0")
     twisted = twist(partial, a0)
 
@@ -385,31 +433,10 @@ def inductive_top_diff(n, N, lower_diffs):
 # Permutation action
 
 
-def _sort_sign(seq):
-    inv = 0
-    n = len(seq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
-
-
 def permutation_map(model, sigma):
     """The degree-0 automorphism a_F -> sign * a_{sorted sigma(F)}."""
-    gens = model.gens
-    images = {}
-    for face in faces_of_simplex(model.n):
-        img_verts = [sigma[v] for v in face]
-        sign = _sort_sign(img_verts)
-        tgt = tuple(sorted(img_verts))
-        images[gens.index(face_name(face))] = Elt(
-            gens, model.N, {(gens.index(face_name(tgt)),): Fraction(sign)})
-    return DGLMap(model.dgl, model.dgl, images)
-
-
-def perm_sign(sigma):
-    return _sort_sign(list(sigma))
+    return _table_map(model.dgl, model.dgl,
+                      _face_table(model.n, sigma, model.gens.index))
 
 
 def equivariance_residues(model, sigma):
@@ -423,31 +450,35 @@ def equivariance_residues(model, sigma):
     return out
 
 
-def _reynolds_average(model, x, signed):
+@cache
+def _permutation_tables(n):
+    """(eps_sigma, face table of sigma) per vertex permutation of Delta^n."""
+    index = simplex_genset(n).index
+    return tuple((perm_sign(sigma), _face_table(n, sigma, index))
+                 for sigma in permutations(range(n + 1)))
+
+
+def _reynolds_average(n, x, signed):
     """Average of sigma(x), times eps_sigma when signed, over the vertex
-    permutation group.  The maps are built once per model and, as they send
-    letters to signed letters, hold one shared Elt per signed letter."""
-    if model.perms is None:
-        model.perms, letters = [], {}
-        for sigma in permutations(range(model.n + 1)):
-            m = permutation_map(model, sigma)
-            for i, img in m.images.items():
-                m.images[i] = letters.setdefault(tuple(img.terms.items()), img)
-            model.perms.append((perm_sign(sigma), m))
-    total = zero_elt(model.gens, model.N)
-    for sign, m in model.perms:
-        total = total + (Fraction(sign) * m(x) if signed else m(x))
-    return Fraction(1, len(model.perms)) * total
+    permutations of Delta^n, for x over simplex_genset(n): one integer
+    accumulation over the relabeled words, divided once."""
+    num, D = clear_denominators(x.terms)
+    out = {}
+    tables = _permutation_tables(n)
+    for sign, table in tables:
+        _relabel(num, table, out, sign if signed else 1)
+    D *= len(tables)
+    return Elt(x.gens, x.N, {w: Fraction(c, D) for w, c in out.items() if c})
 
 
 def reynolds_sign_project(model, x):
     """Average of eps_sigma * sigma(x) over the vertex permutation group."""
-    return _reynolds_average(model, x, True)
+    return _reynolds_average(model.n, x, True)
 
 
 def reynolds_invariant_project(model, x):
     """Plain average of sigma(x) over the vertex permutation group."""
-    return _reynolds_average(model, x, False)
+    return _reynolds_average(model.n, x, False)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +493,7 @@ def symmetric_top_diff(n, N, lower_diffs):
     if n < 2:
         raise DomainError("the symmetric builder starts at dimension 2")
     gens = simplex_genset(n)
-    images = _face_images(gens, n, N, lower_diffs[:n])
+    images = _face_images(gens, faces_of_simplex(n), N, lower_diffs[:n])
 
     top_face = tuple(range(n + 1))
     top_idx = gens.index(face_name(top_face))
@@ -470,15 +501,12 @@ def symmetric_top_diff(n, N, lower_diffs):
     for sign, sub in chain_boundary(top_face):
         top = top + Fraction(sign) * generator_elt(gens, N, face_name(sub))
 
-    # a throwaway carrier for the Reynolds projector
-    shell = SimplexModel(n, N, FreeDGL(gens, N, {}), "symmetric")
-
     for k in range(2, N + 1):
         Lp = FreeDGL(gens, N, {**images, top_idx: top})
         rk = Lp.d(top).length_part(k)
         if rk.is_zero():
             continue
-        stage = reynolds_sign_project(shell, _solve_stage(Lp, -rk))
+        stage = _reynolds_average(n, _solve_stage(Lp, -rk), True)
         if Lp.d1(stage) != -rk:
             raise SolveError(
                 "symmetric stage %d: sign projection broke the solution "
@@ -540,12 +568,8 @@ class ModelFamily:
         src = self.model(n)
         tgt = self.model(n + 1)
         vmap = [v if v < i else v + 1 for v in range(n + 1)]
-        images = {}
-        for face in faces_of_simplex(n):
-            tgt_face = tuple(vmap[v] for v in face)
-            images[src.gens.index(face_name(face))] = generator_elt(
-                tgt.gens, self.N, face_name(tgt_face))
-        return DGLMap(src.dgl, tgt.dgl, images)
+        return _table_map(src.dgl, tgt.dgl,
+                          _face_table(n, vmap, tgt.gens.index))
 
     def codegeneracy(self, i, n):
         """sigma_i: model(n) -> model(n-1), collapsing i and i+1; faces whose
@@ -557,15 +581,9 @@ class ModelFamily:
             raise DomainError("codegeneracy index %d out of range for n=%d" % (i, n))
         src = self.model(n)
         tgt = self.model(n - 1)
-        images = {}
-        for face in faces_of_simplex(n):
-            img_verts = [v if v <= i else v - 1 for v in face]
-            if len(set(img_verts)) != len(img_verts):
-                images[src.gens.index(face_name(face))] = zero_elt(tgt.gens, self.N)
-            else:
-                images[src.gens.index(face_name(face))] = generator_elt(
-                    tgt.gens, self.N, face_name(tuple(img_verts)))
-        return DGLMap(src.dgl, tgt.dgl, images)
+        vmap = [v if v <= i else v - 1 for v in range(n + 1)]
+        return _table_map(src.dgl, tgt.dgl,
+                          _face_table(n, vmap, tgt.gens.index))
 
 
 def seed_family(N):
@@ -607,17 +625,10 @@ def subdivision_morphism(N):
     edges.  Returns the DGLMap; chain_residues() checks it."""
     fam = seed_family(N)
     src = fam.model(1)
-    pairs = [("a0", -1), ("a1", -1), ("a2", -1), ("a01", 0), ("a12", 0)]
-    gens = GenSet(pairs)
-    d1 = interval_top_diff(N)
-    images = {
-        gens.index("a0"): relabel_element(vertex_top_diff(N), (0,), gens, N),
-        gens.index("a1"): relabel_element(vertex_top_diff(N), (1,), gens, N),
-        gens.index("a2"): relabel_element(vertex_top_diff(N), (2,), gens, N),
-        gens.index("a01"): relabel_element(d1, (0, 1), gens, N),
-        gens.index("a12"): relabel_element(d1, (1, 2), gens, N),
-    }
-    glued = FreeDGL(gens, N, images)
+    faces = [(0,), (1,), (2,), (0, 1), (1, 2)]
+    gens = GenSet([(face_name(f), face_degree(f)) for f in faces])
+    glued = FreeDGL(gens, N, _face_images(gens, faces, N,
+                                          [fam.top_diff(0), fam.top_diff(1)]))
     x1 = generator_elt(gens, N, "a01")
     x2 = generator_elt(gens, N, "a12")
     gamma_images = {

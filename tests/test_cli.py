@@ -191,6 +191,7 @@ def test_usage_errors_exit_two(capsys):
         ["check", "--model", "/nonexistent/path.dgl"],
         ["build-model", "--n", "1", "--out", "/nonexistent/dir/m.dgl"],
         ["build-model", "--n", "1", "--out", "/"],
+        ["whitney", "--n", "-1"],
     ):
         code, _, err = go(capsys, argv)
         assert code == 2, argv

@@ -1,5 +1,6 @@
 """Complex ingestion, models, components, localization, minimal models."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from freedgl.lie import (
     generator_elt, zero_elt, substitute,
 )
 from freedgl.linalg import SpanReducer
-from freedgl.serialize import ParseError
+from freedgl.serialize import ParseError, emit_dgl
 from freedgl.series import is_mc, twist
 from freedgl.simplex import seed_family, interval_model
 from freedgl.homology import (
@@ -390,6 +391,24 @@ def _genus_two():
     renumber = {0: 0, 1: 1, 3: 3, 2: 7, 4: 8, 5: 9, 6: 10}
     copy = [tuple(renumber[v] for v in t) for t in holed]
     return "\n".join(" ".join(map(str, t)) for t in holed + copy)
+
+
+# sha256 of the emit_dgl text of complex models: the face-relabel table
+# over K's faces, with wide names (a_0_1) on the 11-vertex genus-2 surface
+COMPLEX_TEXT_SHA256 = [
+    ("7-vertex torus at N=3", TORUS,
+     "4c87aeb3e6ad54270d31660b26e4f4e0968b6dea5c87ea2e43f422994fc052fa"),
+    ("genus-2 surface at N=3", _genus_two(),
+     "09d71930c61e3a5bb4ef243113a3fa1651382beb594c2a54e1e8a565c68135cd"),
+]
+
+
+@pytest.mark.parametrize("label, text, digest", COMPLEX_TEXT_SHA256,
+                         ids=[label for label, _, _ in COMPLEX_TEXT_SHA256])
+def test_complex_model_text_is_pinned(label, text, digest):
+    model = model_of_complex(parse_complex(text), 3)
+    out = emit_dgl(model.dgl)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_malcev_tower_of_surfaces_matches_labute():

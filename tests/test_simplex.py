@@ -3,7 +3,7 @@
 import hashlib
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,10 +19,12 @@ from freedgl.simplex import (
     interval_top_diff, triangle_top_diff, tetra_top_diff, vertex_top_diff,
     bch_transgression, solve_boundary, build_model, build_symmetric_model,
     permutation_map, equivariance_residues, reynolds_sign_project,
-    subdivision_morphism, barycentric_mc, check_model_axioms,
-    check_cosimplicial_identities, generator_homology,
-    invariant_linear_homology,
+    reynolds_invariant_project, relabel_element, subdivision_morphism,
+    barycentric_mc, check_model_axioms, check_cosimplicial_identities,
+    generator_homology, invariant_linear_homology,
 )
+
+from oracles import oracle_substitute
 
 HALF = Fraction(1, 2)
 
@@ -200,6 +202,8 @@ BUILDER_TEXT_SHA256 = [
      "6f17412e64b408bfc36eac7cfa82feb27437e82880243f18815f855a0211a567"),
     ("symmetric 4-simplex at N=2", lambda: ModelFamily(2, "symmetric").model(4),
      "743467f55817bb491a4bf7fec62076410f20dab180a1f655d59f7e0771b4eb05"),
+    ("tetra_model(3)", lambda: tetra_model(3),
+     "7512d5917dfbd1c16290317c08c8580565d159188deac572ebc6e6821a8e542f"),
 ]
 
 
@@ -266,6 +270,91 @@ def test_reynolds_projection_is_idempotent_on_sign_part():
     m = build_symmetric_model(2, 3)
     top_image = m.dgl.diff.images[m.gens.index("a012")]
     assert reynolds_sign_project(m, top_image) == top_image
+
+
+RELABEL_MODELS = {
+    "symmetric 2-simplex at N=4": lambda: ModelFamily(4, "symmetric").model(2),
+    "seed 3-simplex at N=3": lambda: tetra_model(3),
+}
+
+
+@cache
+def _relabel_model(label):
+    return RELABEL_MODELS[label]()
+
+
+def _letter_images(n, vertex_map, target):
+    """Letter i of simplex_genset(n) is face i of Delta^n; it goes to the
+    letter of its sorted image times the image's inversion sign, or to 0
+    when the image repeats a vertex."""
+    images = {}
+    for i, face in enumerate(faces_of_simplex(n)):
+        img = [vertex_map[v] for v in face]
+        if len(set(img)) < len(img):
+            images[i] = {}
+            continue
+        inversions = sum(a > b for a, b in combinations(img, 2))
+        letter = target.index(face_name(tuple(sorted(img))))
+        images[i] = {(letter,): Fraction((-1) ** inversions)}
+    return images
+
+
+def _oracle_average(m, x, signed):
+    out = {}
+    sigmas = list(permutations(range(m.n + 1)))
+    for sigma in sigmas:
+        sign = (-1) ** sum(a > b for a, b in combinations(sigma, 2))
+        img = oracle_substitute(x.terms, _letter_images(m.n, sigma, m.gens),
+                                m.N)
+        for w, c in img.items():
+            out[w] = out.get(w, 0) + (sign * c if signed else c)
+    return {w: c / len(sigmas) for w, c in out.items() if c}
+
+
+def _check_relabel_against_oracle(m, x, vertex_maps):
+    """relabel_element along each map into Delta^{n+1}, and both Reynolds
+    averages, against oracle_substitute."""
+    target = simplex_genset(m.n + 1)
+    for vmap in vertex_maps:
+        want = oracle_substitute(x.terms, _letter_images(m.n, vmap, target),
+                                 m.N)
+        assert relabel_element(x, vmap, target, m.N).terms == want, vmap
+    assert reynolds_sign_project(m, x).terms == _oracle_average(m, x, True)
+    assert reynolds_invariant_project(m, x).terms \
+        == _oracle_average(m, x, False)
+
+
+@pytest.mark.parametrize("label", RELABEL_MODELS)
+def test_relabel_and_reynolds_match_the_substitution_oracle_on_d(label):
+    # d of every face, the top differential included; the maps are a
+    # coface-like injection and a collapse of vertices 0 and 1
+    m = _relabel_model(label)
+    into = tuple(range(1, m.n + 2))
+    collapse = (0,) + tuple(range(m.n))
+    for face in faces_of_simplex(m.n):
+        _check_relabel_against_oracle(m, m.dgl.d(m.gen(face)),
+                                      (into, collapse))
+
+
+@given(st.sampled_from(sorted(RELABEL_MODELS)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_relabel_and_reynolds_match_the_substitution_oracle(label, data):
+    m = _relabel_model(label)
+    k = data.draw(st.integers(min_value=1, max_value=m.N))
+    # generator degrees run from -1 to n - 1
+    q = data.draw(st.integers(min_value=-k, max_value=(m.n - 1) * k))
+    basis = lyndon_slice_basis(m.gens, q, k)
+    assume(basis)
+    picks = data.draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=len(basis) - 1),
+                  st.integers(min_value=-3, max_value=3).filter(bool)),
+        min_size=1, max_size=3))
+    x = zero_elt(m.gens, m.N)
+    for i, c in picks:
+        x = x + c * Elt(m.gens, m.N, basis[i][1])
+    vmap = data.draw(st.lists(st.integers(min_value=0, max_value=m.n + 1),
+                              min_size=m.n + 1, max_size=m.n + 1))
+    _check_relabel_against_oracle(m, x, [tuple(vmap)])
 
 
 def test_cosimplicial_identities_symmetric():
