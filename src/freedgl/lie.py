@@ -10,21 +10,21 @@ applied word by word, so inhomogeneous elements work.  Everything is computed
 modulo words of length > N for a truncation N fixed at construction; mixing
 truncations is a hard error, never a silent coercion.
 
-Lie membership and canonical coordinates use two classical tools:
+Lie membership and canonical coordinates use two classical tools.  Both, and
+serialize.parse_element, expand bracket trees through bracket_words:
 
   * the Dynkin map theta (left-to-right bracketing), with theta(x_n) = n*x_n
     characterizing Lie elements among length-n tensors; the check runs on
     integer numerators over one common denominator (it is scale-invariant);
-  * the Lyndon-Shirshov basis: standard bracketings b_w of Lyndon words w,
-    plus [b_w, b_w] for w of odd total degree.  b_w = w + (lex-higher words)
-    and [b_w, b_w] = 2*ww + (lex-higher), so coordinate extraction is
-    triangular on leading words.
+  * the Lyndon-Shirshov basis of lyndon_slice_basis: standard bracketings b_w
+    of Lyndon words w, plus [b_w, b_w] for w of odd total degree.
+    b_w = w + (lex-higher words) and [b_w, b_w] = 2*ww + (lex-higher), so
+    coordinate extraction is triangular on leading words.
 
 Degrees are integers >= -1.  Degree -2 or lower is rejected at construction.
 """
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 
 
@@ -281,11 +281,12 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # ---------------------------------------------------------------------------
 # Integer word kernel: word->int dicts holding the numerators of word->Fraction
 # dicts over one common denominator that the caller keeps.  Its users are
-# dynkin_verify, Derivation.__call__ and substitute here, bch in series, and,
-# through clear_denominators, linalg's fraction-free eliminator and its
-# SpanReducer front end (solve_columns, the homology kernel passes,
-# MalcevQuotient and minimal_model).  Each builds at most one Fraction per
-# output coefficient.
+# the bracket-tree sums of dynkin_theta, dynkin_verify, lyndon_slice_basis
+# and serialize.parse_element, Derivation.__call__ and substitute here, bch
+# in series, and, through clear_denominators, linalg's fraction-free
+# eliminator and its SpanReducer front end (solve_columns, the homology kernel
+# passes, MalcevQuotient and minimal_model).  Each builds at most one
+# Fraction per output coefficient.
 
 
 def clear_denominators(terms):
@@ -349,31 +350,55 @@ def bracket(x, y):
     return Elt(gens, N, terms)
 
 
+def bracket_words(tree, degs):
+    """(words, degree) of a bracket tree: a letter index, or a tuple of trees
+    (t1, t2, ..., tk) read as [[t1, t2], ..., tk].  words is the word->int
+    expansion by bracket's rule [x, y] = xy - (-1)^{|x||y|} yx, merged and
+    with zeros dropped at every bracket.  The left spine is a loop; only
+    right factors that are not letters recurse."""
+    spine = []
+    while not isinstance(tree, int):
+        spine.append(tree)
+        tree = tree[0]
+    words = {(tree,): 1}
+    deg = degs[tree]
+    for node in reversed(spine):
+        for right in node[1:]:
+            rwords, rdeg = (({(right,): 1}, degs[right])
+                            if isinstance(right, int)
+                            else bracket_words(right, degs))
+            s = 1 if (deg & 1) and (rdeg & 1) else -1
+            out = {}
+            get = out.get
+            for u, cu in words.items():
+                for v, cv in rwords.items():
+                    c = cu * cv
+                    w = u + v
+                    out[w] = get(w, 0) + c
+                    w = v + u
+                    out[w] = get(w, 0) + s * c
+            words = {w: c for w, c in out.items() if c}
+            deg += rdeg
+    return words, deg
+
+
+def _tree_sum(pairs, degs):
+    """The word->int sum of k * tree over (int k, tree) pairs, expanded by
+    bracket_words; words that cancel stay, with 0."""
+    out = {}
+    get = out.get
+    for k, tree in pairs:
+        for w, c in bracket_words(tree, degs)[0].items():
+            out[w] = get(w, 0) + k * c
+    return out
+
+
 def dynkin_theta(x):
-    """Left-to-right bracketing map: g1 g2 ... gk -> [...[[g1,g2],g3]...,gk]."""
-    gens = x.gens
-    N = x.N
-    out = Elt(gens, N, {})
-    for w, c in x.terms.items():
-        cur = Elt(gens, N, {(w[0],): c})
-        for i in w[1:]:
-            cur = bracket(cur, Elt(gens, N, {(i,): ONE}))
-        out = out + cur
-    return out
-
-
-def _theta_words(word, degs):
-    """theta(word) as its 2^(k-1) signed words: bracketing the next letter g
-    onto the prefix p appends g, or prepends it with sign
-    -(-1)^{|p||g|}, the Koszul sign of bracket."""
-    out = [(word[:1], 1)]
-    dp = degs[word[0]]
-    for g in word[1:]:
-        dg = degs[g]
-        s = 1 if (dp & 1) and (dg & 1) else -1
-        out = [(v + (g,), c) for v, c in out] + [((g,) + v, s * c) for v, c in out]
-        dp += dg
-    return out
+    """Left-to-right bracketing map: g1 g2 ... gk -> [...[[g1,g2],g3]...,gk].
+    A word is the bracket tree of that bracketing."""
+    num, D = clear_denominators(x.terms)
+    out = _tree_sum([(c, w) for w, c in num.items()], x.gens.degrees)
+    return Elt(x.gens, x.N, {w: Fraction(c, D) for w, c in out.items() if c})
 
 
 def dynkin_verify(x):
@@ -381,23 +406,18 @@ def dynkin_verify(x):
 
     Returns (ok, defects) where defects lists (length, defect Elt) for the
     lengths that fail.  The zero element verifies trivially.  The test runs
-    on the integer numerators of x; defects are rebuilt from x itself.
+    on the integer numerators of x over their common denominator D, and each
+    defect is built from its integer residue over D.
     """
-    num, _ = clear_denominators(x.terms)
-    degs = x.gens.degrees
-    residues = {}
+    num, D = clear_denominators(x.terms)
+    out = _tree_sum([(c, w) for w, c in num.items()], x.gens.degrees)
     for w, c in num.items():
-        n = len(w)
-        res = residues.setdefault(n, {})
-        get = res.get
-        for v, s in _theta_words(w, degs):
-            res[v] = get(v, 0) + s * c
-        res[w] = get(w, 0) - n * c
-    defects = []
-    for n in sorted(residues):
-        if any(residues[n].values()):
-            part = x.length_part(n)
-            defects.append((n, dynkin_theta(part) - n * part))
+        out[w] = out.get(w, 0) - len(w) * c
+    residues = {}
+    for w, c in out.items():
+        if c:
+            residues.setdefault(len(w), {})[w] = Fraction(c, D)
+    defects = [(n, Elt(x.gens, x.N, residues[n])) for n in sorted(residues)]
     return (not defects, defects)
 
 
@@ -426,25 +446,13 @@ def lyndon_words(k, n):
             w.pop()
 
 
-def standard_factorization(word):
-    """Split a Lyndon word of length >= 2 at its lex-least proper suffix."""
-    n = len(word)
-    best = 1
-    for i in range(2, n):
-        if word[i:] < word[best:]:
-            best = i
-    return word[:best], word[best:]
-
-
-def _lyndon_bracketing(gens, word):
-    """Tensor expansion (word->coeff dict) of the standard bracketing b_word."""
+def _lyndon_tree(word):
+    """The bracket tree of the standard bracketing b_word of a Lyndon word:
+    [b_u, b_v] for word = uv split before its lex-least proper suffix v."""
     if len(word) == 1:
-        return {word: ONE}
-    u, v = standard_factorization(word)
-    N = len(word)
-    bu = Elt(gens, N, _lyndon_bracketing(gens, u))
-    bv = Elt(gens, N, _lyndon_bracketing(gens, v))
-    return bracket(bu, bv).terms
+        return word[0]
+    cut = min(range(1, len(word)), key=lambda i: word[i:])
+    return (_lyndon_tree(word[:cut]), _lyndon_tree(word[cut:]))
 
 
 def lyndon_slice_basis(gens, degree, length, subset=None):
@@ -454,7 +462,7 @@ def lyndon_slice_basis(gens, degree, length, subset=None):
     Returns a list of (leading_word, terms_dict, is_doubled) triples sorted by
     leading word; leading coefficient is 1, or 2 for doubled elements
     [b_w, b_w] (present when b_w has odd degree), and every coefficient is
-    an integer.  Cached per slice.
+    an integer-valued Fraction.  Cached per slice.
     """
     if subset is None:
         subset = tuple(range(len(gens)))
@@ -465,22 +473,22 @@ def lyndon_slice_basis(gens, degree, length, subset=None):
     if cached is not None:
         return cached
     degs = gens.degrees
-    out = []
+    trees = []
     for w in lyndon_words(len(subset), length):
         word = tuple(subset[i] for i in w)
-        if sum(degs[i] for i in word) != degree:
-            continue
-        out.append((word, _lyndon_bracketing(gens, word), False))
-    if length % 2 == 0 and degree % 2 == 0 and (degree // 2) % 2 != 0:
-        half = degree // 2
+        if sum(degs[i] for i in word) == degree:
+            trees.append((word, _lyndon_tree(word), False))
+    if length % 2 == 0 and degree % 4 == 2:
         for w in lyndon_words(len(subset), length // 2):
             word = tuple(subset[i] for i in w)
-            if sum(degs[i] for i in word) != half:
-                continue
-            b = Elt(gens, length, _lyndon_bracketing(gens, word))
-            sq = bracket(b, b)
-            out.append((word + word, sq.terms, True))
-    out.sort(key=lambda t: t[0])
+            if 2 * sum(degs[i] for i in word) == degree:
+                t = _lyndon_tree(word)
+                trees.append((word + word, (t, t), True))
+    out = []
+    for lead, tree, doubled in sorted(trees, key=lambda e: e[0]):
+        terms = bracket_words(tree, degs)[0]
+        out.append((lead, {w: Fraction(c) for w, c in terms.items()},
+                    doubled))
     gens._basis_cache[key] = out
     return out
 

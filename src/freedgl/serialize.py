@@ -5,7 +5,9 @@ the bracket word is fully left-nested: the length-n tensor part with
 coefficients c_w becomes sum over words w of (c_w / n) [[...[w1,w2],...],wn].
 For Lie elements this is exact (left-to-right bracketing recovers n times the
 length-n part), so parse(emit(x)) == x bit for bit.  Non-Lie inputs are
-refused rather than silently projected.
+refused rather than silently projected.  The parser reads any two-argument
+nesting into a bracket tree and expands it with lie.bracket_words; a bracket
+word with more than N letters parses to 0 at truncation N.
 
 A DGL file is line-based:
 
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from .lie import (
     ConfigError, DomainError, StructError,
-    GenSet, Elt, FreeDGL, bracket, dynkin_verify,
+    GenSet, Elt, FreeDGL, _tree_sum, clear_denominators, dynkin_verify,
 )
 
 
@@ -128,61 +130,66 @@ def _is_scalar(tok):
     return tok is not None and tok[0].isdigit()
 
 
-def _parse_bracket_word(ts, gens, N, line):
-    t = ts.next()
-    if t == "[":
-        left = _parse_bracket_word(ts, gens, N, line)
-        ts.expect(",")
-        right = _parse_bracket_word(ts, gens, N, line)
-        ts.expect("]")
-        return bracket(left, right)
-    if t.isidentifier():
+def _parse_bracket_word(ts, gens, line):
+    """(tree, letter count) of one bracket word, read with an explicit stack
+    of open brackets, so deep nesting does not recurse.  The tree is binary:
+    [x, y] is (x, y)."""
+    stack = []   # per open bracket: None, or its left tree once read
+    count = 0
+    while True:
+        t = ts.next()
+        if t == "[":
+            stack.append(None)
+            continue
+        if not t.isidentifier():
+            raise ParseError("expected a generator or '[', got %r" % t, line)
         try:
-            idx = gens.index(t)
+            tree = gens.index(t)
         except StructError:
             raise ParseError("unknown generator %r" % t, line) from None
-        return Elt(gens, N, {(idx,): Fraction(1)})
-    raise ParseError("expected a generator or '[', got %r" % t, line)
+        count += 1
+        while stack and stack[-1] is not None:
+            ts.expect("]")
+            tree = (stack.pop(), tree)
+        if not stack:
+            return tree, count
+        ts.expect(",")
+        stack[-1] = tree
 
 
 def parse_element(text, gens, N, line=None):
     """Parse an element expression over the given generators at truncation N.
 
     Accepts any two-argument bracket nesting, not only the left-nested form
-    the emitter produces.
+    the emitter produces.  Words with more than N letters are 0 and skipped.
     """
     ts = _Tokens(text, line)
     if ts.peek() is None:
         raise ParseError("empty element", line)
     if ts.toks == ["0"]:
         return Elt(gens, N, {})
-    total = Elt(gens, N, {})
-    sign = Fraction(1)
+    terms = []   # (signed coefficient, tree) of each word of at most N letters
     first = True
     while ts.peek() is not None:
-        if not first:
+        sign = 1
+        if not first or ts.peek() in ("+", "-"):
             t = ts.next()
-            if t == "+":
-                sign = Fraction(1)
-            elif t == "-":
-                sign = Fraction(-1)
-            else:
+            if t not in ("+", "-"):
                 raise ParseError("expected '+' or '-', got %r" % t, line)
-        else:
-            if ts.peek() == "-":
-                ts.next()
-                sign = Fraction(-1)
-            elif ts.peek() == "+":
-                ts.next()
-            first = False
+            sign = -1 if t == "-" else 1
+        first = False
         coeff = Fraction(1)
         if _is_scalar(ts.peek()):
             coeff = _parse_scalar(ts.next(), line)
             if ts.peek() == "*":
                 ts.next()
-        word = _parse_bracket_word(ts, gens, N, line)
-        total = total + word * (sign * coeff)
-    return total
+        tree, count = _parse_bracket_word(ts, gens, line)
+        if count <= N:
+            terms.append((sign * coeff, tree))
+    ks, D = clear_denominators(dict(enumerate(c for c, _ in terms)))
+    num = _tree_sum([(ks[i], tree) for i, (_, tree) in enumerate(terms)],
+                    gens.degrees)
+    return Elt(gens, N, {w: Fraction(c, D) for w, c in num.items() if c})
 
 
 # ---------------------------------------------------------------------------

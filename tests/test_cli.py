@@ -213,6 +213,25 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert "components" in err
 
 
+def test_deeply_nested_model_file(tmp_path, capsys):
+    # a bracket word nested 5000 deep has 5001 letters, so it is 0 at trunc 3
+    word = "[" * 5000 + "a" + ",a]" * 5000
+    head = "dgl\ngens a:-1 x:0\ntrunc 3\n"
+    files = {}
+    for name, line in (("deep", "d x = 1 " + word), ("zero", "d x = 0"),
+                       ("unbalanced", "d x = 1 " + word[:-1])):
+        files[name] = tmp_path / (name + ".dgl")
+        files[name].write_text(head + line + "\n")
+    code, out, err = go(capsys, ["homology", "--model", str(files["deep"])])
+    assert code == 0 and "Traceback" not in err
+    _, zero_out, _ = go(capsys, ["homology", "--model", str(files["zero"])])
+    assert out == zero_out and out
+    code, out, err = go(capsys, ["homology", "--model",
+                                 str(files["unbalanced"])])
+    assert code == 2 and out == ""
+    assert "line 4" in err and "Traceback" not in err
+
+
 def test_repeat_runs_are_identical(tmp_path, capsys):
     path = tmp_path / "fig8.cpx"
     path.write_text(FIG8)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from freedgl.lie import (
     ConfigError, DomainError, StructError,
     GenSet, Elt, FreeDGL, Derivation,
-    bracket, dynkin_theta, dynkin_verify, is_lie,
+    bracket, bracket_words, dynkin_theta, dynkin_verify, is_lie,
     generator_elt, zero_elt, lyndon_words, lyndon_basis,
     lyndon_slice_basis, slice_coordinates, elt_from_slice_coords,
     substitute, concat_terms,
@@ -25,18 +25,32 @@ def gen(i):
     return Elt(GENS, N, {(i,): Fraction(1)})
 
 
-# random homogeneous Lie elements: iterated brackets of generators
+# random homogeneous Lie elements: bracket trees of generators, where a tuple
+# (t1, t2, ..., tk) is the left-nested bracket [[t1, t2], ..., tk]
 bracket_trees = st.recursive(
     st.integers(min_value=0, max_value=3),
-    lambda kids: st.tuples(kids, kids),
-    max_leaves=4,
+    lambda kids: st.lists(kids, min_size=2, max_size=3).map(tuple),
+    max_leaves=5,
 )
 
 
-def eval_tree(t):
+def eval_tree(t, M=N):
+    """The bracket fold of a tree at truncation M."""
     if isinstance(t, int):
-        return gen(t)
-    return bracket(eval_tree(t[0]), eval_tree(t[1]))
+        return Elt(GENS, M, {(t,): Fraction(1)})
+    x = eval_tree(t[0], M)
+    for s in t[1:]:
+        x = bracket(x, eval_tree(s, M))
+    return x
+
+
+def tree_letters(t):
+    return [t] if isinstance(t, int) else [i for s in t for i in tree_letters(s)]
+
+
+def expansion(words):
+    """A bracket_words expansion as a word->Fraction dict."""
+    return {w: Fraction(c) for w, c in words.items()}
 
 
 scalars = st.builds(Fraction,
@@ -84,6 +98,31 @@ def test_dynkin_accepts_lie_elements(t):
     assert ok, defects
 
 
+@given(bracket_trees, st.integers(min_value=1, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_bracket_words_match_the_bracket_fold(t, M):
+    words, deg = bracket_words(t, GENS.degrees)
+    k = len(tree_letters(t))
+    assert all(c and len(w) == k and GENS.degree_of_word(w) == deg
+               for w, c in words.items())
+    # words with more than M letters are 0 at truncation M
+    want = eval_tree(t, M)
+    assert Elt(GENS, M, expansion(words) if k <= M else {}) == want
+
+
+@pytest.mark.parametrize("tree", [
+    (0, 2),                   # odd, odd: [a, c] = ac + ca
+    (1, 3),                   # even, even
+    (0, 1), (1, 2),           # odd, even and even, odd
+    ((0, 0), 2), (2, (0, 0)), (2, (1, 3)), ((0, 1), (2, 1)),
+    (0, 0, 2, 2), (2, (0, 1), 3), ((0, 2), 1, (3, 2)), (3, 3),
+])
+def test_bracket_words_on_every_degree_parity(tree):
+    words, deg = bracket_words(tree, GENS.degrees)
+    assert Elt(GENS, N, expansion(words)) == eval_tree(tree)
+    assert deg == sum(GENS.degrees[i] for i in tree_letters(tree))
+
+
 def test_dynkin_rejects_non_lie():
     # the bare word b.d is not primitive
     x = Elt(GENS, N, {(1, 3): Fraction(1)})
@@ -126,6 +165,38 @@ def test_dynkin_on_odd_square():
     a = gen(0)
     sq = bracket(a, a)
     assert dynkin_theta(sq) == 2 * sq
+
+
+def oracle_standard_bracketing(word, M):
+    """b_word by recursive bracket calls on the standard factorization: the
+    split before the longest proper suffix that is a Lyndon word."""
+    if len(word) == 1:
+        return Elt(GENS, M, {word: Fraction(1)})
+    cut = next(i for i in range(1, len(word))
+               if all(word[i:] < word[j:] for j in range(i + 1, len(word))))
+    return bracket(oracle_standard_bracketing(word[:cut], M),
+                   oracle_standard_bracketing(word[cut:], M))
+
+
+def test_lyndon_slices_match_recursive_bracketing():
+    doubled_seen = 0
+    for q in range(-5, 6):
+        for n in range(1, 6):
+            basis = lyndon_slice_basis(GENS, q, n)
+            assert [lead for lead, _, _ in basis] == sorted(
+                lead for lead, _, _ in basis)
+            for lead, terms, doubled in basis:
+                assert all(isinstance(c, Fraction) and c.denominator == 1 and c
+                           for c in terms.values())
+                if doubled:
+                    half = lead[:n // 2]
+                    b = oracle_standard_bracketing(half, n)
+                    want = bracket(b, b)
+                    doubled_seen += 1
+                else:
+                    want = oracle_standard_bracketing(lead, n)
+                assert Elt(GENS, n, terms) == want, (q, n, lead)
+    assert doubled_seen
 
 
 @pytest.mark.parametrize("pairs,degree_range,length_range", [

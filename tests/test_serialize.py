@@ -96,6 +96,111 @@ def test_parse_errors():
         parse_element("a0 a1", GENS, N)         # missing separator
 
 
+# binary bracket trees over GENS with up to 7 letters, so some words are
+# longer than N and parse to 0
+text_trees = st.recursive(
+    st.integers(min_value=0, max_value=2),
+    lambda kids: st.tuples(kids, kids),
+    max_leaves=7,
+)
+
+
+def tree_text(t):
+    if isinstance(t, int):
+        return GENS.names[t]
+    return "[%s,%s]" % (tree_text(t[0]), tree_text(t[1]))
+
+
+def tree_elt(t):
+    """The tree by bracket calls at truncation N."""
+    if isinstance(t, int):
+        return generator_elt(GENS, N, GENS.names[t])
+    return bracket(tree_elt(t[0]), tree_elt(t[1]))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=-9, max_value=9),
+                          st.integers(min_value=1, max_value=6),
+                          st.booleans(), text_trees),
+                min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_parse_matches_bracket_sums(terms):
+    bits = []
+    want = Elt(GENS, N, {})
+    for i, (p, q, star, t) in enumerate(terms):
+        c = Fraction(p, q)
+        op = "-" if c < 0 else "+"
+        if i or c < 0:
+            bits.append(op)
+        bits.append("%s%s %s" % (abs(c), " *" if star else "", tree_text(t)))
+        want = want + c * tree_elt(t)
+    assert parse_element(" ".join(bits), GENS, N) == want
+
+
+def _deep_word(depth):
+    """[[...[a,a],a]...,a] with depth brackets and depth + 1 letters."""
+    return "[" * depth + "a" + ",a]" * depth
+
+
+def test_deep_nesting_parses_without_recursion():
+    g = GenSet([("a", -1), ("x", 0)])
+    word = _deep_word(5000)
+    assert parse_element("1 " + word, g, 3).is_zero()
+    assert parse_element("[x," + word + "] + 2 x", g, 3) == 2 * generator_elt(g, 3, "x")
+    with pytest.raises(ParseError):
+        parse_element("1 " + word[:-1], g, 3)
+    L = parse_dgl("dgl\ngens a:-1 x:0\ntrunc 3\nd x = 1 %s\n" % word)
+    assert L.diff.images == {}
+    with pytest.raises(ParseError) as e:
+        parse_dgl("dgl\ngens a:-1 x:0\ntrunc 3\nd x = 1 %s\n" % word[:-1])
+    assert e.value.line == 4
+
+
+def test_cancelling_word_parses_to_zero_at_large_truncation():
+    # [x, x] = 0 for x even, so the 24-letter word expands to nothing
+    # instead of to 2^23 signed words
+    g = GenSet([("x", 0), ("y", 0)])
+    word = "[" * 23 + "x" + ",x]" * 23
+    assert parse_element("1 " + word, g, 24).is_zero()
+    assert parse_element("[y,%s] - 3 y" % word, g, 24) == -3 * generator_elt(g, 24, "y")
+
+
+TOKENS = ["[", "]", ",", "+", "-", "*", "a0", "a1", "x", "q", "0", "1", "7",
+          "2/3", "1/0", "3/", "/", "1/2/3", "_", "a0a1", "%", " ", "\t"]
+
+
+@given(st.lists(st.sampled_from(TOKENS), max_size=24), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_parse_element_fuzz_returns_or_raises_parse_error(soup, spaced):
+    text = (" " if spaced else "").join(soup)
+    try:
+        x = parse_element(text, GENS, 3)
+    except ParseError:
+        return
+    assert x.gens is GENS and x.N == 3
+
+
+LINES = ["dgl", "gens a0:-1 a1:-1 x:0", "gens a:-2", "gens a:x", "gens :0",
+         "gens a0", "trunc 3", "trunc 0", "trunc x", "trunc 1", "# note", "",
+         "d a0 = -1/2 [a0,a0]", "d a1 = 0", "d x = 1 a1 - 1 a0",
+         "d x = [x,x]", "d x = 1 a0 + 1 x", "d q = 0", "d a0", "d x = [a0,",
+         "d a0 = 1/0 a0", "junk"]
+
+
+@given(st.lists(st.one_of(
+    st.sampled_from(LINES),
+    st.lists(st.sampled_from(TOKENS), max_size=12).map(
+        lambda soup: "d x = " + " ".join(soup))), max_size=8),
+    st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_parse_dgl_fuzz_returns_or_raises_parse_error(lines, header):
+    text = "\n".join((["dgl"] if header else []) + lines) + "\n"
+    try:
+        L = parse_dgl(text)
+    except ParseError:
+        return
+    assert L.N >= 1
+
+
 def _ls_like_dgl():
     g = GenSet([("a0", -1), ("a1", -1), ("x", 0)])
     N = 4
