@@ -9,8 +9,8 @@ so the restriction closes whenever the face set is closed under subsets.
 On top of the raw model: component splitting, localization at a
 Maurer-Cartan element, and the minimal model as one quotient (kill the
 vertices and a spanning tree, pair the other generators in one echelon of
-the linear differential, and solve every partner's image in one fixed-point
-loop).
+the linear differential, and solve every partner's image in one pass over
+word length).
 """
 
 from fractions import Fraction
@@ -339,7 +339,9 @@ def minimal_model(K, basepoint, N):
     killed letters dropped, into one echelon: a row with a pivot kills its
     generator (a source) and pairs it with the pivot letter (its partner).
     The surviving generator count per degree equals the reduced homology of
-    K shifted down by one.
+    K shifted down by one.  Each partner's image is solved length by length
+    in one graded pass, and _restricted_dgl checks that the projection is a
+    chain map.
     """
     comps = components(K)
     if len(comps) != 1:
@@ -362,22 +364,37 @@ def minimal_model(K, basepoint, N):
             partners.append(t)
     # reducing t leaves a residual off every partner, so its combination is
     # the source combination e_t with d1(e_t) = t + (kept letters); the
-    # projection p must send the partner t to u_t = -p(d(e_t) - t)
-    rest = {}
+    # projection p must send the partner t to u_t = -p(d(e_t) - t).  p keeps
+    # a word with no partner letter when all its letters are kept and sends
+    # it to 0 otherwise.  A word with a partner letter has length >= 2, so
+    # the length-k part of its image needs the partner images below length k
+    # only: one pass over k = 2..N solves them.
+    paired = set(partners)
+    linked = {}
+    solved = {}
     for t in partners:
         comb = red.reduce({t: ONE})[1]
-        rest[t] = (L.d(Elt(gens, N, {(s,): c for s, c in comb.items()}))
-                   - Elt(gens, N, {(t,): ONE}))
-    images = {i: Elt(gens, N, {} if i in killed or i in rest else {(i,): ONE})
-              for i in range(len(gens))}
-    for _ in range(N + 1):
-        nxt = {t: -substitute(r, gens, N, images) for t, r in rest.items()}
-        if all(nxt[t] == images[t] for t in rest):
-            break
-        images.update(nxt)
-    else:
-        raise SolveError("partner substitution failed to stabilize")
-    keep = [i for i in range(len(gens)) if i not in killed and i not in rest]
+        rest = (L.d(Elt(gens, N, {(s,): c for s, c in comb.items()}))
+                - Elt(gens, N, {(t,): ONE}))
+        linked[t] = {w: c for w, c in rest.terms.items()
+                     if killed.isdisjoint(w) and not paired.isdisjoint(w)}
+        solved[t] = {w: -c for w, c in rest.terms.items()
+                     if killed.isdisjoint(w) and paired.isdisjoint(w)}
+    keep = [i for i in range(len(gens)) if i not in killed and i not in paired]
+    images = {i: Elt(gens, N) for i in killed}
+    images.update((i, Elt(gens, N, {(i,): ONE})) for i in keep)
+    for k in range(2, N + 1):
+        images.update((t, Elt(gens, N, dict(solved[t]))) for t in partners)
+        for t in partners:
+            x = Elt(gens, k, {w: c for w, c in linked[t].items()
+                              if len(w) <= k})
+            part = solved[t]
+            for w, c in substitute(x, gens, k, images).terms.items():
+                if len(w) == k:
+                    c = part.pop(w, 0) - c
+                    if c:
+                        part[w] = c
+    images.update((t, Elt(gens, N, solved[t])) for t in partners)
     M = _restricted_dgl(L, keep, images, N)
     live = [n for n in M.gens.names if not M.d1(M.gen(n)).is_zero()]
     if live:

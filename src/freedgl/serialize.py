@@ -21,6 +21,7 @@ Comments start with '#'; blank lines are ignored.  Parse errors carry the
 1-based line number.
 """
 
+import re
 from fractions import Fraction
 
 from .lie import (
@@ -72,32 +73,37 @@ def emit_element(x):
     return " ".join(bits)
 
 
+# a token is a punctuation mark, a number (a digit, then digits and '/') or
+# an identifier (a letter or '_', then word characters).  \w is str.isalnum
+# or '_', but \d is only str.isdecimal, so the digits beyond it (superscripts,
+# circled digits, ...) and the numeric characters that are not letters are
+# filled in from the text at hand.
+_TOKEN = (r"[\[\],+*-]|[\d%(digit)s][\d/%(digit)s]*"
+          r"|[^\W\d%(digit)s%(numeric)s]\w*")
+_ASCII_TOKEN = re.compile(_TOKEN % {"digit": "", "numeric": ""})
+
+
+def _token_pattern(text):
+    if text.isascii():
+        return _ASCII_TOKEN
+    chars = set(text)
+    digit = "".join(sorted(c for c in chars
+                           if c.isdigit() and not c.isdecimal()))
+    numeric = "".join(sorted(c for c in chars if c.isnumeric()
+                             and not c.isdigit() and not c.isalpha()))
+    return re.compile(_TOKEN % {"digit": digit, "numeric": numeric})
+
+
 class _Tokens:
     def __init__(self, text, line=None):
-        self.toks = []
+        pattern = _token_pattern(text)
+        self.toks = pattern.findall(text)
+        # findall steps over what starts no token: whitespace, and the
+        # characters that are errors, which the tokens then fail to cover
+        if sum(map(len, self.toks)) != len("".join(text.split())):
+            stray = pattern.sub(" ", text).split()[0][0]
+            raise ParseError("unexpected character %r" % stray, line)
         self.line = line
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "[],+-*":
-                self.toks.append(ch)
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < n and (text[j].isdigit() or text[j] == "/"):
-                    j += 1
-                self.toks.append(text[i:j])
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(text[i:j])
-                i = j
-            else:
-                raise ParseError("unexpected character %r" % ch, line)
         self.pos = 0
 
     def peek(self):
@@ -155,6 +161,14 @@ def _parse_bracket_word(ts, gens, line):
             return tree, count
         ts.expect(",")
         stack[-1] = tree
+
+
+def _readable(name):
+    """Whether parse_element reads name as one generator."""
+    try:
+        return _Tokens(name).toks == [name] and name.isidentifier()
+    except ParseError:
+        return False
 
 
 def parse_element(text, gens, N, line=None):
@@ -238,6 +252,10 @@ def parse_dgl(text):
                     deg = int(deg)
                 except ValueError:
                     raise ParseError("bad degree in %r" % item, lineno) from None
+                if not _readable(name):
+                    raise ParseError(
+                        "generator name %r cannot be read in an element" % name,
+                        lineno)
                 pairs.append((name, deg))
             try:
                 gens = GenSet(pairs)

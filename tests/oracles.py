@@ -8,7 +8,8 @@ substitution oracles are plain Fraction loops over dicts: a dense row-reduced
 echelon form, and the word-by-word derivation and substitution rules.  The
 span reference is incremental Gauss-Jordan on Fractions that tracks the
 combination behind every row.  Lower central series ranks of surface groups
-come from Labute's closed formula.
+come from Labute's closed formula, and element tokens from a plain
+character-by-character scan.
 """
 
 from fractions import Fraction
@@ -451,3 +452,41 @@ def surface_lcs_ranks(g, n_max):
                                  % phi)
         out.append(int(phi))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Element tokens
+#
+# The character-by-character scan of element text: whitespace is skipped,
+# each of "[],+-*" is a token, a number is a str.isdigit character followed
+# by digits and '/', and an identifier is a letter or '_' followed by
+# str.isalnum characters and '_'.
+
+
+def scan_tokens(text):
+    """(tokens, None), or (None, c) for the first character c that starts
+    no token."""
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "[],+-*":
+            toks.append(ch)
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "/"):
+                j += 1
+            toks.append(text[i:j])
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(text[i:j])
+            i = j
+        else:
+            return None, ch
+    return toks, None

@@ -84,6 +84,13 @@ def test_homology_of_model_file(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "d^2 is not zero on a" in err
 
+    # a generator name the element syntax cannot read is refused on its line
+    odd = tmp_path / "odd.dgl"
+    odd.write_text("dgl\ngens 1a:-1 b-c:0\ntrunc 2\n")
+    code, out, err = go(capsys, ["homology", "--model", str(odd)])
+    assert code == 2 and out == ""
+    assert "line 2" in err and "'1a'" in err
+
 
 def test_malcev_stages(tmp_path, capsys):
     path = tmp_path / "fig8.cpx"

@@ -334,6 +334,75 @@ def test_minimal_model_matches_pairwise_elimination():
                 assert mm.d1(generator_elt(mm.gens, N, n)).is_zero()
 
 
+def _fixed_point_minimal_model(K, basepoint, N):
+    """The minimal model with every partner image solved by a fixed-point
+    loop: each round substitutes every d(e_t) - t in full with the images of
+    the round before, until the images stop changing."""
+    L = model_of_complex(K, N).dgl
+    gens = L.gens
+    tree = set(maximal_tree(K, basepoint))
+    killed = {i for i, f in enumerate(K.faces) if len(f) == 1 or f in tree}
+    red = SpanReducer()
+    partners = []
+    for i in sorted(set(range(len(gens))) - killed,
+                    key=lambda i: (gens.degrees[i], i)):
+        d1 = L.d1(Elt(gens, N, {(i,): Fraction(1)})).terms
+        t, _ = red.insert({w[0]: c for w, c in d1.items()
+                           if w[0] not in killed}, i)
+        if t is not None:
+            killed.add(i)
+            partners.append(t)
+    rest = {}
+    for t in partners:
+        comb = red.reduce({t: Fraction(1)})[1]
+        rest[t] = (L.d(Elt(gens, N, {(s,): c for s, c in comb.items()}))
+                   - Elt(gens, N, {(t,): Fraction(1)}))
+    images = {i: Elt(gens, N, {} if i in killed or i in rest
+                     else {(i,): Fraction(1)})
+              for i in range(len(gens))}
+    for _ in range(N + 1):
+        nxt = {t: -substitute(r, gens, N, images) for t, r in rest.items()}
+        if all(nxt[t] == images[t] for t in rest):
+            break
+        images.update(nxt)
+    else:
+        raise SolveError("partner substitution failed to stabilize")
+    keep = [i for i in range(len(gens)) if i not in killed and i not in rest]
+    return complexes._restricted_dgl(L, keep, images, N)
+
+
+def test_minimal_model_matches_the_fixed_point_loop():
+    for text in (TORUS, S2, RP2, WEDGE, OCTAHEDRON, _genus_two()):
+        K = parse_complex(text)
+        for N in (1, 2, 3):
+            for b in (0, K.n_vertices - 1):
+                mm = minimal_model(K, b, N)
+                old = _fixed_point_minimal_model(K, b, N)
+                assert mm.gens == old.gens, (text, N, b)
+                assert mm.diff.images.keys() == old.diff.images.keys(), \
+                    (text, N, b)
+                for i, img in mm.diff.images.items():
+                    assert img.terms == old.diff.images[i].terms, (text, N, b)
+
+
+def test_minimal_model_rejects_a_wrong_partner_image(monkeypatch):
+    # doubling a solved partner image u_t leaves p(d e_t) = u_t != 0
+    restricted = complexes._restricted_dgl
+
+    def corrupt(source, keep, images, N):
+        t = next(i for i, x in images.items()
+                 if i not in keep and not x.is_zero())
+        images = dict(images)
+        images[t] = Fraction(2) * images[t]
+        return restricted(source, keep, images, N)
+
+    monkeypatch.setattr(complexes, "_restricted_dgl", corrupt)
+    with pytest.raises(SolveError) as e:
+        minimal_model(parse_complex(TORUS), 0, 3)
+    assert str(e.value).startswith(
+        "reduction projection is not a chain map on ")
+
+
 def test_minimal_model_rejects_a_surviving_linear_part(monkeypatch):
     class NoPivots(SpanReducer):
         def insert(self, v, tag):
@@ -418,8 +487,31 @@ def test_malcev_tower_of_surfaces_matches_labute():
         == surface_lcs_ranks(1, 3) == [2, 0, 0]
     K = parse_complex(_genus_two())
     assert (K.n_vertices, len(K.faces)) == (11, 76)
-    assert tower_layers(malcev_tower(K, 0, 4)) \
-        == surface_lcs_ranks(2, 4) == [4, 5, 16, 45]
+    assert tower_layers(malcev_tower(K, 0, 5)) \
+        == surface_lcs_ranks(2, 5) == [4, 5, 16, 45, 144]
+
+
+# sha256 of the emit_dgl text of minimal models, captured from the partner
+# fixed-point loop: the one-pass graded solve must give the same text
+MINIMAL_MODEL_TEXT_SHA256 = [
+    ("7-vertex torus at N=3", TORUS, 3,
+     "d94c818a8f7a927f17103cb187658302642413deed3db5f5f11ea3c927065ef3"),
+    ("7-vertex torus at N=4", TORUS, 4,
+     "1b72f8339166d030a18b9620e2fb3e793c5b9dcc4bcdcf43ae9524297523b3db"),
+    ("S1 v S2 at N=4", WEDGE, 4,
+     "3c846446efe481c9bc26f3fbe4981d9d2de11a97854f89a79c36ec0f7da3006f"),
+    ("RP2 at N=3", RP2, 3,
+     "d35ea316e9c26584f2eaa5cfc3cf8b357e0838cabb5021512b8f742f79e0181f"),
+    ("genus-2 surface at N=4", _genus_two(), 4,
+     "94ab75aae11f582b648be267e34bdd2c163bd2a9809cd9ae7ed05bdb1e65b23c"),
+]
+
+
+@pytest.mark.parametrize("label, text, N, digest", MINIMAL_MODEL_TEXT_SHA256,
+                         ids=[c[0] for c in MINIMAL_MODEL_TEXT_SHA256])
+def test_minimal_model_text_is_pinned(label, text, N, digest):
+    out = emit_dgl(minimal_model(parse_complex(text), 0, N))
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _twisted_full_model_h0(K, N):

@@ -10,8 +10,10 @@ from freedgl.lie import (
     lyndon_slice_basis, elt_from_slice_coords,
 )
 from freedgl.serialize import (
-    ParseError, emit_element, parse_element, emit_dgl, parse_dgl,
+    ParseError, emit_element, parse_element, emit_dgl, parse_dgl, _Tokens,
 )
+
+from oracles import scan_tokens
 
 GENS = GenSet([("a0", -1), ("a1", -1), ("x", 0)])
 N = 5
@@ -246,3 +248,64 @@ def test_dgl_comments_and_blanks():
         "trunc 4", "trunc 4   # truncation")
     M = parse_dgl(noisy)
     assert emit_dgl(M) == text
+
+
+# digits beyond str.isdecimal (superscript, circled, Kharoshthi), decimal
+# digits outside ASCII, numeric characters that are not digits (one half,
+# Roman twelve), letters that are numeric (CJK one) or not Latin, whitespace
+# beyond ASCII and characters that start no token
+EXOTIC = ["\u00b2", "\u2460", "\U00010a40", "\u0663", "\uff11", "\u00bd",
+          "\u216b", "\u4e00", "\u00e9", "\u03b1", "\u00a0", "\u2028", "/",
+          "\x1c", "."]
+
+
+@given(st.lists(st.one_of(st.sampled_from(TOKENS + EXOTIC), st.characters()),
+                max_size=24),
+       st.sampled_from(["", " "]), st.one_of(st.none(), st.integers(1, 9)))
+@settings(max_examples=500, deadline=None)
+def test_tokens_match_the_character_scan(soup, sep, line):
+    text = sep.join(soup)
+    toks, stray = scan_tokens(text)
+    if stray is None:
+        assert _Tokens(text, line).toks == toks
+        return
+    with pytest.raises(ParseError) as e:
+        _Tokens(text, line)
+    assert e.value.line == line
+    assert str(e.value) == ParseError(
+        "unexpected character %r" % stray, line).args[0]
+
+
+def test_parse_dgl_rejects_names_the_element_parser_cannot_read():
+    with pytest.raises(ParseError) as e:
+        parse_dgl("dgl\ngens 1a:-1 b-c:0\ntrunc 2\n")
+    assert e.value.line == 2 and "'1a'" in str(e.value)
+    with pytest.raises(ParseError) as e:
+        parse_dgl("dgl\n# names\ngens a:-1 b-c:0\ntrunc 2\nd b-c = 1 a\n")
+    assert e.value.line == 3 and "'b-c'" in str(e.value)
+    for name in ("a\u00b2", "7", "x.y", "[a]"):
+        with pytest.raises(ParseError):
+            parse_dgl("dgl\ngens %s:0\ntrunc 2\n" % name)
+    L = parse_dgl("dgl\ngens _:-1 \u03b1_1:0\ntrunc 2\nd \u03b1_1 = 1 _\n")
+    assert L.gens.names == ("_", "\u03b1_1") and 1 in L.diff.images
+
+
+NAME_CHARS = st.one_of(st.sampled_from(list("ab_019-[],+*/.") + EXOTIC[:10]),
+                       st.characters(exclude_characters=":#"))
+
+
+@given(st.text(NAME_CHARS, min_size=1, max_size=6),
+       st.text(NAME_CHARS, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_accepted_generator_names_survive_a_round_trip(a, b):
+    try:
+        gens = parse_dgl("dgl\ngens %s:-1 %s:0\ntrunc 2\n" % (a, b)).gens
+    except ParseError:
+        return
+    images = {1: Elt(gens, 2, {(0,): Fraction(1)})}
+    L = FreeDGL(gens, 2, images)
+    M = parse_dgl(emit_dgl(L))
+    assert M.gens == L.gens
+    assert M.diff.images.keys() == L.diff.images.keys()
+    for i, img in L.diff.images.items():
+        assert M.diff.images[i] == img
