@@ -58,10 +58,10 @@ def _build_parser():
 
     def common(p, trunc=True, flavor=False, out=False):
         if trunc:
-            p.add_argument("--trunc", type=int, default=4, metavar="N",
+            p.add_argument("--trunc", type=int, metavar="N",
                            help="bracket-length truncation (default 4)")
         if flavor:
-            p.add_argument("--flavor", choices=FLAVORS, default="seed",
+            p.add_argument("--flavor", choices=FLAVORS,
                            help="model construction flavor (default seed)")
         if out:
             p.add_argument("--out", metavar="PATH",
@@ -121,6 +121,15 @@ def _build_parser():
 
 
 def _validate(args):
+    # a --model route reads its truncation from the file and builds nothing,
+    # so --trunc and --flavor are refused there rather than ignored
+    for flag, default in (("trunc", 4), ("flavor", "seed")):
+        if not hasattr(args, flag):
+            continue
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif getattr(args, "model", None) is not None:
+            raise _UsageError("--%s does not apply to --model" % flag)
     if getattr(args, "trunc", 4) < 1:
         raise _UsageError("--trunc must be >= 1")
     if getattr(args, "n", 0) is not None and getattr(args, "n", 0) < 0:

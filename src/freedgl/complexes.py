@@ -259,7 +259,7 @@ def localize(L, z):
     tw = twist(L, z)
     lay0 = _DegreeLayout(tw, 0)
     laym1 = _DegreeLayout(tw, -1)
-    rank, kernels = _kernel_pass(tw, lay0, laym1)
+    _, kernels, _ = _kernel_pass(tw, lay0, laym1)
     kernel_basis = [lay0.element(tw, kv) for kv in kernels]
     dependent = {max(kv) for kv in kernels}
     elts = list(lay0.basis_elements(tw))

@@ -80,24 +80,27 @@ class _DegreeLayout:
 
 
 def _kernel_pass(L, layout_src, layout_tgt):
-    """Rank and kernel of the differential on a degree slice.
+    """One elimination of the differential from a degree slice to the next
+    one down.
 
-    Kernel vectors are primitive integer dicts over the source coordinates,
-    lowest entry positive, one per dependent column j: e_j minus the
-    combination of earlier columns that column j equals.
+    Returns (rank, kernels, span).  The span is the SpanReducer of the
+    columns d(x_j) under the tags ("im", j): the boundaries in the target
+    degree.  Kernel vectors are primitive integer dicts over the source
+    coordinates, lowest entry positive, one per dependent column j: e_j minus
+    the combination of earlier columns that column j equals.
     """
-    red = SpanReducer()
+    span = SpanReducer()
     kernels = []
     for j, x in enumerate(layout_src.basis_elements(L)):
         vec = layout_tgt.coords(L.d(x))
         if vec is None:
             raise StructError("differential left its degree slice")
-        piv, comb = red.insert(vec, j)
+        piv, comb = span.insert(vec, ("im", j))
         if piv is None:
-            kv = {i: -c for i, c in comb.items()}
+            kv = {i: -c for (_, i), c in comb.items()}
             kv[j] = ONE
             kernels.append(integer_primitive(kv))
-    return red.rank(), kernels
+    return span.rank(), kernels, span
 
 
 class HomologyReport:
@@ -124,12 +127,59 @@ class HomologyReport:
         return "\n".join(lines)
 
 
+def _homology(L, degrees):
+    """Entries of the ascending degrees, and the layout and span of the
+    last one: its boundaries, and its representatives under ("rep", i).
+
+    The pass of d_{q+1} gives the image and the span of degree q; its rank
+    and kernels are kept for degree q + 1, so each d is eliminated once.
+    The representatives are the kernel vectors that add a pivot to the span.
+    """
+    layouts = {}
+
+    def layout(q):
+        if q not in layouts:
+            layouts[q] = _DegreeLayout(L, q)
+        return layouts[q]
+
+    entries = {}
+    kept = {}
+    lay = span = None
+    for q in degrees:
+        # a fresh span lets the last one go before the next passes run, and
+        # stays empty on a zero degree
+        lay, span = layout(q), SpanReducer()
+        if lay.dim == 0:
+            entries[q] = {"kernel": 0, "image": 0, "h": 0, "reps": []}
+            continue
+        rank_q, kernels = (kept.pop(q, None)
+                           or _kernel_pass(L, lay, layout(q - 1))[:2])
+        im_rank, kernels_up, span = _kernel_pass(L, layout(q + 1), lay)
+        kept = {q + 1: (im_rank, kernels_up)}
+        ker_dim = lay.dim - rank_q
+        reps = []
+        for kv in kernels:
+            piv, _ = span.insert(kv, ("rep", len(reps)))
+            if piv is not None:
+                reps.append(lay.element(L, kv))
+        h = len(reps)
+        if h != ker_dim - im_rank:
+            raise StructError(
+                "homology bookkeeping mismatch at degree %d: ker %d, im %d, "
+                "independent reps %d" % (q, ker_dim, im_rank, h))
+        entries[q] = {"kernel": ker_dim, "image": im_rank, "h": h,
+                      "reps": reps}
+    return entries, lay, span
+
+
 def homology(L, N=None, degrees=None):
     """Exact homology of L/L^{>N} in the requested degrees.
 
     Every entry carries kernel, image and homology dimensions together with
     cycle representatives of an H basis; dim H = dim ker - dim im by
     construction, and a bookkeeping mismatch raises instead of passing.
+    Each differential d_q is built and eliminated once: its pass gives the
+    kernel of degree q and the boundaries of degree q - 1.
     """
     if N is not None and N != L.N:
         L = L.truncated(N)
@@ -140,40 +190,7 @@ def homology(L, N=None, degrees=None):
         hi = max(dmax, L.N * dmax)
         degrees = range(lo, hi + 1)
     degrees = sorted(degrees)
-
-    layouts = {}
-
-    def layout(q):
-        if q not in layouts:
-            layouts[q] = _DegreeLayout(L, q)
-        return layouts[q]
-
-    entries = {}
-    for q in degrees:
-        lay = layout(q)
-        if lay.dim == 0:
-            entries[q] = {"kernel": 0, "image": 0, "h": 0, "reps": []}
-            continue
-        rank_q, kernels = _kernel_pass(L, lay, layout(q - 1))
-        ker_dim = lay.dim - rank_q
-        red = FractionFreeReducer()
-        for x in layout(q + 1).basis_elements(L):
-            vec = lay.coords(L.d(x))
-            if vec is None:
-                raise StructError("differential left its degree slice")
-            red.insert(vec)
-        im_rank = red.rank()
-        reps = []
-        for kv in kernels:
-            if red.insert(dict(kv)) is None:
-                reps.append(lay.element(L, kv))
-        h = len(reps)
-        if h != ker_dim - im_rank:
-            raise StructError(
-                "homology bookkeeping mismatch at degree %d: ker %d, im %d, "
-                "independent reps %d" % (q, ker_dim, im_rank, h))
-        entries[q] = {"kernel": ker_dim, "image": im_rank, "h": h,
-                      "reps": reps}
+    entries, _, _ = _homology(L, degrees)
     return HomologyReport(L.N, degrees, entries)
 
 
@@ -204,24 +221,18 @@ class MalcevQuotient:
 
     Elements are coordinate tuples over the class basis; products go through
     representatives and reduce back to class coordinates.  The table is
-    filled lazily and cached.
+    filled lazily and cached.  The span is homology's degree-0 SpanReducer:
+    the boundaries, and the i-th representative under the tag ("rep", i).
     """
 
-    __slots__ = ("L", "N", "basis", "_layout", "_red", "_table")
+    __slots__ = ("L", "N", "basis", "_layout", "_span", "_table")
 
-    def __init__(self, L, basis, layout, boundary_columns):
+    def __init__(self, L, basis, layout, span):
         self.L = L
         self.N = L.N
         self.basis = basis
         self._layout = layout
-        self._red = SpanReducer()
-        for j, col in enumerate(boundary_columns):
-            self._red.insert(dict(col), ("im", j))
-        for i, rep in enumerate(basis):
-            vec = layout.coords(rep)
-            piv, _ = self._red.insert(vec, ("rep", i))
-            if piv is None:
-                raise StructError("homology basis is not independent")
+        self._span = span
         self._table = {}
 
     @property
@@ -243,7 +254,7 @@ class MalcevQuotient:
         vec = self._layout.coords(x)
         if vec is None:
             raise DomainError("element does not lie in the degree-0 slice")
-        residual, comb = self._red.reduce(vec)
+        residual, comb = self._span.reduce(vec)
         if residual:
             raise DomainError("element is not a cycle mod boundaries")
         out = [Fraction(0)] * self.dim
@@ -281,14 +292,8 @@ class MalcevQuotient:
 
 def _h0_quotient(L):
     """MalcevQuotient of H_0(L/L^{>N}, d) for an already-twisted L."""
-    entry = homology(L, degrees=[0]).entries[0]
-    layout = _DegreeLayout(L, 0)
-    boundary_cols = []
-    for x in _DegreeLayout(L, 1).basis_elements(L):
-        vec = layout.coords(L.d(x))
-        if vec:
-            boundary_cols.append(vec)
-    return MalcevQuotient(L, entry["reps"], layout, boundary_cols)
+    entries, layout, span = _homology(L, [0])
+    return MalcevQuotient(L, entries[0]["reps"], layout, span)
 
 
 def pi_n(L, n, N=None):

@@ -284,9 +284,9 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # the bracket-tree sums of dynkin_theta, dynkin_verify, lyndon_slice_basis
 # and serialize.parse_element, Derivation.__call__ and substitute here, bch
 # in series, and, through clear_denominators, linalg's fraction-free
-# eliminator and its SpanReducer front end (solve_columns, the homology kernel
-# passes, MalcevQuotient and minimal_model).  Each builds at most one
-# Fraction per output coefficient.
+# eliminator and its SpanReducer front end (solve_columns, homology's one
+# pass per differential, whose degree-0 span MalcevQuotient reads, and
+# minimal_model).  Each builds at most one Fraction per output coefficient.
 
 
 def clear_denominators(terms):

@@ -8,7 +8,8 @@ order, with no randomization anywhere.  Negative indices are its bookkeeping
 coordinates.
 
 SpanReducer is the front end for callers that read combinations
-(solve_columns, homology's kernel pass, MalcevQuotient and minimal_model): it
+(solve_columns, homology's one pass per differential, whose degree-0 span
+MalcevQuotient reads instead of eliminating again, and minimal_model): it
 tags every vector that adds a pivot with its own negative marker coordinate,
 so a reduced vector's markers spell out the combination of inserted vectors
 that it was reduced by.

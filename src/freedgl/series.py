@@ -153,36 +153,26 @@ def ad_series(x, v, coeff_of_n):
 def exp_ad(x, v):
     """e^{ad_x}(v) for |x| = 0."""
     _require_degree(x, 0, "exp_ad conjugator")
-    fact = [ONE]
-    for k in range(1, x.N + 2):
-        fact.append(fact[-1] * k)
-    return ad_series(x, v, lambda n: Fraction(1, fact[n]))
+    return ad_series(x, v, lambda n: Fraction(1, factorial(n)))
 
 
 def bernoulli_op(x, v):
     """(ad_x / (e^{ad_x} - 1))(v) = sum of (B_n/n!) ad_x^n(v), |x| = 0."""
     _require_degree(x, 0, "bernoulli_op conjugator")
-    fact = [ONE]
-    for k in range(1, x.N + 2):
-        fact.append(fact[-1] * k)
-    return ad_series(x, v, lambda n: bernoulli(n) / fact[n])
+    return ad_series(x, v, lambda n: bernoulli(n) / factorial(n))
 
 
 def bernoulli_op_inverse(x, v):
     """((e^{ad_x} - 1) / ad_x)(v): the series inverse of bernoulli_op."""
     _require_degree(x, 0, "bernoulli_op_inverse conjugator")
-    fact = [ONE]
-    for k in range(1, x.N + 3):
-        fact.append(fact[-1] * k)
-    return ad_series(x, v, lambda n: Fraction(1, fact[n + 1]))
+    return ad_series(x, v, lambda n: Fraction(1, factorial(n + 1)))
 
 
 def is_mc(L, a):
     """Truth of da + (1/2)[a,a] = 0 mod words longer than N; |a| = -1."""
     if not a.has_degree(-1):
         raise DomainError("Maurer-Cartan candidates must have degree -1")
-    r = L.d(a) + Fraction(1, 2) * bracket(a, a)
-    return r.is_zero()
+    return mc_residue(L, a).is_zero()
 
 
 def mc_residue(L, a):

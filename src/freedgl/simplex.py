@@ -441,13 +441,7 @@ def permutation_map(model, sigma):
 
 def equivariance_residues(model, sigma):
     """(generator, sigma(dg) - d(sigma g)) for every generator."""
-    m = permutation_map(model, sigma)
-    out = []
-    for i, name in enumerate(model.gens.names):
-        g = Elt(model.gens, model.N, {(i,): ONE})
-        r = m(model.dgl.d(g)) - model.dgl.d(m(g))
-        out.append((name, r))
-    return out
+    return permutation_map(model, sigma).chain_residues()
 
 
 @cache
@@ -697,31 +691,15 @@ def check_model_axioms(model):
     return report
 
 
-def _maps_equal(f, g):
-    src = f.source.gens
-    for i in range(len(src)):
-        x = Elt(src, f.source.N, {(i,): ONE})
-        if f(x) != g(x):
-            return False
-    return True
-
-
 def _compose(f, g):
     """f after g."""
-    images = {}
-    for i in range(len(g.source.gens)):
-        x = Elt(g.source.gens, g.source.N, {(i,): ONE})
-        images[i] = f(g(x))
-    return DGLMap(g.source, f.target, images)
+    return DGLMap(g.source, f.target,
+                  {i: f(x) for i, x in g.images.items()})
 
 
 def _is_identity(f):
-    src = f.source.gens
-    for i in range(len(src)):
-        x = Elt(src, f.source.N, {(i,): ONE})
-        if f(x) != x:
-            return False
-    return True
+    return all(x == Elt(f.source.gens, f.source.N, {(i,): ONE})
+               for i, x in f.images.items())
 
 
 def check_cosimplicial_identities(family, n_max):
@@ -738,7 +716,7 @@ def check_cosimplicial_identities(family, n_max):
                 lhs = _compose(family.coface(j, n + 1), family.coface(i, n))
                 rhs = _compose(family.coface(i, n + 1), family.coface(j - 1, n))
                 out.append(("delta_%d delta_%d = delta_%d delta_%d (n=%d)"
-                            % (j, i, i, j - 1, n), _maps_equal(lhs, rhs)))
+                            % (j, i, i, j - 1, n), lhs.images == rhs.images))
     if family.flavor != "symmetric":
         return out
     # sigma_j sigma_i = sigma_i sigma_{j+1} for i <= j, from model(n)
@@ -750,7 +728,7 @@ def check_cosimplicial_identities(family, n_max):
                 rhs = _compose(family.codegeneracy(i, n - 1),
                                family.codegeneracy(j + 1, n))
                 out.append(("sigma_%d sigma_%d = sigma_%d sigma_%d (n=%d)"
-                            % (j, i, i, j + 1, n), _maps_equal(lhs, rhs)))
+                            % (j, i, i, j + 1, n), lhs.images == rhs.images))
     # sigma_j delta_i from model(n-1) to model(n-1)
     for n in range(1, n_max + 1):
         for j in range(n):
@@ -765,13 +743,13 @@ def check_cosimplicial_identities(family, n_max):
                                    family.codegeneracy(j - 1, n - 1))
                     out.append(("sigma_%d delta_%d = delta_%d sigma_%d (n=%d)"
                                 % (j, i, i, j - 1, n - 1),
-                                _maps_equal(lhs, rhs)))
+                                lhs.images == rhs.images))
                 else:
                     rhs = _compose(family.coface(i - 1, n - 2),
                                    family.codegeneracy(j, n - 1))
                     out.append(("sigma_%d delta_%d = delta_%d sigma_%d (n=%d)"
                                 % (j, i, i - 1, j, n - 1),
-                                _maps_equal(lhs, rhs)))
+                                lhs.images == rhs.images))
     return out
 
 

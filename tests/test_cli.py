@@ -185,7 +185,13 @@ def test_check_built_model_axioms(capsys):
         assert "%s ok" % key in out
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
+    # a readable model file, so the --model flag errors below are not
+    # read errors
+    model = tmp_path / "tri.dgl"
+    assert go(capsys, ["build-model", "--n", "2", "--trunc", "3",
+                       "--out", str(model)])[0] == 0
+    model = str(model)
     for argv in (
         [],
         ["no-such-command"],
@@ -199,10 +205,13 @@ def test_usage_errors_exit_two(capsys):
         ["build-model", "--n", "1", "--out", "/nonexistent/dir/m.dgl"],
         ["build-model", "--n", "1", "--out", "/"],
         ["whitney", "--n", "-1"],
+        ["homology", "--model", model, "--trunc", "2"],
+        ["check", "--model", model, "--trunc", "9"],
+        ["check", "--model", model, "--flavor", "symmetric"],
     ):
-        code, _, err = go(capsys, argv)
+        code, out, err = go(capsys, argv)
         assert code == 2, argv
-        assert err.strip(), argv
+        assert err.strip() and not out, argv
 
 
 def test_parse_errors_exit_two(tmp_path, capsys):

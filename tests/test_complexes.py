@@ -15,6 +15,7 @@ from freedgl.series import is_mc, twist
 from freedgl.simplex import seed_family, interval_model
 from freedgl.homology import (
     linear_homology, homology, malcev_tower, tower_layers, _h0_quotient,
+    pi_n, _DegreeLayout,
 )
 from freedgl import complexes
 from freedgl.complexes import (
@@ -165,7 +166,6 @@ def test_localize_trivial_at_zero():
     assert loc.check()
     for q in range(0, 4):
         lay_dim = loc.dim(q)
-        from freedgl.homology import _DegreeLayout
         assert lay_dim == _DegreeLayout(L, q).dim
     assert loc.complement == []
     assert loc.dim(-1) == 0
@@ -401,6 +401,23 @@ def test_minimal_model_rejects_a_wrong_partner_image(monkeypatch):
         minimal_model(parse_complex(TORUS), 0, 3)
     assert str(e.value).startswith(
         "reduction projection is not a chain map on ")
+
+
+def test_pi_1_applies_d_once_per_basis_element(monkeypatch):
+    M = minimal_model(parse_complex(TORUS), 0, 3)
+    read = _DegreeLayout(M, 0).dim + _DegreeLayout(M, 1).dim
+    calls = [0]
+    d = FreeDGL.d
+
+    def counted(self, x):
+        calls[0] += 1
+        return d(self, x)
+
+    monkeypatch.setattr(FreeDGL, "d", counted)
+    assert pi_n(M, 1).dim == 2
+    # d once on each basis element of degrees 0 and 1; a second elimination
+    # of degree 0 would make 19 calls
+    assert calls[0] == read == 12
 
 
 def test_minimal_model_rejects_a_surviving_linear_part(monkeypatch):

@@ -1,5 +1,6 @@
 """Homology, homotopy groups and the BCH group structure."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from freedgl.lie import (
     DomainError, GenSet, FreeDGL, Elt, zero_elt, slice_coordinates,
 )
+from freedgl.serialize import emit_element
 from freedgl.series import bch, twist
 from freedgl.simplex import (
     seed_family, interval_model, vertex_top_diff, interval_top_diff,
@@ -295,3 +297,72 @@ def test_homology_representatives_are_pinned():
     # the tetrahedron model is acyclic: its degree -1 kernel is all image
     e = homology(tetra_model(3).dgl, degrees=[-1]).entries[-1]
     assert (e["kernel"], e["image"], e["reps"]) == (150, 150, [])
+
+
+def _homology_digest(report):
+    """sha256 of every degree's kernel, image and H dims and the serialized
+    representatives, in ascending degree."""
+    h = hashlib.sha256()
+    for q in sorted(report.entries):
+        e = report.entries[q]
+        h.update(("%d %d %d %d\n" % (q, e["kernel"], e["image"], e["h"]))
+                 .encode())
+        for x in e["reps"]:
+            h.update((emit_element(x) + "\n").encode())
+    return h.hexdigest()
+
+
+CIRCLE = "0 1\n1 2\n0 2"
+
+# full-range homology(L), every degree sharing its passes with its
+# neighbours; captured when each degree's image had a separate elimination
+PINNED_FULL_RANGE = [
+    (FIG8, False, {-3: 0, -2: 2, -1: 3, 0: 2},
+     "ee2f415e1f797e1fe1cc8b1dd2ed85a14728c0c164ada7c649c1cbc9009377ff"),
+    (CIRCLE, True, {-3: 0, -2: 0, -1: 1, 0: 1},
+     "b3b16af3ed781b5e13b3a5e557aae7a7e95edb04e59f553314fb4ed500d10046"),
+    ("0 1 2", True, {q: 0 for q in range(-3, 4)},
+     "8aa3d5ecb94614f0b6029c25da5cba782294c9b00c0e422d142276b3df79bf1c"),
+]
+
+
+def test_full_range_homology_is_pinned():
+    for text, twisted, dims, digest in PINNED_FULL_RANGE:
+        cm = model_of_complex(parse_complex(text), 3)
+        L = twist(cm.dgl, cm.gen((0,))) if twisted else cm.dgl
+        report = homology(L)
+        assert report.dims == dims, text
+        assert _homology_digest(report) == digest, text
+
+
+def test_homology_applies_d_once_per_basis_element(monkeypatch):
+    L = model_of_complex(parse_complex(FIG8), 3).dgl
+    read = sum(_DegreeLayout(L, q).dim for q in range(-3, 1))
+    calls = [0]
+    d = FreeDGL.d
+
+    def counted(self, x):
+        calls[0] += 1
+        return d(self, x)
+
+    monkeypatch.setattr(FreeDGL, "d", counted)
+    assert homology(L).degrees == [-3, -2, -1, 0]
+    # d once on each basis element read; a separate image pass per degree
+    # would make 982 calls
+    assert calls[0] == read == 511
+
+
+def test_class_coords_of_a_rep_plus_a_boundary_is_a_unit_vector():
+    # two loops and a filled triangle at the basepoint: pi_1 is free of
+    # rank 2, and the triangle gives degree-0 boundaries
+    cm = model_of_complex(parse_complex(
+        "0 1 2\n0 3\n3 4\n0 4\n0 5\n5 6\n0 6"), 2)
+    tw = twist(cm.dgl, cm.gen((0,)))
+    grp = _h0_quotient(tw)
+    assert grp.dim == 3
+    boundary = zero_elt(tw.gens, tw.N)
+    for j, x in enumerate(_DegreeLayout(tw, 1).basis_elements(tw)):
+        boundary = boundary + (j + 1) * tw.d(x)
+    assert not boundary.is_zero()
+    for i, rep in enumerate(grp.basis):
+        assert grp.class_coords(rep + boundary) == grp.basis_coords(i)

@@ -157,7 +157,7 @@ def test_solve_columns_edge_cases_match_the_oracle():
     assert solve_columns(*cases[4]) == (None, {2: F(37, 6)})
 
 
-# distinct non-int tags, as MalcevQuotient uses them
+# distinct non-int tags, as homology's spans use them
 TAGS = ["a", ("im", 0), ("rep", 0), (1, "x"), None, "b", ("im", 1)]
 
 

@@ -375,6 +375,28 @@ def test_cosimplicial_identities_seed_cofaces():
         fam.codegeneracy(0, 1)
 
 
+def test_cosimplicial_identities_report_a_wrong_coface(monkeypatch):
+    # delta_1: model(0) -> model(1) answering as delta_0 breaks the two
+    # identities that use it, which must read as False
+    coface = ModelFamily.coface
+    monkeypatch.setattr(ModelFamily, "coface", lambda self, i, n: coface(
+        self, 0 if (i, n) == (1, 0) else i, n))
+    rep = check_cosimplicial_identities(seed_family(3), 2)
+    assert [lbl for lbl, ok in rep if not ok] == [
+        "delta_2 delta_0 = delta_0 delta_1 (n=0)",
+        "delta_2 delta_1 = delta_1 delta_1 (n=0)"]
+
+
+def test_cosimplicial_identities_report_a_wrong_codegeneracy(monkeypatch):
+    # sigma_0: model(2) -> model(1) answering as sigma_1 breaks
+    # sigma_0 delta_0 = id, which the identity check must read as False
+    codegeneracy = ModelFamily.codegeneracy
+    monkeypatch.setattr(ModelFamily, "codegeneracy", lambda self, i, n:
+                        codegeneracy(self, 1 if (i, n) == (0, 2) else i, n))
+    rep = dict(check_cosimplicial_identities(ModelFamily(3, "symmetric"), 2))
+    assert not rep["sigma_0 delta_0 = id (n=1)"]
+
+
 def test_cofaces_are_chain_maps_seed():
     fam = seed_family(4)
     for n in (0, 1, 2):
