@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .lie import (
     DomainError, StructError, SolveError,
-    GenSet, Elt, FreeDGL, DGLMap, generator_elt, substitute,
+    GenSet, Elt, FreeDGL, Derivation, generator_elt, substitute,
 )
 from .linalg import SpanReducer, FractionFreeReducer
 from .series import twist
@@ -308,26 +308,26 @@ def maximal_tree(K, basepoint=None):
 
 
 def _restricted_dgl(source, keep, images, N):
-    """Quotient of a free DGL along the projection sending generator i to
+    """Quotient of a free DGL along the projection p sending generator i to
     images[i], an expression in the kept letters (keep: their indices, in
-    order).  The projection is verified to be a chain map on every source
+    order), which p fixes.  p(d x), substituted once per source generator
+    x, is the differential on kept letters and must equal d(p x) on every
     generator; a residue is a loud failure."""
     src = source.gens
-    gens = GenSet([(src.names[i], src.degrees[i]) for i in keep])
-    conv = {i: Elt(gens, N, {(j,): ONE}) for j, i in enumerate(keep)}
-    proj = {i: substitute(x, gens, N, conv) for i, x in images.items()}
-    d_images = {}
-    for j, i in enumerate(keep):
-        img = substitute(source.d(Elt(src, N, {(i,): ONE})), gens, N, proj)
-        if not img.is_zero():
-            d_images[j] = img
-    out = FreeDGL(gens, N, d_images)
-    bad = [n for n, r in DGLMap(source, out, proj).chain_residues()
-           if not r.is_zero()]
+    pd = [substitute(source.d(Elt(src, N, {(i,): ONE})), src, N, images)
+          for i in range(len(src))]
+    d = Derivation(src, N, {i: pd[i] for i in keep if pd[i].terms}, -1)
+    bad = [name for i, name in enumerate(src.names)
+           if pd[i] != d(images[i])]
     if bad:
         raise SolveError(
             "reduction projection is not a chain map on %s" % ", ".join(bad))
-    return out
+    gens = GenSet([(src.names[i], src.degrees[i]) for i in keep])
+    pos = {i: j for j, i in enumerate(keep)}
+    return FreeDGL(gens, N, {
+        pos[i]: Elt(gens, N, {tuple(pos[g] for g in w): c
+                              for w, c in pd[i].terms.items()})
+        for i in keep if pd[i].terms})
 
 
 def minimal_model(K, basepoint, N):

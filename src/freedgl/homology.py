@@ -28,55 +28,35 @@ ONE = Fraction(1)
 
 
 class _DegreeLayout:
-    """Indexing of the degree-q part of L/L^{>N}: concatenated Lyndon slices
-    of lengths 1..N."""
+    """Indexing of the degree-q part of L/L^{>N}: one basis list, the Lyndon
+    slices of lengths 1..N concatenated, with one lead index.
 
-    __slots__ = ("q", "blocks", "dim")
+    Leads of different lengths are different words, and _slice_coords takes
+    the least remaining word, which is also the least of its own length, so
+    the triangular reduction runs on each length as on its own slice."""
+
+    __slots__ = ("q", "basis", "lead_index", "dim")
 
     def __init__(self, L, q):
         self.q = q
-        self.blocks = []
-        off = 0
-        for k in range(1, L.N + 1):
-            basis = lyndon_slice_basis(L.gens, q, k)
-            if basis:
-                lead_index = {lead: i for i, (lead, _, _) in enumerate(basis)}
-                self.blocks.append((k, off, basis, lead_index))
-                off += len(basis)
-        self.dim = off
+        self.basis = [b for k in range(1, L.N + 1)
+                      for b in lyndon_slice_basis(L.gens, q, k)]
+        self.lead_index = {lead: i
+                           for i, (lead, _, _) in enumerate(self.basis)}
+        self.dim = len(self.basis)
 
     def coords(self, x):
-        """Global coordinate dict of a degree-q element, or None if some
-        length part falls outside its slice span (an empty slice included)."""
-        parts = {}
-        for w, c in x.terms.items():
-            parts.setdefault(len(w), {})[w] = c
-        out = {}
-        for k, off, basis, lead_index in self.blocks:
-            part = parts.pop(k, None)
-            if part is None:
-                continue
-            c = _slice_coords(part, basis, lead_index)
-            if c is None:
-                return None
-            for i, ci in c.items():
-                out[off + i] = ci
-        if parts:
-            return None
-        return out
+        """Global coordinate dict of a degree-q element, or None if it falls
+        outside the span (an empty slice included)."""
+        return _slice_coords(x.terms, self.basis, self.lead_index)
 
-    def element(self, L, vec, scale=ONE):
-        out = zero_elt(L.gens, L.N)
-        for k, off, basis, _ in self.blocks:
-            coords = [scale * vec.get(off + j, 0) for j in range(len(basis))]
-            if any(coords):
-                out = out + elt_from_slice_coords(L.gens, L.N, basis, coords)
-        return out
+    def element(self, L, vec):
+        """The element with the global coordinate dict vec."""
+        return elt_from_slice_coords(L.gens, L.N, self.basis, vec)
 
     def basis_elements(self, L):
-        for k, off, basis, _ in self.blocks:
-            for _, terms, _ in basis:
-                yield Elt(L.gens, L.N, terms)
+        for _, terms, _ in self.basis:
+            yield Elt(L.gens, L.N, terms)
 
 
 def _kernel_pass(L, layout_src, layout_tgt):

@@ -282,7 +282,8 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # Integer word kernel: word->int dicts holding the numerators of word->Fraction
 # dicts over one common denominator that the caller keeps.  Its users are
 # the bracket-tree sums of dynkin_theta, dynkin_verify, lyndon_slice_basis
-# and serialize.parse_element, Derivation.__call__ and substitute here, bch
+# and serialize.parse_element, _slice_coords and elt_from_slice_coords,
+# Derivation.__call__ and substitute here, bch
 # in series, and, through clear_denominators, linalg's fraction-free
 # eliminator and its SpanReducer front end (solve_columns, homology's one
 # pass per differential, whose degree-0 span MalcevQuotient reads, and
@@ -550,11 +551,20 @@ def _slice_coords(terms, basis, lead_index):
 
 
 def elt_from_slice_coords(gens, N, basis, coords):
-    out = Elt(gens, N, {})
-    for c, (_, terms, _) in zip(coords, basis):
-        if c:
-            out = out + Elt(gens, N, terms) * c
-    return out
+    """The element with sparse coordinates coords (position -> coefficient)
+    over a lyndon_slice_basis list, the inverse of _slice_coords: a sum of
+    integer numerators over one denominator, one Fraction per output word."""
+    num, D = clear_denominators({i: c for i, c in coords.items() if c})
+    out = {}
+    get = out.get
+    for i, c in sorted(num.items()):
+        for w, cw in basis[i][1].items():
+            acc = get(w, 0) + c * cw.numerator
+            if acc:
+                out[w] = acc
+            else:
+                del out[w]
+    return Elt(gens, N, {w: Fraction(c, D) for w, c in out.items()})
 
 
 # ---------------------------------------------------------------------------

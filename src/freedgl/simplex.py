@@ -38,8 +38,8 @@ from .lie import (
     ConfigError, DomainError, StructError, SolveError,
     GenSet, Elt, FreeDGL, DGLMap, Derivation,
     bracket, generator_elt, zero_elt, substitute,
-    lyndon_slice_basis, slice_coordinates, elt_from_slice_coords,
-    _slice_coords, clear_denominators,
+    lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
+    clear_denominators,
 )
 from .series import bch, exp_ad, bernoulli_op, is_mc, twist, gauge
 from .linalg import FractionFreeReducer, solve_columns
@@ -328,13 +328,11 @@ def _solve_stage(L, r, allowed=None):
         cols.append(col)
     x, residual = solve_columns(cols, b)
     if x is None:
-        witness = elt_from_slice_coords(
-            gens, L.N, tbasis, [residual.get(i, 0) for i in range(len(tbasis))])
+        witness = elt_from_slice_coords(gens, L.N, tbasis, residual)
         raise SolveError(
             "no boundary at degree %d, length %d; homology witness: %s"
             % (tdeg, k, witness.pretty()))
-    return elt_from_slice_coords(
-        gens, L.N, sbasis, [x.get(j, 0) for j in range(len(sbasis))])
+    return elt_from_slice_coords(gens, L.N, sbasis, x)
 
 
 def solve_boundary(L, target, allowed):
@@ -810,32 +808,32 @@ def invariant_linear_homology(model):
     for k in range(1, N + 1):
         for q in range(mindeg * k, maxdeg * k + 1):
             basis = lyndon_slice_basis(gens, q, k)
-            if not basis:
-                continue
+            lead_index = {lead: i for i, (lead, _, _) in enumerate(basis)}
             red = FractionFreeReducer()
             vecs = []
             for _, terms, _ in basis:
                 proj = reynolds_invariant_project(model, Elt(gens, N, terms))
                 if proj.is_zero():
                     continue
-                coords = slice_coordinates(proj, basis)
-                if red.insert({i: c for i, c in enumerate(coords) if c}) is None:
+                coords = _slice_coords(proj.terms, basis, lead_index)
+                if red.insert(coords) is None:
                     vecs.append(proj)
             if vecs:
                 inv_basis[(q, k)] = vecs
 
     ranks = {}
     for (q, k), vecs in sorted(inv_basis.items()):
+        below = lyndon_slice_basis(gens, q - 1, k)
+        lead_index = {lead: i for i, (lead, _, _) in enumerate(below)}
         red = FractionFreeReducer()
         for x in vecs:
             dx = L.d1(x)
             if dx.is_zero():
                 continue
-            below = lyndon_slice_basis(gens, q - 1, k)
-            coords = slice_coordinates(dx, below)
+            coords = _slice_coords(dx.terms, below, lead_index)
             if coords is None:
                 raise StructError("linear differential left its slice")
-            red.insert({i: c for i, c in enumerate(coords) if c})
+            red.insert(coords)
         ranks[(q, k)] = red.rank()
 
     dims = {}

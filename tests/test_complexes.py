@@ -17,7 +17,7 @@ from freedgl.homology import (
     linear_homology, homology, malcev_tower, tower_layers, _h0_quotient,
     pi_n, _DegreeLayout,
 )
-from freedgl import complexes
+from freedgl import complexes, lie
 from freedgl.complexes import (
     SimplicialComplex, parse_complex, model_of_complex, components,
     subcomplex, component_inclusion_check, localize, maximal_tree,
@@ -401,6 +401,25 @@ def test_minimal_model_rejects_a_wrong_partner_image(monkeypatch):
         minimal_model(parse_complex(TORUS), 0, 3)
     assert str(e.value).startswith(
         "reduction projection is not a chain map on ")
+
+
+def test_minimal_model_substitutes_once_per_generator(monkeypatch):
+    # the graded pass substitutes partner words once per partner and length,
+    # and _restricted_dgl substitutes d(x) once per source generator: 26 + 42
+    # on the 42-face torus at N=3.  Renaming every image into the quotient
+    # and checking through DGLMap.chain_residues would make 155 and 308
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return substitute(*args)
+
+    monkeypatch.setattr(complexes, "substitute", counted)
+    monkeypatch.setattr(lie, "substitute", counted)
+    for text, N, want in ((TORUS, 3, 68), (_genus_two(), 4, 151)):
+        calls[0] = 0
+        minimal_model(parse_complex(text), 0, N)
+        assert calls[0] == want
 
 
 def test_pi_1_applies_d_once_per_basis_element(monkeypatch):

@@ -4,9 +4,11 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freedgl.lie import (
     DomainError, GenSet, FreeDGL, Elt, zero_elt, slice_coordinates,
+    lyndon_slice_basis,
 )
 from freedgl.serialize import emit_element
 from freedgl.series import bch, twist
@@ -110,13 +112,40 @@ def test_layout_coords_concatenate_slice_coordinates():
     tw = twist(tri.dgl, tri.gen((0,)))
     for q in range(-3, 1):
         lay = _DegreeLayout(tw, q)
+        slices = []
+        off = 0
+        for k in range(1, tw.N + 1):
+            basis = lyndon_slice_basis(tw.gens, q, k)
+            slices.append((k, off, basis))
+            off += len(basis)
+        assert off == lay.dim
         for x in _DegreeLayout(tw, q + 1).basis_elements(tw):
             dx = tw.d(x)
             want = {}
-            for k, off, basis, _ in lay.blocks:
+            for k, off, basis in slices:
+                if not basis:
+                    continue
                 c = slice_coordinates(dx.length_part(k), basis)
                 want.update({off + i: ci for i, ci in enumerate(c) if ci})
             assert lay.coords(dx) == want
+
+
+_TRI = seed_family(3).model(2)
+# degree -2 of the twisted triangle at N=3: length-2 brackets of vertices,
+# three of them doubled [a_i, a_i], then 27 length-3 elements
+_TW = twist(_TRI.dgl, _TRI.gen((0,)))
+_LAY = _DegreeLayout(_TW, -2)
+
+
+@given(st.dictionaries(st.integers(min_value=0, max_value=_LAY.dim - 1),
+                       st.builds(Fraction,
+                                 st.integers(min_value=-9, max_value=9)
+                                 .filter(bool),
+                                 st.integers(min_value=1, max_value=6)),
+                       max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_layout_element_and_coords_are_inverse(v):
+    assert _LAY.coords(_LAY.element(_TW, v)) == v
 
 
 def test_pi_2_of_single_degree_one_generator():

@@ -239,7 +239,7 @@ def test_slice_coordinates_round_trip(coeffs, q, n):
         return
     coords = [coeffs[i] if i < len(coeffs) else Fraction(0)
               for i in range(len(basis))]
-    x = elt_from_slice_coords(GENS, N, basis, coords)
+    x = elt_from_slice_coords(GENS, N, basis, dict(enumerate(coords)))
     assert slice_coordinates(x, basis) == coords
 
 
@@ -254,7 +254,7 @@ def test_slice_coordinates_halve_a_doubled_lead():
     assert doubled and len(basis) > len(doubled)
     coords = [Fraction(i + 1, 3) if i not in doubled else Fraction(1, 2)
               for i in range(len(basis))]
-    x = elt_from_slice_coords(GENS, N, basis, coords)
+    x = elt_from_slice_coords(GENS, N, basis, dict(enumerate(coords)))
     assert slice_coordinates(x, basis) == coords
 
 

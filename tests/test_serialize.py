@@ -74,7 +74,7 @@ def test_round_trip_random_lie_elements(coeffs, slice_):
     if not basis:
         return
     coords = [coeffs[i % len(coeffs)] for i in range(len(basis))]
-    x = elt_from_slice_coords(GENS, N, basis, coords)
+    x = elt_from_slice_coords(GENS, N, basis, dict(enumerate(coords)))
     assert parse_element(emit_element(x), GENS, N) == x
 
 

@@ -43,7 +43,8 @@ def random_degree0(seed_coeffs):
         basis = lyndon_slice_basis(GENS3, 0, length)
         coords = [seed_coeffs[(length * 7 + i) % len(seed_coeffs)]
                   for i in range(len(basis))]
-        total = total + elt_from_slice_coords(GENS3, N, basis, coords)
+        total = total + elt_from_slice_coords(GENS3, N, basis,
+                                              dict(enumerate(coords)))
     return total
 
 
