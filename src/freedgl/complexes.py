@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .lie import (
     DomainError, StructError, SolveError,
-    GenSet, Elt, FreeDGL, Derivation, generator_elt, substitute,
+    GenSet, Elt, FreeDGL, Derivation, Substitution, generator_elt, zero_elt,
+    linear_combination,
 )
 from .linalg import SpanReducer, FractionFreeReducer
 from .series import twist
@@ -310,13 +311,14 @@ def maximal_tree(K, basepoint=None):
 def _restricted_dgl(source, keep, images, N):
     """Quotient of a free DGL along the projection p sending generator i to
     images[i], an expression in the kept letters (keep: their indices, in
-    order), which p fixes.  p(d x), substituted once per source generator
-    x, is the differential on kept letters and must equal d(p x) on every
-    generator; a residue is a loud failure."""
+    order), which p fixes.  p(d x), one application of the prepared p per
+    source generator x, is the differential on kept letters and must equal
+    d(p x) on every generator; a residue is a loud failure."""
     src = source.gens
-    pd = [substitute(source.d(Elt(src, N, {(i,): ONE})), src, N, images)
-          for i in range(len(src))]
-    d = Derivation(src, N, {i: pd[i] for i in keep if pd[i].terms}, -1)
+    p = Substitution(src, N, images)
+    zero = zero_elt(src, N)
+    pd = [p(source.diff.images.get(i, zero)) for i in range(len(src))]
+    d = Derivation(src, N, {i: pd[i] for i in keep if pd[i].num}, -1)
     bad = [name for i, name in enumerate(src.names)
            if pd[i] != d(images[i])]
     if bad:
@@ -325,9 +327,10 @@ def _restricted_dgl(source, keep, images, N):
     gens = GenSet([(src.names[i], src.degrees[i]) for i in keep])
     pos = {i: j for j, i in enumerate(keep)}
     return FreeDGL(gens, N, {
-        pos[i]: Elt(gens, N, {tuple(pos[g] for g in w): c
-                              for w, c in pd[i].terms.items()})
-        for i in keep if pd[i].terms})
+        pos[i]: Elt._from_num(gens, N, {tuple(pos[g] for g in w): c
+                                        for w, c in pd[i].num.items()},
+                              pd[i].den)
+        for i in keep if pd[i].num})
 
 
 def minimal_model(K, basepoint, N):
@@ -352,11 +355,13 @@ def minimal_model(K, basepoint, N):
     gens = L.gens
     tree = set(maximal_tree(K, basepoint))
     killed = {i for i, f in enumerate(K.faces) if len(f) == 1 or f in tree}
+    zero = zero_elt(gens, N)
+    dgen = L.diff.images
     red = SpanReducer()
     partners = []
     for i in sorted(set(range(len(gens))) - killed,
                     key=lambda i: (gens.degrees[i], i)):
-        d1 = L.d1(Elt(gens, N, {(i,): ONE})).terms
+        d1 = dgen.get(i, zero).length_part(1).terms
         row = {w[0]: c for w, c in d1.items() if w[0] not in killed}
         t, _ = red.insert(row, i)
         if t is not None:
@@ -374,27 +379,26 @@ def minimal_model(K, basepoint, N):
     solved = {}
     for t in partners:
         comb = red.reduce({t: ONE})[1]
-        rest = (L.d(Elt(gens, N, {(s,): c for s, c in comb.items()}))
-                - Elt(gens, N, {(t,): ONE}))
-        linked[t] = {w: c for w, c in rest.terms.items()
-                     if killed.isdisjoint(w) and not paired.isdisjoint(w)}
-        solved[t] = {w: -c for w, c in rest.terms.items()
-                     if killed.isdisjoint(w) and paired.isdisjoint(w)}
+        rest = linear_combination(
+            gens, N, [(c, dgen.get(s, zero)) for s, c in comb.items()]
+            + [(-1, Elt(gens, N, {(t,): ONE}))])
+        linked[t] = Elt._from_num(gens, N, {
+            w: c for w, c in rest.num.items()
+            if killed.isdisjoint(w) and not paired.isdisjoint(w)}, rest.den)
+        solved[t] = Elt._from_num(gens, N, {
+            w: -c for w, c in rest.num.items()
+            if killed.isdisjoint(w) and paired.isdisjoint(w)}, rest.den)
     keep = [i for i in range(len(gens)) if i not in killed and i not in paired]
-    images = {i: Elt(gens, N) for i in killed}
+    images = {i: zero for i in killed}
     images.update((i, Elt(gens, N, {(i,): ONE})) for i in keep)
     for k in range(2, N + 1):
-        images.update((t, Elt(gens, N, dict(solved[t]))) for t in partners)
+        # one prepared map per stage, over the images solved below length k
+        images.update((t, solved[t]) for t in partners)
+        stage = Substitution(gens, k, images)
         for t in partners:
-            x = Elt(gens, k, {w: c for w, c in linked[t].items()
-                              if len(w) <= k})
-            part = solved[t]
-            for w, c in substitute(x, gens, k, images).terms.items():
-                if len(w) == k:
-                    c = part.pop(w, 0) - c
-                    if c:
-                        part[w] = c
-    images.update((t, Elt(gens, N, solved[t])) for t in partners)
+            part = stage(linked[t]).length_part(k).at_truncation(N)
+            solved[t] = solved[t] - part
+    images.update((t, solved[t]) for t in partners)
     M = _restricted_dgl(L, keep, images, N)
     live = [n for n in M.gens.names if not M.d1(M.gen(n)).is_zero()]
     if live:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .lie import (
     DomainError, StructError,
-    Elt, DGLMap, zero_elt,
+    Elt, DGLMap, linear_combination,
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
 from .series import bch, gauge, is_mc
@@ -48,7 +48,7 @@ class _DegreeLayout:
     def coords(self, x):
         """Global coordinate dict of a degree-q element, or None if it falls
         outside the span (an empty slice included)."""
-        return _slice_coords(x.terms, self.basis, self.lead_index)
+        return _slice_coords(x, self.basis, self.lead_index)
 
     def element(self, L, vec):
         """The element with the global coordinate dict vec."""
@@ -56,7 +56,7 @@ class _DegreeLayout:
 
     def basis_elements(self, L):
         for _, terms, _ in self.basis:
-            yield Elt(L.gens, L.N, terms)
+            yield Elt._from_num(L.gens, L.N, terms, 1)
 
 
 def _kernel_pass(L, layout_src, layout_tgt):
@@ -229,10 +229,11 @@ class MalcevQuotient:
 
     def class_coords(self, x):
         """Class of a degree-0 cycle as coordinates over the basis."""
-        if not x.has_degree(0):
-            raise DomainError("class_coords needs a degree-0 element")
         vec = self._layout.coords(x)
         if vec is None:
+            # a word off degree 0 is never cancelled, so coords gave up
+            if not x.has_degree(0):
+                raise DomainError("class_coords needs a degree-0 element")
             raise DomainError("element does not lie in the degree-0 slice")
         residual, comb = self._span.reduce(vec)
         if residual:
@@ -244,11 +245,7 @@ class MalcevQuotient:
         return tuple(out)
 
     def element(self, coords):
-        out = zero_elt(self.L.gens, self.N)
-        for c, rep in zip(coords, self.basis):
-            if c:
-                out = out + c * rep
-        return out
+        return linear_combination(self.L.gens, self.N, zip(coords, self.basis))
 
     def product(self, xc, yc):
         """Group product of two classes given by coordinate tuples."""

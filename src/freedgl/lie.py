@@ -1,8 +1,10 @@
 """Exact graded Lie algebra arithmetic over Q.
 
 Elements of a free graded Lie algebra on named generators are stored by their
-image in the tensor algebra: a dict mapping words (tuples of generator
-indices) to Fraction coefficients.  The bracket is
+image in the tensor algebra: integer numerators of words (tuples of generator
+indices) over one positive denominator, in lowest terms, so that every
+operation runs on ints and builds no Fraction; the word -> Fraction view is
+built on demand.  The bracket is
 
     [x, y] = x.y - (-1)^{|x||y|} y.x
 
@@ -15,7 +17,7 @@ serialize.parse_element, expand bracket trees through bracket_words:
 
   * the Dynkin map theta (left-to-right bracketing), with theta(x_n) = n*x_n
     characterizing Lie elements among length-n tensors; the check runs on
-    integer numerators over one common denominator (it is scale-invariant);
+    the numerators (it is scale-invariant);
   * the Lyndon-Shirshov basis of lyndon_slice_basis: standard bracketings b_w
     of Lyndon words w, plus [b_w, b_w] for w of odd total degree.
     b_w = w + (lex-higher words) and [b_w, b_w] = 2*ww + (lex-higher), so
@@ -25,7 +27,7 @@ Degrees are integers >= -1.  Degree -2 or lower is rejected at construction.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class ConfigError(ValueError):
@@ -122,21 +124,66 @@ def _same_frame(x, y):
 class Elt:
     """A truncated tensor-algebra element carrying a Lie element.
 
-    terms maps words (tuples of generator indices, length 1..N) to nonzero
-    Fractions.  Instances are immutable by convention: no operation mutates
-    the terms dict of an input, so terms dicts may be shared.
+    Stored as integer numerators over one denominator: num maps words
+    (tuples of generator indices, length 1..N) to nonzero ints and den is a
+    positive int with gcd(den, *num.values()) == 1, so equal elements have
+    equal (num, den).  terms, the word -> Fraction dict, is built on first
+    read and cached; Elt(gens, N, terms) takes such a dict (int values are
+    read as integers).  The kernels of this module and its users read num
+    and den and build results through _from_num, which normalizes once.
+    Instances are immutable by convention: no operation mutates the num or
+    terms dict of an input, so these dicts may be shared.
     """
 
-    __slots__ = ("gens", "N", "terms")
+    __slots__ = ("gens", "N", "num", "den", "_terms")
 
     def __init__(self, gens, N, terms=None):
         if N < 1:
             raise ConfigError("truncation must be >= 1, got %d" % N)
         self.gens = gens
         self.N = N
+        if not terms:
+            self.num, self.den, self._terms = {}, 1, None
+            return
+        if not all(type(c) is Fraction and c for c in terms.values()):
+            terms = {w: _q(c) for w, c in terms.items()}
+            terms = {w: c for w, c in terms.items() if c}
+        self.num, self.den = clear_denominators(terms)
+        self._terms = terms
+
+    @classmethod
+    def _from_num(cls, gens, N, num, den):
+        """The element num/den, for a word->int dict num and a positive int
+        den: zero numerators are dropped and the gcd of den and the
+        numerators is divided out.  num is kept, not copied, when it is
+        already canonical."""
+        if 0 in num.values():
+            num = {w: c for w, c in num.items() if c}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {w: c // g for w, c in num.items()}
+                den //= g
+        x = object.__new__(cls)
+        x.gens = gens
+        x.N = N
+        x.num = num
+        x.den = den
+        x._terms = None
+        return x
+
+    @property
+    def terms(self):
+        """The word -> Fraction dict, built on first read."""
+        terms = self._terms
         if terms is None:
-            terms = {}
-        self.terms = terms
+            D = self.den
+            terms = self._terms = (
+                {w: Fraction(c) for w, c in self.num.items()} if D == 1 else
+                {w: Fraction(c, D) for w, c in self.num.items()})
+        return terms
 
     @classmethod
     def build(cls, gens, N, items):
@@ -155,39 +202,49 @@ class Elt:
         return cls(gens, N, terms)
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
         if not isinstance(other, Elt):
             return NotImplemented
         _same_frame(self, other)
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other):
-        _same_frame(self, other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = terms.get(w, ZERO) + c
-            if acc == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = acc
-        return Elt(self.gens, self.N, terms)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other on numerators over the lcm of the two
+        denominators."""
+        _same_frame(self, other)
+        a, b = self.den, other.den
+        D = a if a == b else lcm(a, b)
+        sa = D // a
+        out = dict(self.num) if sa == 1 else {
+            w: sa * c for w, c in self.num.items()}
+        sb = sign * (D // b)
+        get = out.get
+        for w, c in other.num.items():
+            out[w] = get(w, 0) + sb * c
+        return Elt._from_num(self.gens, self.N, out, D)
 
     def __neg__(self):
-        return Elt(self.gens, self.N, {w: -c for w, c in self.terms.items()})
+        return Elt._from_num(self.gens, self.N,
+                             {w: -c for w, c in self.num.items()}, self.den)
 
     def __mul__(self, scale):
         scale = _q(scale)
-        if scale == 0:
-            return Elt(self.gens, self.N, {})
-        return Elt(self.gens, self.N, {w: c * scale for w, c in self.terms.items()})
+        p = scale.numerator
+        return Elt._from_num(self.gens, self.N,
+                             {w: p * c for w, c in self.num.items()} if p
+                             else {},
+                             self.den * scale.denominator)
 
     __rmul__ = __mul__
 
@@ -195,20 +252,21 @@ class Elt:
         return "Elt(%s)" % self.pretty()
 
     def pretty(self, max_terms=12):
-        if not self.terms:
+        if not self.num:
             return "0"
+        terms = self.terms
         bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            bits.append("%s*%s" % (self.terms[w], self.gens.word_str(w)))
+        for w in sorted(terms, key=lambda w: (len(w), w)):
+            bits.append("%s*%s" % (terms[w], self.gens.word_str(w)))
             if len(bits) >= max_terms:
-                bits.append("... (%d terms)" % len(self.terms))
+                bits.append("... (%d terms)" % len(terms))
                 break
         return " + ".join(bits)
 
     def degree(self):
         """Common degree of all words, or None for the zero element."""
         deg = None
-        for w in self.terms:
+        for w in self.num:
             d = self.gens.degree_of_word(w)
             if deg is None:
                 deg = d
@@ -218,29 +276,29 @@ class Elt:
 
     def has_degree(self, d):
         """True if every word has degree d (vacuously true for 0)."""
-        return all(self.gens.degree_of_word(w) == d for w in self.terms)
+        return all(self.gens.degree_of_word(w) == d for w in self.num)
 
     def length_part(self, k):
-        return Elt(self.gens, self.N,
-                   {w: c for w, c in self.terms.items() if len(w) == k})
+        return Elt._from_num(self.gens, self.N, {
+            w: c for w, c in self.num.items() if len(w) == k}, self.den)
 
     def truncated(self, M):
         """Drop words longer than M.  M may not exceed the current truncation."""
         if M > self.N:
             raise ConfigError(
                 "cannot raise truncation from %d to %d" % (self.N, M))
-        return Elt(self.gens, M,
-                   {w: c for w, c in self.terms.items() if len(w) <= M})
+        return Elt._from_num(self.gens, M, {
+            w: c for w, c in self.num.items() if len(w) <= M}, self.den)
 
     def at_truncation(self, N):
         """Reinterpret at truncation N >= every stored word length."""
-        if self.terms and max(len(w) for w in self.terms) > N:
+        if self.num and max(len(w) for w in self.num) > N:
             raise ConfigError("element does not fit in truncation %d" % N)
-        return Elt(self.gens, N, self.terms)
+        return Elt._from_num(self.gens, N, self.num, self.den)
 
     def letters(self):
         out = set()
-        for w in self.terms:
+        for w in self.num:
             out.update(w)
         return out
 
@@ -250,11 +308,32 @@ class Elt:
 
 
 def generator_elt(gens, N, name):
-    return Elt(gens, N, {(gens.index(name),): ONE})
+    return Elt._from_num(gens, N, {(gens.index(name),): 1}, 1)
 
 
 def zero_elt(gens, N):
-    return Elt(gens, N, {})
+    return Elt._from_num(gens, N, {}, 1)
+
+
+def linear_combination(gens, N, pairs):
+    """sum(c * x for c, x in pairs) over gens at truncation N: one integer
+    accumulation of the numerators over the lcm of the denominators, and
+    one normalization."""
+    items = []
+    for c, x in pairs:
+        if (x.gens is not gens and x.gens != gens) or x.N != N:
+            raise ConfigError("combination term over a different frame")
+        c = _q(c)
+        if c and x.num:
+            items.append((c.numerator, c.denominator * x.den, x.num))
+    D = lcm(*[den for _, den, _ in items]) if items else 1
+    out = {}
+    get = out.get
+    for p, den, num in items:
+        s = p * (D // den)
+        for w, c in num.items():
+            out[w] = get(w, 0) + s * c
+    return Elt._from_num(gens, N, out, D)
 
 
 def concat_terms(a, b, N, out=None, scale=ONE):
@@ -279,15 +358,16 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 
 
 # ---------------------------------------------------------------------------
-# Integer word kernel: word->int dicts holding the numerators of word->Fraction
-# dicts over one common denominator that the caller keeps.  Its users are
-# the bracket-tree sums of dynkin_theta, dynkin_verify, lyndon_slice_basis
-# and serialize.parse_element, _slice_coords and elt_from_slice_coords,
-# Derivation.__call__ and substitute here, bch
-# in series, and, through clear_denominators, linalg's fraction-free
-# eliminator and its SpanReducer front end (solve_columns, homology's one
-# pass per differential, whose degree-0 span MalcevQuotient reads, and
-# minimal_model).  Each builds at most one Fraction per output coefficient.
+# Integer word kernel: word->int dicts holding numerators over one common
+# denominator that the caller keeps, as in an Elt's (num, den).  Every Elt
+# operation runs on it: the arithmetic above, bracket, Derivation.__call__
+# and Substitution here, the bracket-tree sums of dynkin_theta,
+# dynkin_verify, lyndon_slice_basis and serialize.parse_element,
+# _slice_coords and elt_from_slice_coords, bch in series, the face-table
+# relabels and Reynolds averages of simplex, and minimal_model's partner
+# solve.  Fractions are built only where an answer leaves as one: Elt.terms,
+# slice coordinates, and, through clear_denominators, the vectors of linalg's
+# fraction-free eliminator and its SpanReducer front end.
 
 
 def clear_denominators(terms):
@@ -321,34 +401,27 @@ def int_concat(a, fits, N):
 
 
 def bracket(x, y):
-    """Graded Lie bracket [x, y] = xy - (-1)^{|x||y|} yx, word by word."""
+    """Graded Lie bracket [x, y] = xy - (-1)^{|x||y|} yx, word by word, on
+    the numerators over the product of the denominators."""
     _same_frame(x, y)
     gens = x.gens
     N = x.N
     degs = gens.degrees
     right = [(v, cv, sum(degs[i] for i in v) & 1)
-             for v, cv in y.terms.items()]
-    terms = {}
-    for u, cu in x.terms.items():
-        du = sum(degs[i] for i in u)
+             for v, cv in y.num.items()]
+    out = {}
+    get = out.get
+    for u, cu in x.num.items():
+        du = sum(degs[i] for i in u) & 1
         for v, cv, dv in right:
             if len(u) + len(v) > N:
                 continue
             c = cu * cv
             w = u + v
-            acc = terms.get(w, ZERO) + c
-            if acc == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = acc
-            s = -c if (du & 1) and dv else c
+            out[w] = get(w, 0) + c
             w = v + u
-            acc = terms.get(w, ZERO) - s
-            if acc == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = acc
-    return Elt(gens, N, terms)
+            out[w] = get(w, 0) + (c if du and dv else -c)
+    return Elt._from_num(gens, N, out, x.den * y.den)
 
 
 def bracket_words(tree, degs):
@@ -397,9 +470,8 @@ def _tree_sum(pairs, degs):
 def dynkin_theta(x):
     """Left-to-right bracketing map: g1 g2 ... gk -> [...[[g1,g2],g3]...,gk].
     A word is the bracket tree of that bracketing."""
-    num, D = clear_denominators(x.terms)
-    out = _tree_sum([(c, w) for w, c in num.items()], x.gens.degrees)
-    return Elt(x.gens, x.N, {w: Fraction(c, D) for w, c in out.items() if c})
+    out = _tree_sum([(c, w) for w, c in x.num.items()], x.gens.degrees)
+    return Elt._from_num(x.gens, x.N, out, x.den)
 
 
 def dynkin_verify(x):
@@ -410,15 +482,16 @@ def dynkin_verify(x):
     on the integer numerators of x over their common denominator D, and each
     defect is built from its integer residue over D.
     """
-    num, D = clear_denominators(x.terms)
+    num = x.num
     out = _tree_sum([(c, w) for w, c in num.items()], x.gens.degrees)
     for w, c in num.items():
         out[w] = out.get(w, 0) - len(w) * c
     residues = {}
     for w, c in out.items():
         if c:
-            residues.setdefault(len(w), {})[w] = Fraction(c, D)
-    defects = [(n, Elt(x.gens, x.N, residues[n])) for n in sorted(residues)]
+            residues.setdefault(len(w), {})[w] = c
+    defects = [(n, Elt._from_num(x.gens, x.N, residues[n], x.den))
+               for n in sorted(residues)]
     return (not defects, defects)
 
 
@@ -461,9 +534,9 @@ def lyndon_slice_basis(gens, degree, length, subset=None):
     algebra on the generators with indices in subset (default: all).
 
     Returns a list of (leading_word, terms_dict, is_doubled) triples sorted by
-    leading word; leading coefficient is 1, or 2 for doubled elements
-    [b_w, b_w] (present when b_w has odd degree), and every coefficient is
-    an integer-valued Fraction.  Cached per slice.
+    leading word; terms_dict maps words to ints, the leading coefficient is
+    1, or 2 for doubled elements [b_w, b_w] (present when b_w has odd
+    degree).  Cached per slice.
     """
     if subset is None:
         subset = tuple(range(len(gens)))
@@ -485,11 +558,8 @@ def lyndon_slice_basis(gens, degree, length, subset=None):
             if 2 * sum(degs[i] for i in word) == degree:
                 t = _lyndon_tree(word)
                 trees.append((word + word, (t, t), True))
-    out = []
-    for lead, tree, doubled in sorted(trees, key=lambda e: e[0]):
-        terms = bracket_words(tree, degs)[0]
-        out.append((lead, {w: Fraction(c) for w, c in terms.items()},
-                    doubled))
+    out = [(lead, bracket_words(tree, degs)[0], doubled)
+           for lead, tree, doubled in sorted(trees, key=lambda e: e[0])]
     gens._basis_cache[key] = out
     return out
 
@@ -498,7 +568,7 @@ def lyndon_basis(gens, degree, length, N=None, subset=None):
     """The slice basis as a list of Elt, in extraction order."""
     if N is None:
         N = length
-    return [Elt(gens, N, terms)
+    return [Elt._from_num(gens, N, terms, 1)
             for _, terms, _ in lyndon_slice_basis(gens, degree, length, subset)]
 
 
@@ -510,21 +580,21 @@ def slice_coordinates(x, basis):
     leading words.
     """
     lead_index = {lead: i for i, (lead, _, _) in enumerate(basis)}
-    sparse = _slice_coords(x.terms, basis, lead_index)
+    sparse = _slice_coords(x, basis, lead_index)
     if sparse is None:
         return None
     return [sparse.get(i, ZERO) for i in range(len(basis))]
 
 
-def _slice_coords(terms, basis, lead_index):
-    """slice_coordinates of a word->coeff dict as a sparse dict position ->
-    coefficient, given the basis's lead word -> position index, so that the
-    cost follows the terms of x rather than the size of the slice.
+def _slice_coords(x, basis, lead_index):
+    """slice_coordinates of x as a sparse dict position -> coefficient,
+    given the basis's lead word -> position index, so that the cost follows
+    the terms of x rather than the size of the slice.
 
-    Runs on the integer numerators of terms over one denominator D: basis
+    Runs on the integer numerators of x over its denominator D: basis
     elements have integer coefficients, so only a doubled lead with an odd
     numerator leaves the integers, and then D doubles."""
-    work, D = clear_denominators(terms)
+    work, D = dict(x.num), x.den
     coords = {}
     while work:
         w = min(work)
@@ -542,7 +612,7 @@ def _slice_coords(terms, basis, lead_index):
         coords[i] = Fraction(c, D)
         get = work.get
         for v, cv in bterms.items():
-            acc = get(v, 0) - c * cv.numerator
+            acc = get(v, 0) - c * cv
             if acc:
                 work[v] = acc
             else:
@@ -553,18 +623,14 @@ def _slice_coords(terms, basis, lead_index):
 def elt_from_slice_coords(gens, N, basis, coords):
     """The element with sparse coordinates coords (position -> coefficient)
     over a lyndon_slice_basis list, the inverse of _slice_coords: a sum of
-    integer numerators over one denominator, one Fraction per output word."""
+    integer numerators over one denominator."""
     num, D = clear_denominators({i: c for i, c in coords.items() if c})
     out = {}
     get = out.get
     for i, c in sorted(num.items()):
         for w, cw in basis[i][1].items():
-            acc = get(w, 0) + c * cw.numerator
-            if acc:
-                out[w] = acc
-            else:
-                del out[w]
-    return Elt(gens, N, {w: Fraction(c, D) for w, c in out.items()})
+            out[w] = get(w, 0) + c * cw
+    return Elt._from_num(gens, N, out, D)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +644,9 @@ class Derivation:
     shift is the degree of the derivation (-1 for differentials, +1 for the
     transgression homotopy, 0 for ad-type derivations).  On a word the
     derivation is applied letter by letter with the Koszul sign
-    (-1)^{shift * (degree of the prefix)}.  The first call clears the images
-    to integer numerators over one denominator and keeps them, so the images
-    dict must not change afterwards.
+    (-1)^{shift * (degree of the prefix)}.  The first call brings the
+    images' numerators to their common denominator and keeps them, so the
+    images dict must not change afterwards.
     """
 
     __slots__ = ("gens", "N", "images", "shift", "_num_images")
@@ -606,12 +672,13 @@ class Derivation:
         """(numerators, D): every nonzero image as its (word, numerator)
         items over the one common denominator D, shortest words first."""
         if self._num_images is None:
-            num, D = clear_denominators(
-                {(g, w): c for g, img in self.images.items()
-                 for w, c in img.terms.items()})
+            imgs = [(g, img) for g, img in self.images.items() if img.num]
+            D = lcm(*[img.den for _, img in imgs]) if imgs else 1
             items = {}
-            for (g, w), c in sorted(num.items(), key=lambda t: len(t[0][1])):
-                items.setdefault(g, []).append((w, c))
+            for g, img in imgs:
+                s = D // img.den
+                items[g] = sorted(((w, s * c) for w, c in img.num.items()),
+                                  key=lambda t: len(t[0]))
             self._num_images = (items, D)
         return self._num_images
 
@@ -625,10 +692,9 @@ class Derivation:
         degs = gens.degrees
         odd_shift = self.shift & 1
         images, Di = self._integer_images()
-        num, Dx = clear_denominators(x.terms)
         out = {}
         get = out.get
-        for w, c in num.items():
+        for w, c in x.num.items():
             room = N + 1 - len(w)
             for i, g in enumerate(w):
                 img = images.get(g)
@@ -642,69 +708,110 @@ class Derivation:
                         out[word] = get(word, 0) + c * cv
                 if odd_shift and (degs[g] & 1):
                     c = -c
-        D = Dx * Di
-        return Elt(gens, N, {w: Fraction(c, D) for w, c in out.items() if c})
+        return Elt._from_num(gens, N, out, x.den * Di)
+
+
+class Substitution:
+    """Multiplicative substitution, prepared once: replace letter i by
+    images[i] in every word.
+
+    images maps letters to Elts over target_gens with the letter's degree
+    (or zero Elts); a letter without an image may not occur in an argument.
+    This is the tensor extension of a degree-preserving Lie morphism, so it
+    implements DGL morphisms, quotient maps and relabelings on canonical
+    forms.  Each image is checked and bucketed by word length on the first
+    use of its letter, a word with a letter whose image is 0 is skipped
+    before any product is formed, and the product of a word's images is
+    kept for the next word equal to it.  The images dict must not change
+    afterwards.
+    """
+
+    __slots__ = ("target_gens", "N", "images", "_source", "_fits", "_zero",
+                 "_words")
+
+    def __init__(self, target_gens, N, images):
+        self.target_gens = target_gens
+        self.N = N
+        self.images = images
+        self._source = None   # the generator set the prepared letters are of
+
+    def _prepare(self, gens, i):
+        img = self.images.get(i)
+        if img is None:
+            raise StructError("no image for generator %r" % gens.names[i])
+        d = img.degree()
+        if d is not None and d != gens.degrees[i]:
+            raise DomainError(
+                "image of %s changes degree (%d -> %d); substitution needs "
+                "degree-preserving images" % (gens.names[i], gens.degrees[i], d))
+        if img.num:
+            self._fits[i] = (word_buckets(img.num, self.N), img.den)
+        else:
+            self._zero.add(i)
+
+    def _product(self, w):
+        """(numerators, den) of the product of the images of w's letters,
+        numerators {} when it vanishes mod words longer than N."""
+        partial, den = {(): 1}, 1
+        for g in w:
+            bucket, d = self._fits[g]
+            partial = int_concat(partial, bucket, self.N)
+            if not partial:
+                break
+            den *= d
+        return partial, den
+
+    def __call__(self, x):
+        if x.gens is not self._source and x.gens != self._source:
+            self._source = x.gens
+            self._fits = {}       # letter -> (word_buckets of its image, den)
+            self._zero = set()    # letters whose image is 0
+            self._words = {}      # word -> _product(word)
+        zero = self._zero
+        for i in sorted(x.letters().difference(self._fits, zero)):
+            self._prepare(x.gens, i)
+        N = self.N
+        words = self._words
+        parts = []
+        for w, c in x.num.items():
+            if len(w) > N or not zero.isdisjoint(w):
+                continue
+            prod = words.get(w)
+            if prod is None:
+                prod = words[w] = self._product(w)
+            if prod[0]:
+                parts.append((c, prod))
+        # each word's product has its own denominator; bring them to their lcm
+        common = lcm(*[den for _, (_, den) in parts]) if parts else 1
+        out = {}
+        get = out.get
+        for c, (partial, den) in parts:
+            s = c * (common // den)
+            for v, cv in partial.items():
+                out[v] = get(v, 0) + s * cv
+        return Elt._from_num(self.target_gens, N, out, x.den * common)
 
 
 def substitute(x, target_gens, target_N, images):
-    """Multiplicative substitution: replace letter i by images[i].
-
-    images maps every letter occurring in x to an Elt over target_gens with
-    the letter's degree (or a zero Elt).  This is the tensor extension of a
-    degree-preserving Lie morphism, so it implements DGL morphisms, quotient
-    maps and relabelings on canonical forms.
-    """
-    src_degs = x.gens.degrees
-    for i in x.letters():
-        img = images.get(i)
-        if img is None:
-            raise StructError("no image for generator %r" % x.gens.names[i])
-        d = img.degree()
-        if d is not None and d != src_degs[i]:
-            raise DomainError(
-                "image of %s changes degree (%d -> %d); substitution needs "
-                "degree-preserving images" % (x.gens.names[i], src_degs[i], d))
-    num, D = clear_denominators(x.terms)
-    fits = {}
-    dens = {}
-    for i in x.letters():
-        inum, dens[i] = clear_denominators(images[i].terms)
-        fits[i] = word_buckets(inum, target_N)
-    # each word's product has its own denominator; bring them to their lcm
-    parts = []
-    for w, c in num.items():
-        partial = {(): c}
-        den = D
-        for g in w:
-            partial = int_concat(partial, fits[g], target_N)
-            if not partial:
-                break
-            den *= dens[g]
-        if partial:
-            parts.append((partial, den))
-    common = lcm(*[den for _, den in parts]) if parts else 1
-    out = {}
-    get = out.get
-    for partial, den in parts:
-        s = common // den
-        for v, cv in partial.items():
-            out[v] = get(v, 0) + s * cv
-    return Elt(target_gens, target_N,
-               {v: Fraction(c, common) for v, c in out.items() if c})
+    """x under the Substitution(target_gens, target_N, images), prepared for
+    this one call."""
+    return Substitution(target_gens, target_N, images)(x)
 
 
 class DGLMap:
-    """A morphism of free DGLs given by generator images."""
+    """A morphism of free DGLs given by generator images, applied through
+    one prepared Substitution."""
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "images", "_map")
 
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
         self.images = images
+        self._map = Substitution(target.gens, target.N, images)
 
     def __call__(self, x):
-        return substitute(x, self.target.gens, self.target.N, self.images)
+        return self._map(x)
 
     def chain_residues(self):
         """(name, residue) for every source generator, residue = f(dg) - d(f g)."""

@@ -58,18 +58,17 @@ def emit_element(x):
         raise DomainError(
             "cannot serialize: not a Lie element (defect at lengths %s)"
             % [n for n, _ in defects])
-    if not x.terms:
+    if not x.num:
         return "0"
     bits = []
-    for w in sorted(x.terms, key=lambda w: (len(w), w)):
-        c = x.terms[w] / len(w)
+    for w in sorted(x.num, key=lambda w: (len(w), w)):
+        n = x.num[w]
+        c = Fraction(n if not bits else abs(n), x.den * len(w))
         word = _bracket_word_str(x.gens, w)
         if not bits:
             bits.append("%s %s" % (c, word))
-        elif c < 0:
-            bits.append("- %s %s" % (-c, word))
         else:
-            bits.append("+ %s %s" % (c, word))
+            bits.append("%s %s %s" % ("-" if n < 0 else "+", c, word))
     return " ".join(bits)
 
 
@@ -203,7 +202,7 @@ def parse_element(text, gens, N, line=None):
     ks, D = clear_denominators(dict(enumerate(c for c, _ in terms)))
     num = _tree_sum([(ks[i], tree) for i, (_, tree) in enumerate(terms)],
                     gens.degrees)
-    return Elt(gens, N, {w: Fraction(c, D) for w, c in num.items() if c})
+    return Elt._from_num(gens, N, num, D)
 
 
 # ---------------------------------------------------------------------------

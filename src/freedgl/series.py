@@ -10,9 +10,9 @@ derivations, the Bernoulli operator ad_x/(e^{ad_x}-1) and its series inverse
 (e^{ad_x}-1)/ad_x, the gauge action of degree-0 elements on Maurer-Cartan
 elements, the MC equation checker, and differential twisting d + ad_a.
 
-The BCH exp/log runs on integer numerators over one common denominator (the
-integer word kernel of the lie module); each coefficient of the result is an
-exact Fraction, and the result still passes the Dynkin Lie check.
+The BCH exp/log runs on the arguments' integer numerators (the integer word
+kernel of the lie module); the result is one Elt over one denominator, and
+it still passes the Dynkin Lie check.
 """
 
 from fractions import Fraction
@@ -20,8 +20,7 @@ from math import comb, factorial, gcd, lcm
 
 from .lie import (
     ConfigError, DomainError,
-    Elt, FreeDGL, bracket, clear_denominators, dynkin_verify, int_concat,
-    word_buckets,
+    Elt, FreeDGL, bracket, dynkin_verify, int_concat, word_buckets,
 )
 
 ZERO = Fraction(0)
@@ -62,7 +61,7 @@ def _require_degree(x, d, what):
 # the exponentials multiply as integer dicts with the gcd stripped after each
 # factor, and the product P = (E + U)/E (U without the unit word) has
 #     log(P) = sum_k (-1)^(k+1) U^k (L/k) E^(N-k)  /  L E^N,  L = lcm(1..N).
-# Each output coefficient is built once as an exact Fraction.
+# The result is reduced to lowest terms once.
 
 
 def _exp_numerators(A, D, N):
@@ -118,9 +117,9 @@ def bch(*xs):
     N = first.N
     prod, den = {(): 1}, 1
     for x in xs:
-        if not x.terms:
+        if not x.num:
             continue
-        e, d = _exp_numerators(*clear_denominators(x.terms), N)
+        e, d = _exp_numerators(x.num, x.den, N)
         prod = int_concat(prod, word_buckets(e, N), N)
         den *= d
         g = gcd(den, *prod.values())
@@ -128,7 +127,7 @@ def bch(*xs):
             prod = {w: c // g for w, c in prod.items()}
             den //= g
     num, den = _log_numerators(prod, den, N)
-    out = Elt(first.gens, N, {w: Fraction(c, den) for w, c in num.items() if c})
+    out = Elt._from_num(first.gens, N, num, den)
     ok, defects = dynkin_verify(out)
     if not ok:
         raise RuntimeError(

@@ -39,7 +39,6 @@ from .lie import (
     GenSet, Elt, FreeDGL, DGLMap, Derivation,
     bracket, generator_elt, zero_elt, substitute,
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
-    clear_denominators,
 )
 from .series import bch, exp_ad, bernoulli_op, is_mc, twist, gauge
 from .linalg import FractionFreeReducer, solve_columns
@@ -130,13 +129,11 @@ def relabel_element(x, vertex_map, target_gens, target_N, wide=False):
     a_F goes to the sort sign times a_{sorted image of F}, named wide when
     `wide`, or to 0 when the image repeats a vertex.
     """
-    num, D = clear_denominators(x.terms)
     table = _face_table(len(vertex_map) - 1, vertex_map, target_gens.index,
                         wide)
-    out = _relabel(num, table, {})
-    return Elt(target_gens, target_N, {w: Fraction(c, D)
-                                       for w, c in out.items()
-                                       if c and len(w) <= target_N})
+    out = _relabel(x.num, table, {})
+    return Elt._from_num(target_gens, target_N, {
+        w: c for w, c in out.items() if len(w) <= target_N}, x.den)
 
 
 def _table_map(source, target, table):
@@ -309,11 +306,11 @@ def _solve_stage(L, r, allowed=None):
     column leaves the sub-alphabet's slice, or, with a homology witness,
     when r is not a d1-boundary."""
     gens = L.gens
-    k = len(next(iter(r.terms)))
+    k = len(next(iter(r.num)))
     tdeg = r.degree()
     tbasis = lyndon_slice_basis(gens, tdeg, k, allowed)
     lead_index = {lead: i for i, (lead, _, _) in enumerate(tbasis)}
-    b = _slice_coords(r.terms, tbasis, lead_index)
+    b = _slice_coords(r, tbasis, lead_index)
     if b is None:
         raise SolveError(
             "stage length %d: residue is not a Lie element of the "
@@ -321,7 +318,7 @@ def _solve_stage(L, r, allowed=None):
     sbasis = lyndon_slice_basis(gens, tdeg + 1, k, allowed)
     cols = []
     for _, terms, _ in sbasis:
-        col = _slice_coords(L.d1(Elt(gens, L.N, terms)).terms, tbasis,
+        col = _slice_coords(L.d1(Elt._from_num(gens, L.N, terms, 1)), tbasis,
                             lead_index)
         if col is None:
             raise SolveError("stage length %d: d1 leaves the sub-alphabet" % k)
@@ -454,13 +451,11 @@ def _reynolds_average(n, x, signed):
     """Average of sigma(x), times eps_sigma when signed, over the vertex
     permutations of Delta^n, for x over simplex_genset(n): one integer
     accumulation over the relabeled words, divided once."""
-    num, D = clear_denominators(x.terms)
     out = {}
     tables = _permutation_tables(n)
     for sign, table in tables:
-        _relabel(num, table, out, sign if signed else 1)
-    D *= len(tables)
-    return Elt(x.gens, x.N, {w: Fraction(c, D) for w, c in out.items() if c})
+        _relabel(x.num, table, out, sign if signed else 1)
+    return Elt._from_num(x.gens, x.N, out, x.den * len(tables))
 
 
 def reynolds_sign_project(model, x):
@@ -812,10 +807,11 @@ def invariant_linear_homology(model):
             red = FractionFreeReducer()
             vecs = []
             for _, terms, _ in basis:
-                proj = reynolds_invariant_project(model, Elt(gens, N, terms))
+                proj = reynolds_invariant_project(
+                    model, Elt._from_num(gens, N, terms, 1))
                 if proj.is_zero():
                     continue
-                coords = _slice_coords(proj.terms, basis, lead_index)
+                coords = _slice_coords(proj, basis, lead_index)
                 if red.insert(coords) is None:
                     vecs.append(proj)
             if vecs:
@@ -830,7 +826,7 @@ def invariant_linear_homology(model):
             dx = L.d1(x)
             if dx.is_zero():
                 continue
-            coords = _slice_coords(dx.terms, below, lead_index)
+            coords = _slice_coords(dx, below, lead_index)
             if coords is None:
                 raise StructError("linear differential left its slice")
             red.insert(coords)

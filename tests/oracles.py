@@ -280,6 +280,31 @@ def oracle_solve_columns(columns, b):
 
 
 # ---------------------------------------------------------------------------
+# Element arithmetic on word->Fraction dicts
+
+
+def oracle_combine(a, b, scale=Fraction(1)):
+    """a + scale * b for word->Fraction dicts, zeros dropped."""
+    out = dict(a)
+    _accumulate(out, b, Fraction(scale))
+    return out
+
+
+def oracle_bracket(a, b, degrees, N):
+    """[a, b] = ab - (-1)^{|u||v|} ba word by word, for word->Fraction dicts
+    over letters of the given degrees, truncated at N."""
+    out = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            if len(u) + len(v) > N:
+                continue
+            odd = sum(degrees[i] for i in u) % 2 and sum(degrees[i] for i in v) % 2
+            _accumulate(out, {u + v: cu * cv}, Fraction(1))
+            _accumulate(out, {v + u: cu * cv}, Fraction(1 if odd else -1))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Derivations and substitutions on word->Fraction dicts
 
 

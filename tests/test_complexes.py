@@ -7,7 +7,7 @@ import pytest
 
 from freedgl.lie import (
     DomainError, StructError, SolveError, Elt, GenSet, FreeDGL, DGLMap,
-    generator_elt, zero_elt, substitute,
+    generator_elt, zero_elt, substitute, Substitution,
 )
 from freedgl.linalg import SpanReducer
 from freedgl.serialize import ParseError, emit_dgl
@@ -17,7 +17,7 @@ from freedgl.homology import (
     linear_homology, homology, malcev_tower, tower_layers, _h0_quotient,
     pi_n, _DegreeLayout,
 )
-from freedgl import complexes, lie
+from freedgl import complexes
 from freedgl.complexes import (
     SimplicialComplex, parse_complex, model_of_complex, components,
     subcomplex, component_inclusion_check, localize, maximal_tree,
@@ -404,18 +404,19 @@ def test_minimal_model_rejects_a_wrong_partner_image(monkeypatch):
 
 
 def test_minimal_model_substitutes_once_per_generator(monkeypatch):
-    # the graded pass substitutes partner words once per partner and length,
-    # and _restricted_dgl substitutes d(x) once per source generator: 26 + 42
-    # on the 42-face torus at N=3.  Renaming every image into the quotient
-    # and checking through DGLMap.chain_residues would make 155 and 308
+    # the graded pass applies its stage map once per partner and length, and
+    # _restricted_dgl applies its one prepared map to d(x) once per source
+    # generator: 26 + 42 on the 42-face torus at N=3.  Renaming every image
+    # into the quotient and checking through DGLMap.chain_residues would make
+    # 155 and 308
     calls = [0]
+    apply = Substitution.__call__
 
-    def counted(*args):
+    def counted(self, x):
         calls[0] += 1
-        return substitute(*args)
+        return apply(self, x)
 
-    monkeypatch.setattr(complexes, "substitute", counted)
-    monkeypatch.setattr(lie, "substitute", counted)
+    monkeypatch.setattr(Substitution, "__call__", counted)
     for text, N, want in ((TORUS, 3, 68), (_genus_two(), 4, 151)):
         calls[0] = 0
         minimal_model(parse_complex(text), 0, N)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,13 @@ from freedgl.lie import (
     bracket, bracket_words, dynkin_theta, dynkin_verify, is_lie,
     generator_elt, zero_elt, lyndon_words, lyndon_basis,
     lyndon_slice_basis, slice_coordinates, elt_from_slice_coords,
-    substitute, concat_terms,
+    Substitution, substitute, concat_terms,
 )
 from freedgl.serialize import emit_element
-from oracles import free_lie_slice_dim, oracle_derivation, oracle_substitute
+from oracles import (
+    free_lie_slice_dim, oracle_bracket, oracle_combine, oracle_derivation,
+    oracle_substitute,
+)
 
 GENS = GenSet([("a", -1), ("b", 0), ("c", 1), ("d", 0)])
 N = 5
@@ -186,8 +190,7 @@ def test_lyndon_slices_match_recursive_bracketing():
             assert [lead for lead, _, _ in basis] == sorted(
                 lead for lead, _, _ in basis)
             for lead, terms, doubled in basis:
-                assert all(isinstance(c, Fraction) and c.denominator == 1 and c
-                           for c in terms.values())
+                assert all(type(c) is int and c for c in terms.values())
                 if doubled:
                     half = lead[:n // 2]
                     b = oracle_standard_bracketing(half, n)
@@ -449,3 +452,80 @@ def test_substitute_brings_words_to_one_denominator():
     images = {1: Elt(TARGET, N, {(1,): Fraction(1, 2)}),
               3: Elt(TARGET, N, {(1,): Fraction(1, 3)})}
     assert substitute(x, TARGET, N, images).terms == {(1,): Fraction(5, 6)}
+
+
+def assert_canonical(x, terms):
+    """x holds the word->Fraction dict terms as numerators over one positive
+    denominator in lowest terms, and equals and hashes like the element
+    built from terms and like one built from scaled numerators."""
+    assert x.terms == terms
+    assert x.den > 0 and 0 not in x.num.values()
+    assert gcd(x.den, *x.num.values()) == 1
+    assert x.num == {w: c * x.den for w, c in terms.items()}
+    same = Elt(x.gens, x.N, terms)
+    scaled = Elt._from_num(x.gens, x.N, {w: 6 * c for w, c in x.num.items()},
+                           6 * x.den)
+    for y in (same, scaled):
+        assert y == x and hash(y) == hash(x)
+        assert (y.num, y.den) == (x.num, x.den)
+
+
+@given(st.data(), st.one_of(st.just(0), st.integers(-3, 3), coeffs))
+@settings(max_examples=150, deadline=None)
+def test_integer_elt_arithmetic_matches_the_fraction_reference(data, s):
+    pool = [w for w in WORDS if len(w) <= 3]
+    a = data.draw(word_dicts(pool, 6))
+    b = data.draw(word_dicts(pool, 6))
+    x, y = Elt(GENS, 4, a), Elt(GENS, 4, b)
+    assert_canonical(x, a)
+    assert_canonical(x + y, oracle_combine(a, b))
+    assert_canonical(x - y, oracle_combine(a, b, -1))
+    assert_canonical(x - x, {})
+    assert_canonical(-x, oracle_combine({}, a, -1))
+    assert_canonical(x * s, oracle_combine({}, a, s))
+    assert_canonical(s * x, oracle_combine({}, a, s))
+    assert_canonical(bracket(x, y), oracle_bracket(a, b, GENS.degrees, 4))
+    for k in range(1, 5):
+        assert_canonical(x.length_part(k),
+                         {w: c for w, c in a.items() if len(w) == k})
+    for M in range(1, 5):
+        t = x.truncated(M)
+        assert t.N == M
+        assert_canonical(t, {w: c for w, c in a.items() if len(w) <= M})
+    z = x.at_truncation(5)
+    assert z.N == 5
+    assert_canonical(z, a)
+    assert (x == y) == (a == b)
+
+
+@given(st.data(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=100, deadline=None)
+def test_one_prepared_substitution_matches_the_oracle_on_each_element(
+        data, trunc):
+    images = data.draw(generator_images(
+        lambda g: GENS.degrees[g], trunc, omit=False))
+    f = Substitution(TARGET, trunc,
+                     {g: Elt(TARGET, trunc, t) for g, t in images.items()})
+    pool = [w for w in WORDS if len(w) <= 3]
+    for x in data.draw(st.lists(word_dicts(pool, 6), min_size=2, max_size=4)):
+        got = f(Elt(GENS, 4, x))
+        assert got.gens is TARGET and got.N == trunc
+        assert_canonical(got, oracle_substitute(x, images, trunc))
+
+
+def test_prepared_substitution_checks_each_letter_on_first_use():
+    # the map works on elements without the bad letters, then fails on each
+    # one with the texts that substitute gives
+    b, c, d = gen(1), gen(2), gen(3)
+    images = {1: Elt(TARGET, N, {(1,): Fraction(1, 2)}),
+              2: Elt(TARGET, N, {(1,): Fraction(1)})}
+    f = Substitution(TARGET, N, images)
+    assert f(b).terms == {(1,): Fraction(1, 2)}
+    for x, err, text in (
+            (b + d, StructError, "no image for generator 'd'"),
+            (c, DomainError, "image of c changes degree (1 -> 0); "
+                             "substitution needs degree-preserving images")):
+        for apply in (f, lambda x: substitute(x, TARGET, N, images)):
+            with pytest.raises(err) as e:
+                apply(x)
+            assert str(e.value) == text
