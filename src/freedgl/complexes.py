@@ -315,7 +315,7 @@ def _restricted_dgl(source, keep, images, N):
     source generator x, is the differential on kept letters and must equal
     d(p x) on every generator; a residue is a loud failure."""
     src = source.gens
-    p = Substitution(src, N, images)
+    p = Substitution(src, src, N, images)
     zero = zero_elt(src, N)
     pd = [p(source.diff.images.get(i, zero)) for i in range(len(src))]
     d = Derivation(src, N, {i: pd[i] for i in keep if pd[i].num}, -1)
@@ -394,7 +394,7 @@ def minimal_model(K, basepoint, N):
     for k in range(2, N + 1):
         # one prepared map per stage, over the images solved below length k
         images.update((t, solved[t]) for t in partners)
-        stage = Substitution(gens, k, images)
+        stage = Substitution(gens, gens, k, images)
         for t in partners:
             part = stage(linked[t]).length_part(k).at_truncation(N)
             solved[t] = solved[t] - part

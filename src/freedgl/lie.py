@@ -214,25 +214,12 @@ class Elt:
         return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other):
-        return self._plus(other, 1)
+        _same_frame(self, other)
+        return linear_combination(self.gens, self.N, ((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def _plus(self, other, sign):
-        """self + sign * other on numerators over the lcm of the two
-        denominators."""
         _same_frame(self, other)
-        a, b = self.den, other.den
-        D = a if a == b else lcm(a, b)
-        sa = D // a
-        out = dict(self.num) if sa == 1 else {
-            w: sa * c for w, c in self.num.items()}
-        sb = sign * (D // b)
-        get = out.get
-        for w, c in other.num.items():
-            out[w] = get(w, 0) + sb * c
-        return Elt._from_num(self.gens, self.N, out, D)
+        return linear_combination(self.gens, self.N, ((1, self), (-1, other)))
 
     def __neg__(self):
         return Elt._from_num(self.gens, self.N,
@@ -323,9 +310,13 @@ def linear_combination(gens, N, pairs):
     for c, x in pairs:
         if (x.gens is not gens and x.gens != gens) or x.N != N:
             raise ConfigError("combination term over a different frame")
-        c = _q(c)
-        if c and x.num:
-            items.append((c.numerator, c.denominator * x.den, x.num))
+        if type(c) is int:
+            p, q = c, 1
+        else:
+            c = _q(c)
+            p, q = c.numerator, c.denominator
+        if p and x.num:
+            items.append((p, q * x.den, x.num))
     D = lcm(*[den for _, den, _ in items]) if items else 1
     out = {}
     get = out.get
@@ -712,30 +703,32 @@ class Derivation:
 
 
 class Substitution:
-    """Multiplicative substitution, prepared once: replace letter i by
-    images[i] in every word.
+    """Multiplicative substitution, prepared once: replace letter i of
+    source_gens by images[i] in every word.
 
     images maps letters to Elts over target_gens with the letter's degree
     (or zero Elts); a letter without an image may not occur in an argument.
     This is the tensor extension of a degree-preserving Lie morphism, so it
     implements DGL morphisms, quotient maps and relabelings on canonical
     forms.  Each image is checked and bucketed by word length on the first
-    use of its letter, a word with a letter whose image is 0 is skipped
-    before any product is formed, and the product of a word's images is
-    kept for the next word equal to it.  The images dict must not change
+    use of its letter, and a word with a letter whose image is 0 is skipped
+    before any product is formed.  The images dict must not change
     afterwards.
     """
 
-    __slots__ = ("target_gens", "N", "images", "_source", "_fits", "_zero",
-                 "_words")
+    __slots__ = ("source_gens", "target_gens", "N", "images", "_fits",
+                 "_zero")
 
-    def __init__(self, target_gens, N, images):
+    def __init__(self, source_gens, target_gens, N, images):
+        self.source_gens = source_gens
         self.target_gens = target_gens
         self.N = N
         self.images = images
-        self._source = None   # the generator set the prepared letters are of
+        self._fits = {}       # letter -> (word_buckets of its image, den)
+        self._zero = set()    # letters whose image is 0
 
-    def _prepare(self, gens, i):
+    def _prepare(self, i):
+        gens = self.source_gens
         img = self.images.get(i)
         if img is None:
             raise StructError("no image for generator %r" % gens.names[i])
@@ -762,23 +755,18 @@ class Substitution:
         return partial, den
 
     def __call__(self, x):
-        if x.gens is not self._source and x.gens != self._source:
-            self._source = x.gens
-            self._fits = {}       # letter -> (word_buckets of its image, den)
-            self._zero = set()    # letters whose image is 0
-            self._words = {}      # word -> _product(word)
+        if x.gens is not self.source_gens and x.gens != self.source_gens:
+            raise ConfigError("substitution argument over a different "
+                              "generator set")
         zero = self._zero
         for i in sorted(x.letters().difference(self._fits, zero)):
-            self._prepare(x.gens, i)
+            self._prepare(i)
         N = self.N
-        words = self._words
         parts = []
         for w, c in x.num.items():
             if len(w) > N or not zero.isdisjoint(w):
                 continue
-            prod = words.get(w)
-            if prod is None:
-                prod = words[w] = self._product(w)
+            prod = self._product(w)
             if prod[0]:
                 parts.append((c, prod))
         # each word's product has its own denominator; bring them to their lcm
@@ -793,9 +781,9 @@ class Substitution:
 
 
 def substitute(x, target_gens, target_N, images):
-    """x under the Substitution(target_gens, target_N, images), prepared for
-    this one call."""
-    return Substitution(target_gens, target_N, images)(x)
+    """x under the Substitution(x.gens, target_gens, target_N, images),
+    prepared for this one call."""
+    return Substitution(x.gens, target_gens, target_N, images)(x)
 
 
 class DGLMap:
@@ -808,7 +796,8 @@ class DGLMap:
         self.source = source
         self.target = target
         self.images = images
-        self._map = Substitution(target.gens, target.N, images)
+        self._map = Substitution(source.gens, target.gens, target.N,
+                                 images)
 
     def __call__(self, x):
         return self._map(x)

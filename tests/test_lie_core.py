@@ -504,7 +504,7 @@ def test_one_prepared_substitution_matches_the_oracle_on_each_element(
         data, trunc):
     images = data.draw(generator_images(
         lambda g: GENS.degrees[g], trunc, omit=False))
-    f = Substitution(TARGET, trunc,
+    f = Substitution(GENS, TARGET, trunc,
                      {g: Elt(TARGET, trunc, t) for g, t in images.items()})
     pool = [w for w in WORDS if len(w) <= 3]
     for x in data.draw(st.lists(word_dicts(pool, 6), min_size=2, max_size=4)):
@@ -519,7 +519,7 @@ def test_prepared_substitution_checks_each_letter_on_first_use():
     b, c, d = gen(1), gen(2), gen(3)
     images = {1: Elt(TARGET, N, {(1,): Fraction(1, 2)}),
               2: Elt(TARGET, N, {(1,): Fraction(1)})}
-    f = Substitution(TARGET, N, images)
+    f = Substitution(GENS, TARGET, N, images)
     assert f(b).terms == {(1,): Fraction(1, 2)}
     for x, err, text in (
             (b + d, StructError, "no image for generator 'd'"),
@@ -529,3 +529,6 @@ def test_prepared_substitution_checks_each_letter_on_first_use():
             with pytest.raises(err) as e:
                 apply(x)
             assert str(e.value) == text
+    # the map is of GENS: an argument over another generator set is refused
+    with pytest.raises(ConfigError):
+        f(Elt(TARGET, N, {(1,): Fraction(1)}))
