@@ -5,76 +5,114 @@ modulo sum(t_i) = 1 and sum(dt_i) = 0; the canonical representation
 eliminates t_0 and dt_0, so a monomial is an exponent vector over t_1..t_n
 together with an ascending tuple of dt indices.  Everything is exact over
 Fraction: the elementary form of a face, exterior derivative, wedge, the
-inclusion of simplicial cochains, and the fiberwise integration back, whose
-monomial formula is a_1!...a_k!/(a_1+...+a_k+k)! on top-degree terms.
+inclusion of simplicial cochains, and the fiberwise integration back.  On a
+face F = (f_0 < ... < f_k), t^a dt_{F minus f_j} integrates to
+(-1)^j prod a_i! / (sum a_i + k)!, the Dirichlet integral.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain
 from math import factorial
+from operator import add
 
-from .lie import DomainError
+from .lie import DomainError, _q
 
 ONE = Fraction(1)
 
 
-class PolyForm:
-    """A polynomial differential form on the n-simplex, canonicalized.
+def _collect(items):
+    """Sum (key, coefficient) items into one dict without zero entries."""
+    out = {}
+    for key, c in items:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
-    terms maps (exponents over t_1..t_n, ascending dt index tuple) to a
-    nonzero scalar.  Mixed form degrees are allowed in one PolyForm.
-    """
+
+class _Sparse:
+    """A key -> nonzero Fraction dict on the n-simplex, with the vector
+    arithmetic that forms and cochains share.  The public constructor and
+    scalar * check their input; operations build results through the
+    trusted _from_items, which only sums and drops zeros.  Unhashable, since
+    it defines __eq__ and no __hash__."""
 
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for (exps, dts), c in terms.items():
-                if c:
-                    self.terms[(tuple(exps), tuple(dts))] = Fraction(c)
+        self.terms = _collect((self._check_key(key), _q(c))
+                              for key, c in (terms or {}).items())
+
+    @classmethod
+    def _from_items(cls, n, items):
+        x = object.__new__(cls)
+        x.n = n
+        x.terms = _collect(items)
+        return x
 
     def is_zero(self):
         return not self.terms
 
-    def degrees(self):
-        return sorted({len(dts) for _, dts in self.terms})
-
-    def degree_part(self, k):
-        return PolyForm(self.n, {key: c for key, c in self.terms.items()
-                                 if len(key[1]) == k})
-
     def __eq__(self, other):
-        return (isinstance(other, PolyForm) and self.n == other.n
+        return (type(other) is type(self) and self.n == other.n
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        raise TypeError("PolyForm is unhashable")
+    def _plus(self, other, sign):
+        if type(other) is not type(self):
+            return NotImplemented
+        _same_simplex(self, other)
+        return self._from_items(self.n, chain(
+            self.terms.items(),
+            ((key, sign * c) for key, c in other.terms.items())))
 
     def __add__(self, other):
-        if self.n != other.n:
-            raise DomainError("forms on different simplices")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key, 0) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return PolyForm(self.n, out)
-
-    def __neg__(self):
-        return PolyForm(self.n, {k: -c for k, c in self.terms.items()})
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self):
+        return self * -1
 
     def __mul__(self, scalar):
-        s = Fraction(scalar)
-        return PolyForm(self.n, {k: c * s for k, c in self.terms.items()})
+        s = _q(scalar)
+        return self._from_items(self.n, ((key, c * s)
+                                         for key, c in self.terms.items()))
 
     __rmul__ = __mul__
+
+
+def _same_simplex(u, v):
+    if u.n != v.n:
+        raise DomainError("operands on different simplices: n=%d and n=%d"
+                          % (u.n, v.n))
+
+
+class PolyForm(_Sparse):
+    """A polynomial differential form on the n-simplex, canonicalized.
+
+    terms maps (exponents over t_1..t_n, ascending dt index tuple) to a
+    nonzero scalar.  Mixed form degrees are allowed in one PolyForm.  The
+    constructor refuses any other key (dt_0, a repeated or unsorted dt, a
+    negative exponent, an exponent vector not of length n) and float scalars.
+    """
+
+    __slots__ = ()
+
+    def _check_key(self, key):
+        try:
+            exps, dts = (tuple(part) for part in key)
+        except (TypeError, ValueError):
+            exps = dts = None
+        if (exps is None or len(exps) != self.n
+                or not all(type(e) is int and e >= 0 for e in exps)
+                or not all(type(s) is int and 1 <= s <= self.n for s in dts)
+                or list(dts) != sorted(set(dts))):
+            raise DomainError("not a canonical monomial for n=%d: %r"
+                              % (self.n, key))
+        return exps, dts
+
+    def degrees(self):
+        return sorted({len(dts) for _, dts in self.terms})
 
     def __str__(self):
         if not self.terms:
@@ -93,11 +131,15 @@ class PolyForm:
 
 
 def zero_form(n):
-    return PolyForm(n, {})
+    return PolyForm._from_items(n, ())
 
 
 def one_form(n):
-    return PolyForm(n, {((0,) * n, ()): ONE})
+    return PolyForm._from_items(n, [(((0,) * n, ()), ONE)])
+
+
+def _unit(i, n):
+    return tuple(int(j == i) for j in range(1, n + 1))
 
 
 def t_var(i, n):
@@ -105,15 +147,10 @@ def t_var(i, n):
     if not 0 <= i <= n:
         raise DomainError("coordinate index %d out of range" % i)
     if i == 0:
-        terms = {((0,) * n, ()): ONE}
-        for j in range(1, n + 1):
-            e = [0] * n
-            e[j - 1] = 1
-            terms[(tuple(e), ())] = -ONE
-        return PolyForm(n, terms)
-    e = [0] * n
-    e[i - 1] = 1
-    return PolyForm(n, {(tuple(e), ()): ONE})
+        return PolyForm._from_items(n, chain(
+            [(((0,) * n, ()), ONE)],
+            (((_unit(j, n), ()), -ONE) for j in range(1, n + 1))))
+    return PolyForm._from_items(n, [((_unit(i, n), ()), ONE)])
 
 
 def dt_var(i, n):
@@ -121,9 +158,9 @@ def dt_var(i, n):
     if not 0 <= i <= n:
         raise DomainError("coordinate index %d out of range" % i)
     if i == 0:
-        return PolyForm(n, {((0,) * n, (j,)): -ONE
-                            for j in range(1, n + 1)})
-    return PolyForm(n, {((0,) * n, (i,)): ONE})
+        return PolyForm._from_items(n, ((((0,) * n, (j,)), -ONE)
+                                        for j in range(1, n + 1)))
+    return PolyForm._from_items(n, [(((0,) * n, (i,)), ONE)])
 
 
 def _merge_dts(a, b):
@@ -140,45 +177,35 @@ def _merge_dts(a, b):
 
 
 def wedge(u, v):
-    if u.n != v.n:
-        raise DomainError("forms on different simplices")
-    out = {}
-    for (e1, s1), c1 in u.terms.items():
-        for (e2, s2), c2 in v.terms.items():
-            dts, sign = _merge_dts(s1, s2)
-            if dts is None:
-                continue
-            exps = tuple(a + b for a, b in zip(e1, e2))
-            key = (exps, dts)
-            acc = out.get(key, 0) + sign * c1 * c2
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return PolyForm(u.n, out)
+    _same_simplex(u, v)
+
+    def items():
+        for (e1, s1), c1 in u.terms.items():
+            for (e2, s2), c2 in v.terms.items():
+                dts, sign = _merge_dts(s1, s2)
+                if sign:
+                    yield (tuple(map(add, e1, e2)), dts), sign * c1 * c2
+    return PolyForm._from_items(u.n, items())
 
 
 def exterior_d(u):
-    out = PolyForm(u.n, {})
-    for (exps, dts), c in u.terms.items():
-        for i in range(1, u.n + 1):
-            e = exps[i - 1]
-            if not e or i in dts:
-                continue
-            smaller = sum(1 for s in dts if s < i)
-            ne = list(exps)
-            ne[i - 1] -= 1
-            term = PolyForm(u.n, {
-                (tuple(ne), tuple(sorted(dts + (i,)))):
-                c * e * (-1) ** smaller})
-            out = out + term
-    return out
+    def items():
+        for (exps, dts), c in u.terms.items():
+            for i, e in enumerate(exps, start=1):
+                if e and i not in dts:
+                    smaller = sum(1 for s in dts if s < i)
+                    yield ((exps[:i - 1] + (e - 1,) + exps[i:],
+                            tuple(sorted(dts + (i,)))),
+                           c * e * (-1) ** smaller)
+    return PolyForm._from_items(u.n, items())
 
 
 def _check_face(face, n):
     face = tuple(face)
     if not face:
         raise DomainError("empty face")
+    if not all(type(i) is int for i in face):
+        raise DomainError("face indices must be integers: %r" % (face,))
     if list(face) != sorted(set(face)):
         raise DomainError("face indices must be strictly increasing")
     if face[0] < 0 or face[-1] > n:
@@ -190,15 +217,17 @@ def elementary_form(face, n):
     """The Whitney form of a face: k! sum_j (-1)^j t_{i_j} dt_{i_0} ... with
     the j-th differential omitted."""
     face = _check_face(face, n)
-    k = len(face) - 1
-    out = zero_form(n)
-    for j, ij in enumerate(face):
-        term = t_var(ij, n)
-        for m, im in enumerate(face):
-            if m != j:
-                term = wedge(term, dt_var(im, n))
-        out = out + Fraction((-1) ** j) * term
-    return Fraction(factorial(k)) * out
+    scale = factorial(len(face) - 1)
+
+    def items():
+        for j, ij in enumerate(face):
+            term = t_var(ij, n)
+            for m, im in enumerate(face):
+                if m != j:
+                    term = wedge(term, dt_var(im, n))
+            for key, c in term.terms.items():
+                yield key, (-1) ** j * scale * c
+    return PolyForm._from_items(n, items())
 
 
 def restrict(u, face):
@@ -206,112 +235,66 @@ def restrict(u, face):
     zero and the face's own barycentric relation re-eliminates its lowest
     coordinate.  The result uses the ambient variable indexing."""
     face = _check_face(face, u.n)
-    inside = set(face)
-    out = {}
-    for (exps, dts), c in u.terms.items():
-        if any(e and (i not in inside) for i, e in enumerate(exps, start=1)):
-            continue
-        if any(s not in inside for s in dts):
-            continue
-        key = (exps, dts)
-        acc = out.get(key, 0) + c
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    kept = PolyForm(u.n, out)
-    if 0 in inside:
-        return kept
+    n = u.n
+    kept = [((exps, dts), c) for (exps, dts), c in u.terms.items()
+            if all(i in face or not e for i, e in enumerate(exps, start=1))
+            and all(s in face for s in dts)]
+    if face[0] == 0:
+        return PolyForm._from_items(n, kept)
     f0 = face[0]
-    others = [i for i in face if i != f0]
-    tsub = one_form(u.n)
-    for i in others:
-        tsub = tsub - t_var(i, u.n)
-    dsub = zero_form(u.n)
-    for i in others:
-        dsub = dsub - dt_var(i, u.n)
-    result = zero_form(u.n)
-    for (exps, dts), c in kept.terms.items():
-        piece = PolyForm(u.n, {((0,) * u.n, ()): c})
-        for i, e in enumerate(exps, start=1):
-            if not e:
-                continue
-            base = tsub if i == f0 else t_var(i, u.n)
-            for _ in range(e):
-                piece = wedge(piece, base)
-        for s in dts:
-            piece = wedge(piece, dsub if s == f0 else dt_var(s, u.n))
-        result = result + piece
-    return result
+    tsub = one_form(n)
+    dsub = zero_form(n)
+    for i in face[1:]:
+        tsub = tsub - t_var(i, n)
+        dsub = dsub - dt_var(i, n)
+
+    def items():
+        for (exps, dts), c in kept:
+            piece = PolyForm._from_items(
+                n, [((exps[:f0 - 1] + (0,) + exps[f0:], ()), c)])
+            for _ in range(exps[f0 - 1]):
+                piece = wedge(piece, tsub)
+            for s in dts:
+                piece = wedge(piece, dsub if s == f0 else dt_var(s, n))
+            yield from piece.terms.items()
+    return PolyForm._from_items(n, items())
+
+
+def _integral(exps, dts, face):
+    """The integral of the monomial t^exps dt_dts over face = (f_0 < ... <
+    f_k).  When dts is the face minus f_j and t^exps lives on the face it is
+    (-1)^j prod a_i! / (sum a_i + k)!, because dt_{f_0} = -(sum of the
+    face's other dt's) leaves one term; otherwise it is 0."""
+    k = len(face) - 1
+    missing = [j for j, f in enumerate(face) if f not in dts]
+    if (len(dts) != k or len(missing) != 1
+            or any(e and i not in face for i, e in enumerate(exps, start=1))):
+        return 0
+    num = 1
+    for i in face:
+        if i:
+            num *= factorial(exps[i - 1])
+    return Fraction((-1) ** missing[0] * num, factorial(sum(exps) + k))
 
 
 def face_integral(u, face):
-    """Exact integral of (the top-degree part of) a form over a face, by the
-    monomial formula on the face's free coordinates."""
+    """Exact integral of (the top-degree part of) a form over a face."""
     face = _check_face(face, u.n)
-    k = len(face) - 1
-    r = restrict(u, face)
-    free = tuple(i for i in face if i != face[0])
-    total = Fraction(0)
-    for (exps, dts), c in r.terms.items():
-        if dts != free:
-            continue
-        num = 1
-        s = 0
-        for i in free:
-            a = exps[i - 1]
-            num *= factorial(a)
-            s += a
-        total += c * Fraction(num, factorial(s + k))
-    return total
+    return sum((c * _integral(exps, dts, face)
+                for (exps, dts), c in u.terms.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
 # Cochains and the transfer maps
 
 
-class Cochain:
+class Cochain(_Sparse):
     """A simplicial cochain on the n-simplex: faces to scalars."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for face, c in terms.items():
-                face = _check_face(face, n)
-                if c:
-                    self.terms[face] = Fraction(c)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.n == other.n
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        raise TypeError("Cochain is unhashable")
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for face, c in other.terms.items():
-            acc = out.get(face, 0) + c
-            if acc:
-                out[face] = acc
-            else:
-                out.pop(face, None)
-        return Cochain(self.n, out)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        s = Fraction(scalar)
-        return Cochain(self.n, {f: c * s for f, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    def _check_key(self, face):
+        return _check_face(face, self.n)
 
     def __str__(self):
         if not self.terms:
@@ -325,40 +308,25 @@ def cochain_d(c):
     """Simplicial coboundary, dual to the face maps: the image of a face
     basis element collects every one-higher face with the sign of sorting
     the new vertex into place."""
-    out = {}
-    for face, coeff in c.terms.items():
-        for q in range(c.n + 1):
-            if q in face:
-                continue
-            bigger = tuple(sorted(face + (q,)))
-            pos = bigger.index(q)
-            acc = out.get(bigger, 0) + coeff * (-1) ** pos
-            if acc:
-                out[bigger] = acc
-            else:
-                out.pop(bigger, None)
-    return Cochain(c.n, out)
+    return Cochain._from_items(c.n, (
+        (tuple(sorted(face + (q,))), coeff * (-1) ** sum(f < q for f in face))
+        for face, coeff in c.terms.items()
+        for q in range(c.n + 1) if q not in face))
 
 
-def whitney_i(c, n=None):
+def whitney_i(c):
     """The inclusion of cochains into forms: faces to elementary forms."""
-    if n is None:
-        n = c.n
-    out = zero_form(n)
-    for face, coeff in c.terms.items():
-        out = out + coeff * elementary_form(face, n)
-    return out
+    return PolyForm._from_items(c.n, (
+        (key, coeff * v) for face, coeff in c.terms.items()
+        for key, v in elementary_form(face, c.n).terms.items()))
 
 
-def integrate_p(u, n=None):
+def integrate_p(u):
     """The projection of forms onto cochains: each face records the exact
-    integral of the restriction."""
-    if n is None:
-        n = u.n
-    terms = {}
-    for k in range(n + 1):
-        for face in combinations(range(n + 1), k + 1):
-            val = face_integral(u, face)
-            if val:
-                terms[face] = val
-    return Cochain(n, terms)
+    integral of the form over it.  A monomial with k dt's is top-degree
+    only on the faces made of its dt indices and one more vertex."""
+    return Cochain._from_items(u.n, (
+        (face, c * _integral(exps, dts, face))
+        for (exps, dts), c in u.terms.items()
+        for face in (tuple(sorted(dts + (q,)))
+                     for q in range(u.n + 1) if q not in dts)))

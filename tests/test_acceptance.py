@@ -248,7 +248,7 @@ def test_c15_whitney_identity_suite():
         for k in range(n + 1):
             yield from combinations(range(n + 1), k + 1)
 
-    for n in range(4):
+    for n in range(5):
         for face in faces(n):
             c = wh.Cochain(n, {face: 1})
             assert wh.integrate_p(wh.whitney_i(c)) == c

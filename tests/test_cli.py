@@ -1,5 +1,7 @@
 """Command-line surface: subcommands, exit codes, deterministic output."""
 
+import hashlib
+
 import pytest
 
 from freedgl.cli import run
@@ -158,6 +160,19 @@ def test_whitney_listing_and_suite(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "projection_splits_inclusion ok" in out
+
+
+@pytest.mark.parametrize("n,digest", [
+    (1, "01c629ced31261050381a9647807d99bca8511c3710544546765ff647725843d"),
+    (2, "de8db22673128e03f467de1c5354a71e2e87e0ff321ca8cb004ec1a4b745a2fb"),
+    (3, "ac5a504e19d354a9feae71fa1f4277e97a2f7f20d2a22ec1c30afe2f04f54396"),
+])
+def test_whitney_listing_is_pinned(capsys, n, digest):
+    # sha256 of the stdout of `freedgl whitney --n N`, the elementary form
+    # of every face
+    code, out, _ = go(capsys, ["whitney", "--n", str(n)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_check_clean_and_corrupted(tmp_path, capsys):

@@ -5,6 +5,7 @@ from itertools import combinations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freedgl.lie import DomainError
 from freedgl.whitney import (
@@ -187,3 +188,170 @@ def test_arithmetic_and_errors():
         hash(Cochain(2, {(0,): 1}))
     assert str(zero_form(2)) == "0"
     assert "dt1" in str(dt_var(1, 2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PolyForm(2, {((0, 0), (2, 1)): 1}),
+    lambda: PolyForm(2, {((0, 0), (1, 1)): 1}),
+    lambda: PolyForm(2, {((0, 0), (0,)): 1}),
+    lambda: PolyForm(2, {((1,), (1,)): 1}),
+    lambda: PolyForm(2, {((-1, 0), ()): 1}),
+    lambda: PolyForm(2, {((0, 0), ()): 0.1}),
+    lambda: Cochain(2, {(0, 1): 0.1}),
+    lambda: Cochain(2, {(0.0, 1): 1}),
+    lambda: 0.5 * t_var(1, 2),
+    lambda: Cochain(2, {(0,): 1}) * 0.5,
+], ids=["unsorted_dts", "repeated_dt", "dt0", "short_exponents",
+        "negative_exponent", "float_form_scalar", "float_cochain_scalar",
+        "float_vertex", "float_times_form", "cochain_times_float"])
+def test_noncanonical_input_is_refused(make):
+    # ((0, 0), (2, 1)) used to be kept apart from -dt1 dt2, so its integral
+    # over (0, 1, 2) read 0 instead of -1/2
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_cochains_on_different_simplices_do_not_combine():
+    a = Cochain(2, {(0, 1): 1})
+    b = Cochain(3, {(0, 1): 1})
+    with pytest.raises(DomainError):
+        a + b
+    with pytest.raises(DomainError):
+        a - b
+
+
+# Independent references on plain {(exponents, dts): Fraction} dicts: the
+# restriction-based face integral and the term-by-term exterior derivative
+# of the first implementation, over a wedge that bubble-sorts its dt's.
+
+def _ref_add(out, key, c):
+    out[key] = out.get(key, 0) + c
+    if not out[key]:
+        del out[key]
+
+
+def ref_wedge(a, b):
+    out = {}
+    for (e1, s1), c1 in a.items():
+        for (e2, s2), c2 in b.items():
+            if set(s1) & set(s2):
+                continue
+            dts, sign = list(s1 + s2), 1
+            for end in range(len(dts) - 1, 0, -1):
+                for i in range(end):
+                    if dts[i] > dts[i + 1]:
+                        dts[i], dts[i + 1] = dts[i + 1], dts[i]
+                        sign = -sign
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            _ref_add(out, (exps, tuple(dts)), sign * c1 * c2)
+    return out
+
+
+def _ref_unit(n, i):
+    return tuple(int(j == i) for j in range(1, n + 1))
+
+
+def ref_t(n, i):
+    if i:
+        return {(_ref_unit(n, i), ()): Fraction(1)}
+    out = {((0,) * n, ()): Fraction(1)}
+    out.update({(_ref_unit(n, j), ()): Fraction(-1) for j in range(1, n + 1)})
+    return out
+
+
+def ref_dt(n, i):
+    if i:
+        return {((0,) * n, (i,)): Fraction(1)}
+    return {((0,) * n, (j,)): Fraction(-1) for j in range(1, n + 1)}
+
+
+def ref_exterior_d(n, a):
+    out = {}
+    for (exps, dts), c in a.items():
+        for i in range(1, n + 1):
+            if not exps[i - 1] or i in dts:
+                continue
+            lower = list(exps)
+            lower[i - 1] -= 1
+            term = ref_wedge({(tuple(lower), (i,)): c * exps[i - 1]},
+                             {((0,) * n, dts): Fraction(1)})
+            for key, v in term.items():
+                _ref_add(out, key, v)
+    return out
+
+
+def ref_restrict(n, a, face):
+    kept = {(exps, dts): c for (exps, dts), c in a.items()
+            if all(i in face or not e for i, e in enumerate(exps, start=1))
+            and all(s in face for s in dts)}
+    f0 = face[0]
+    if f0 == 0:
+        return kept
+    tsub = {((0,) * n, ()): Fraction(1)}
+    dsub = {}
+    for i in face[1:]:
+        _ref_add(tsub, (_ref_unit(n, i), ()), Fraction(-1))
+        _ref_add(dsub, ((0,) * n, (i,)), Fraction(-1))
+    out = {}
+    for (exps, dts), c in kept.items():
+        piece = {((0,) * n, ()): c}
+        for i, e in enumerate(exps, start=1):
+            for _ in range(e):
+                piece = ref_wedge(piece, tsub if i == f0 else ref_t(n, i))
+        for s in dts:
+            piece = ref_wedge(piece, dsub if s == f0 else ref_dt(n, s))
+        for key, v in piece.items():
+            _ref_add(out, key, v)
+    return out
+
+
+def ref_face_integral(n, a, face):
+    free = face[1:]
+    total = Fraction(0)
+    for (exps, dts), c in ref_restrict(n, a, face).items():
+        if dts == free:
+            num = 1
+            for i in free:
+                num *= factorial(exps[i - 1])
+            total += c * Fraction(num, factorial(sum(exps) + len(free)))
+    return total
+
+
+scalars = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                    st.integers(min_value=1, max_value=5))
+
+
+def canonical_forms(n):
+    keys = st.tuples(
+        st.tuples(*[st.sampled_from((0, 0, 1, 2))] * n),
+        st.sets(st.integers(min_value=1, max_value=n), max_size=n).map(
+            lambda s: tuple(sorted(s))))
+    return st.dictionaries(keys, scalars, max_size=4).map(
+        lambda terms: PolyForm(n, terms))
+
+
+def test_references_agree_on_pinned_values():
+    assert ref_face_integral(1, {((1,), (1,)): Fraction(1)}, (0, 1)) == (
+        Fraction(1, 2))
+    assert ref_face_integral(2, {((0, 0), (1, 2)): Fraction(-1)},
+                             (0, 1, 2)) == Fraction(-1, 2)
+    assert ref_exterior_d(2, {((1, 1), ()): Fraction(1)}) == {
+        ((0, 1), (1,)): 1, ((1, 0), (2,)): 1}
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_operations_match_independent_references(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    u = data.draw(canonical_forms(n))
+    v = data.draw(canonical_forms(n))
+    assert exterior_d(u).terms == ref_exterior_d(n, u.terms)
+    assert wedge(u, v).terms == ref_wedge(u.terms, v.terms)
+    projected = {}
+    for face in faces(n):
+        assert restrict(u, face).terms == ref_restrict(n, u.terms, face)
+        value = ref_face_integral(n, u.terms, face)
+        assert face_integral(u, face) == value
+        if value:
+            projected[face] = value
+    assert integrate_p(u).terms == projected
