@@ -12,12 +12,13 @@ applied word by word, so inhomogeneous elements work.  Everything is computed
 modulo words of length > N for a truncation N fixed at construction; mixing
 truncations is a hard error, never a silent coercion.
 
-Lie membership and canonical coordinates use two classical tools.  Both, and
-serialize.parse_element, expand bracket trees through bracket_words:
+Lie membership and canonical coordinates use two classical tools:
 
   * the Dynkin map theta (left-to-right bracketing), with theta(x_n) = n*x_n
     characterizing Lie elements among length-n tensors; the check runs on
-    the numerators (it is scale-invariant);
+    the numerators (it is scale-invariant), over the whole element at once
+    by _theta_words, which serialize.parse_element also uses for the
+    left-normed brackets it reads;
   * the Lyndon-Shirshov basis of lyndon_slice_basis: standard bracketings b_w
     of Lyndon words w, plus [b_w, b_w] for w of odd total degree.
     b_w = w + (lex-higher words) and [b_w, b_w] = 2*ww + (lex-higher), so
@@ -352,13 +353,15 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # Integer word kernel: word->int dicts holding numerators over one common
 # denominator that the caller keeps, as in an Elt's (num, den).  Every Elt
 # operation runs on it: the arithmetic above, bracket, Derivation.__call__
-# and Substitution here, the bracket-tree sums of dynkin_theta,
-# dynkin_verify, lyndon_slice_basis and serialize.parse_element,
-# _slice_coords and elt_from_slice_coords, bch in series, the face-table
-# relabels and Reynolds averages of simplex, and minimal_model's partner
-# solve.  Fractions are built only where an answer leaves as one: Elt.terms,
-# slice coordinates, and, through clear_denominators, the vectors of linalg's
-# fraction-free eliminator and its SpanReducer front end.
+# and Substitution here; the merged Dynkin map _theta_words, which groups
+# the words of a whole element by last letter, behind dynkin_theta,
+# dynkin_verify and the comb-shaped trees of serialize.parse_element; the
+# other bracket trees of lyndon_slice_basis and parse_element through
+# bracket_words; _slice_coords and elt_from_slice_coords, bch in series, the
+# face-table relabels and Reynolds averages of simplex, and minimal_model's
+# partner solve.  Fractions are built only where an answer leaves as one:
+# Elt.terms, slice coordinates, and, through clear_denominators, the vectors
+# of linalg's fraction-free eliminator and its SpanReducer front end.
 
 
 def clear_denominators(terms):
@@ -447,21 +450,105 @@ def bracket_words(tree, degs):
     return words, deg
 
 
+def _theta_split(words):
+    """(letters, groups) of a word->int dict: the length-1 words as their own
+    word->int dict, and for each last letter a the merged prefix sum
+    sum_u c_{ua} u, as a list of (a, prefix dict) pairs."""
+    letters = {}
+    groups = {}
+    for w, c in words.items():
+        if len(w) == 1:
+            letters[w] = c
+        else:
+            a = w[-1]
+            sub = groups.get(a)
+            if sub is None:
+                sub = groups[a] = {}
+            sub[w[:-1]] = c
+    return letters, list(groups.items())
+
+
+def _theta_words(num, degs):
+    """The Dynkin map theta of the word->int dict num; words that cancel
+    may stay, with 0.
+
+    theta is linear with theta(a) = a and theta(u.a) = [theta(u), a], so the
+    words are grouped by last letter a, theta of each group's merged prefix
+    sum is bracketed with a by bracket's Koszul sign, and a prefix sum
+    shared by many words is expanded once.  The groups nest as a trie of
+    suffixes walked with an explicit stack, so word length cannot overflow
+    the interpreter stack."""
+    out, todo = _theta_split(num)
+    stack = [(None, out, todo)]
+    while True:
+        a, out, todo = stack[-1]
+        if todo:
+            b, sub = todo.pop()
+            stack.append((b,) + _theta_split(sub))
+            continue
+        stack.pop()
+        if not stack:
+            return out
+        # the parent gains [out, a] = out.a - (-1)^{|v||a|} a.out
+        parent = stack[-1][1]
+        get = parent.get
+        tail = (a,)
+        odd = degs[a] & 1
+        for v, c in out.items():
+            if not c:
+                continue
+            w = v + tail
+            parent[w] = get(w, 0) + c
+            w = tail + v
+            if odd and sum(degs[i] for i in v) & 1:
+                parent[w] = get(w, 0) + c
+            else:
+                parent[w] = get(w, 0) - c
+
+
+def _comb_word(tree):
+    """The word g1...gk of a comb [[g1, g2], ..., gk]: a letter, a tuple of
+    letters, or a left-nested tree ((g1, g2), g3) whose right factors are
+    all letters.  None for any other tree."""
+    tail = []   # the letters, last first
+    while not isinstance(tree, int):
+        for t in tree[:0:-1]:
+            if not isinstance(t, int):
+                return None
+            tail.append(t)
+        tree = tree[0]
+    tail.append(tree)
+    tail.reverse()
+    return tuple(tail)
+
+
 def _tree_sum(pairs, degs):
-    """The word->int sum of k * tree over (int k, tree) pairs, expanded by
-    bracket_words; words that cancel stay, with 0."""
-    out = {}
-    get = out.get
+    """The word->int sum of k * tree over (int k, tree) pairs.  Every comb
+    (see _comb_word) is pooled into one word->int dict that goes through
+    _theta_words once, since a comb is theta of its word; every other tree
+    (a Lyndon standard factorization, an arbitrary parsed nesting) is
+    expanded on its own by bracket_words.  Words that cancel may stay, with
+    0."""
+    words = {}
+    rest = []
     for k, tree in pairs:
+        w = _comb_word(tree)
+        if w is None:
+            rest.append((k, tree))
+        else:
+            words[w] = words.get(w, 0) + k
+    out = _theta_words(words, degs)
+    get = out.get
+    for k, tree in rest:
         for w, c in bracket_words(tree, degs)[0].items():
             out[w] = get(w, 0) + k * c
     return out
 
 
 def dynkin_theta(x):
-    """Left-to-right bracketing map: g1 g2 ... gk -> [...[[g1,g2],g3]...,gk].
-    A word is the bracket tree of that bracketing."""
-    out = _tree_sum([(c, w) for w, c in x.num.items()], x.gens.degrees)
+    """Left-to-right bracketing map: g1 g2 ... gk -> [...[[g1,g2],g3]...,gk],
+    over the whole element at once (see _theta_words)."""
+    out = _theta_words(x.num, x.gens.degrees)
     return Elt._from_num(x.gens, x.N, out, x.den)
 
 
@@ -474,7 +561,7 @@ def dynkin_verify(x):
     defect is built from its integer residue over D.
     """
     num = x.num
-    out = _tree_sum([(c, w) for w, c in num.items()], x.gens.degrees)
+    out = _theta_words(num, x.gens.degrees)
     for w, c in num.items():
         out[w] = out.get(w, 0) - len(w) * c
     residues = {}

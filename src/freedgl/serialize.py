@@ -6,8 +6,10 @@ coefficients c_w becomes sum over words w of (c_w / n) [[...[w1,w2],...],wn].
 For Lie elements this is exact (left-to-right bracketing recovers n times the
 length-n part), so parse(emit(x)) == x bit for bit.  Non-Lie inputs are
 refused rather than silently projected.  The parser reads any two-argument
-nesting into a bracket tree and expands it with lie.bracket_words; a bracket
-word with more than N letters parses to 0 at truncation N.
+nesting into a bracket tree; lie._tree_sum pools the left-normed ones (all
+that emit_element writes) into one merged Dynkin map and expands the others
+with lie.bracket_words.  A bracket word with more than N letters parses to 0
+at truncation N.
 
 A DGL file is line-based:
 

@@ -12,7 +12,9 @@ elements, the MC equation checker, and differential twisting d + ad_a.
 
 The BCH exp/log runs on the arguments' integer numerators (the integer word
 kernel of the lie module); the result is one Elt over one denominator, and
-it still passes the Dynkin Lie check.
+it still passes the Dynkin Lie check.  That check computes theta once over
+the merged result (lie._theta_words): words are grouped by last letter, so
+a prefix sum shared by many words is expanded once, not once per word.
 """
 
 from fractions import Fraction

@@ -38,7 +38,7 @@ class _Sparse:
     __slots__ = ("n", "terms")
 
     def __init__(self, n, terms=None):
-        self.n = n
+        self.n = _check_n(n)
         self.terms = _collect((self._check_key(key), _q(c))
                               for key, c in (terms or {}).items())
 
@@ -79,6 +79,12 @@ class _Sparse:
                                          for key, c in self.terms.items()))
 
     __rmul__ = __mul__
+
+
+def _check_n(n):
+    if type(n) is not int or n < 0:
+        raise DomainError("simplex dimension must be an int >= 0: %r" % (n,))
+    return n
 
 
 def _same_simplex(u, v):
@@ -131,11 +137,11 @@ class PolyForm(_Sparse):
 
 
 def zero_form(n):
-    return PolyForm._from_items(n, ())
+    return PolyForm._from_items(_check_n(n), ())
 
 
 def one_form(n):
-    return PolyForm._from_items(n, [(((0,) * n, ()), ONE)])
+    return PolyForm._from_items(_check_n(n), [(((0,) * n, ()), ONE)])
 
 
 def _unit(i, n):
@@ -201,7 +207,11 @@ def exterior_d(u):
 
 
 def _check_face(face, n):
-    face = tuple(face)
+    try:
+        face = tuple(face)
+    except TypeError:
+        raise DomainError("a face is a sequence of vertex indices: %r"
+                          % (face,)) from None
     if not face:
         raise DomainError("empty face")
     if not all(type(i) is int for i in face):

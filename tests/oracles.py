@@ -5,8 +5,9 @@ graded Witt recursion; simplicial homology comes from a plain dense boundary
 matrix elimination over Fraction; the BCH product comes from exp and log
 power series over word->Fraction dicts.  The exact solve, derivation and
 substitution oracles are plain Fraction loops over dicts: a dense row-reduced
-echelon form, and the word-by-word derivation and substitution rules.  The
-span reference is incremental Gauss-Jordan on Fractions that tracks the
+echelon form, and the word-by-word derivation and substitution rules; the
+Dynkin map folds each word with the word-by-word bracket.  The span
+reference is incremental Gauss-Jordan on Fractions that tracks the
 combination behind every row.  Lower central series ranks of surface groups
 come from Labute's closed formula, and element tokens from a plain
 character-by-character scan.
@@ -301,6 +302,19 @@ def oracle_bracket(a, b, degrees, N):
             odd = sum(degrees[i] for i in u) % 2 and sum(degrees[i] for i in v) % 2
             _accumulate(out, {u + v: cu * cv}, Fraction(1))
             _accumulate(out, {v + u: cu * cv}, Fraction(1 if odd else -1))
+    return out
+
+
+def oracle_dynkin_theta(terms, degrees, N):
+    """The Dynkin map g1 g2 ... gk -> [...[[g1, g2], g3]..., gk] of a
+    word->Fraction dict: each word folded left to right with oracle_bracket,
+    one word at a time, and the folds summed, zeros dropped."""
+    out = {}
+    for w, c in terms.items():
+        acc = {w[:1]: Fraction(1)}
+        for g in w[1:]:
+            acc = oracle_bracket(acc, {(g,): Fraction(1)}, degrees, N)
+        _accumulate(out, acc, Fraction(c))
     return out
 
 

@@ -15,10 +15,10 @@ from freedgl.lie import (
     lyndon_slice_basis, slice_coordinates, elt_from_slice_coords,
     Substitution, substitute, concat_terms,
 )
-from freedgl.serialize import emit_element
+from freedgl.serialize import emit_element, parse_element
 from oracles import (
     free_lie_slice_dim, oracle_bracket, oracle_combine, oracle_derivation,
-    oracle_substitute,
+    oracle_dynkin_theta, oracle_substitute,
 )
 
 GENS = GenSet([("a", -1), ("b", 0), ("c", 1), ("d", 0)])
@@ -169,6 +169,88 @@ def test_dynkin_on_odd_square():
     a = gen(0)
     sq = bracket(a, a)
     assert dynkin_theta(sq) == 2 * sq
+    # the squares of even letters are in the kernel of theta
+    assert dynkin_theta(Elt(GENS, N, {(1, 1): Fraction(1),
+                                      (3, 3): Fraction(-2)})).is_zero()
+
+
+# random word->Fraction dicts over letters of both parities, words of mixed
+# lengths up to N
+word_dicts = st.dictionaries(
+    st.lists(st.integers(min_value=0, max_value=3),
+             min_size=1, max_size=N).map(tuple),
+    scalars.filter(bool), max_size=8)
+
+
+@given(word_dicts, st.integers(min_value=0, max_value=2))
+@settings(max_examples=150, deadline=None)
+def test_dynkin_theta_matches_the_word_fold(terms, room):
+    M = max((len(w) for w in terms), default=1) + room
+    x = Elt(GENS, M, terms)
+    want = Elt(GENS, M, oracle_dynkin_theta(terms, GENS.degrees, M))
+    assert dynkin_theta(x) == want
+    # theta keeps word length, so it commutes with a change of truncation
+    assert dynkin_theta(x.at_truncation(M + 1)) == want.at_truncation(M + 1)
+
+
+@given(word_dicts, st.integers(min_value=1, max_value=N))
+@settings(max_examples=100, deadline=None)
+def test_dynkin_theta_cancels_on_its_kernel(terms, n):
+    # theta(theta(x_n)) = n theta(x_n), so theta(x_n) - n x_n maps to 0
+    part = {w: c for w, c in terms.items() if len(w) == n}
+    y = oracle_combine(oracle_dynkin_theta(part, GENS.degrees, N), part, -n)
+    assert dynkin_theta(Elt(GENS, N, y)).is_zero()
+
+
+@given(word_dicts, bracket_trees, scalars)
+@settings(max_examples=150, deadline=None)
+def test_dynkin_verify_defects_match_the_word_fold(terms, t, c):
+    # a Lie part next to arbitrary words, so some lengths pass and some fail
+    x = Elt(GENS, N, terms) + c * eval_tree(t)
+    want = []
+    for n in sorted({len(w) for w in x.terms}):
+        part = {w: v for w, v in x.terms.items() if len(w) == n}
+        residue = oracle_combine(oracle_dynkin_theta(part, GENS.degrees, N),
+                                 part, -n)
+        if residue:
+            want.append((n, Elt(GENS, N, residue)))
+    ok, defects = dynkin_verify(x)
+    assert defects == want
+    assert ok == (not want)
+
+
+def tree_text(t):
+    """A bracket tree as element text: a tuple (t1, ..., tk) is written as
+    the left-nested [[t1, t2], ..., tk]."""
+    if isinstance(t, int):
+        return GENS.names[t]
+    s = tree_text(t[0])
+    for u in t[1:]:
+        s = "[%s,%s]" % (s, tree_text(u))
+    return s
+
+
+# combs (flat tuples of letters) next to arbitrary nestings, some of them
+# with combs inside
+mixed_trees = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=3),
+             min_size=1, max_size=6).map(tuple),
+    bracket_trees,
+    st.tuples(bracket_trees, st.integers(min_value=0, max_value=3)),
+)
+
+
+@given(st.lists(st.tuples(scalars.filter(bool), mixed_trees),
+                min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_parse_element_matches_the_bracket_fold(terms, M):
+    text = " ".join("%s %s %s" % ("-" if c < 0 else "+", abs(c), tree_text(t))
+                    for c, t in terms)
+    want = zero_elt(GENS, M)
+    for c, t in terms:
+        want = want + c * eval_tree(t, M)
+    assert parse_element(text, GENS, M) == want
 
 
 def oracle_standard_bracketing(word, M):

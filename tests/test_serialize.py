@@ -157,6 +157,17 @@ def test_deep_nesting_parses_without_recursion():
     assert e.value.line == 4
 
 
+def test_deep_comb_expands_without_recursion_at_large_truncation():
+    # a left-normed word of 5001 letters fits at trunc 6000, so it reaches
+    # the merged Dynkin map, which walks its suffixes with an explicit stack;
+    # [[a, a], a] = 0 for a odd, so the word is 0
+    g = GenSet([("a", -1), ("x", 0)])
+    word = _deep_word(5000)
+    assert parse_element("1 " + word, g, 6000).is_zero()
+    assert parse_element("[x," + word + "] + 2 x", g, 6000) == (
+        2 * generator_elt(g, 6000, "x"))
+
+
 def test_cancelling_word_parses_to_zero_at_large_truncation():
     # [x, x] = 0 for x even, so the 24-letter word expands to nothing
     # instead of to 2^23 signed words

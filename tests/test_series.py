@@ -1,10 +1,12 @@
 """BCH, exponential conjugation, Bernoulli operator, gauge, twist."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freedgl import cli
 from freedgl.lie import (
     GenSet, Elt, FreeDGL, DomainError, bracket, generator_elt,
     lyndon_slice_basis, elt_from_slice_coords,
@@ -257,3 +259,13 @@ def test_twisted_interval_differential():
     a = L.gen("a")
     T = twist(L, a)
     assert T.d(a) == Fraction(1, 2) * bracket(a, a)
+
+
+def test_bch_text_is_pinned(capsys):
+    # sha256 of the stdout of `freedgl bch --trunc 10 --count 2`: every word
+    # of log(exp x1 exp x2) through length 10, Dynkin-checked in bch and
+    # again in emit_element
+    assert cli.run(["bch", "--trunc", "10", "--count", "2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e964da5b3b9d0aff421378972911714178a0b13c678bf568054d91b403b17335")

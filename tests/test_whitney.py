@@ -211,6 +211,24 @@ def test_noncanonical_input_is_refused(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PolyForm(-1, {}),
+    lambda: PolyForm(2.0, {}),
+    lambda: Cochain(-1, {}),
+    lambda: Cochain("2", {(0,): 1}),
+    lambda: zero_form(-1),
+    lambda: one_form(-1),
+    lambda: one_form(True),
+    lambda: Cochain(2, {5: 1}),
+], ids=["negative_form_n", "float_form_n", "negative_cochain_n",
+        "str_cochain_n", "negative_zero_form", "negative_one_form",
+        "bool_one_form", "int_face"])
+def test_bad_simplex_dimension_or_face_is_refused(make):
+    # one_form(-1) used to print 1, and an int face died with a TypeError
+    with pytest.raises(DomainError):
+        make()
+
+
 def test_cochains_on_different_simplices_do_not_combine():
     a = Cochain(2, {(0, 1): 1})
     b = Cochain(3, {(0, 1): 1})
