@@ -6,11 +6,13 @@ own faces: it is the simplex models' face-relabel table (_face_images) taken
 over K's faces, so each face's differential is the relabeled top
 differential of its dimension.  That is supported on the face's subfaces,
 so the restriction closes whenever the face set is closed under subsets.
-On top of the raw model: component splitting, localization at a
-Maurer-Cartan element, and the minimal model as one quotient (kill the
-vertices and a spanning tree, pair the other generators in one echelon of
-the linear differential, and solve every partner's image in one pass over
-word length).
+The seed top differentials are built once per truncation and dimension
+and shared by every complex (simplex._seed_top_diffs).  On top of the raw
+model: component splitting, localization at a Maurer-Cartan element, and
+the minimal model as one quotient (build the model modulo the vertices and
+a spanning tree, so that no word with one of their letters is formed, pair
+the other generators in one echelon of the linear differential, and solve
+every partner's image in one pass over word length).
 """
 
 from fractions import Fraction
@@ -23,7 +25,7 @@ from .lie import (
 from .linalg import SpanReducer, FractionFreeReducer
 from .series import twist
 from .serialize import ParseError
-from .simplex import ModelFamily, face_name, face_degree, _face_images
+from .simplex import face_name, face_degree, _face_images, _seed_top_diffs
 from .homology import homology, _DegreeLayout, _kernel_pass
 
 ONE = Fraction(1)
@@ -136,12 +138,19 @@ def model_of_complex(K, N):
     """The model of K at truncation N, restricted from the ambient family:
     the face-relabel table of the simplex models (_face_images) over K's
     faces, with wide names above ten vertices."""
-    fam = ModelFamily(N, "seed")
+    return ComplexModel(K, N, _complex_dgl(K, N), K.n_vertices > 10)
+
+
+def _complex_dgl(K, N, killed=()):
+    """The free DGL of K's model at truncation N, or, for the indices of
+    letters generating a d-stable ideal I in killed, of its quotient by I
+    on the same generators: every word with a killed letter is dropped as
+    the face table relabels it, so it is never built."""
     wide = K.n_vertices > 10
     gens = GenSet([(face_name(f, wide), face_degree(f)) for f in K.faces])
-    diffs = [fam.top_diff(p) for p in range(K.dim + 1)]
-    images = _face_images(gens, K.faces, N, diffs, wide)
-    return ComplexModel(K, N, FreeDGL(gens, N, images), wide)
+    return FreeDGL(gens, N, _face_images(gens, K.faces, N,
+                                         _seed_top_diffs(N, K.dim), wide,
+                                         killed))
 
 
 # ---------------------------------------------------------------------------
@@ -337,24 +346,27 @@ def minimal_model(K, basepoint, N):
     """Minimal model of a connected complex at truncation N, as one quotient
     of its model.
 
-    The vertices and a spanning tree (an acyclic ideal) are killed.  The
-    other generators, lowest degree first, put their linear differentials,
+    The vertices and a spanning tree generate an acyclic ideal I, which is
+    d-stable: every word of d(a_v) and of d(a_e) has one of their letters.
+    The model is built on L/I from the start, since the face table sends
+    those letters to 0, so no word with one of them is formed.  The other
+    generators, lowest degree first, put their linear differentials,
     killed letters dropped, into one echelon: a row with a pivot kills its
     generator (a source) and pairs it with the pivot letter (its partner).
     The surviving generator count per degree equals the reduced homology of
     K shifted down by one.  Each partner's image is solved length by length
     in one graded pass, and _restricted_dgl checks that the projection is a
-    chain map.
+    chain map; p kills I, so p(d x) on L/I is p(d x) on L.
     """
     comps = components(K)
     if len(comps) != 1:
         raise DomainError(
             "minimal models need a connected complex; "
             "split it with components() first")
-    L = model_of_complex(K, N).dgl
-    gens = L.gens
     tree = set(maximal_tree(K, basepoint))
     killed = {i for i, f in enumerate(K.faces) if len(f) == 1 or f in tree}
+    L = _complex_dgl(K, N, killed)
+    gens = L.gens
     zero = zero_elt(gens, N)
     dgen = L.diff.images
     red = SpanReducer()

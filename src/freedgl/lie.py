@@ -799,8 +799,10 @@ class Substitution:
     implements DGL morphisms, quotient maps and relabelings on canonical
     forms.  Each image is checked and bucketed by word length on the first
     use of its letter, and a word with a letter whose image is 0 is skipped
-    before any product is formed.  The images dict must not change
-    afterwards.
+    before any product is formed.  Within one call the words share the
+    products of their common prefixes through a dict that dies with the
+    call, so no product is kept from one call to the next.  The images dict
+    must not change afterwards.
     """
 
     __slots__ = ("source_gens", "target_gens", "N", "images", "_fits",
@@ -829,16 +831,21 @@ class Substitution:
         else:
             self._zero.add(i)
 
-    def _product(self, w):
+    def _product(self, w, memo):
         """(numerators, den) of the product of the images of w's letters,
-        numerators {} when it vanishes mod words longer than N."""
-        partial, den = {(): 1}, 1
-        for g in w:
-            bucket, d = self._fits[g]
+        numerators {} when it vanishes mod words longer than N.  memo maps
+        the prefixes met so far to their products, () included, so w costs
+        one int_concat per letter beyond its longest known prefix."""
+        j = len(w)
+        while w[:j] not in memo:
+            j -= 1
+        partial, den = memo[w[:j]]
+        while partial and j < len(w):
+            bucket, d = self._fits[w[j]]
             partial = int_concat(partial, bucket, self.N)
-            if not partial:
-                break
             den *= d
+            j += 1
+            memo[w[:j]] = partial, den
         return partial, den
 
     def __call__(self, x):
@@ -849,11 +856,13 @@ class Substitution:
         for i in sorted(x.letters().difference(self._fits, zero)):
             self._prepare(i)
         N = self.N
+        # the prefix products of this call's words only: nothing outlives it
+        memo = {(): ({(): 1}, 1)}
         parts = []
         for w, c in x.num.items():
             if len(w) > N or not zero.isdisjoint(w):
                 continue
-            prod = self._product(w)
+            prod = self._product(w, memo)
             if prod[0]:
                 parts.append((c, prod))
         # each word's product has its own denominator; bring them to their lcm

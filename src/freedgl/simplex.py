@@ -89,17 +89,19 @@ def perm_sign(sigma):
     return -1 if inv & 1 else 1
 
 
-def _face_table(n, vertex_map, index, wide=False):
+def _face_table(n, vertex_map, index, wide=False, killed=()):
     """Where a vertex map sends the faces of Delta^n, in faces_of_simplex(n)
     order (entry i belongs to letter i of simplex_genset(n)): None when the
-    image repeats a vertex, else (index of the sorted image's name, sort
-    sign of the image)."""
+    image repeats a vertex or its letter is in killed (indices into the
+    target), else (index of the sorted image's name, sort sign of the
+    image)."""
     table = []
     for face in faces_of_simplex(n):
         img = [vertex_map[v] for v in face]
-        table.append(None if len(set(img)) < len(img) else
-                     (index(face_name(tuple(sorted(img)), wide)),
-                      perm_sign(img)))
+        j = (None if len(set(img)) < len(img) else
+             index(face_name(tuple(sorted(img)), wide)))
+        table.append(None if j is None or j in killed else
+                     (j, perm_sign(img)))
     return tuple(table)
 
 
@@ -131,6 +133,11 @@ def relabel_element(x, vertex_map, target_gens, target_N, wide=False):
     """
     table = _face_table(len(vertex_map) - 1, vertex_map, target_gens.index,
                         wide)
+    return _relabeled(x, table, target_gens, target_N)
+
+
+def _relabeled(x, table, target_gens, target_N):
+    """x mapped through a face table onto target_gens at target_N."""
     out = _relabel(x.num, table, {})
     return Elt._from_num(target_gens, target_N, {
         w: c for w, c in out.items() if len(w) <= target_N}, x.den)
@@ -177,14 +184,20 @@ class SimplexModel:
         return "SimplexModel(n=%d, N=%d, flavor=%s)" % (self.n, self.N, self.flavor)
 
 
-def _face_images(gens, faces, N, diffs, wide=False):
+def _face_images(gens, faces, N, diffs, wide=False, killed=()):
     """Differential table on the given faces of dimension p < len(diffs):
-    a_F goes to diffs[dim F] relabeled onto F; zero images are left out."""
+    a_F goes to diffs[dim F] relabeled onto F; zero images are left out.
+
+    The letters in killed (indices into gens) go to 0, and so does every
+    word with one of them, so no such word is built.  When they generate a
+    d-stable ideal I this is the table of L/I, and their own images vanish.
+    """
     images = {}
     for face in faces:
         p = len(face) - 1
         if p < len(diffs):
-            img = relabel_element(diffs[p], face, gens, N, wide)
+            table = _face_table(p, face, gens.index, wide, killed)
+            img = _relabeled(diffs[p], table, gens, N)
             if not img.is_zero():
                 images[gens.index(face_name(face, wide))] = img
     return images
@@ -575,6 +588,16 @@ class ModelFamily:
 
 def seed_family(N):
     return ModelFamily(N, "seed")
+
+
+@cache
+def _seed_top_diffs(N, dim):
+    """The seed family's top differentials of dimensions 0..dim at
+    truncation N, built once and shared by every complex model.  A tuple of
+    Elts, which no operation mutates, so install_top_diff on any
+    ModelFamily cannot reach it."""
+    fam = ModelFamily(N, "seed")
+    return tuple(fam.top_diff(p) for p in range(dim + 1))
 
 
 def build_model(n, N, seeds=None):

@@ -224,19 +224,29 @@ def _check_face(face, n):
 
 
 def elementary_form(face, n):
-    """The Whitney form of a face: k! sum_j (-1)^j t_{i_j} dt_{i_0} ... with
-    the j-th differential omitted."""
+    """The Whitney form of a face F = (f_0 < ... < f_k),
+    k! sum_j (-1)^j t_{f_j} dt_{F minus f_j}, written down monomial by
+    monomial: only t_0 = 1 - sum t_i and dt_0 = -sum dt_i (i = 1..n) expand,
+    and dt_i wedge dt_D sorts to (-1)^{#(d in D, d < i)} dt_{D + i}."""
     face = _check_face(face, n)
-    scale = factorial(len(face) - 1)
+    scale = factorial(len(face) - 1) * ONE
+    const = (0,) * n
 
     def items():
-        for j, ij in enumerate(face):
-            term = t_var(ij, n)
-            for m, im in enumerate(face):
-                if m != j:
-                    term = wedge(term, dt_var(im, n))
-            for key, c in term.terms.items():
-                yield key, (-1) ** j * scale * c
+        for j, fj in enumerate(face):
+            ts = ([(_unit(fj, n), 1)] if fj else
+                  [(const, 1)] + [(_unit(i, n), -1) for i in range(1, n + 1)])
+            rest = face[:j] + face[j + 1:]
+            if rest[:1] == (0,):
+                tail = rest[1:]
+                dts = [(tuple(sorted(tail + (i,))),
+                        -(-1) ** sum(d < i for d in tail))
+                       for i in range(1, n + 1) if i not in tail]
+            else:
+                dts = [(rest, 1)]
+            for exps, a in ts:
+                for key, b in dts:
+                    yield (exps, key), (-1) ** j * scale * a * b
     return PolyForm._from_items(n, items())
 
 

@@ -12,7 +12,7 @@ from freedgl.lie import (
 from freedgl.linalg import SpanReducer
 from freedgl.serialize import ParseError, emit_dgl
 from freedgl.series import is_mc, twist
-from freedgl.simplex import seed_family, interval_model
+from freedgl.simplex import seed_family, interval_model, _seed_top_diffs
 from freedgl.homology import (
     linear_homology, homology, malcev_tower, tower_layers, _h0_quotient,
     pi_n, _DegreeLayout,
@@ -524,8 +524,8 @@ def test_malcev_tower_of_surfaces_matches_labute():
         == surface_lcs_ranks(1, 3) == [2, 0, 0]
     K = parse_complex(_genus_two())
     assert (K.n_vertices, len(K.faces)) == (11, 76)
-    assert tower_layers(malcev_tower(K, 0, 5)) \
-        == surface_lcs_ranks(2, 5) == [4, 5, 16, 45, 144]
+    assert tower_layers(malcev_tower(K, 0, 6)) \
+        == surface_lcs_ranks(2, 6) == [4, 5, 16, 45, 144, 440]
 
 
 # sha256 of the emit_dgl text of minimal models, captured from the partner
@@ -541,6 +541,10 @@ MINIMAL_MODEL_TEXT_SHA256 = [
      "d35ea316e9c26584f2eaa5cfc3cf8b357e0838cabb5021512b8f742f79e0181f"),
     ("genus-2 surface at N=4", _genus_two(), 4,
      "94ab75aae11f582b648be267e34bdd2c163bd2a9809cd9ae7ed05bdb1e65b23c"),
+    ("genus-2 surface at N=5", _genus_two(), 5,
+     "b58c7bf74efa166605e47c84c10ca745e4f53a8497f6bd1447571db36eec590f"),
+    ("figure-eight at N=5", FIG8, 5,
+     "8a68c46e0d4a43051510144df387140590b7c3bed4814309fb53f408d785b871"),
 ]
 
 
@@ -549,6 +553,27 @@ MINIMAL_MODEL_TEXT_SHA256 = [
 def test_minimal_model_text_is_pinned(label, text, N, digest):
     out = emit_dgl(minimal_model(parse_complex(text), 0, N))
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_installed_top_diff_leaves_complex_models_pinned():
+    # complex models share the seed top differentials per (N, dim), built
+    # apart from any ModelFamily: a top differential installed on a seed
+    # family, before or after they are built, stays in that family
+    K = parse_complex(TORUS)
+    digests = (COMPLEX_TEXT_SHA256[0][2], MINIMAL_MODEL_TEXT_SHA256[0][3])
+
+    def texts():
+        return (emit_dgl(model_of_complex(K, 3).dgl),
+                emit_dgl(minimal_model(K, 0, 3)))
+
+    _seed_top_diffs.cache_clear()
+    for _ in range(2):
+        fam = seed_family(3)
+        triangle = fam.model(2).dgl
+        fam.install_top_diff(2, 2 * fam.top_diff(2))
+        assert emit_dgl(fam.model(2).dgl) != emit_dgl(triangle)
+        assert tuple(hashlib.sha256(t.encode()).hexdigest()
+                     for t in texts()) == digests
 
 
 def _twisted_full_model_h0(K, N):

@@ -595,6 +595,45 @@ def test_one_prepared_substitution_matches_the_oracle_on_each_element(
         assert_canonical(got, oracle_substitute(x, images, trunc))
 
 
+@given(st.data(), st.integers(min_value=2, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_prefix_sharing_substitution_matches_the_oracle(data, trunc):
+    # each element's words extend a few shared prefixes, one word has a
+    # letter with image 0 inside it, the images of b and d have length 2
+    # only, so their prefix products pass trunc before a word of length
+    # <= trunc ends, and coefficients have mixed denominators.  One map
+    # applied to two elements must give what two fresh maps give
+    images = data.draw(generator_images(
+        lambda g: GENS.degrees[g], trunc, omit=False))
+    pairs = [w for w in WORDS if len(w) == 2 and GENS.degree_of_word(w) == 0]
+    for g in (1, 3):
+        images[g] = data.draw(word_dicts(pairs, 3).filter(bool))
+    zero = data.draw(st.sampled_from([0, 2]))
+    images[zero] = {}
+    short = [w for w in WORDS if len(w) <= 2]
+
+    def element():
+        heads = data.draw(st.lists(st.sampled_from(short), min_size=1,
+                                   max_size=3, unique=True))
+        x = {h + t: data.draw(coeffs) for h in heads
+             for t in data.draw(st.lists(st.sampled_from(short),
+                                         min_size=1, max_size=3))}
+        x[heads[0] + (zero,) + heads[-1]] = data.draw(coeffs)
+        return x
+
+    def fresh():
+        return Substitution(GENS, TARGET, trunc, {
+            g: Elt(TARGET, trunc, t) for g, t in images.items()})
+
+    f = fresh()
+    xs = [element(), element()]
+    got = [f(Elt(GENS, 5, x)) for x in xs]
+    for x, y in zip(xs, got):
+        assert y == fresh()(Elt(GENS, 5, x))
+        assert_canonical(y, oracle_substitute(x, images, trunc))
+    assert f(Elt(GENS, 5, xs[0])) == got[0]
+
+
 def test_prepared_substitution_checks_each_letter_on_first_use():
     # the map works on elements without the bad letters, then fails on each
     # one with the texts that substitute gives
