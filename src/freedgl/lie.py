@@ -17,8 +17,8 @@ Lie membership and canonical coordinates use two classical tools:
   * the Dynkin map theta (left-to-right bracketing), with theta(x_n) = n*x_n
     characterizing Lie elements among length-n tensors; the check runs on
     the numerators (it is scale-invariant), over the whole element at once
-    by _theta_words, which serialize.parse_element also uses for the
-    left-normed brackets it reads;
+    by _theta_words, which also expands the left-normed brackets that
+    serialize.parse_element reads, each handed over as its word;
   * the Lyndon-Shirshov basis of lyndon_slice_basis: standard bracketings b_w
     of Lyndon words w, plus [b_w, b_w] for w of odd total degree.
     b_w = w + (lex-higher words) and [b_w, b_w] = 2*ww + (lex-higher), so
@@ -130,7 +130,8 @@ class Elt:
     positive int with gcd(den, *num.values()) == 1, so equal elements have
     equal (num, den).  terms, the word -> Fraction dict, is built on first
     read and cached; Elt(gens, N, terms) takes such a dict (int values are
-    read as integers).  The kernels of this module and its users read num
+    read as integers) and refuses the empty word, letters outside gens and
+    words longer than N.  The kernels of this module and its users read num
     and den and build results through _from_num, which normalizes once.
     Instances are immutable by convention: no operation mutates the num or
     terms dict of an input, so these dicts may be shared.
@@ -149,6 +150,15 @@ class Elt:
         if not all(type(c) is Fraction and c for c in terms.values()):
             terms = {w: _q(c) for w, c in terms.items()}
             terms = {w: c for w, c in terms.items() if c}
+        n = len(gens)
+        for w in terms:
+            if not w:
+                raise StructError("the empty word is not a Lie element")
+            if len(w) > N:
+                raise ConfigError("element does not fit in truncation %d" % N)
+            if not all(0 <= i < n for i in w):
+                raise StructError("word %r has a letter that is not a generator"
+                                  % (w,))
         self.num, self.den = clear_denominators(terms)
         self._terms = terms
 
@@ -272,6 +282,8 @@ class Elt:
 
     def truncated(self, M):
         """Drop words longer than M.  M may not exceed the current truncation."""
+        if M < 1:
+            raise ConfigError("truncation must be >= 1, got %d" % M)
         if M > self.N:
             raise ConfigError(
                 "cannot raise truncation from %d to %d" % (self.N, M))
@@ -355,7 +367,7 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # operation runs on it: the arithmetic above, bracket, Derivation.__call__
 # and Substitution here; the merged Dynkin map _theta_words, which groups
 # the words of a whole element by last letter, behind dynkin_theta,
-# dynkin_verify and the comb-shaped trees of serialize.parse_element; the
+# dynkin_verify and the left-normed words of serialize.parse_element; the
 # other bracket trees of lyndon_slice_basis and parse_element through
 # bracket_words; _slice_coords and elt_from_slice_coords, bch in series, the
 # face-table relabels and Reynolds averages of simplex, and minimal_model's
@@ -422,32 +434,44 @@ def bracket_words(tree, degs):
     """(words, degree) of a bracket tree: a letter index, or a tuple of trees
     (t1, t2, ..., tk) read as [[t1, t2], ..., tk].  words is the word->int
     expansion by bracket's rule [x, y] = xy - (-1)^{|x||y|} yx, merged and
-    with zeros dropped at every bracket.  The left spine is a loop; only
-    right factors that are not letters recurse."""
-    spine = []
-    while not isinstance(tree, int):
-        spine.append(tree)
-        tree = tree[0]
-    words = {(tree,): 1}
-    deg = degs[tree]
-    for node in reversed(spine):
-        for right in node[1:]:
-            rwords, rdeg = (({(right,): 1}, degs[right])
-                            if isinstance(right, int)
-                            else bracket_words(right, degs))
-            s = 1 if (deg & 1) and (rdeg & 1) else -1
-            out = {}
-            get = out.get
-            for u, cu in words.items():
-                for v, cv in rwords.items():
-                    c = cu * cv
-                    w = u + v
-                    out[w] = get(w, 0) + c
-                    w = v + u
-                    out[w] = get(w, 0) + s * c
-            words = {w: c for w, c in out.items() if c}
-            deg += rdeg
-    return words, deg
+    with zeros dropped at every bracket.  The trees still open wait on an
+    explicit stack, so no nesting depth can overflow the interpreter stack;
+    a right factor that is a letter is bracketed in directly."""
+    stack = []   # (words, degree, right factors to come) of the open trees;
+    # the right factors are kept last first, so the next one is popped
+    words = None
+    while True:
+        if words is None:   # open tree: its first letter and right factors
+            rights = []
+            while not isinstance(tree, int):
+                rights += tree[:0:-1]
+                tree = tree[0]
+            words = {(tree,): 1}
+            deg = degs[tree]
+        if rights:
+            tree = rights.pop()
+            if not isinstance(tree, int):
+                stack.append((words, deg, rights))
+                words = None
+                continue
+            rwords, rdeg = {(tree,): 1}, degs[tree]
+        elif stack:
+            rwords, rdeg = words, deg
+            words, deg, rights = stack.pop()
+        else:
+            return words, deg
+        s = 1 if (deg & 1) and (rdeg & 1) else -1
+        out = {}
+        get = out.get
+        for u, cu in words.items():
+            for v, cv in rwords.items():
+                c = cu * cv
+                w = u + v
+                out[w] = get(w, 0) + c
+                w = v + u
+                out[w] = get(w, 0) + s * c
+        words = {w: c for w, c in out.items() if c}
+        deg += rdeg
 
 
 def _theta_split(words):
@@ -504,45 +528,6 @@ def _theta_words(num, degs):
                 parent[w] = get(w, 0) + c
             else:
                 parent[w] = get(w, 0) - c
-
-
-def _comb_word(tree):
-    """The word g1...gk of a comb [[g1, g2], ..., gk]: a letter, a tuple of
-    letters, or a left-nested tree ((g1, g2), g3) whose right factors are
-    all letters.  None for any other tree."""
-    tail = []   # the letters, last first
-    while not isinstance(tree, int):
-        for t in tree[:0:-1]:
-            if not isinstance(t, int):
-                return None
-            tail.append(t)
-        tree = tree[0]
-    tail.append(tree)
-    tail.reverse()
-    return tuple(tail)
-
-
-def _tree_sum(pairs, degs):
-    """The word->int sum of k * tree over (int k, tree) pairs.  Every comb
-    (see _comb_word) is pooled into one word->int dict that goes through
-    _theta_words once, since a comb is theta of its word; every other tree
-    (a Lyndon standard factorization, an arbitrary parsed nesting) is
-    expanded on its own by bracket_words.  Words that cancel may stay, with
-    0."""
-    words = {}
-    rest = []
-    for k, tree in pairs:
-        w = _comb_word(tree)
-        if w is None:
-            rest.append((k, tree))
-        else:
-            words[w] = words.get(w, 0) + k
-    out = _theta_words(words, degs)
-    get = out.get
-    for k, tree in rest:
-        for w, c in bracket_words(tree, degs)[0].items():
-            out[w] = get(w, 0) + k * c
-    return out
 
 
 def dynkin_theta(x):
@@ -920,6 +905,8 @@ class FreeDGL:
     __slots__ = ("gens", "N", "diff", "_d1")
 
     def __init__(self, gens, N, images):
+        if N < 1:
+            raise ConfigError("truncation must be >= 1, got %d" % N)
         self.gens = gens
         self.N = N
         for i in images:

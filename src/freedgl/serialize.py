@@ -6,10 +6,11 @@ coefficients c_w becomes sum over words w of (c_w / n) [[...[w1,w2],...],wn].
 For Lie elements this is exact (left-to-right bracketing recovers n times the
 length-n part), so parse(emit(x)) == x bit for bit.  Non-Lie inputs are
 refused rather than silently projected.  The parser reads any two-argument
-nesting into a bracket tree; lie._tree_sum pools the left-normed ones (all
-that emit_element writes) into one merged Dynkin map and expands the others
-with lie.bracket_words.  A bracket word with more than N letters parses to 0
-at truncation N.
+nesting into a tree of flat left spines, so a left-normed bracket (all that
+emit_element writes) arrives as its word: those words are pooled into one
+merged Dynkin map, lie._theta_words, and the other trees are expanded by
+lie.bracket_words.  A bracket word with more than N letters parses to 0 at
+truncation N.
 
 A DGL file is line-based:
 
@@ -28,7 +29,8 @@ from fractions import Fraction
 
 from .lie import (
     ConfigError, DomainError, StructError,
-    GenSet, Elt, FreeDGL, _tree_sum, clear_denominators, dynkin_verify,
+    GenSet, Elt, FreeDGL, _theta_words, bracket_words, clear_denominators,
+    dynkin_verify,
 )
 
 
@@ -95,32 +97,23 @@ def _token_pattern(text):
     return re.compile(_TOKEN % {"digit": digit, "numeric": numeric})
 
 
-class _Tokens:
-    def __init__(self, text, line=None):
-        pattern = _token_pattern(text)
-        self.toks = pattern.findall(text)
-        # findall steps over what starts no token: whitespace, and the
-        # characters that are errors, which the tokens then fail to cover
-        if sum(map(len, self.toks)) != len("".join(text.split())):
-            stray = pattern.sub(" ", text).split()[0][0]
-            raise ParseError("unexpected character %r" % stray, line)
-        self.line = line
-        self.pos = 0
+def _tokenize(text, line=None):
+    """The tokens of text, in order."""
+    pattern = _token_pattern(text)
+    toks = pattern.findall(text)
+    # findall steps over what starts no token: whitespace, and the characters
+    # that are errors, which the tokens then fail to cover
+    if sum(map(len, toks)) != len("".join(text.split())):
+        stray = pattern.sub(" ", text).split()[0][0]
+        raise ParseError("unexpected character %r" % stray, line)
+    return toks
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of element", self.line)
-        self.pos += 1
-        return t
-
-    def expect(self, tok):
-        t = self.next()
-        if t != tok:
-            raise ParseError("expected %r, got %r" % (tok, t), self.line)
+def _expected(tok, got, line):
+    """The ParseError for reading got (None past the end) where tok must be."""
+    if got is None:
+        return ParseError("unexpected end of element", line)
+    return ParseError("expected %r, got %r" % (tok, got), line)
 
 
 def _parse_scalar(tok, line):
@@ -133,21 +126,23 @@ def _parse_scalar(tok, line):
         raise ParseError("bad rational %r" % tok, line) from None
 
 
-def _is_scalar(tok):
-    return tok is not None and tok[0].isdigit()
-
-
-def _parse_bracket_word(ts, gens, line):
-    """(tree, letter count) of one bracket word, read with an explicit stack
-    of open brackets, so deep nesting does not recurse.  The tree is binary:
-    [x, y] is (x, y)."""
-    stack = []   # per open bracket: None, or its left tree once read
+def _parse_bracket_word(toks, i, gens, line):
+    """(tree, letter count, next index) of the bracket word at toks[i]; toks
+    ends with None.  The tree is the tuple (t1, ..., tk) of the left spine
+    [[t1, t2], ..., tk], with t1 a letter and the other ti letters or such
+    tuples, as lie.bracket_words reads it; a left-normed word is the tuple
+    of its letters.  Brackets are read with an explicit stack, so deep
+    nesting does not recurse."""
+    stack = []   # per open bracket: None, or the left spine read so far
     count = 0
     while True:
-        t = ts.next()
+        t = toks[i]
+        i += 1
         if t == "[":
             stack.append(None)
             continue
+        if t is None:
+            raise ParseError("unexpected end of element", line)
         if not t.isidentifier():
             raise ParseError("expected a generator or '[', got %r" % t, line)
         try:
@@ -156,18 +151,26 @@ def _parse_bracket_word(ts, gens, line):
             raise ParseError("unknown generator %r" % t, line) from None
         count += 1
         while stack and stack[-1] is not None:
-            ts.expect("]")
-            tree = (stack.pop(), tree)
+            if toks[i] != "]":
+                raise _expected("]", toks[i], line)
+            i += 1
+            spine = stack.pop()
+            spine.append(tree if type(tree) is int else tuple(tree))
+            tree = spine
+        if type(tree) is int:
+            tree = [tree]
         if not stack:
-            return tree, count
-        ts.expect(",")
+            return tuple(tree), count, i
+        if toks[i] != ",":
+            raise _expected(",", toks[i], line)
+        i += 1
         stack[-1] = tree
 
 
 def _readable(name):
     """Whether parse_element reads name as one generator."""
     try:
-        return _Tokens(name).toks == [name] and name.isidentifier()
+        return _tokenize(name) == [name] and name.isidentifier()
     except ParseError:
         return False
 
@@ -178,32 +181,46 @@ def parse_element(text, gens, N, line=None):
     Accepts any two-argument bracket nesting, not only the left-nested form
     the emitter produces.  Words with more than N letters are 0 and skipped.
     """
-    ts = _Tokens(text, line)
-    if ts.peek() is None:
+    toks = _tokenize(text, line)
+    if not toks:
         raise ParseError("empty element", line)
-    if ts.toks == ["0"]:
+    if toks == ["0"]:
         return Elt(gens, N, {})
+    toks.append(None)   # the end
     terms = []   # (signed coefficient, tree) of each word of at most N letters
-    first = True
-    while ts.peek() is not None:
+    i = 0
+    while toks[i] is not None:
+        t = toks[i]
         sign = 1
-        if not first or ts.peek() in ("+", "-"):
-            t = ts.next()
+        if i or t in ("+", "-"):
             if t not in ("+", "-"):
                 raise ParseError("expected '+' or '-', got %r" % t, line)
             sign = -1 if t == "-" else 1
-        first = False
+            i += 1
         coeff = Fraction(1)
-        if _is_scalar(ts.peek()):
-            coeff = _parse_scalar(ts.next(), line)
-            if ts.peek() == "*":
-                ts.next()
-        tree, count = _parse_bracket_word(ts, gens, line)
+        t = toks[i]
+        if t is not None and t[0].isdigit():
+            coeff = _parse_scalar(t, line)
+            i += 2 if toks[i + 1] == "*" else 1
+        tree, count, i = _parse_bracket_word(toks, i, gens, line)
         if count <= N:
-            terms.append((sign * coeff, tree))
-    ks, D = clear_denominators(dict(enumerate(c for c, _ in terms)))
-    num = _tree_sum([(ks[i], tree) for i, (_, tree) in enumerate(terms)],
-                    gens.degrees)
+            terms.append((sign * coeff, tree, count))
+    ks, D = clear_denominators(dict(enumerate(c for c, _, _ in terms)))
+    # a left-normed word, a tuple of letters, is theta of its word, so these
+    # are pooled into one merged Dynkin map; every other nesting is expanded
+    # on its own
+    words = {}
+    rest = []
+    for k, (_, tree, count) in zip(ks.values(), terms):
+        if len(tree) == count:
+            words[tree] = words.get(tree, 0) + k
+        else:
+            rest.append((k, tree))
+    num = _theta_words(words, gens.degrees)
+    get = num.get
+    for k, tree in rest:
+        for w, c in bracket_words(tree, gens.degrees)[0].items():
+            num[w] = get(w, 0) + k * c
     return Elt._from_num(gens, N, num, D)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freedgl.lie import (
-    DomainError, GenSet, FreeDGL, Elt, zero_elt, slice_coordinates,
+    ConfigError, DomainError, GenSet, FreeDGL, Elt, zero_elt, slice_coordinates,
     lyndon_slice_basis,
 )
 from freedgl.serialize import emit_element
@@ -198,6 +198,15 @@ def test_pi_rejects_bad_input():
     L = FreeDGL(GenSet([("x", 0)]), 2, {})
     with pytest.raises(DomainError):
         pi_n(L, 0)
+
+
+def test_homology_and_pi_refuse_truncation_below_one():
+    L = FreeDGL(GenSet([("x", 0), ("y", 0)]), 2, {})
+    for call, M in ((lambda: homology(L, N=0), 0), (lambda: pi_n(L, 1, N=0), 0),
+                    (lambda: pi_n(L, 1, N=-2), -2)):
+        with pytest.raises(ConfigError) as e:
+            call()
+        assert str(e.value) == "truncation must be >= 1, got %d" % M
 
 
 def test_verify_simplex_vertex_is_mc_check():

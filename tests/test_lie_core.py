@@ -430,6 +430,41 @@ def test_mixed_truncation_is_an_error():
         bracket(generator_elt(g, 3, "x"), generator_elt(g, 4, "x"))
 
 
+def test_elt_refuses_words_it_cannot_hold():
+    with pytest.raises(StructError):
+        Elt(GENS, N, {(): 1})
+    for letter in (4, -1):
+        with pytest.raises(StructError):
+            Elt(GENS, N, {(letter,): 1})
+    with pytest.raises(ConfigError) as e:
+        Elt(GENS, 3, {(0, 1, 0, 1): Fraction(1, 2)})
+    assert str(e.value) == "element does not fit in truncation 3"
+    assert Elt(GENS, 4, {(0, 1, 0, 1): 0}).is_zero()
+
+
+def test_truncation_below_one_is_refused():
+    g = GenSet([("x", 0), ("y", 1)])
+    x = generator_elt(g, 3, "x")
+    L = FreeDGL(g, 3, {})
+    for M in (0, -2):
+        for call in (lambda: x.truncated(M), lambda: FreeDGL(g, M, {}),
+                     lambda: L.truncated(M)):
+            with pytest.raises(ConfigError) as e:
+                call()
+            assert str(e.value) == "truncation must be >= 1, got %d" % M
+
+
+def test_deep_right_nesting_expands_without_recursion():
+    # [a, [a, a]] = 0 for a odd, so the tree nested 3000 deep on the right
+    # is 0, reached through 3000 open trees
+    g = GenSet([("a", -1), ("x", 0)])
+    tree = 0
+    for _ in range(3000):
+        tree = (0, tree)
+    assert bracket_words(tree, g.degrees) == ({}, -3001)
+    assert bracket_words((1, tree), g.degrees) == ({}, -3001)
+
+
 def test_mixed_genset_is_an_error():
     g1 = GenSet([("x", 0)])
     g2 = GenSet([("y", 0)])

@@ -10,7 +10,7 @@ from freedgl.lie import (
     lyndon_slice_basis, elt_from_slice_coords,
 )
 from freedgl.serialize import (
-    ParseError, emit_element, parse_element, emit_dgl, parse_dgl, _Tokens,
+    ParseError, emit_element, parse_element, emit_dgl, parse_dgl, _tokenize,
 )
 
 from oracles import scan_tokens
@@ -85,17 +85,31 @@ def test_round_trip_inhomogeneous():
     assert parse_element(emit_element(e), GENS, N) == e
 
 
+PARSE_ERRORS = [
+    ("", "empty element"),
+    ("  ", "empty element"),
+    ("1 [a0,a1", "unexpected end of element"),    # unbalanced
+    ("-", "unexpected end of element"),
+    ("[a0,a1,x]", "expected ']', got ','"),
+    ("[a0]", "expected ',', got ']'"),
+    ("1 ]", "expected a generator or '[', got ']'"),
+    ("1 q0", "unknown generator 'q0'"),
+    ("a0 a1", "expected '+' or '-', got 'a1'"),   # missing separator
+    ("1 a0 2 a1", "expected '+' or '-', got '2'"),
+    ("1/0 a0", "bad rational '1/0'"),             # zero denominator
+    ("1/2/3 a0", "bad rational '1/2/3'"),
+    ("1 a0 % a1", "unexpected character '%'"),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse_element("", GENS, N)
-    with pytest.raises(ParseError):
-        parse_element("1 q0", GENS, N)          # unknown generator
-    with pytest.raises(ParseError):
-        parse_element("[a0,a1", GENS, N)        # unbalanced
-    with pytest.raises(ParseError):
-        parse_element("1/0 a0", GENS, N)        # zero denominator
-    with pytest.raises(ParseError):
-        parse_element("a0 a1", GENS, N)         # missing separator
+    for text, message in PARSE_ERRORS:
+        for line in (None, 7):
+            with pytest.raises(ParseError) as e:
+                parse_element(text, GENS, N, line=line)
+            assert e.value.line == line
+            assert str(e.value) == (
+                message if line is None else "line 7: " + message)
 
 
 # binary bracket trees over GENS with up to 7 letters, so some words are
@@ -155,6 +169,19 @@ def test_deep_nesting_parses_without_recursion():
     with pytest.raises(ParseError) as e:
         parse_dgl("dgl\ngens a:-1 x:0\ntrunc 3\nd x = 1 %s\n" % word[:-1])
     assert e.value.line == 4
+
+
+def test_deep_right_nesting_parses_without_recursion():
+    # [a, [a, a]] = 0 for a odd, so the right-nested word of 3001 letters is
+    # 0; it fits at trunc 4000 and is not left-normed, so it reaches
+    # bracket_words as a tree nested 3000 deep
+    g = GenSet([("a", -1), ("x", 0)])
+    word = "[a," * 3000 + "a" + "]" * 3000
+    assert parse_element("1 " + word, g, 4000).is_zero()
+    assert parse_element("[x,%s] + 2 x" % word, g, 4000) == (
+        2 * generator_elt(g, 4000, "x"))
+    L = parse_dgl("dgl\ngens a:-1 x:0\ntrunc 4000\nd x = 1 %s\n" % word)
+    assert L.diff.images == {}
 
 
 def test_deep_comb_expands_without_recursion_at_large_truncation():
@@ -278,10 +305,10 @@ def test_tokens_match_the_character_scan(soup, sep, line):
     text = sep.join(soup)
     toks, stray = scan_tokens(text)
     if stray is None:
-        assert _Tokens(text, line).toks == toks
+        assert _tokenize(text, line) == toks
         return
     with pytest.raises(ParseError) as e:
-        _Tokens(text, line)
+        _tokenize(text, line)
     assert e.value.line == line
     assert str(e.value) == ParseError(
         "unexpected character %r" % stray, line).args[0]
