@@ -12,7 +12,10 @@ model: component splitting, localization at a Maurer-Cartan element, and
 the minimal model as one quotient (build the model modulo the vertices and
 a spanning tree, so that no word with one of their letters is formed, pair
 the other generators in one echelon of the linear differential, and solve
-every partner's image in one pass over word length).
+every partner's image in one pass over word length).  The pass and the
+chain-map check share one table of (prefix, length) products, which lives
+for one minimal_model call: stage k builds the length-k products only, and
+every product is built once.
 """
 
 from fractions import Fraction
@@ -149,8 +152,7 @@ def _complex_dgl(K, N, killed=()):
     wide = K.n_vertices > 10
     gens = GenSet([(face_name(f, wide), face_degree(f)) for f in K.faces])
     return FreeDGL(gens, N, _face_images(gens, K.faces, N,
-                                         _seed_top_diffs(N, K.dim), wide,
-                                         killed))
+                                         _seed_top_diffs(N, K.dim), killed))
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +319,19 @@ def maximal_tree(K, basepoint=None):
     return tuple(sorted(tree))
 
 
-def _restricted_dgl(source, keep, images, N):
-    """Quotient of a free DGL along the projection p sending generator i to
-    images[i], an expression in the kept letters (keep: their indices, in
-    order), which p fixes.  p(d x), one application of the prepared p per
-    source generator x, is the differential on kept letters and must equal
-    d(p x) on every generator; a residue is a loud failure."""
-    src = source.gens
-    p = Substitution(src, src, N, images)
+def _restricted_dgl(source, keep, p, table):
+    """Quotient of a free DGL along the projection p, a Substitution of
+    source.gens into itself sending generator i to p.images[i], an
+    expression in the kept letters (keep: their indices, in order), which p
+    fixes.  p(d x), one application of p per source generator x with its
+    products read from and added to the (prefix, length) table, is the
+    differential on kept letters and must equal d(p x) on every generator;
+    a residue is a loud failure."""
+    src, N, images = source.gens, p.N, p.images
     zero = zero_elt(src, N)
-    pd = [p(source.diff.images.get(i, zero)) for i in range(len(src))]
+    lengths = range(1, N + 1)
+    pd = [p.graded(source.diff.images.get(i, zero), lengths, table)
+          for i in range(len(src))]
     d = Derivation(src, N, {i: pd[i] for i in keep if pd[i].num}, -1)
     bad = [name for i, name in enumerate(src.names)
            if pd[i] != d(images[i])]
@@ -356,7 +361,8 @@ def minimal_model(K, basepoint, N):
     The surviving generator count per degree equals the reduced homology of
     K shifted down by one.  Each partner's image is solved length by length
     in one graded pass, and _restricted_dgl checks that the projection is a
-    chain map; p kills I, so p(d x) on L/I is p(d x) on L.
+    chain map, reading the pass's (prefix, length) products; p kills I, so
+    p(d x) on L/I is p(d x) on L.
     """
     comps = components(K)
     if len(comps) != 1:
@@ -370,7 +376,7 @@ def minimal_model(K, basepoint, N):
     zero = zero_elt(gens, N)
     dgen = L.diff.images
     red = SpanReducer()
-    partners = []
+    sources, partners = [], []
     for i in sorted(set(range(len(gens))) - killed,
                     key=lambda i: (gens.degrees[i], i)):
         d1 = dgen.get(i, zero).length_part(1).terms
@@ -378,40 +384,38 @@ def minimal_model(K, basepoint, N):
         t, _ = red.insert(row, i)
         if t is not None:
             killed.add(i)
+            sources.append(i)
             partners.append(t)
     # reducing t leaves a residual off every partner, so its combination is
     # the source combination e_t with d1(e_t) = t + (kept letters); the
-    # projection p must send the partner t to u_t = -p(d(e_t) - t).  p keeps
-    # a word with no partner letter when all its letters are kept and sends
-    # it to 0 otherwise.  A word with a partner letter has length >= 2, so
-    # the length-k part of its image needs the partner images below length k
-    # only: one pass over k = 2..N solves them.
+    # projection p must send the partner t to u_t = -p(d(e_t) - t).  The
+    # one-letter partner words of d(e_t) sum to t, so u_t is minus the
+    # combination of the p(q_s), q_s being d(s) without its one-letter
+    # partner words.  The length-k part of p(q_s) reads kept or killed
+    # letters and products of two or more letters, which need image parts
+    # below length k only: one pass over k = 1..N solves every u_t, and
+    # each (prefix, length) product in the one table is final when built,
+    # so the chain-map check reads it too.
     paired = set(partners)
-    linked = {}
-    solved = {}
-    for t in partners:
-        comb = red.reduce({t: ONE})[1]
-        rest = linear_combination(
-            gens, N, [(c, dgen.get(s, zero)) for s, c in comb.items()]
-            + [(-1, Elt(gens, N, {(t,): ONE}))])
-        linked[t] = Elt._from_num(gens, N, {
-            w: c for w, c in rest.num.items()
-            if killed.isdisjoint(w) and not paired.isdisjoint(w)}, rest.den)
-        solved[t] = Elt._from_num(gens, N, {
-            w: -c for w, c in rest.num.items()
-            if killed.isdisjoint(w) and paired.isdisjoint(w)}, rest.den)
     keep = [i for i in range(len(gens)) if i not in killed and i not in paired]
-    images = {i: zero for i in killed}
+    images = {i: zero for i in killed | paired}
     images.update((i, Elt(gens, N, {(i,): ONE})) for i in keep)
-    for k in range(2, N + 1):
-        # one prepared map per stage, over the images solved below length k
-        images.update((t, solved[t]) for t in partners)
-        stage = Substitution(gens, gens, k, images)
+    combs = {t: red.reduce({t: ONE})[1] for t in partners}
+    q = {}
+    for s in sources:
+        ds = dgen[s]
+        q[s] = Elt._from_num(gens, N, {
+            w: c for w, c in ds.num.items()
+            if killed.isdisjoint(w) and not (len(w) == 1 and w[0] in paired)},
+            ds.den)
+    p = Substitution(gens, gens, N, images)
+    table = {}   # (prefix, length) -> product, for this call only
+    for k in range(1, N + 1):
+        pq = {s: p.graded(x, (k,), table) for s, x in q.items()}
         for t in partners:
-            part = stage(linked[t]).length_part(k).at_truncation(N)
-            solved[t] = solved[t] - part
-    images.update((t, solved[t]) for t in partners)
-    M = _restricted_dgl(L, keep, images, N)
+            images[t] = linear_combination(gens, N, [(1, images[t])] + [
+                (-c, pq[s]) for s, c in combs[t].items()])
+    M = _restricted_dgl(L, keep, p, table)
     live = [n for n in M.gens.names if not M.d1(M.gen(n)).is_zero()]
     if live:
         raise StructError(

@@ -115,6 +115,11 @@ class GenSet:
         return ".".join(self.names[i] for i in word)
 
 
+def _check_truncation(N):
+    if N < 1:
+        raise ConfigError("truncation must be >= 1, got %d" % N)
+
+
 def _same_frame(x, y):
     if x.gens is not y.gens and x.gens != y.gens:
         raise ConfigError("elements over different generator sets")
@@ -140,8 +145,7 @@ class Elt:
     __slots__ = ("gens", "N", "num", "den", "_terms")
 
     def __init__(self, gens, N, terms=None):
-        if N < 1:
-            raise ConfigError("truncation must be >= 1, got %d" % N)
+        _check_truncation(N)
         self.gens = gens
         self.N = N
         if not terms:
@@ -282,8 +286,7 @@ class Elt:
 
     def truncated(self, M):
         """Drop words longer than M.  M may not exceed the current truncation."""
-        if M < 1:
-            raise ConfigError("truncation must be >= 1, got %d" % M)
+        _check_truncation(M)
         if M > self.N:
             raise ConfigError(
                 "cannot raise truncation from %d to %d" % (self.N, M))
@@ -292,15 +295,13 @@ class Elt:
 
     def at_truncation(self, N):
         """Reinterpret at truncation N >= every stored word length."""
+        _check_truncation(N)
         if self.num and max(len(w) for w in self.num) > N:
             raise ConfigError("element does not fit in truncation %d" % N)
         return Elt._from_num(self.gens, N, self.num, self.den)
 
     def letters(self):
-        out = set()
-        for w in self.num:
-            out.update(w)
-        return out
+        return set().union(*self.num)
 
     def support_in(self, allowed):
         """True if every letter of every word lies in the allowed index set."""
@@ -308,10 +309,12 @@ class Elt:
 
 
 def generator_elt(gens, N, name):
+    _check_truncation(N)
     return Elt._from_num(gens, N, {(gens.index(name),): 1}, 1)
 
 
 def zero_elt(gens, N):
+    _check_truncation(N)
     return Elt._from_num(gens, N, {}, 1)
 
 
@@ -782,83 +785,117 @@ class Substitution:
     (or zero Elts); a letter without an image may not occur in an argument.
     This is the tensor extension of a degree-preserving Lie morphism, so it
     implements DGL morphisms, quotient maps and relabelings on canonical
-    forms.  Each image is checked and bucketed by word length on the first
-    use of its letter, and a word with a letter whose image is 0 is skipped
-    before any product is formed.  Within one call the words share the
-    products of their common prefixes through a dict that dies with the
-    call, so no product is kept from one call to the next.  The images dict
-    must not change afterwards.
+    forms.  A word with a letter whose image is 0 is skipped.
+
+    Products are built in a table keyed by (prefix, output length): the
+    length-r part of a prefix P of two or more letters sums, over s, the
+    entry (P[:-1], s) times the length-(r - s) part of the image of P[-1],
+    so it reads image parts below length r only.  A call builds its own
+    table, which dies with it; graded() shares the caller's.  Each letter's
+    length-r part is read from images, and degree-checked, when first
+    needed and then kept, so images may gain the parts of lengths not read
+    yet (minimal_model fills its partner images in one length at a time)
+    and must not change otherwise.
     """
 
-    __slots__ = ("source_gens", "target_gens", "N", "images", "_fits",
-                 "_zero")
+    __slots__ = ("source_gens", "target_gens", "N", "images", "_parts")
 
     def __init__(self, source_gens, target_gens, N, images):
         self.source_gens = source_gens
         self.target_gens = target_gens
         self.N = N
         self.images = images
-        self._fits = {}       # letter -> (word_buckets of its image, den)
-        self._zero = set()    # letters whose image is 0
+        self._parts = {}      # (letter, length) -> (numerators, den) or None
 
-    def _prepare(self, i):
+    def _part(self, i, r):
+        """(numerators, den) of the length-r words of images[i], or None
+        when it has none; read and degree-checked on first use."""
+        key = (i, r)
+        if key in self._parts:
+            return self._parts[key]
+        img = self.images[i]
+        num = {w: c for w, c in img.num.items() if len(w) == r}
         gens = self.source_gens
-        img = self.images.get(i)
-        if img is None:
-            raise StructError("no image for generator %r" % gens.names[i])
-        d = img.degree()
-        if d is not None and d != gens.degrees[i]:
-            raise DomainError(
-                "image of %s changes degree (%d -> %d); substitution needs "
-                "degree-preserving images" % (gens.names[i], gens.degrees[i], d))
-        if img.num:
-            self._fits[i] = (word_buckets(img.num, self.N), img.den)
-        else:
-            self._zero.add(i)
+        for w in num:
+            d = self.target_gens.degree_of_word(w)
+            if d != gens.degrees[i]:
+                raise DomainError(
+                    "image of %s changes degree (%d -> %d); substitution "
+                    "needs degree-preserving images"
+                    % (gens.names[i], gens.degrees[i], d))
+        part = self._parts[key] = (num, img.den) if num else None
+        return part
 
-    def _product(self, w, memo):
-        """(numerators, den) of the product of the images of w's letters,
-        numerators {} when it vanishes mod words longer than N.  memo maps
-        the prefixes met so far to their products, () included, so w costs
-        one int_concat per letter beyond its longest known prefix."""
-        j = len(w)
-        while w[:j] not in memo:
-            j -= 1
-        partial, den = memo[w[:j]]
-        while partial and j < len(w):
-            bucket, d = self._fits[w[j]]
-            partial = int_concat(partial, bucket, self.N)
-            den *= d
-            j += 1
-            memo[w[:j]] = partial, den
-        return partial, den
+    def _product(self, w, r, table):
+        """(numerators, den) of the length-r part of the product of the
+        images of w's letters, or None when it is 0; entries for words of
+        two or more letters are kept in table."""
+        if len(w) == 1:
+            return self._part(w[0], r)
+        key = (w, r)
+        if key in table:
+            return table[key]
+        head, last = w[:-1], w[-1]
+        terms = []
+        for s in range(len(head), r):
+            a = self._product(head, s, table)
+            if a is not None:
+                b = self._part(last, r - s)
+                if b is not None:
+                    terms.append((a, b))
+        out = {}
+        D = lcm(*[a[1] * b[1] for a, b in terms]) if terms else 1
+        get = out.get
+        for (a, da), (b, db) in terms:
+            scale = D // (da * db)
+            for u, cu in a.items():
+                cu *= scale
+                for v, cv in b.items():
+                    uv = u + v
+                    out[uv] = get(uv, 0) + cu * cv
+        out = {v: c for v, c in out.items() if c}
+        entry = table[key] = (out, D) if out else None
+        return entry
 
     def __call__(self, x):
+        return self.graded(x, range(1, self.N + 1), {})
+
+    def graded(self, x, lengths, table):
+        """The parts of the given lengths (each 1..N) of x under the map,
+        as one Elt at truncation N, with every product read from or added
+        to the caller's (prefix, length) table."""
         if x.gens is not self.source_gens and x.gens != self.source_gens:
             raise ConfigError("substitution argument over a different "
                               "generator set")
-        zero = self._zero
-        for i in sorted(x.letters().difference(self._fits, zero)):
-            self._prepare(i)
-        N = self.N
-        # the prefix products of this call's words only: nothing outlives it
-        memo = {(): ({(): 1}, 1)}
+        images = self.images
+        zero = set()
+        for i in sorted(x.letters()):
+            img = images.get(i)
+            if img is None:
+                raise StructError("no image for generator %r"
+                                  % self.source_gens.names[i])
+            if not img.num:
+                zero.add(i)
+        top = max(lengths)
         parts = []
         for w, c in x.num.items():
-            if len(w) > N or not zero.isdisjoint(w):
+            n = len(w)
+            if n > top or zero and not zero.isdisjoint(w):
                 continue
-            prod = self._product(w, memo)
-            if prod[0]:
-                parts.append((c, prod))
-        # each word's product has its own denominator; bring them to their lcm
+            for r in lengths:
+                if r >= n:
+                    prod = self._product(w, r, table)
+                    if prod is not None:
+                        parts.append((c, prod))
+        # each product has its own denominator; bring them to their lcm
         common = lcm(*[den for _, (_, den) in parts]) if parts else 1
         out = {}
         get = out.get
-        for c, (partial, den) in parts:
+        for c, (num, den) in parts:
             s = c * (common // den)
-            for v, cv in partial.items():
+            for v, cv in num.items():
                 out[v] = get(v, 0) + s * cv
-        return Elt._from_num(self.target_gens, N, out, x.den * common)
+        return Elt._from_num(self.target_gens, self.N, out, x.den * common)
 
 
 def substitute(x, target_gens, target_N, images):
@@ -905,8 +942,7 @@ class FreeDGL:
     __slots__ = ("gens", "N", "diff", "_d1")
 
     def __init__(self, gens, N, images):
-        if N < 1:
-            raise ConfigError("truncation must be >= 1, got %d" % N)
+        _check_truncation(N)
         self.gens = gens
         self.N = N
         for i in images:

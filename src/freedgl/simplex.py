@@ -23,9 +23,11 @@ Three ways to produce top differentials:
 Every vertex map acts on generators through one relabel table (_face_table:
 a_F goes to the signed letter of F's sorted image, or to 0 when the image
 repeats a vertex), applied to words on integer numerators (_relabel).  It
-gives the cofaces, codegeneracies and permutation maps, the Reynolds
-averages, and _face_images, which relabels each face's top differential
-onto the face to assemble the models of simplices and complexes.  The two
+gives the cofaces, codegeneracies and permutation maps and the Reynolds
+averages.  _face_images relabels each face's top differential onto the
+face to assemble the models of simplices and complexes; a sorted face is
+its own vertex map, with every sign +1, so its table is looked up by face
+and applied by the same _relabel.  The two
 solving builders share one length-stage solver (_solve_stage: the canonical
 preimage under d1 on one Lyndon slice).
 """
@@ -89,19 +91,17 @@ def perm_sign(sigma):
     return -1 if inv & 1 else 1
 
 
-def _face_table(n, vertex_map, index, wide=False, killed=()):
+def _face_table(n, vertex_map, index, wide=False):
     """Where a vertex map sends the faces of Delta^n, in faces_of_simplex(n)
     order (entry i belongs to letter i of simplex_genset(n)): None when the
-    image repeats a vertex or its letter is in killed (indices into the
-    target), else (index of the sorted image's name, sort sign of the
-    image)."""
+    image repeats a vertex, else (index of the sorted image's name, sort
+    sign of the image)."""
     table = []
     for face in faces_of_simplex(n):
         img = [vertex_map[v] for v in face]
-        j = (None if len(set(img)) < len(img) else
-             index(face_name(tuple(sorted(img)), wide)))
-        table.append(None if j is None or j in killed else
-                     (j, perm_sign(img)))
+        table.append(None if len(set(img)) < len(img) else
+                     (index(face_name(tuple(sorted(img)), wide)),
+                      perm_sign(img)))
     return tuple(table)
 
 
@@ -184,22 +184,30 @@ class SimplexModel:
         return "SimplexModel(n=%d, N=%d, flavor=%s)" % (self.n, self.N, self.flavor)
 
 
-def _face_images(gens, faces, N, diffs, wide=False, killed=()):
+def _face_images(gens, faces, N, diffs, killed=()):
     """Differential table on the given faces of dimension p < len(diffs):
     a_F goes to diffs[dim F] relabeled onto F; zero images are left out.
+    Letter i of gens is faces[i], and faces holds every subface of each of
+    its faces.  A face is sorted and is its own vertex map, so the faces of
+    Delta^p go to its subfaces with sign +1, each letter looked up by face.
 
     The letters in killed (indices into gens) go to 0, and so does every
     word with one of them, so no such word is built.  When they generate a
     d-stable ideal I this is the table of L/I, and their own images vanish.
     """
+    index = {f: i for i, f in enumerate(faces)}
+    subfaces = [faces_of_simplex(p) for p in range(len(diffs))]
     images = {}
-    for face in faces:
+    for face, i in index.items():
         p = len(face) - 1
         if p < len(diffs):
-            table = _face_table(p, face, gens.index, wide, killed)
+            table = []
+            for sub in subfaces[p]:
+                j = index[tuple(face[v] for v in sub)]
+                table.append(None if j in killed else (j, 1))
             img = _relabeled(diffs[p], table, gens, N)
             if not img.is_zero():
-                images[gens.index(face_name(face, wide))] = img
+                images[i] = img
     return images
 
 

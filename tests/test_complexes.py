@@ -368,7 +368,8 @@ def _fixed_point_minimal_model(K, basepoint, N):
     else:
         raise SolveError("partner substitution failed to stabilize")
     keep = [i for i in range(len(gens)) if i not in killed and i not in rest]
-    return complexes._restricted_dgl(L, keep, images, N)
+    return complexes._restricted_dgl(
+        L, keep, Substitution(gens, gens, N, images), {})
 
 
 def test_minimal_model_matches_the_fixed_point_loop():
@@ -389,12 +390,14 @@ def test_minimal_model_rejects_a_wrong_partner_image(monkeypatch):
     # doubling a solved partner image u_t leaves p(d e_t) = u_t != 0
     restricted = complexes._restricted_dgl
 
-    def corrupt(source, keep, images, N):
-        t = next(i for i, x in images.items()
+    def corrupt(source, keep, p, table):
+        t = next(i for i, x in p.images.items()
                  if i not in keep and not x.is_zero())
-        images = dict(images)
+        images = dict(p.images)
         images[t] = Fraction(2) * images[t]
-        return restricted(source, keep, images, N)
+        gens = source.gens
+        return restricted(source, keep,
+                          Substitution(gens, gens, p.N, images), {})
 
     monkeypatch.setattr(complexes, "_restricted_dgl", corrupt)
     with pytest.raises(SolveError) as e:
@@ -403,24 +406,28 @@ def test_minimal_model_rejects_a_wrong_partner_image(monkeypatch):
         "reduction projection is not a chain map on ")
 
 
-def test_minimal_model_substitutes_once_per_generator(monkeypatch):
-    # the graded pass applies its stage map once per partner and length, and
-    # _restricted_dgl applies its one prepared map to d(x) once per source
-    # generator: 26 + 42 on the 42-face torus at N=3.  Renaming every image
-    # into the quotient and checking through DGLMap.chain_residues would make
-    # 155 and 308
-    calls = [0]
-    apply = Substitution.__call__
+def test_minimal_model_builds_each_product_once(monkeypatch):
+    # the graded pass and the chain-map check share one (prefix, length)
+    # table for the whole call, so each product of two or more letters is
+    # built once: 141 on the 42-face torus at N=3, 870 on genus 2 at N=4.
+    # A table per application of the map would build 279 and 2136
+    built = []
+    tables = set()
+    product = Substitution._product
 
-    def counted(self, x):
-        calls[0] += 1
-        return apply(self, x)
+    def counted(self, w, r, table):
+        if len(w) > 1 and (w, r) not in table:
+            built.append((w, r))
+            tables.add(id(table))
+        return product(self, w, r, table)
 
-    monkeypatch.setattr(Substitution, "__call__", counted)
-    for text, N, want in ((TORUS, 3, 68), (_genus_two(), 4, 151)):
-        calls[0] = 0
+    monkeypatch.setattr(Substitution, "_product", counted)
+    for text, N, want in ((TORUS, 3, 141), (_genus_two(), 4, 870)):
+        built.clear()
+        tables.clear()
         minimal_model(parse_complex(text), 0, N)
-        assert calls[0] == want
+        assert len(tables) == 1
+        assert len(set(built)) == len(built) == want
 
 
 def test_pi_1_applies_d_once_per_basis_element(monkeypatch):
@@ -543,6 +550,8 @@ MINIMAL_MODEL_TEXT_SHA256 = [
      "94ab75aae11f582b648be267e34bdd2c163bd2a9809cd9ae7ed05bdb1e65b23c"),
     ("genus-2 surface at N=5", _genus_two(), 5,
      "b58c7bf74efa166605e47c84c10ca745e4f53a8497f6bd1447571db36eec590f"),
+    ("genus-2 surface at N=6", _genus_two(), 6,
+     "83537200df9d8893b1af935c5096802895b6b662703dfb3226f95ad7548cc5f5"),
     ("figure-eight at N=5", FIG8, 5,
      "8a68c46e0d4a43051510144df387140590b7c3bed4814309fb53f408d785b871"),
 ]

@@ -448,7 +448,9 @@ def test_truncation_below_one_is_refused():
     L = FreeDGL(g, 3, {})
     for M in (0, -2):
         for call in (lambda: x.truncated(M), lambda: FreeDGL(g, M, {}),
-                     lambda: L.truncated(M)):
+                     lambda: L.truncated(M), lambda: generator_elt(g, M, "x"),
+                     lambda: zero_elt(g, M), lambda: x.at_truncation(M),
+                     lambda: (x - x).at_truncation(M)):
             with pytest.raises(ConfigError) as e:
                 call()
             assert str(e.value) == "truncation must be >= 1, got %d" % M
@@ -667,6 +669,57 @@ def test_prefix_sharing_substitution_matches_the_oracle(data, trunc):
         assert y == fresh()(Elt(GENS, 5, x))
         assert_canonical(y, oracle_substitute(x, images, trunc))
     assert f(Elt(GENS, 5, xs[0])) == got[0]
+
+
+@given(st.data(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=100, deadline=None)
+def test_graded_product_table_matches_the_oracle_length_by_length(
+        data, trunc):
+    # images with parts of lengths 1..3, one of them 0, go in one length at
+    # a time, as in minimal_model's graded pass: stage k asks for the
+    # length-k part of the words of two or more letters, whose products
+    # read image parts below length k only, and then the parts of length k
+    # go in.  b's parts of lengths 1 and 2 have denominators 2 and 3, so a
+    # product sums terms over different denominators, and elements hold
+    # words longer than trunc.  Each stage, and then each length and the
+    # whole map read through the same table, must equal the oracle
+    images = {}
+    for g in range(len(GENS)):
+        pool = [w for w in WORDS if len(w) <= min(3, trunc)
+                and GENS.degree_of_word(w) == GENS.degrees[g]]
+        images[g] = data.draw(word_dicts(pool, 5))
+    if trunc > 1:
+        images[1].update({(3,): Fraction(1, 2), (1, 3): Fraction(-1, 3)})
+    images[data.draw(st.sampled_from([0, 2]))] = {}
+    xs = data.draw(st.lists(word_dicts(WORDS, 8), min_size=1, max_size=3))
+
+    def below(k):
+        return {g: Elt(TARGET, trunc, {w: c for w, c in t.items()
+                                       if len(w) < k})
+                for g, t in images.items()}
+
+    def length_part(terms, r):
+        return {w: c for w, c in terms.items() if len(w) == r}
+
+    filled = below(1)
+    f = Substitution(GENS, TARGET, trunc, filled)
+    table = {}
+    for k in range(1, trunc + 1):
+        for x in xs:
+            long = {w: c for w, c in x.items() if len(w) > 1}
+            got = f.graded(Elt(GENS, 5, long), (k,), table)
+            assert got.N == trunc
+            assert got.terms == length_part(
+                oracle_substitute(long, images, trunc), k)
+        filled.update(below(k + 1))
+    for x in xs:
+        want = oracle_substitute(x, images, trunc)
+        for r in range(1, trunc + 1):
+            got = f.graded(Elt(GENS, 5, x), (r,), table)
+            assert got.terms == length_part(want, r)
+        assert_canonical(
+            f.graded(Elt(GENS, 5, x), range(1, trunc + 1), table), want)
+        assert_canonical(f(Elt(GENS, 5, x)), want)
 
 
 def test_prepared_substitution_checks_each_letter_on_first_use():
