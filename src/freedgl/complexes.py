@@ -19,11 +19,12 @@ every product is built once.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from .lie import (
     DomainError, StructError, SolveError,
     GenSet, Elt, FreeDGL, Derivation, Substitution, generator_elt, zero_elt,
-    linear_combination,
+    _combine,
 )
 from .linalg import SpanReducer, FractionFreeReducer
 from .series import twist
@@ -58,9 +59,8 @@ class SimplicialComplex:
             if len(set(face)) != len(face):
                 raise DomainError("face %r repeats a vertex" % (f,))
             maximal.append(face)
-            for mask in range(1, 1 << len(face)):
-                sub = tuple(v for i, v in enumerate(face) if mask >> i & 1)
-                closure.add(sub)
+            for k in range(1, len(face) + 1):
+                closure.update(combinations(face, k))
         verts = sorted({v for f in closure for v in f})
         if verts != list(range(len(verts))):
             raise DomainError(
@@ -151,8 +151,8 @@ def _complex_dgl(K, N, killed=()):
     the face table relabels it, so it is never built."""
     wide = K.n_vertices > 10
     gens = GenSet([(face_name(f, wide), face_degree(f)) for f in K.faces])
-    return FreeDGL(gens, N, _face_images(gens, K.faces, N,
-                                         _seed_top_diffs(N, K.dim), killed))
+    return FreeDGL._trusted(gens, N, _face_images(
+        gens, K.faces, N, _seed_top_diffs(N, K.dim), killed))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def _restricted_dgl(source, keep, p, table):
     lengths = range(1, N + 1)
     pd = [p.graded(source.diff.images.get(i, zero), lengths, table)
           for i in range(len(src))]
-    d = Derivation(src, N, {i: pd[i] for i in keep if pd[i].num}, -1)
+    d = Derivation._trusted(src, N, {i: pd[i] for i in keep if pd[i].num}, -1)
     bad = [name for i, name in enumerate(src.names)
            if pd[i] != d(images[i])]
     if bad:
@@ -340,7 +340,7 @@ def _restricted_dgl(source, keep, p, table):
             "reduction projection is not a chain map on %s" % ", ".join(bad))
     gens = GenSet([(src.names[i], src.degrees[i]) for i in keep])
     pos = {i: j for j, i in enumerate(keep)}
-    return FreeDGL(gens, N, {
+    return FreeDGL._trusted(gens, N, {
         pos[i]: Elt._from_num(gens, N, {tuple(pos[g] for g in w): c
                                         for w, c in pd[i].num.items()},
                               pd[i].den)
@@ -379,42 +379,40 @@ def minimal_model(K, basepoint, N):
     sources, partners = [], []
     for i in sorted(set(range(len(gens))) - killed,
                     key=lambda i: (gens.degrees[i], i)):
-        d1 = dgen.get(i, zero).length_part(1).terms
-        row = {w[0]: c for w, c in d1.items() if w[0] not in killed}
-        t, _ = red.insert(row, i)
+        row = {w[0]: c for w, c in dgen.get(i, zero).num.items()
+               if len(w) == 1 and w[0] not in killed}
+        t = red.insert(row, i)[0]
         if t is not None:
             killed.add(i)
             sources.append(i)
             partners.append(t)
-    # reducing t leaves a residual off every partner, so its combination is
-    # the source combination e_t with d1(e_t) = t + (kept letters); the
-    # projection p must send the partner t to u_t = -p(d(e_t) - t).  The
-    # one-letter partner words of d(e_t) sum to t, so u_t is minus the
-    # combination of the p(q_s), q_s being d(s) without its one-letter
-    # partner words.  The length-k part of p(q_s) reads kept or killed
-    # letters and products of two or more letters, which need image parts
-    # below length k only: one pass over k = 1..N solves every u_t, and
-    # each (prefix, length) product in the one table is final when built,
-    # so the chain-map check reads it too.
+    # the rows are the length-1 numerators of the d(s).  Reducing den * t
+    # leaves a residual off every partner, so its integer combination comb_t
+    # of rows gives e_t with d1(e_t) = t + (kept letters), and p must send t
+    # to u_t = -p(d(e_t) - t): minus comb_t of the p(q_s) over den, q_s being
+    # the numerators of d(s) without its one-letter partner words, which sum
+    # to t.  The length-k part of p(q_s) needs image parts below length k
+    # only: one pass over k = 1..N solves every u_t, and each (prefix,
+    # length) product in the one table is final when built, so the
+    # chain-map check reads it too.
     paired = set(partners)
     keep = [i for i in range(len(gens)) if i not in killed and i not in paired]
     images = {i: zero for i in killed | paired}
     images.update((i, Elt(gens, N, {(i,): ONE})) for i in keep)
-    combs = {t: red.reduce({t: ONE})[1] for t in partners}
-    q = {}
-    for s in sources:
-        ds = dgen[s]
-        q[s] = Elt._from_num(gens, N, {
-            w: c for w, c in ds.num.items()
-            if killed.isdisjoint(w) and not (len(w) == 1 and w[0] in paired)},
-            ds.den)
+    combs = {t: red.reduce({t: 1})[1:] for t in partners}
+    q = {s: Elt._from_num(gens, N, {
+        w: c for w, c in dgen[s].num.items()
+        if killed.isdisjoint(w) and not (len(w) == 1 and w[0] in paired)}, 1)
+        for s in sources}
     p = Substitution(gens, gens, N, images)
     table = {}   # (prefix, length) -> product, for this call only
     for k in range(1, N + 1):
         pq = {s: p.graded(x, (k,), table) for s, x in q.items()}
         for t in partners:
-            images[t] = linear_combination(gens, N, [(1, images[t])] + [
-                (-c, pq[s]) for s, c in combs[t].items()])
+            comb, den = combs[t]
+            u = images[t]
+            images[t] = _combine(gens, N, [(1, u.den, u.num)] + [
+                (-c, den * pq[s].den, pq[s].num) for s, c in comb.items()])
     M = _restricted_dgl(L, keep, p, table)
     live = [n for n in M.gens.names if not M.d1(M.gen(n)).is_zero()]
     if live:

@@ -8,18 +8,23 @@ that sit the homotopy-group extractors: H_{n-1} for n >= 2, and for n = 1
 the degree-0 homology with its Baker-Campbell-Hausdorff product table
 (a nilpotent group presented by exact rational structure constants), plus
 the tower of these groups over increasing truncation.
+
+freedgl/__init__ binds the name homology to the function of that name, so
+`import freedgl.homology` reaches the function, not this module; tools that
+need the module read sys.modules["freedgl.homology"].
 """
 
 from fractions import Fraction
 
 from .lie import (
     DomainError, StructError,
-    Elt, DGLMap, linear_combination,
+    Elt, DGLMap, linear_combination, clear_denominators,
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
 from .series import bch, gauge, is_mc
-from .linalg import SpanReducer, FractionFreeReducer, integer_primitive
+from .linalg import SpanReducer, FractionFreeReducer
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -64,10 +69,10 @@ def _kernel_pass(L, layout_src, layout_tgt):
     one down.
 
     Returns (rank, kernels, span).  The span is the SpanReducer of the
-    columns d(x_j) under the tags ("im", j): the boundaries in the target
-    degree.  Kernel vectors are primitive integer dicts over the source
-    coordinates, lowest entry positive, one per dependent column j: e_j minus
-    the combination of earlier columns that column j equals.
+    columns d(x_j) under the tags j: the boundaries in the target degree.
+    Kernel vectors are primitive integer dicts over the source coordinates,
+    lowest entry positive, one per dependent column j: den * e_j minus the
+    span's integer combination of earlier columns equal to den * column j.
     """
     span = SpanReducer()
     kernels = []
@@ -75,11 +80,12 @@ def _kernel_pass(L, layout_src, layout_tgt):
         vec = layout_tgt.coords(L.d(x))
         if vec is None:
             raise StructError("differential left its degree slice")
-        piv, comb = span.insert(vec, ("im", j))
+        piv, comb, den = span.insert(vec, j)
         if piv is None:
-            kv = {i: -c for (_, i), c in comb.items()}
-            kv[j] = ONE
-            kernels.append(integer_primitive(kv))
+            sign = -1 if comb and comb[min(comb)] > 0 else 1
+            kv = {i: -sign * c for i, c in comb.items()}
+            kv[j] = sign * den
+            kernels.append(kv)
     return span.rank(), kernels, span
 
 
@@ -108,8 +114,7 @@ class HomologyReport:
 
 
 def _homology(L, degrees):
-    """Entries of the ascending degrees, and the layout and span of the
-    last one: its boundaries, and its representatives under ("rep", i).
+    """Entries of the ascending degrees.
 
     The pass of d_{q+1} gives the image and the span of degree q; its rank
     and kernels are kept for degree q + 1, so each d is eliminated once.
@@ -124,11 +129,8 @@ def _homology(L, degrees):
 
     entries = {}
     kept = {}
-    lay = span = None
     for q in degrees:
-        # a fresh span lets the last one go before the next passes run, and
-        # stays empty on a zero degree
-        lay, span = layout(q), SpanReducer()
+        lay = layout(q)
         if lay.dim == 0:
             entries[q] = {"kernel": 0, "image": 0, "h": 0, "reps": []}
             continue
@@ -139,9 +141,9 @@ def _homology(L, degrees):
         ker_dim = lay.dim - rank_q
         reps = []
         for kv in kernels:
-            piv, _ = span.insert(kv, ("rep", len(reps)))
-            if piv is not None:
+            if span.insert(kv, ("rep", len(reps)))[0] is not None:
                 reps.append(lay.element(L, kv))
+        del span   # let it go before the next passes run
         h = len(reps)
         if h != ker_dim - im_rank:
             raise StructError(
@@ -149,7 +151,7 @@ def _homology(L, degrees):
                 "independent reps %d" % (q, ker_dim, im_rank, h))
         entries[q] = {"kernel": ker_dim, "image": im_rank, "h": h,
                       "reps": reps}
-    return entries, lay, span
+    return entries
 
 
 def homology(L, N=None, degrees=None):
@@ -170,8 +172,7 @@ def homology(L, N=None, degrees=None):
         hi = max(dmax, L.N * dmax)
         degrees = range(lo, hi + 1)
     degrees = sorted(degrees)
-    entries, _, _ = _homology(L, degrees)
-    return HomologyReport(L.N, degrees, entries)
+    return HomologyReport(L.N, degrees, _homology(L, degrees))
 
 
 def linear_homology(L):
@@ -201,18 +202,20 @@ class MalcevQuotient:
 
     Elements are coordinate tuples over the class basis; products go through
     representatives and reduce back to class coordinates.  The table is
-    filled lazily and cached.  The span is homology's degree-0 SpanReducer:
-    the boundaries, and the i-th representative under the tag ("rep", i).
+    filled lazily and cached.  The echelon holds the degree-0 boundaries
+    with coordinate i stored at dim - 1 - i, and free lists the stored
+    indices of the basis elements, the unit vectors off its pivots.
     """
 
-    __slots__ = ("L", "N", "basis", "_layout", "_span", "_table")
+    __slots__ = ("L", "N", "basis", "_layout", "_echelon", "_free", "_table")
 
-    def __init__(self, L, basis, layout, span):
+    def __init__(self, L, basis, layout, echelon, free):
         self.L = L
         self.N = L.N
         self.basis = basis
         self._layout = layout
-        self._span = span
+        self._echelon = echelon
+        self._free = free
         self._table = {}
 
     @property
@@ -228,21 +231,23 @@ class MalcevQuotient:
         return tuple(out)
 
     def class_coords(self, x):
-        """Class of a degree-0 cycle as coordinates over the basis."""
+        """Class of a degree-0 element as coordinates over the basis: the
+        residual of one reduction against the boundaries, read at the free
+        coordinates, with the entry at -1 carrying its scale."""
         vec = self._layout.coords(x)
         if vec is None:
             # a word off degree 0 is never cancelled, so coords gave up
             if not x.has_degree(0):
                 raise DomainError("class_coords needs a degree-0 element")
             raise DomainError("element does not lie in the degree-0 slice")
-        residual, comb = self._span.reduce(vec)
-        if residual:
-            raise DomainError("element is not a cycle mod boundaries")
-        out = [Fraction(0)] * self.dim
-        for tag, c in comb.items():
-            if tag[0] == "rep":
-                out[tag[1]] = c
-        return tuple(out)
+        num, D = clear_denominators(vec)
+        top = self._layout.dim - 1
+        row = {top - i: c for i, c in num.items()}
+        row[-1] = D
+        res = self._echelon.reduce(row)
+        den = res[-1]
+        return tuple(Fraction(res[i], den) if i in res else ZERO
+                     for i in self._free)
 
     def element(self, coords):
         return linear_combination(self.L.gens, self.N, zip(coords, self.basis))
@@ -267,18 +272,44 @@ class MalcevQuotient:
                    for i in range(self.dim) for j in range(i + 1, self.dim))
 
 
+def _check_non_negative(L):
+    if min(L.gens.degrees, default=0) < 0:
+        raise DomainError(
+            "homotopy groups need a non-negatively graded Lie algebra")
+
+
 def _h0_quotient(L):
-    """MalcevQuotient of H_0(L/L^{>N}, d) for an already-twisted L."""
-    entries, layout, span = _homology(L, [0])
-    return MalcevQuotient(L, entries[0]["reps"], layout, span)
+    """MalcevQuotient of H_0(L/L^{>N}, d) for a non-negatively graded L.
+
+    Every unit vector e_j of degree 0 is a cycle, and a new class exactly
+    when no boundary has its highest coordinate at j: the representatives
+    are the e_j off the pivots of one echelon of the boundaries that pivots
+    on the highest index.  Rows go in ascending length, which limits fill;
+    the pivot set does not depend on the order.
+    """
+    _check_non_negative(L)
+    lay0 = _DegreeLayout(L, 0)
+    top = lay0.dim - 1
+    rows = []
+    for x in _DegreeLayout(L, 1).basis_elements(L):
+        vec = lay0.coords(L.d(x))
+        if vec is None:
+            raise StructError("differential left its degree slice")
+        if vec:
+            num, _ = clear_denominators(vec)
+            rows.append({top - i: c for i, c in num.items()})
+    echelon = FractionFreeReducer()
+    for row in sorted(rows, key=len):
+        echelon.insert(row)
+    free = [j for j in range(lay0.dim) if top - j not in echelon.rows]
+    basis = [Elt._from_num(L.gens, L.N, lay0.basis[j][1], 1) for j in free]
+    return MalcevQuotient(L, basis, lay0, echelon, [top - j for j in free])
 
 
 def pi_n(L, n, N=None):
     """Realization homotopy group of a non-negatively graded L on L/L^{>N}:
     the H_{n-1} report entry for n >= 2, the BCH group on H_0 for n = 1."""
-    if min(L.gens.degrees, default=0) < 0:
-        raise DomainError(
-            "homotopy groups need a non-negatively graded Lie algebra")
+    _check_non_negative(L)
     if n < 1:
         raise DomainError("homotopy groups start at n = 1")
     if N is not None and N != L.N:

@@ -333,6 +333,13 @@ def linear_combination(gens, N, pairs):
             p, q = c.numerator, c.denominator
         if p and x.num:
             items.append((p, q * x.den, x.num))
+    return _combine(gens, N, items)
+
+
+def _combine(gens, N, items):
+    """sum(p * num / den for p, den, num in items) over gens at truncation
+    N, for int p, positive int den and word->int dicts num: one integer
+    accumulation over the lcm of the dens, and one normalization."""
     D = lcm(*[den for _, den, _ in items]) if items else 1
     out = {}
     get = out.get
@@ -375,8 +382,8 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # bracket_words; _slice_coords and elt_from_slice_coords, bch in series, the
 # face-table relabels and Reynolds averages of simplex, and minimal_model's
 # partner solve.  Fractions are built only where an answer leaves as one:
-# Elt.terms, slice coordinates, and, through clear_denominators, the vectors
-# of linalg's fraction-free eliminator and its SpanReducer front end.
+# Elt.terms, slice coordinates, class coordinates and solve_columns' answer;
+# linalg's eliminator and its SpanReducer front end answer in integers.
 
 
 def clear_denominators(terms):
@@ -734,6 +741,15 @@ class Derivation:
                     "image of %s must have degree %d, got %d"
                     % (gens.names[i], gens.degrees[i] + shift, d))
 
+    @classmethod
+    def _trusted(cls, gens, N, images, shift):
+        """A derivation on images that the package built over gens at
+        truncation N with the right degrees: no check is run again."""
+        x = object.__new__(cls)
+        x.gens, x.N, x.images, x.shift, x._num_images = (gens, N, images,
+                                                         shift, None)
+        return x
+
     def _integer_images(self):
         """(numerators, D): every nonzero image as its (word, numerator)
         items over the one common denominator D, shortest words first."""
@@ -950,6 +966,15 @@ class FreeDGL:
                 raise StructError("differential table has a bad generator index")
         self.diff = Derivation(gens, N, images, -1)
         self._d1 = None   # the linear part, built on first use
+
+    @classmethod
+    def _trusted(cls, gens, N, images):
+        """The free DGL on a differential table that the package built from
+        checked differentials: no check is run again."""
+        L = object.__new__(cls)
+        L.gens, L.N, L._d1 = gens, N, None
+        L.diff = Derivation._trusted(gens, N, images, -1)
+        return L
 
     def gen(self, name):
         return generator_elt(self.gens, self.N, name)

@@ -1,18 +1,18 @@
 """Sparse exact linear algebra over Q.
 
-Vectors are dicts from non-negative int indices to Fractions (no stored
-zeros).  There is one eliminator, FractionFreeReducer: forward-only integer
-elimination with leftmost pivots and content stripping (fraction-free, after
-Bareiss 1968), inserting vectors in a caller-chosen (hence deterministic)
-order, with no randomization anywhere.  Negative indices are its bookkeeping
-coordinates.
+Vectors are dicts from non-negative int indices to Fractions or ints (no
+stored zeros).  There is one eliminator, FractionFreeReducer: forward-only
+integer elimination with leftmost pivots and content stripping
+(fraction-free, after Bareiss 1968), inserting vectors in a caller-chosen
+(hence deterministic) order, with no randomization anywhere.  Negative
+indices are its bookkeeping coordinates.
 
-SpanReducer is the front end for callers that read combinations
-(solve_columns, homology's one pass per differential, whose degree-0 span
-MalcevQuotient reads instead of eliminating again, and minimal_model): it
-tags every vector that adds a pivot with its own negative marker coordinate,
-so a reduced vector's markers spell out the combination of inserted vectors
-that it was reduced by.
+SpanReducer is the front end for the callers that read combinations:
+solve_columns, homology's one pass per differential (_kernel_pass) and
+minimal_model's pairing of sources with partners.  It tags every vector that
+adds a pivot with its own negative marker coordinate, so a reduced vector's
+markers spell out, as integers over one denominator, the combination of
+inserted vectors that it was reduced by.
 """
 
 from bisect import bisect_left, insort
@@ -120,10 +120,11 @@ class SpanReducer:
     A thin front end over one FractionFreeReducer.  The k-th vector that adds
     a pivot is stored with the marker coordinate -2-k, and a vector being
     reduced carries the marker -1; the markers of the reduced vector then
-    give its combination of inserted vectors, and dividing by the entry at
-    -1 gives the Fraction residual.  Dependent inserts are not stored, so
-    combinations run over the pivot-adding tags only; those tags must be
-    distinct.
+    give its combination of inserted vectors, as integer numerators over the
+    entry at -1, which is the one positive denominator of the answer.
+    Dependent inserts are not stored, so combinations run over the
+    pivot-adding tags only; those tags must be distinct.  Its callers are
+    solve_columns, homology's _kernel_pass and minimal_model's pairing.
     """
 
     __slots__ = ("_ff", "_tags")
@@ -135,27 +136,27 @@ class SpanReducer:
     def rank(self):
         return self._ff.rank()
 
-    def _comb(self, res, den):
-        """Tag -> Fraction combination read off res's markers over den."""
-        return {self._tags[-2 - i]: Fraction(c, den)
-                for i, c in res.items() if i < 0}
+    def _comb(self, res):
+        """Tag -> integer numerator of the combination on res's markers."""
+        return {self._tags[-2 - i]: -c for i, c in res.items() if i < 0}
 
     def reduce(self, v):
-        """Express v = sum(comb[tag] * inserted[tag]) + residual, with the
-        residual having no support on existing pivots.  Returns (residual,
-        comb); v is not consumed."""
+        """(residual, comb, den): integer dicts and a positive int with
+        den * v = sum(comb[tag] * inserted[tag]) + residual, the residual
+        having no support on existing pivots; gcd(den, every numerator) is
+        1.  v is not consumed."""
         num, D = clear_denominators(v)
         num[-1] = -D
         res = self._ff.reduce(num)
-        den = res.pop(-1)
-        residual = {i: Fraction(c, -den) for i, c in res.items() if i >= 0}
-        return residual, self._comb(res, den)
+        den = -res.pop(-1)
+        return {i: c for i, c in res.items() if i >= 0}, self._comb(res), den
 
     def insert(self, v, tag):
         """Add v to the span under the given tag.
 
-        Returns (None, comb) when v was already in the span (v equals the
-        returned combination), else (pivot, None) after storing v.
+        Returns (None, comb, den) when v was already in the span, with
+        den * v = sum(comb[tag] * inserted[tag]) as in reduce, else
+        (pivot, None, None) after storing v.
         """
         num, D = clear_denominators(v)
         marker = -2 - len(self._tags)
@@ -164,12 +165,9 @@ class SpanReducer:
         if res is None:
             self._tags.append(tag)
             # rows only grow, so the row just installed is the last one
-            return next(reversed(self._ff.rows)), None
-        return None, self._comb(res, -res.pop(marker))
-
-    def contains(self, v):
-        residual, _ = self.reduce(v)
-        return not residual
+            return next(reversed(self._ff.rows)), None, None
+        den = res.pop(marker)
+        return None, self._comb(res), den
 
 
 def solve_columns(columns, b):
@@ -186,7 +184,7 @@ def solve_columns(columns, b):
     red = SpanReducer()
     for j, col in enumerate(columns):
         red.insert(col, j)
-    residual, x = red.reduce(b)
+    residual, x, den = red.reduce(b)
     if residual:
-        return None, residual
-    return x, None
+        return None, {i: Fraction(c, den) for i, c in residual.items()}
+    return {j: Fraction(c, den) for j, c in x.items()}, None

@@ -37,7 +37,7 @@ from functools import cache
 from itertools import combinations, permutations
 
 from .lie import (
-    ConfigError, DomainError, StructError, SolveError,
+    ConfigError, DomainError, SolveError,
     GenSet, Elt, FreeDGL, DGLMap, Derivation,
     bracket, generator_elt, zero_elt, substitute,
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
@@ -814,58 +814,3 @@ def generator_homology(model, invariant=False):
             inv_dims[q] = len(found)
             inv_reps[q] = found
     return inv_dims, inv_reps
-
-
-def invariant_linear_homology(model):
-    """Homology of the permutation-invariant part of the slices (generators
-    and their Lie words of every length), with the length-preserving
-    differential.
-
-    Returns a dict (degree, length) -> dimension of the invariant homology,
-    zero entries omitted.
-    """
-    L = model.dgl
-    gens = model.gens
-    N = model.N
-    mindeg = min(gens.degrees)
-    maxdeg = max(gens.degrees)
-
-    inv_basis = {}   # (q, k) -> list of invariant Elt spanning the subspace
-    for k in range(1, N + 1):
-        for q in range(mindeg * k, maxdeg * k + 1):
-            basis = lyndon_slice_basis(gens, q, k)
-            lead_index = {lead: i for i, (lead, _, _) in enumerate(basis)}
-            red = FractionFreeReducer()
-            vecs = []
-            for _, terms, _ in basis:
-                proj = reynolds_invariant_project(
-                    model, Elt._from_num(gens, N, terms, 1))
-                if proj.is_zero():
-                    continue
-                coords = _slice_coords(proj, basis, lead_index)
-                if red.insert(coords) is None:
-                    vecs.append(proj)
-            if vecs:
-                inv_basis[(q, k)] = vecs
-
-    ranks = {}
-    for (q, k), vecs in sorted(inv_basis.items()):
-        below = lyndon_slice_basis(gens, q - 1, k)
-        lead_index = {lead: i for i, (lead, _, _) in enumerate(below)}
-        red = FractionFreeReducer()
-        for x in vecs:
-            dx = L.d1(x)
-            if dx.is_zero():
-                continue
-            coords = _slice_coords(dx, below, lead_index)
-            if coords is None:
-                raise StructError("linear differential left its slice")
-            red.insert(coords)
-        ranks[(q, k)] = red.rank()
-
-    dims = {}
-    for (q, k), vecs in inv_basis.items():
-        h = len(vecs) - ranks.get((q, k), 0) - ranks.get((q + 1, k), 0)
-        if h:
-            dims[(q, k)] = h
-    return dims

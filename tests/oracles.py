@@ -8,7 +8,8 @@ substitution oracles are plain Fraction loops over dicts: a dense row-reduced
 echelon form, and the word-by-word derivation and substitution rules; the
 Dynkin map folds each word with the word-by-word bracket.  The span
 reference is incremental Gauss-Jordan on Fractions that tracks the
-combination behind every row.  Lower central series ranks of surface groups
+combination behind every row; on it, the marker route picks degree-0
+homology representatives and reads classes off their combinations.  Lower central series ranks of surface groups
 come from Labute's closed formula, and element tokens from a plain
 character-by-character scan.
 """
@@ -443,6 +444,35 @@ def kernel_columns(columns):
             k[j] = Fraction(1)
             out.append(k)
     return out
+
+
+def marker_h0(kernels, boundaries):
+    """Degree-0 homology by the marker route, over plain coordinate dicts.
+
+    The boundaries go into one GaussJordanReducer under ("im", j), then each
+    kernel vector, in order, under ("rep", k), k counting the ones kept; a
+    kernel vector is kept as a representative when it adds a pivot.
+    Returns (reps, classes): classes(v) is the tuple of v's coefficients on
+    the representatives in the one decomposition v = boundary + combination
+    of reps, or None when there is none (v is not a cycle mod boundaries).
+    """
+    red = GaussJordanReducer()
+    for j, b in enumerate(boundaries):
+        red.insert({i: Fraction(c) for i, c in b.items()}, ("im", j))
+    reps = []
+    for kv in kernels:
+        kv = {i: Fraction(c) for i, c in kv.items()}
+        if red.insert(kv, ("rep", len(reps)))[0] is not None:
+            reps.append(kv)
+
+    def classes(v):
+        residual, comb = red.reduce(v)
+        if residual:
+            return None
+        return tuple(comb.get(("rep", k), Fraction(0))
+                     for k in range(len(reps)))
+
+    return reps, classes
 
 
 def transpose(columns):

@@ -4,6 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freedgl.lie import (
     DomainError, StructError, SolveError, Elt, GenSet, FreeDGL, DGLMap,
@@ -14,8 +15,8 @@ from freedgl.serialize import ParseError, emit_dgl
 from freedgl.series import is_mc, twist
 from freedgl.simplex import seed_family, interval_model, _seed_top_diffs
 from freedgl.homology import (
-    linear_homology, homology, malcev_tower, tower_layers, _h0_quotient,
-    pi_n, _DegreeLayout,
+    linear_homology, homology, malcev_tower, tower_layers, pi_n,
+    _DegreeLayout,
 )
 from freedgl import complexes
 from freedgl.complexes import (
@@ -27,6 +28,7 @@ from freedgl.complexes import (
 from oracles import (
     dense_rank, simplicial_betti, free_lie_slice_dim, surface_lcs_ranks,
 )
+from test_homology import MarkerQuotient
 
 CIRCLE = "0 1\n1 2\n0 2"
 FIG8 = "0 1\n1 2\n0 2\n0 3\n3 4\n0 4"
@@ -347,15 +349,16 @@ def _fixed_point_minimal_model(K, basepoint, N):
     for i in sorted(set(range(len(gens))) - killed,
                     key=lambda i: (gens.degrees[i], i)):
         d1 = L.d1(Elt(gens, N, {(i,): Fraction(1)})).terms
-        t, _ = red.insert({w[0]: c for w, c in d1.items()
-                           if w[0] not in killed}, i)
+        t = red.insert({w[0]: c for w, c in d1.items()
+                        if w[0] not in killed}, i)[0]
         if t is not None:
             killed.add(i)
             partners.append(t)
     rest = {}
     for t in partners:
-        comb = red.reduce({t: Fraction(1)})[1]
-        rest[t] = (L.d(Elt(gens, N, {(s,): c for s, c in comb.items()}))
+        _, comb, den = red.reduce({t: Fraction(1)})
+        rest[t] = (L.d(Elt(gens, N, {(s,): Fraction(c, den)
+                                     for s, c in comb.items()}))
                    - Elt(gens, N, {(t,): Fraction(1)}))
     images = {i: Elt(gens, N, {} if i in killed or i in rest
                      else {(i,): Fraction(1)})
@@ -432,7 +435,7 @@ def test_minimal_model_builds_each_product_once(monkeypatch):
 
 def test_pi_1_applies_d_once_per_basis_element(monkeypatch):
     M = minimal_model(parse_complex(TORUS), 0, 3)
-    read = _DegreeLayout(M, 0).dim + _DegreeLayout(M, 1).dim
+    read = _DegreeLayout(M, 1).dim
     calls = [0]
     d = FreeDGL.d
 
@@ -442,15 +445,16 @@ def test_pi_1_applies_d_once_per_basis_element(monkeypatch):
 
     monkeypatch.setattr(FreeDGL, "d", counted)
     assert pi_n(M, 1).dim == 2
-    # d once on each basis element of degrees 0 and 1; a second elimination
-    # of degree 0 would make 19 calls
-    assert calls[0] == read == 12
+    # d once on each basis element of degree 1 and never on degree 0, which
+    # has no differential in a non-negatively graded L; differentiating
+    # degree 0 too would make 12 calls, and a second elimination of it 19
+    assert calls[0] == read == 7
 
 
 def test_minimal_model_rejects_a_surviving_linear_part(monkeypatch):
     class NoPivots(SpanReducer):
         def insert(self, v, tag):
-            return None, {}
+            return None, {}, 1
 
     monkeypatch.setattr(complexes, "SpanReducer", NoPivots)
     with pytest.raises(StructError) as e:
@@ -586,10 +590,11 @@ def test_installed_top_diff_leaves_complex_models_pinned():
 
 
 def _twisted_full_model_h0(K, N):
-    """H_0 of the full complex model twisted at vertex 0: the tower route
-    that is correct on 1-dimensional complexes only."""
+    """H_0 of the full complex model twisted at vertex 0, by the marker
+    oracle: the tower route that is correct on 1-dimensional complexes
+    only."""
     cm = model_of_complex(K, N)
-    return _h0_quotient(twist(cm.dgl, cm.gen((0,))))
+    return MarkerQuotient(twist(cm.dgl, cm.gen((0,))))
 
 
 def test_malcev_tower_matches_twisted_full_model_on_graphs():
@@ -599,3 +604,43 @@ def test_malcev_tower_matches_twisted_full_model_on_graphs():
             old = _twisted_full_model_h0(K, N)
             assert (q.dim, q.is_abelian()) == (old.dim, old.is_abelian()), \
                 (text, N)
+
+
+@st.composite
+def bouquets_and_surfaces(draw):
+    """(complex text, basepoint, N): a bouquet of 1-3 loops, each a cycle
+    of 3-4 edges through vertex 0, or the torus or the genus-2 surface,
+    with vertex ids shuffled, so that generator order and the highest-index
+    pivots vary."""
+    kind = draw(st.sampled_from(["bouquet", "torus", "genus 2"]))
+    if kind == "bouquet":
+        edges, nv = [], 1
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            cycle = [0] + list(range(nv, nv + draw(st.integers(2, 3)))) + [0]
+            nv = cycle[-2] + 1
+            edges += zip(cycle, cycle[1:])
+        faces, N = edges, draw(st.integers(min_value=1, max_value=4))
+    else:
+        text = TORUS if kind == "torus" else _genus_two()
+        faces = [tuple(map(int, line.split())) for line in text.split("\n")]
+        nv = max(max(f) for f in faces) + 1
+        N = draw(st.integers(min_value=1, max_value=3 if kind == "torus"
+                             else 2))
+    perm = draw(st.permutations(range(nv)))
+    text = "\n".join(" ".join(str(perm[v]) for v in f) for f in faces)
+    return text, draw(st.integers(min_value=0, max_value=nv - 1)), N
+
+
+@given(bouquets_and_surfaces())
+@settings(max_examples=40, deadline=None)
+def test_pi_1_matches_the_marker_oracle(case):
+    # representatives and the whole product table, term by term, against
+    # the marker route: kernel vectors inserted into the boundary span in
+    # order, each kept when it adds a pivot
+    text, basepoint, N = case
+    M = minimal_model(parse_complex(text), basepoint, N)
+    grp, ref = pi_n(M, 1), MarkerQuotient(M)
+    assert [x.terms for x in grp.basis] == [x.terms for x in ref.basis]
+    for i in range(grp.dim):
+        for j in range(grp.dim):
+            assert grp.table(i, j) == ref.table(i, j), (i, j)

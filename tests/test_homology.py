@@ -17,12 +17,13 @@ from freedgl.simplex import (
     relabel_element, tetra_model,
 )
 from freedgl.homology import (
-    homology, linear_homology, pi_n, verify_simplex,
+    MalcevQuotient, homology, linear_homology, pi_n, verify_simplex,
     gauge_equivalent_certificate, tower_layers, _DegreeLayout, _h0_quotient,
+    _kernel_pass,
 )
-from freedgl.complexes import parse_complex, model_of_complex
+from freedgl.complexes import parse_complex, model_of_complex, minimal_model
 
-from oracles import dense_rank, free_lie_slice_dim, transpose
+from oracles import dense_rank, free_lie_slice_dim, marker_h0, transpose
 
 ONE = Fraction(1)
 F = Fraction
@@ -46,6 +47,32 @@ def graph_dgl(nv, edges, N):
 
 def gen_elt(L, i):
     return Elt(L.gens, L.N, {(i,): ONE})
+
+
+class MarkerQuotient(MalcevQuotient):
+    """H_0 of any L, twisted ones with degree -1 letters included, by the
+    marker route of oracles.marker_h0: the degree-0 kernel vectors that add
+    a pivot to the boundaries are the representatives, and a class is read
+    off the combination that reduces it.  The product and table are
+    MalcevQuotient's."""
+
+    def __init__(self, L):
+        lay0 = _DegreeLayout(L, 0)
+        _, kernels, _ = _kernel_pass(L, lay0, _DegreeLayout(L, -1))
+        boundaries = [lay0.coords(L.d(x))
+                      for x in _DegreeLayout(L, 1).basis_elements(L)]
+        reps, self.classes = marker_h0(kernels, boundaries)
+        super().__init__(L, [lay0.element(L, kv) for kv in reps], lay0,
+                         None, None)
+
+    def class_coords(self, x):
+        vec = self._layout.coords(x)
+        if vec is None:
+            raise DomainError("class_coords needs a degree-0 element")
+        out = self.classes(vec)
+        if out is None:
+            raise DomainError("element is not a cycle mod boundaries")
+        return out
 
 
 def test_point_model_twisted_is_acyclic():
@@ -261,22 +288,39 @@ def test_tower_layers_of_free_rank_two():
 
 
 def test_twisted_circle_group_is_rank_one():
+    # the twisted model has degree -1 letters: pi_1 refuses it, and its H_0
+    # is read by the marker oracle
     circ = graph_dgl(3, [(0, 1), (1, 2), (0, 2)], 3)
     tw = twist(circ, gen_elt(circ, 0))
-    grp = _h0_quotient(tw)
+    with pytest.raises(DomainError, match="non-negatively graded"):
+        _h0_quotient(tw)
+    grp = MarkerQuotient(tw)
     assert grp.dim == 1
     assert grp.is_abelian()
     with pytest.raises(DomainError):
         grp.class_coords(gen_elt(tw, 0))
+    # the circle's minimal model has no negative degree
+    grp = pi_n(minimal_model(parse_complex(CIRCLE), 0, 3), 1)
+    assert grp.dim == 1
+    assert grp.is_abelian()
 
 
 def test_class_coords_reject_noncycles():
+    # a degree-0 element of a non-negatively graded L is a cycle; a twisted
+    # model, where it may not be, is refused, and the marker oracle rejects
+    # its non-cycles
     circ = graph_dgl(2, [(0, 1)], 3)
     tw = twist(circ, gen_elt(circ, 0))
-    grp = _h0_quotient(tw)
+    with pytest.raises(DomainError, match="non-negatively graded"):
+        _h0_quotient(tw)
+    grp = MarkerQuotient(tw)
     assert grp.dim == 0
     with pytest.raises(DomainError):
         grp.class_coords(gen_elt(tw, 2))
+    # off degree 0, the new route refuses too
+    L = FreeDGL(GenSet([("x", 0), ("y", 0), ("z", 1)]), 3, {})
+    with pytest.raises(DomainError, match="needs a degree-0 element"):
+        pi_n(L, 1).class_coords(gen_elt(L, 2))
 
 
 def test_class_coords_reject_a_word_with_an_empty_slice():
@@ -292,6 +336,11 @@ def test_class_coords_reject_a_word_with_an_empty_slice():
 
 FIG8 = "0 1\n1 2\n0 2\n0 3\n3 4\n0 4"
 S2 = "0 1 2\n0 1 3\n0 2 3\n1 2 3"
+CIRCLE = "0 1\n1 2\n0 2"
+# the 7-vertex torus
+TORUS = "\n".join("%d %d %d\n%d %d %d" % (i, (i + 1) % 7, (i + 3) % 7,
+                                        i, (i + 2) % 7, (i + 3) % 7)
+                   for i in range(7))
 
 # cycle representatives of the complex models twisted at vertex 0 at N=2,
 # term by term: each is the primitive integer kernel vector of its dependent
@@ -350,8 +399,6 @@ def _homology_digest(report):
     return h.hexdigest()
 
 
-CIRCLE = "0 1\n1 2\n0 2"
-
 # full-range homology(L), every degree sharing its passes with its
 # neighbours; captured when each degree's image had a separate elimination
 PINNED_FULL_RANGE = [
@@ -390,17 +437,23 @@ def test_homology_applies_d_once_per_basis_element(monkeypatch):
     assert calls[0] == read == 511
 
 
+def _xyz():
+    """x:0 y:0 z:1 with d z = [x, y] at N=3: H_0 is abelian of rank 2, the
+    brackets of lengths 2 and 3 being boundaries."""
+    gens = GenSet([("x", 0), ("y", 0), ("z", 1)])
+    return FreeDGL(gens, 3, {2: Elt(gens, 3, {(0, 1): ONE, (1, 0): -ONE})})
+
+
 def test_class_coords_of_a_rep_plus_a_boundary_is_a_unit_vector():
-    # two loops and a filled triangle at the basepoint: pi_1 is free of
-    # rank 2, and the triangle gives degree-0 boundaries
-    cm = model_of_complex(parse_complex(
-        "0 1 2\n0 3\n3 4\n0 4\n0 5\n5 6\n0 6"), 2)
-    tw = twist(cm.dgl, cm.gen((0,)))
-    grp = _h0_quotient(tw)
-    assert grp.dim == 3
-    boundary = zero_elt(tw.gens, tw.N)
-    for j, x in enumerate(_DegreeLayout(tw, 1).basis_elements(tw)):
-        boundary = boundary + (j + 1) * tw.d(x)
-    assert not boundary.is_zero()
-    for i, rep in enumerate(grp.basis):
-        assert grp.class_coords(rep + boundary) == grp.basis_coords(i)
+    # non-negatively graded inputs with degree-0 boundaries: x, y, z with
+    # d z = [x, y], and the torus minimal model, whose degree-1 generator
+    # bounds the commutator of the two loops
+    for L in (_xyz(), minimal_model(parse_complex(TORUS), 0, 3)):
+        grp = pi_n(L, 1)
+        assert grp.dim == 2
+        boundary = zero_elt(L.gens, L.N)
+        for j, x in enumerate(_DegreeLayout(L, 1).basis_elements(L)):
+            boundary = boundary + (j + 1) * L.d(x)
+        assert not boundary.is_zero()
+        for i, rep in enumerate(grp.basis):
+            assert grp.class_coords(rep + boundary) == grp.basis_coords(i)

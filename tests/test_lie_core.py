@@ -387,6 +387,18 @@ def test_substitute_rejects_degree_change():
         substitute(x, h, N, {0: generator_elt(h, N, "u")})
 
 
+def test_public_derivation_and_free_dgl_check_image_degrees():
+    # tables the package builds from checked differentials skip the
+    # re-check; a table passed to the public constructors does not
+    g = GenSet([("x", 0), ("y", 0)])
+    x = generator_elt(g, N, "x")
+    for build in (lambda: Derivation(g, N, {1: x}, -1),
+                  lambda: FreeDGL(g, N, {1: x})):
+        with pytest.raises(DomainError,
+                           match="image of y must have degree -1, got 0"):
+            build()
+
+
 def test_free_dgl_d_squared():
     g = GenSet([("a", -1), ("b", -1)])
     aa = Elt.build(g, 4, [((0, 0), -1)])

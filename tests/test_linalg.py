@@ -2,6 +2,7 @@
 the span front end against the Gauss-Jordan reference."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,12 +20,10 @@ def F(n, d=1):
 def test_reducer_basics():
     red = SpanReducer()
     assert red.insert({0: F(2), 1: F(4)}, "a")[0] == 0
-    # same direction: dependent, expressed through the first tag
-    piv, comb = red.insert({0: F(1), 1: F(2)}, "b")
-    assert piv is None
-    assert comb == {"a": F(1, 2)}
-    piv, _ = red.insert({1: F(1)}, "c")
-    assert piv == 1
+    # same direction: dependent, expressed through the first tag as an
+    # integer combination over one denominator, 2 * b = 1 * a
+    assert red.insert({0: F(1), 1: F(2)}, "b") == (None, {"a": 1}, 2)
+    assert red.insert({1: F(1)}, "c")[0] == 1
 
 
 def test_solve_columns_exact_and_canonical():
@@ -53,9 +52,9 @@ def test_kernel_columns():
     red = SpanReducer()
     front = []
     for j, col in enumerate(cols):
-        piv, comb = red.insert(col, j)
+        piv, comb, den = red.insert(col, j)
         if piv is None:
-            front.append({**vec_scale(comb, F(-1)), j: F(1)})
+            front.append({**{i: F(-c, den) for i, c in comb.items()}, j: F(1)})
     assert front == ker
     for k in ker:
         total = {}
@@ -189,14 +188,54 @@ def tagged_matrices(draw):
     return inserted, probes
 
 
+def _over(num, den):
+    return {i: F(c, den) for i, c in num.items()}
+
+
 @given(tagged_matrices())
 @settings(max_examples=300, deadline=None)
 def test_span_front_end_matches_gauss_jordan(case):
     inserted, probes = case
     red, ref = SpanReducer(), GaussJordanReducer()
     for v, tag in inserted:
-        assert red.insert(v, tag) == ref.insert(v, tag), (v, tag)
+        piv, comb, den = red.insert(v, tag)
+        want_piv, want_comb = ref.insert(v, tag)
+        assert piv == want_piv, (v, tag)
+        if piv is None:
+            assert _over(comb, den) == want_comb, (v, tag)
         assert red.rank() == ref.rank()
     for v in probes:
-        assert red.reduce(v) == ref.reduce(v), v
-        assert red.contains(v) == (not ref.reduce(v)[0])
+        residual, comb, den = red.reduce(v)
+        assert (_over(residual, den), _over(comb, den)) == ref.reduce(v), v
+        assert (not residual) == (not ref.reduce(v)[0])
+
+
+@given(tagged_matrices())
+@settings(max_examples=200, deadline=None)
+def test_span_combinations_are_integers_over_one_denominator(case):
+    # den * v == sum(comb[tag] * inserted[tag]) + residual holds in integers
+    # over the inserted vectors as given, with one positive den and no
+    # common factor, for dependent inserts and for reductions
+    inserted, probes = case
+    red = SpanReducer()
+    stored = {}
+
+    def check(v, residual, comb, den):
+        assert type(den) is int and den > 0
+        values = [*residual.values(), *comb.values()]
+        assert all(type(c) is int for c in values)
+        assert gcd(den, *values) == 1
+        total = dict(residual)
+        for tag, c in comb.items():
+            total = vec_add(total, stored[tag], c)
+        assert total == vec_scale(v, den)
+
+    for v, tag in inserted:
+        piv, comb, den = red.insert(v, tag)
+        if piv is None:
+            check(v, {}, comb, den)
+        else:
+            assert (comb, den) == (None, None)
+            stored[tag] = v
+    for v in probes:
+        check(v, *red.reduce(v))

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from freedgl.lie import (
-    Elt, SolveError, ConfigError, DomainError, zero_elt, lyndon_slice_basis,
+    Elt, SolveError, ConfigError, DomainError, StructError, zero_elt,
+    lyndon_slice_basis, _slice_coords,
 )
+from freedgl.linalg import FractionFreeReducer
 from freedgl.serialize import emit_dgl
 from freedgl.series import bch, exp_ad, bernoulli_op, is_mc, twist
 from freedgl.simplex import (
@@ -21,7 +23,7 @@ from freedgl.simplex import (
     permutation_map, equivariance_residues, reynolds_sign_project,
     reynolds_invariant_project, relabel_element, subdivision_morphism,
     barycentric_mc, check_model_axioms, check_cosimplicial_identities,
-    generator_homology, invariant_linear_homology,
+    generator_homology,
 )
 
 from oracles import oracle_substitute
@@ -438,6 +440,61 @@ def test_generator_homology_point_like():
             assert idims == {-1: 1}, (flavor, n)
             assert len(ireps[-1]) == 1
             assert ireps[-1][0] == barycenter(m), (flavor, n)
+
+
+def invariant_linear_homology(model):
+    """Homology of the permutation-invariant part of the slices (generators
+    and their Lie words of every length), with the length-preserving
+    differential.
+
+    Returns a dict (degree, length) -> dimension of the invariant homology,
+    zero entries omitted.
+    """
+    L = model.dgl
+    gens = model.gens
+    N = model.N
+    mindeg = min(gens.degrees)
+    maxdeg = max(gens.degrees)
+
+    inv_basis = {}   # (q, k) -> list of invariant Elt spanning the subspace
+    for k in range(1, N + 1):
+        for q in range(mindeg * k, maxdeg * k + 1):
+            basis = lyndon_slice_basis(gens, q, k)
+            lead_index = {lead: i for i, (lead, _, _) in enumerate(basis)}
+            red = FractionFreeReducer()
+            vecs = []
+            for _, terms, _ in basis:
+                proj = reynolds_invariant_project(
+                    model, Elt._from_num(gens, N, terms, 1))
+                if proj.is_zero():
+                    continue
+                coords = _slice_coords(proj, basis, lead_index)
+                if red.insert(coords) is None:
+                    vecs.append(proj)
+            if vecs:
+                inv_basis[(q, k)] = vecs
+
+    ranks = {}
+    for (q, k), vecs in sorted(inv_basis.items()):
+        below = lyndon_slice_basis(gens, q - 1, k)
+        lead_index = {lead: i for i, (lead, _, _) in enumerate(below)}
+        red = FractionFreeReducer()
+        for x in vecs:
+            dx = L.d1(x)
+            if dx.is_zero():
+                continue
+            coords = _slice_coords(dx, below, lead_index)
+            if coords is None:
+                raise StructError("linear differential left its slice")
+            red.insert(coords)
+        ranks[(q, k)] = red.rank()
+
+    dims = {}
+    for (q, k), vecs in inv_basis.items():
+        h = len(vecs) - ranks.get((q, k), 0) - ranks.get((q + 1, k), 0)
+        if h:
+            dims[(q, k)] = h
+    return dims
 
 
 def test_invariant_slice_homology_triangle():
