@@ -257,9 +257,9 @@ class LocalizedDGL:
         lay0 = _DegreeLayout(self.L, 0)
         red = FractionFreeReducer()
         for b in self.kernel_basis:
-            red.insert(lay0.coords(b))
+            red.insert(lay0.coords(b)[0])
         for x in _DegreeLayout(self.L, 1).basis_elements(self.L):
-            if red.reduce(lay0.coords(self.L.d(x))):
+            if red.reduce(lay0.coords(self.L.d(x))[0]):
                 return False
         return True
 

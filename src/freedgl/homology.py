@@ -18,11 +18,11 @@ from fractions import Fraction
 
 from .lie import (
     DomainError, StructError,
-    Elt, DGLMap, linear_combination, clear_denominators,
+    Elt, DGLMap, linear_combination,
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
 from .series import bch, gauge, is_mc
-from .linalg import SpanReducer, FractionFreeReducer
+from .linalg import SpanReducer, FractionFreeReducer, echelon
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -51,12 +51,12 @@ class _DegreeLayout:
         self.dim = len(self.basis)
 
     def coords(self, x):
-        """Global coordinate dict of a degree-q element, or None if it falls
-        outside the span (an empty slice included)."""
+        """Global coordinates of a degree-q element as (numerators, D), or
+        None if it falls outside the span (an empty slice included)."""
         return _slice_coords(x, self.basis, self.lead_index)
 
     def element(self, L, vec):
-        """The element with the global coordinate dict vec."""
+        """The element with the global integer coordinate dict vec."""
         return elt_from_slice_coords(L.gens, L.N, self.basis, vec)
 
     def basis_elements(self, L):
@@ -80,7 +80,7 @@ def _kernel_pass(L, layout_src, layout_tgt):
         vec = layout_tgt.coords(L.d(x))
         if vec is None:
             raise StructError("differential left its degree slice")
-        piv, comb, den = span.insert(vec, j)
+        piv, comb, den = span.insert(vec[0], j, vec[1])
         if piv is None:
             sign = -1 if comb and comb[min(comb)] > 0 else 1
             kv = {i: -sign * c for i, c in comb.items()}
@@ -203,8 +203,8 @@ class MalcevQuotient:
     Elements are coordinate tuples over the class basis; products go through
     representatives and reduce back to class coordinates.  The table is
     filled lazily and cached.  The echelon holds the degree-0 boundaries
-    with coordinate i stored at dim - 1 - i, and free lists the stored
-    indices of the basis elements, the unit vectors off its pivots.
+    with coordinate i stored at dim - 1 - i, and free maps the stored index
+    of each basis element, a unit vector off its pivots, to its position.
     """
 
     __slots__ = ("L", "N", "basis", "_layout", "_echelon", "_free", "_table")
@@ -226,28 +226,32 @@ class MalcevQuotient:
         return tuple(Fraction(0) for _ in range(self.dim))
 
     def basis_coords(self, i):
-        out = [Fraction(0)] * self.dim
-        out[i] = ONE
-        return tuple(out)
+        return tuple(ONE if k == i else ZERO for k in range(self.dim))
 
-    def class_coords(self, x):
-        """Class of a degree-0 element as coordinates over the basis: the
-        residual of one reduction against the boundaries, read at the free
-        coordinates, with the entry at -1 carrying its scale."""
+    def _residual(self, x):
+        """(numerators, den) of the class of a degree-0 element by class
+        position: the residual of one reduction against the boundaries, on
+        the free coordinates, with the entry at -1 carrying its scale."""
         vec = self._layout.coords(x)
         if vec is None:
             # a word off degree 0 is never cancelled, so coords gave up
             if not x.has_degree(0):
                 raise DomainError("class_coords needs a degree-0 element")
             raise DomainError("element does not lie in the degree-0 slice")
-        num, D = clear_denominators(vec)
+        num, D = vec
         top = self._layout.dim - 1
         row = {top - i: c for i, c in num.items()}
         row[-1] = D
         res = self._echelon.reduce(row)
-        den = res[-1]
-        return tuple(Fraction(res[i], den) if i in res else ZERO
-                     for i in self._free)
+        den = res.pop(-1)
+        free = self._free
+        return {free[i]: c for i, c in res.items()}, den
+
+    def class_coords(self, x):
+        """Class of a degree-0 element as coordinates over the basis."""
+        res, den = self._residual(x)
+        return tuple(Fraction(res[k], den) if k in res else ZERO
+                     for k in range(self.dim))
 
     def element(self, coords):
         return linear_combination(self.L.gens, self.N, zip(coords, self.basis))
@@ -295,15 +299,13 @@ def _h0_quotient(L):
         vec = lay0.coords(L.d(x))
         if vec is None:
             raise StructError("differential left its degree slice")
-        if vec:
-            num, _ = clear_denominators(vec)
-            rows.append({top - i: c for i, c in num.items()})
-    echelon = FractionFreeReducer()
-    for row in sorted(rows, key=len):
-        echelon.insert(row)
-    free = [j for j in range(lay0.dim) if top - j not in echelon.rows]
+        if vec[0]:
+            rows.append({top - i: c for i, c in vec[0].items()})
+    ech = echelon(rows, len)
+    free = [j for j in range(lay0.dim) if top - j not in ech.rows]
     basis = [Elt._from_num(L.gens, L.N, lay0.basis[j][1], 1) for j in free]
-    return MalcevQuotient(L, basis, lay0, echelon, [top - j for j in free])
+    return MalcevQuotient(L, basis, lay0, ech,
+                          {top - j: k for k, j in enumerate(free)})
 
 
 def pi_n(L, n, N=None):
@@ -365,8 +367,7 @@ def malcev_tower(K, basepoint, N_max):
         small = quotients[N - 2]
         red = FractionFreeReducer()
         for rep in big.basis:
-            coords = small.class_coords(rep.truncated(small.N))
-            red.insert({i: c for i, c in enumerate(coords) if c})
+            red.insert(small._residual(rep.truncated(small.N))[0])
         if red.rank() != small.dim:
             raise StructError(
                 "tower projection at N=%d is not surjective" % N)

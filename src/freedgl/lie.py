@@ -382,8 +382,8 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # bracket_words; _slice_coords and elt_from_slice_coords, bch in series, the
 # face-table relabels and Reynolds averages of simplex, and minimal_model's
 # partner solve.  Fractions are built only where an answer leaves as one:
-# Elt.terms, slice coordinates, class coordinates and solve_columns' answer;
-# linalg's eliminator and its SpanReducer front end answer in integers.
+# Elt.terms, the public slice_coordinates and class_coords; _slice_coords
+# and linalg answer in integers over one denominator.
 
 
 def clear_denominators(terms):
@@ -656,13 +656,16 @@ def slice_coordinates(x, basis):
     sparse = _slice_coords(x, basis, lead_index)
     if sparse is None:
         return None
-    return [sparse.get(i, ZERO) for i in range(len(basis))]
+    num, D = sparse
+    return [Fraction(num[i], D) if i in num else ZERO
+            for i in range(len(basis))]
 
 
 def _slice_coords(x, basis, lead_index):
-    """slice_coordinates of x as a sparse dict position -> coefficient,
-    given the basis's lead word -> position index, so that the cost follows
-    the terms of x rather than the size of the slice.
+    """slice_coordinates of x as (numerators, D): a sparse dict position ->
+    int over one positive denominator D, in lowest terms, given the basis's
+    lead word -> position index, so that the cost follows the terms of x
+    rather than the size of the slice.
 
     Runs on the integer numerators of x over its denominator D: basis
     elements have integer coefficients, so only a doubled lead with an odd
@@ -679,10 +682,11 @@ def _slice_coords(x, basis, lead_index):
         if doubled:
             if c & 1:
                 work = {v: 2 * cv for v, cv in work.items()}
+                coords = {j: 2 * cj for j, cj in coords.items()}
                 D *= 2
                 c *= 2
             c //= 2
-        coords[i] = Fraction(c, D)
+        coords[i] = c
         get = work.get
         for v, cv in bterms.items():
             acc = get(v, 0) - c * cv
@@ -690,20 +694,20 @@ def _slice_coords(x, basis, lead_index):
                 work[v] = acc
             else:
                 del work[v]
-    return coords
+    return coords, D
 
 
-def elt_from_slice_coords(gens, N, basis, coords):
-    """The element with sparse coordinates coords (position -> coefficient)
-    over a lyndon_slice_basis list, the inverse of _slice_coords: a sum of
-    integer numerators over one denominator."""
+def elt_from_slice_coords(gens, N, basis, coords, den=1):
+    """The element with sparse coordinates coords (position -> int or
+    Fraction) over den, on a lyndon_slice_basis list, the inverse of
+    _slice_coords: a sum of integer numerators over one denominator."""
     num, D = clear_denominators({i: c for i, c in coords.items() if c})
     out = {}
     get = out.get
     for i, c in sorted(num.items()):
         for w, cw in basis[i][1].items():
             out[w] = get(w, 0) + c * cw
-    return Elt._from_num(gens, N, out, D)
+    return Elt._from_num(gens, N, out, D * den)
 
 
 # ---------------------------------------------------------------------------
@@ -922,16 +926,17 @@ def substitute(x, target_gens, target_N, images):
 
 class DGLMap:
     """A morphism of free DGLs given by generator images, applied through
-    one prepared Substitution."""
+    one prepared Substitution, or through apply when the caller has a
+    faster map on elements with the same images."""
 
     __slots__ = ("source", "target", "images", "_map")
 
-    def __init__(self, source, target, images):
+    def __init__(self, source, target, images, apply=None):
         self.source = source
         self.target = target
         self.images = images
-        self._map = Substitution(source.gens, target.gens, target.N,
-                                 images)
+        self._map = apply or Substitution(source.gens, target.gens, target.N,
+                                          images)
 
     def __call__(self, x):
         return self._map(x)

@@ -1,39 +1,23 @@
 """Sparse exact linear algebra over Q.
 
-Vectors are dicts from non-negative int indices to Fractions or ints (no
-stored zeros).  There is one eliminator, FractionFreeReducer: forward-only
-integer elimination with leftmost pivots and content stripping
-(fraction-free, after Bareiss 1968), inserting vectors in a caller-chosen
-(hence deterministic) order, with no randomization anywhere.  Negative
-indices are its bookkeeping coordinates.
+Vectors are dicts from non-negative int indices to ints (no stored zeros);
+a rational vector is such a dict of numerators over one positive
+denominator, as lie._slice_coords gives it.  There is one eliminator,
+FractionFreeReducer: forward-only integer elimination with leftmost pivots
+and content stripping (fraction-free, after Bareiss 1968), inserting
+vectors in a caller-chosen (hence deterministic) order, with no
+randomization anywhere.  Negative indices are its bookkeeping coordinates.
+echelon fills one with no markers, for π₁'s boundaries
+(homology._h0_quotient) and the transposed system of solve_columns.
 
-SpanReducer is the front end for the callers that read combinations:
-solve_columns, homology's one pass per differential (_kernel_pass) and
-minimal_model's pairing of sources with partners.  It tags every vector that
-adds a pivot with its own negative marker coordinate, so a reduced vector's
-markers spell out, as integers over one denominator, the combination of
-inserted vectors that it was reduced by.
+SpanReducer is the front end for the callers that read combinations.  It
+tags every vector that adds a pivot with its own negative marker
+coordinate, so a reduced vector's markers spell out, as integers over one
+denominator, the combination of inserted vectors that it was reduced by.
 """
 
 from bisect import bisect_left, insort
-from fractions import Fraction
 from math import gcd
-
-from .lie import clear_denominators
-
-
-def integer_primitive(v):
-    """Clear denominators and strip content; int dict, deterministic sign
-    (the entry at the lowest index is positive)."""
-    if not v:
-        return {}
-    out, _ = clear_denominators(v)
-    g = gcd(*out.values())
-    if g > 1:
-        out = {i: c // g for i, c in out.items()}
-    if out[min(out)] < 0:
-        out = {i: -c for i, c in out.items()}
-    return out
 
 
 def _lowest_main(v):
@@ -44,12 +28,11 @@ def _lowest_main(v):
 class FractionFreeReducer:
     """Forward-only integer elimination with leftmost pivots.
 
-    Rows are integer dicts with content 1 and positive leading entry.
-    Elimination uses cross-multiplication (a*row_new - b*row_pivot) followed
-    by a content strip, so no fractions ever appear.  Negative indices are
-    bookkeeping coordinates: they ride along in row operations but are never
-    chosen as pivots, which turns a vanishing main part into an explicit
-    combination.
+    Rows are integer dicts with a positive leading entry.  Elimination uses
+    cross-multiplication (a*row_new - b*row_pivot) followed by a content
+    strip, so no fractions ever appear.  Negative indices are bookkeeping
+    coordinates: they ride along in row operations but are never chosen as
+    pivots, which turns a vanishing main part into an explicit combination.
     """
 
     __slots__ = ("rows", "_order")
@@ -63,11 +46,8 @@ class FractionFreeReducer:
 
     def reduce(self, v):
         """Eliminate v's main support against stored rows; returns the
-        (integer, content-stripped) residual."""
-        if v and isinstance(next(iter(v.values())), Fraction):
-            v = integer_primitive(v)
-        else:
-            v = dict(v)
+        (integer, content-stripped) residual.  v is not consumed."""
+        v = dict(v)
         low = _lowest_main(v)
         if low is None:
             return v
@@ -114,6 +94,18 @@ class FractionFreeReducer:
         return None
 
 
+def echelon(rows, key):
+    """One FractionFreeReducer of the integer rows, inserted in ascending
+    key order (which sets the fill, not the pivots), or None at the first
+    row that leaves an entry at a negative index only: with the right-hand
+    side at -1, an inconsistent equation."""
+    ech = FractionFreeReducer()
+    for row in sorted(rows, key=key):
+        if ech.insert(row):
+            return None
+    return ech
+
+
 class SpanReducer:
     """Span of tagged vectors that reports combinations of them.
 
@@ -124,7 +116,8 @@ class SpanReducer:
     entry at -1, which is the one positive denominator of the answer.
     Dependent inserts are not stored, so combinations run over the
     pivot-adding tags only; those tags must be distinct.  Its callers are
-    solve_columns, homology's _kernel_pass and minimal_model's pairing.
+    homology's _kernel_pass and representatives, minimal_model's pairing and
+    the infeasible witness of solve_columns.
     """
 
     __slots__ = ("_ff", "_tags")
@@ -140,51 +133,69 @@ class SpanReducer:
         """Tag -> integer numerator of the combination on res's markers."""
         return {self._tags[-2 - i]: -c for i, c in res.items() if i < 0}
 
-    def reduce(self, v):
-        """(residual, comb, den): integer dicts and a positive int with
-        den * v = sum(comb[tag] * inserted[tag]) + residual, the residual
-        having no support on existing pivots; gcd(den, every numerator) is
-        1.  v is not consumed."""
-        num, D = clear_denominators(v)
-        num[-1] = -D
-        res = self._ff.reduce(num)
-        den = -res.pop(-1)
-        return {i: c for i, c in res.items() if i >= 0}, self._comb(res), den
+    def reduce(self, v, den=1):
+        """(residual, comb, d): integer dicts and a positive int with
+        d * v/den = sum(comb[tag] * inserted[tag]) + residual, the residual
+        having no support on existing pivots; gcd(d, every numerator) is 1
+        when v/den is in lowest terms."""
+        res = self._ff.reduce({**v, -1: -den})
+        d = -res.pop(-1)
+        return {i: c for i, c in res.items() if i >= 0}, self._comb(res), d
 
-    def insert(self, v, tag):
-        """Add v to the span under the given tag.
+    def insert(self, v, tag, den=1):
+        """Add v/den to the span under the given tag.
 
-        Returns (None, comb, den) when v was already in the span, with
-        den * v = sum(comb[tag] * inserted[tag]) as in reduce, else
-        (pivot, None, None) after storing v.
+        Returns (None, comb, d) when it was already in the span, with
+        d * v/den = sum(comb[tag] * inserted[tag]) as in reduce, else
+        (pivot, None, None) after storing it.
         """
-        num, D = clear_denominators(v)
         marker = -2 - len(self._tags)
-        num[marker] = D
-        res = self._ff.insert(num)
+        res = self._ff.insert({**v, marker: den})
         if res is None:
             self._tags.append(tag)
             # rows only grow, so the row just installed is the last one
             return next(reversed(self._ff.rows)), None, None
-        den = res.pop(marker)
-        return None, self._comb(res), den
+        d = res.pop(marker)
+        return None, self._comb(res), d
 
 
 def solve_columns(columns, b):
-    """One exact solution x of sum_j x_j * columns[j] = b, or (None, residual).
-
-    Free variables are 0: x is supported on the greedily chosen independent
-    columns, so the output is canonical for a fixed column order.  The
-    residual is b minus its part in the column span, with no support on the
-    span's leftmost pivots; both are unique, whatever the eliminator.  Index
-    j tags column j in one SpanReducer, and x is the combination that
-    reduces b.  The builders' length stages (simplex._solve_stage) are the
-    callers.
+    """One exact solution x of sum_j x_j * columns[j] = b, or (None,
+    residual), every vector a pair (integer numerators, positive
+    denominator).  Free variables are 0: x lies on the greedily chosen
+    independent columns, the pivots of any echelon of the transposed
+    system, so it is canonical for a fixed column order.  Equation i goes
+    into one echelon as an integer row over the column indices with -b_i at
+    -1, by descending largest column index, and x is back-substituted over
+    one denominator.  Only an inconsistent system runs the SpanReducer
+    route, for the residual: b minus its part in the column span, with no
+    support on the span's leftmost pivots.  The builders' length stages
+    (simplex._solve_stage) are the callers.
     """
-    red = SpanReducer()
-    for j, col in enumerate(columns):
-        red.insert(col, j)
-    residual, x, den = red.reduce(b)
-    if residual:
-        return None, {i: Fraction(c, den) for i, c in residual.items()}
-    return {j: Fraction(c, den) for j, c in x.items()}, None
+    bnum, bden = b
+    rows = {i: {-1: -c} for i, c in bnum.items()}
+    for j, (num, _) in enumerate(columns):
+        for i, c in num.items():
+            rows.setdefault(i, {})[j] = c
+    ech = echelon(rows.values(), lambda row: -max(row))
+    if ech is None:
+        red = SpanReducer()
+        for j, (num, den) in enumerate(columns):
+            red.insert(num, j, den)
+        residual, _, d = red.reduce(bnum, bden)
+        return None, (residual, d)
+    # z_j = Z[j] / D solves sum_j z_j * num_j = bnum, so x_j = z_j * den_j /
+    # bden; right of its pivot p, a row holds solved pivots and free zeros
+    Z, D = {}, 1
+    for p in reversed(ech._order):
+        row = ech.rows[p]
+        s = -row.get(-1, 0) * D - sum(c * Z[j] for j, c in row.items()
+                                      if j in Z)
+        if s:
+            g = gcd(s, row[p])
+            a = row[p] // g
+            if a != 1:
+                D *= a
+                Z = {j: c * a for j, c in Z.items()}
+            Z[p] = s // g
+    return ({j: c * columns[j][1] for j, c in Z.items()}, D * bden), None

@@ -22,14 +22,14 @@ Three ways to produce top differentials:
 
 Every vertex map acts on generators through one relabel table (_face_table:
 a_F goes to the signed letter of F's sorted image, or to 0 when the image
-repeats a vertex), applied to words on integer numerators (_relabel).  It
-gives the cofaces, codegeneracies and permutation maps and the Reynolds
-averages.  _face_images relabels each face's top differential onto the
-face to assemble the models of simplices and complexes; a sorted face is
-its own vertex map, with every sign +1, so its table is looked up by face
-and applied by the same _relabel.  The two
-solving builders share one length-stage solver (_solve_stage: the canonical
-preimage under d1 on one Lyndon slice).
+repeats a vertex), applied to words on integer numerators (_relabel).  The
+cofaces, codegeneracies and permutation maps apply it as DGLMaps
+(_vertex_map), and the Reynolds averages sum it.  _face_images relabels
+each face's top differential onto the face to assemble the models of
+simplices and complexes; a sorted face is its own vertex map, with every
+sign +1, so its table is looked up by face.  The two solving builders share
+one length-stage solver (_solve_stage: the canonical preimage under d1 on
+one Lyndon slice, from linalg's markerless echelon).
 """
 
 from fractions import Fraction
@@ -39,7 +39,7 @@ from itertools import combinations, permutations
 from .lie import (
     ConfigError, DomainError, SolveError,
     GenSet, Elt, FreeDGL, DGLMap, Derivation,
-    bracket, generator_elt, zero_elt, substitute,
+    bracket, generator_elt, zero_elt, substitute, linear_combination,
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
 from .series import bch, exp_ad, bernoulli_op, is_mc, twist, gauge
@@ -91,7 +91,7 @@ def perm_sign(sigma):
     return -1 if inv & 1 else 1
 
 
-def _face_table(n, vertex_map, index, wide=False):
+def _face_table(n, vertex_map, index):
     """Where a vertex map sends the faces of Delta^n, in faces_of_simplex(n)
     order (entry i belongs to letter i of simplex_genset(n)): None when the
     image repeats a vertex, else (index of the sorted image's name, sort
@@ -100,7 +100,7 @@ def _face_table(n, vertex_map, index, wide=False):
     for face in faces_of_simplex(n):
         img = [vertex_map[v] for v in face]
         table.append(None if len(set(img)) < len(img) else
-                     (index(face_name(tuple(sorted(img)), wide)),
+                     (index(face_name(tuple(sorted(img)))),
                       perm_sign(img)))
     return tuple(table)
 
@@ -124,15 +124,14 @@ def _relabel(num, table, out, scale=1):
     return out
 
 
-def relabel_element(x, vertex_map, target_gens, target_N, wide=False):
+def relabel_element(x, vertex_map, target_gens, target_N):
     """Push an element over simplex_genset(p) along a vertex map.
 
     vertex_map sends vertex v = 0..p to vertex_map[v] (a tuple or a dict);
-    a_F goes to the sort sign times a_{sorted image of F}, named wide when
-    `wide`, or to 0 when the image repeats a vertex.
+    a_F goes to the sort sign times a_{sorted image of F}, or to 0 when the
+    image repeats a vertex.
     """
-    table = _face_table(len(vertex_map) - 1, vertex_map, target_gens.index,
-                        wide)
+    table = _face_table(len(vertex_map) - 1, vertex_map, target_gens.index)
     return _relabeled(x, table, target_gens, target_N)
 
 
@@ -143,12 +142,21 @@ def _relabeled(x, table, target_gens, target_N):
         w: c for w, c in out.items() if len(w) <= target_N}, x.den)
 
 
-def _table_map(source, target, table):
-    """The DGLMap sending letter i to the signed letter table[i], or to 0."""
+def _vertex_map(source, target, vertex_map):
+    """The DGLMap of a vertex map from one simplex model to another: letter
+    i goes to the signed letter of its _face_table entry, or to 0, applied
+    as one _relabel pass over the words of its argument."""
     gens, N = target.gens, target.N
-    return DGLMap(source, target, {
-        i: Elt(gens, N, {} if t is None else {(t[0],): Fraction(t[1])})
-        for i, t in enumerate(table)})
+    table = _face_table(source.n, vertex_map, gens.index)
+
+    def apply(x):
+        if x.gens is not source.gens and x.gens != source.gens:
+            raise ConfigError("substitution argument over a different "
+                              "generator set")
+        return _relabeled(x, table, gens, N)
+    return DGLMap(source.dgl, target.dgl, {
+        i: Elt._from_num(gens, N, {} if t is None else {(t[0],): t[1]}, 1)
+        for i, t in enumerate(table)}, apply)
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +181,6 @@ class SimplexModel:
 
     def gen(self, face):
         return generator_elt(self.dgl.gens, self.N, face_name(tuple(face)))
-
-    def top_face(self):
-        return tuple(range(self.n + 1))
-
-    def vertices(self):
-        return [self.gen((i,)) for i in range(self.n + 1)]
 
     def __repr__(self):
         return "SimplexModel(n=%d, N=%d, flavor=%s)" % (self.n, self.N, self.flavor)
@@ -346,11 +348,11 @@ def _solve_stage(L, r, allowed=None):
         cols.append(col)
     x, residual = solve_columns(cols, b)
     if x is None:
-        witness = elt_from_slice_coords(gens, L.N, tbasis, residual)
+        witness = elt_from_slice_coords(gens, L.N, tbasis, *residual)
         raise SolveError(
             "no boundary at degree %d, length %d; homology witness: %s"
             % (tdeg, k, witness.pretty()))
-    return elt_from_slice_coords(gens, L.N, sbasis, x)
+    return elt_from_slice_coords(gens, L.N, sbasis, *x)
 
 
 def solve_boundary(L, target, allowed):
@@ -428,11 +430,9 @@ def inductive_top_diff(n, N, lower_diffs):
             "sub-alphabet; the supplied seeds lack the support property")
 
     # linear stage, forced by the chain-differential axiom
-    gamma1 = zero_elt(gens, N)
-    for j in range(n):
-        sign = Fraction((-1) ** (n + j + 1))
-        sub = tuple(v for v in range(n + 1) if v != j)
-        gamma1 = gamma1 + sign * generator_elt(gens, N, face_name(sub))
+    gamma1 = linear_combination(gens, N, [
+        ((-1) ** (n + 1) * sign, generator_elt(gens, N, face_name(sub)))
+        for sign, sub in chain_boundary(tuple(range(n + 1)))[:n]])
     if twisted.d1(gamma1) != target.length_part(1):
         raise SolveError("chain-differential linear stage fails; seeds broken")
 
@@ -451,8 +451,7 @@ def inductive_top_diff(n, N, lower_diffs):
 
 def permutation_map(model, sigma):
     """The degree-0 automorphism a_F -> sign * a_{sorted sigma(F)}."""
-    return _table_map(model.dgl, model.dgl,
-                      _face_table(model.n, sigma, model.gens.index))
+    return _vertex_map(model, model, sigma)
 
 
 def equivariance_residues(model, sigma):
@@ -505,9 +504,9 @@ def symmetric_top_diff(n, N, lower_diffs):
 
     top_face = tuple(range(n + 1))
     top_idx = gens.index(face_name(top_face))
-    top = zero_elt(gens, N)
-    for sign, sub in chain_boundary(top_face):
-        top = top + Fraction(sign) * generator_elt(gens, N, face_name(sub))
+    top = linear_combination(gens, N, [
+        (sign, generator_elt(gens, N, face_name(sub)))
+        for sign, sub in chain_boundary(top_face)])
 
     for k in range(2, N + 1):
         Lp = FreeDGL(gens, N, {**images, top_idx: top})
@@ -573,11 +572,8 @@ class ModelFamily:
         """delta_i: model(n) -> model(n+1), skipping vertex i."""
         if not 0 <= i <= n + 1:
             raise DomainError("coface index %d out of range for n=%d" % (i, n))
-        src = self.model(n)
-        tgt = self.model(n + 1)
-        vmap = [v if v < i else v + 1 for v in range(n + 1)]
-        return _table_map(src.dgl, tgt.dgl,
-                          _face_table(n, vmap, tgt.gens.index))
+        return _vertex_map(self.model(n), self.model(n + 1),
+                           [v if v < i else v + 1 for v in range(n + 1)])
 
     def codegeneracy(self, i, n):
         """sigma_i: model(n) -> model(n-1), collapsing i and i+1; faces whose
@@ -587,11 +583,8 @@ class ModelFamily:
                 "codegeneracies are only defined on the symmetric family")
         if not 0 <= i <= n - 1 or n < 1:
             raise DomainError("codegeneracy index %d out of range for n=%d" % (i, n))
-        src = self.model(n)
-        tgt = self.model(n - 1)
-        vmap = [v if v <= i else v - 1 for v in range(n + 1)]
-        return _table_map(src.dgl, tgt.dgl,
-                          _face_table(n, vmap, tgt.gens.index))
+        return _vertex_map(self.model(n), self.model(n - 1),
+                           [v if v <= i else v - 1 for v in range(n + 1)])
 
 
 def seed_family(N):
@@ -682,27 +675,19 @@ def check_model_axioms(model):
     the chain differential, cofaces are chain maps (when a family is
     attached).  Returns a dict with an overall 'ok' flag."""
     L = model.dgl
-    report = {"ok": True, "d_squared": [], "vertices_mc": [],
+    report = {"d_squared": L.check_d_squared(), "vertices_mc": [],
               "linear_part": [], "cofaces": []}
 
-    for name, r in L.check_d_squared():
-        report["ok"] = False
-        report["d_squared"].append((name, r))
-
     for i in range(model.n + 1):
-        v = model.gen((i,))
-        if not is_mc(L, v):
-            report["ok"] = False
+        if not is_mc(L, model.gen((i,))):
             report["vertices_mc"].append(face_name((i,)))
 
     for face in faces_of_simplex(model.n):
-        want = zero_elt(model.gens, model.N)
-        if len(face) > 1:
-            for sign, sub in chain_boundary(face):
-                want = want + Fraction(sign) * model.gen(sub)
+        want = linear_combination(model.gens, model.N, [
+            (sign, model.gen(sub)) for sign, sub in chain_boundary(face)
+            if sub])
         got = L.d1(model.gen(face))
         if got != want:
-            report["ok"] = False
             report["linear_part"].append((face_name(face), got - want))
 
     if model.family is not None and model.n >= 1:
@@ -710,20 +695,18 @@ def check_model_axioms(model):
             digl = model.family.coface(i, model.n - 1)
             for name, r in digl.chain_residues():
                 if not r.is_zero():
-                    report["ok"] = False
                     report["cofaces"].append(("delta_%d" % i, name, r))
+    report["ok"] = not any(report.values())
     return report
 
 
 def _compose(f, g):
-    """f after g."""
-    return DGLMap(g.source, f.target,
-                  {i: f(x) for i, x in g.images.items()})
+    """The generator images of f after g."""
+    return {i: f(x) for i, x in g.images.items()}
 
 
-def _is_identity(f):
-    return all(x == Elt(f.source.gens, f.source.N, {(i,): ONE})
-               for i, x in f.images.items())
+def _is_identity(images):
+    return all(x.num == {(i,): 1} and x.den == 1 for i, x in images.items())
 
 
 def check_cosimplicial_identities(family, n_max):
@@ -740,7 +723,7 @@ def check_cosimplicial_identities(family, n_max):
                 lhs = _compose(family.coface(j, n + 1), family.coface(i, n))
                 rhs = _compose(family.coface(i, n + 1), family.coface(j - 1, n))
                 out.append(("delta_%d delta_%d = delta_%d delta_%d (n=%d)"
-                            % (j, i, i, j - 1, n), lhs.images == rhs.images))
+                            % (j, i, i, j - 1, n), lhs == rhs))
     if family.flavor != "symmetric":
         return out
     # sigma_j sigma_i = sigma_i sigma_{j+1} for i <= j, from model(n)
@@ -752,7 +735,7 @@ def check_cosimplicial_identities(family, n_max):
                 rhs = _compose(family.codegeneracy(i, n - 1),
                                family.codegeneracy(j + 1, n))
                 out.append(("sigma_%d sigma_%d = sigma_%d sigma_%d (n=%d)"
-                            % (j, i, i, j + 1, n), lhs.images == rhs.images))
+                            % (j, i, i, j + 1, n), lhs == rhs))
     # sigma_j delta_i from model(n-1) to model(n-1)
     for n in range(1, n_max + 1):
         for j in range(n):
@@ -766,14 +749,12 @@ def check_cosimplicial_identities(family, n_max):
                     rhs = _compose(family.coface(i, n - 2),
                                    family.codegeneracy(j - 1, n - 1))
                     out.append(("sigma_%d delta_%d = delta_%d sigma_%d (n=%d)"
-                                % (j, i, i, j - 1, n - 1),
-                                lhs.images == rhs.images))
+                                % (j, i, i, j - 1, n - 1), lhs == rhs))
                 else:
                     rhs = _compose(family.coface(i - 1, n - 2),
                                    family.codegeneracy(j, n - 1))
                     out.append(("sigma_%d delta_%d = delta_%d sigma_%d (n=%d)"
-                                % (j, i, i - 1, j, n - 1),
-                                lhs.images == rhs.images))
+                                % (j, i, i - 1, j, n - 1), lhs == rhs))
     return out
 
 
@@ -804,11 +785,11 @@ def generator_homology(model, invariant=False):
         for i, d in enumerate(gens.degrees):
             if d == q + 1:
                 dx = L.d1(Elt(gens, model.N, {(i,): ONE}))
-                red.insert({w[0]: c for w, c in dx.terms.items()})
+                red.insert({w[0]: c for w, c in dx.num.items()})
         found = []
         for x in classes:
             y = reynolds_invariant_project(model, x)
-            if red.insert({w[0]: c for w, c in y.terms.items()}) is None:
+            if red.insert({w[0]: c for w, c in y.num.items()}) is None:
                 found.append(y)
         if found:
             inv_dims[q] = len(found)

@@ -475,6 +475,11 @@ def marker_h0(kernels, boundaries):
     return reps, classes
 
 
+def over(num, den):
+    """The Fraction dict of integer numerators over one denominator."""
+    return {i: Fraction(c, den) for i, c in num.items()}
+
+
 def transpose(columns):
     """Row dicts of the matrix whose j-th column is columns[j]."""
     rows = {}

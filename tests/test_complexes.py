@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from freedgl.lie import (
     DomainError, StructError, SolveError, Elt, GenSet, FreeDGL, DGLMap,
-    generator_elt, zero_elt, substitute, Substitution,
+    generator_elt, zero_elt, substitute, Substitution, clear_denominators,
 )
 from freedgl.linalg import SpanReducer
 from freedgl.serialize import ParseError, emit_dgl
@@ -349,14 +349,15 @@ def _fixed_point_minimal_model(K, basepoint, N):
     for i in sorted(set(range(len(gens))) - killed,
                     key=lambda i: (gens.degrees[i], i)):
         d1 = L.d1(Elt(gens, N, {(i,): Fraction(1)})).terms
-        t = red.insert({w[0]: c for w, c in d1.items()
-                        if w[0] not in killed}, i)[0]
+        row, den = clear_denominators({w[0]: c for w, c in d1.items()
+                                       if w[0] not in killed})
+        t = red.insert(row, i, den)[0]
         if t is not None:
             killed.add(i)
             partners.append(t)
     rest = {}
     for t in partners:
-        _, comb, den = red.reduce({t: Fraction(1)})
+        _, comb, den = red.reduce({t: 1})
         rest[t] = (L.d(Elt(gens, N, {(s,): Fraction(c, den)
                                      for s, c in comb.items()}))
                    - Elt(gens, N, {(t,): Fraction(1)}))
@@ -453,7 +454,7 @@ def test_pi_1_applies_d_once_per_basis_element(monkeypatch):
 
 def test_minimal_model_rejects_a_surviving_linear_part(monkeypatch):
     class NoPivots(SpanReducer):
-        def insert(self, v, tag):
+        def insert(self, v, tag, den=1):
             return None, {}, 1
 
     monkeypatch.setattr(complexes, "SpanReducer", NoPivots)

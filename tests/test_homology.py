@@ -23,7 +23,7 @@ from freedgl.homology import (
 )
 from freedgl.complexes import parse_complex, model_of_complex, minimal_model
 
-from oracles import dense_rank, free_lie_slice_dim, marker_h0, transpose
+from oracles import dense_rank, free_lie_slice_dim, marker_h0, over, transpose
 
 ONE = Fraction(1)
 F = Fraction
@@ -59,7 +59,7 @@ class MarkerQuotient(MalcevQuotient):
     def __init__(self, L):
         lay0 = _DegreeLayout(L, 0)
         _, kernels, _ = _kernel_pass(L, lay0, _DegreeLayout(L, -1))
-        boundaries = [lay0.coords(L.d(x))
+        boundaries = [over(*lay0.coords(L.d(x)))
                       for x in _DegreeLayout(L, 1).basis_elements(L)]
         reps, self.classes = marker_h0(kernels, boundaries)
         super().__init__(L, [lay0.element(L, kv) for kv in reps], lay0,
@@ -69,7 +69,7 @@ class MarkerQuotient(MalcevQuotient):
         vec = self._layout.coords(x)
         if vec is None:
             raise DomainError("class_coords needs a degree-0 element")
-        out = self.classes(vec)
+        out = self.classes(over(*vec))
         if out is None:
             raise DomainError("element is not a cycle mod boundaries")
         return out
@@ -124,10 +124,10 @@ def test_row_and_column_elimination_agree():
     for q in range(-3, 1):
         cols = []
         for x in layouts[q].basis_elements(tw):
-            cols.append(layouts[q - 1].coords(tw.d(x)))
+            cols.append(over(*layouts[q - 1].coords(tw.d(x))))
         up = []
         for x in layouts[q + 1].basis_elements(tw):
-            up.append(layouts[q].coords(tw.d(x)))
+            up.append(over(*layouts[q].coords(tw.d(x))))
         rk = dense_rank(cols, layouts[q - 1].dim)
         assert rk == dense_rank(transpose(cols), layouts[q].dim)
         h = layouts[q].dim - rk - dense_rank(up, layouts[q].dim)
@@ -154,7 +154,7 @@ def test_layout_coords_concatenate_slice_coordinates():
                     continue
                 c = slice_coordinates(dx.length_part(k), basis)
                 want.update({off + i: ci for i, ci in enumerate(c) if ci})
-            assert lay.coords(dx) == want
+            assert over(*lay.coords(dx)) == want
 
 
 _TRI = seed_family(3).model(2)
@@ -172,7 +172,7 @@ _LAY = _DegreeLayout(_TW, -2)
                        max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_layout_element_and_coords_are_inverse(v):
-    assert _LAY.coords(_LAY.element(_TW, v)) == v
+    assert over(*_LAY.coords(_LAY.element(_TW, v))) == v
 
 
 def test_pi_2_of_single_degree_one_generator():

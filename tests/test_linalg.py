@@ -1,15 +1,18 @@
 """Exact sparse elimination: rank, solve, kernel, row/column agreement, and
-the span front end against the Gauss-Jordan reference."""
+the span front end against the Gauss-Jordan reference.  The package takes
+and gives vectors as integer numerators over one denominator; the tests
+build them from Fraction dicts and read them back as such."""
 
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+from freedgl.lie import clear_denominators
 from freedgl.linalg import SpanReducer, solve_columns
 from oracles import (
     GaussJordanReducer, dense_rank, kernel_columns, oracle_solve_columns,
-    transpose, vec_add, vec_scale,
+    over, transpose, vec_add, vec_scale,
 )
 
 
@@ -17,30 +20,65 @@ def F(n, d=1):
     return Fraction(n, d)
 
 
+def insert(red, v, tag):
+    """SpanReducer.insert of a Fraction dict."""
+    num, den = clear_denominators(v)
+    return red.insert(num, tag, den)
+
+
+def reduce(red, v):
+    """SpanReducer.reduce of a Fraction dict."""
+    num, den = clear_denominators(v)
+    return red.reduce(num, den)
+
+
+def _read(pair):
+    num, den = pair
+    assert type(den) is int and den > 0
+    assert all(type(c) is int and c for c in num.values())
+    return over(num, den)
+
+
+def solve(cols, b):
+    """solve_columns on Fraction dicts, its integer answer read back as
+    Fraction dicts."""
+    x, residual = solve_columns([clear_denominators(c) for c in cols],
+                                clear_denominators(b))
+    assert (x is None) != (residual is None)
+    if x is None:
+        return None, _read(residual)
+    return _read(x), None
+
+
 def test_reducer_basics():
     red = SpanReducer()
-    assert red.insert({0: F(2), 1: F(4)}, "a")[0] == 0
+    assert red.insert({0: 2, 1: 4}, "a")[0] == 0
     # same direction: dependent, expressed through the first tag as an
     # integer combination over one denominator, 2 * b = 1 * a
-    assert red.insert({0: F(1), 1: F(2)}, "b") == (None, {"a": 1}, 2)
-    assert red.insert({1: F(1)}, "c")[0] == 1
+    assert red.insert({0: 1, 1: 2}, "b") == (None, {"a": 1}, 2)
+    assert red.insert({1: 1}, "c")[0] == 1
+    # a vector over a denominator: 3 * (a/3) = 1 * a
+    assert red.insert({0: 2, 1: 4}, "d", 3) == (None, {"a": 1}, 3)
 
 
 def test_solve_columns_exact_and_canonical():
     cols = [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}, {1: F(1)}]
-    x, residual = solve_columns(cols, {0: F(3), 1: F(5)})
+    x, residual = solve(cols, {0: F(3), 1: F(5)})
     assert residual is None
     # column 1 is dependent on column 0, so it stays free (zero)
     assert x == {0: F(3), 2: F(2)}
-    x, residual = solve_columns([{0: F(1)}], {1: F(1)})
+    x, residual = solve([{0: F(1)}], {1: F(1)})
     assert x is None
     assert residual == {1: F(1)}
+    # integers over one denominator both ways: (2/3) x = 1/2 at x = 3/4
+    assert solve_columns([({0: 2}, 3)], ({0: 1}, 2)) == (({0: 3}, 4), None)
+    assert solve_columns([({0: 1}, 1)], ({1: 2}, 3)) == (None, ({1: 2}, 3))
 
 
 def _rank(vectors):
     red = SpanReducer()
     for j, v in enumerate(vectors):
-        red.insert(v, j)
+        insert(red, v, j)
     return red.rank()
 
 
@@ -52,7 +90,7 @@ def test_kernel_columns():
     red = SpanReducer()
     front = []
     for j, col in enumerate(cols):
-        piv, comb, den = red.insert(col, j)
+        piv, comb, den = insert(red, col, j)
         if piv is None:
             front.append({**{i: F(-c, den) for i, c in comb.items()}, j: F(1)})
     assert front == ker
@@ -89,7 +127,7 @@ def test_solutions_verify(dense, coeffs):
     b = {}
     for j, col in enumerate(cols):
         b = vec_add(b, col, Fraction(coeffs[j % len(coeffs)]))
-    x, residual = solve_columns(cols, b)
+    x, residual = solve(cols, b)
     assert residual is None
     total = {}
     for j, c in x.items():
@@ -110,25 +148,39 @@ entries = st.one_of(
               st.integers(min_value=1, max_value=4)))
 
 
+sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                          entries)
+
+
 @st.composite
 def systems(draw):
-    """(columns, b) over spread-out row indices; b is a combination of the
-    columns plus, sometimes, a random vector that may leave their span."""
-    m = draw(st.integers(min_value=0, max_value=5))
+    """(columns, b) over spread-out row indices 3i + 1, sparse, up to 10 x
+    10: zero columns, repeated columns and multiples of earlier ones make
+    them rank-deficient.  b is a combination of the columns plus, sometimes,
+    a random vector that may leave their span and an entry at index 0,
+    which no column touches."""
+    m = draw(st.integers(min_value=0, max_value=10))
     index = [3 * i + 1 for i in range(m)]
-    dense = draw(st.lists(st.lists(entries, min_size=m, max_size=m),
-                          max_size=6))
-    cols = [{index[i]: c for i, c in enumerate(col) if c} for col in dense]
-    if cols and draw(st.booleans()):
-        # a multiple of an earlier column: always dependent
-        j = draw(st.integers(min_value=0, max_value=len(cols) - 1))
-        cols.append(vec_scale(cols[j], draw(entries)))
+    cols = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        kind = draw(st.sampled_from(["new", "zero", "repeat", "multiple"]))
+        if kind == "zero":
+            cols.append({})
+        elif kind != "new" and cols:
+            j = draw(st.integers(min_value=0, max_value=len(cols) - 1))
+            scale = draw(entries) if kind == "multiple" else Fraction(1)
+            cols.append(vec_scale(cols[j], scale))
+        else:
+            dense = draw(st.lists(sparse_entries, min_size=m, max_size=m))
+            cols.append({index[i]: c for i, c in enumerate(dense) if c})
     b = {}
     for col in cols:
-        b = vec_add(b, col, draw(entries))
+        b = vec_add(b, col, draw(sparse_entries))
     if draw(st.booleans()):
-        extra = draw(st.lists(entries, min_size=m, max_size=m))
+        extra = draw(st.lists(sparse_entries, min_size=m, max_size=m))
         b = vec_add(b, {index[i]: c for i, c in enumerate(extra) if c})
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        b = vec_add(b, {0: draw(entries)})
     return cols, b
 
 
@@ -136,7 +188,24 @@ def systems(draw):
 @settings(max_examples=300, deadline=None)
 def test_solve_columns_matches_the_dense_oracle(system):
     cols, b = system
-    assert solve_columns(cols, b) == oracle_solve_columns(cols, b)
+    assert solve(cols, b) == oracle_solve_columns(cols, b)
+
+
+@given(systems())
+@settings(max_examples=200, deadline=None)
+def test_infeasible_residual_is_the_marker_routes(system):
+    # the markerless echelon only detects an inconsistent system; its
+    # residual is b reduced by the tagged columns, the marker route of the
+    # Gauss-Jordan reference
+    cols, b = system
+    x, residual = solve(cols, b)
+    ref = GaussJordanReducer()
+    for j, col in enumerate(cols):
+        ref.insert(col, j)
+    want, _ = ref.reduce(b)
+    assert (x is None) == bool(want)
+    if x is None:
+        assert residual == want
 
 
 def test_solve_columns_edge_cases_match_the_oracle():
@@ -151,9 +220,9 @@ def test_solve_columns_edge_cases_match_the_oracle():
         ([{1: F(1)}, {1: F(2)}], {0: F(1, 9), 1: F(1)}),
     ]
     for cols, b in cases:
-        assert solve_columns(cols, b) == oracle_solve_columns(cols, b), (cols, b)
-    assert solve_columns(*cases[3]) == ({0: F(3, 2)}, None)
-    assert solve_columns(*cases[4]) == (None, {2: F(37, 6)})
+        assert solve(cols, b) == oracle_solve_columns(cols, b), (cols, b)
+    assert solve(*cases[3]) == ({0: F(3, 2)}, None)
+    assert solve(*cases[4]) == (None, {2: F(37, 6)})
 
 
 # distinct non-int tags, as homology's spans use them
@@ -188,25 +257,21 @@ def tagged_matrices(draw):
     return inserted, probes
 
 
-def _over(num, den):
-    return {i: F(c, den) for i, c in num.items()}
-
-
 @given(tagged_matrices())
 @settings(max_examples=300, deadline=None)
 def test_span_front_end_matches_gauss_jordan(case):
     inserted, probes = case
     red, ref = SpanReducer(), GaussJordanReducer()
     for v, tag in inserted:
-        piv, comb, den = red.insert(v, tag)
+        piv, comb, den = insert(red, v, tag)
         want_piv, want_comb = ref.insert(v, tag)
         assert piv == want_piv, (v, tag)
         if piv is None:
-            assert _over(comb, den) == want_comb, (v, tag)
+            assert over(comb, den) == want_comb, (v, tag)
         assert red.rank() == ref.rank()
     for v in probes:
-        residual, comb, den = red.reduce(v)
-        assert (_over(residual, den), _over(comb, den)) == ref.reduce(v), v
+        residual, comb, den = reduce(red, v)
+        assert (over(residual, den), over(comb, den)) == ref.reduce(v), v
         assert (not residual) == (not ref.reduce(v)[0])
 
 
@@ -231,11 +296,11 @@ def test_span_combinations_are_integers_over_one_denominator(case):
         assert total == vec_scale(v, den)
 
     for v, tag in inserted:
-        piv, comb, den = red.insert(v, tag)
+        piv, comb, den = insert(red, v, tag)
         if piv is None:
             check(v, {}, comb, den)
         else:
             assert (comb, den) == (None, None)
             stored[tag] = v
     for v in probes:
-        check(v, *red.reduce(v))
+        check(v, *reduce(red, v))
