@@ -271,11 +271,10 @@ def localize(L, z):
     tw = twist(L, z)
     lay0 = _DegreeLayout(tw, 0)
     laym1 = _DegreeLayout(tw, -1)
-    _, kernels, _ = _kernel_pass(tw, lay0, laym1)
-    kernel_basis = [lay0.element(tw, kv) for kv in kernels]
-    dependent = {max(kv) for kv in kernels}
+    kernels, _ = _kernel_pass(tw, lay0, laym1)
+    kernel_basis = [lay0.element(tw, kv) for kv in kernels.values()]
     elts = list(lay0.basis_elements(tw))
-    complement = [elts[j] for j in range(lay0.dim) if j not in dependent]
+    complement = [elts[j] for j in range(lay0.dim) if j not in kernels]
     return LocalizedDGL(tw, kernel_basis, complement)
 
 

@@ -3,9 +3,10 @@
 All computations happen on the finite-dimensional quotients L/L^{>N}: per
 degree, the chain space is the direct sum of the Lyndon slices of lengths
 1..N, the differential is assembled slice by slice, and ranks and kernels
-come from fraction-free integer elimination with leftmost pivots.  On top of
-that sit the homotopy-group extractors: H_{n-1} for n >= 2, and for n = 1
-the degree-0 homology with its Baker-Campbell-Hausdorff product table
+come from fraction-free integer elimination with leftmost pivots; classes,
+of homology and π₁ alike, come from one rule (_classes).  On top of that
+sit the homotopy-group extractors: H_{n-1} for n >= 2, and for n = 1 the
+degree-0 homology with its Baker-Campbell-Hausdorff product table
 (a nilpotent group presented by exact rational structure constants), plus
 the tower of these groups over increasing truncation.
 
@@ -17,7 +18,7 @@ need the module read sys.modules["freedgl.homology"].
 from fractions import Fraction
 
 from .lie import (
-    DomainError, StructError,
+    DomainError, StructError, _same_frame,
     Elt, DGLMap, linear_combination,
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
@@ -64,29 +65,46 @@ class _DegreeLayout:
             yield Elt._from_num(L.gens, L.N, terms, 1)
 
 
+def _columns(L, layout_src, layout_tgt):
+    """The columns d(x_j) over the target layout, as (numerators, den)."""
+    for x in layout_src.basis_elements(L):
+        vec = layout_tgt.coords(L.d(x))
+        if vec is None:
+            raise StructError("differential left its degree slice")
+        yield vec
+
+
 def _kernel_pass(L, layout_src, layout_tgt):
     """One elimination of the differential from a degree slice to the next
     one down.
 
-    Returns (rank, kernels, span).  The span is the SpanReducer of the
-    columns d(x_j) under the tags j: the boundaries in the target degree.
-    Kernel vectors are primitive integer dicts over the source coordinates,
-    lowest entry positive, one per dependent column j: den * e_j minus the
-    span's integer combination of earlier columns equal to den * column j.
+    Returns (kernels, image), image being the numerators of the columns
+    that add a pivot: a basis of the boundaries.  kernels maps each
+    dependent column j to a primitive integer dict, lowest entry positive:
+    den * e_j minus the integer combination of earlier pivot-adding columns
+    equal to den * column j, so j is its highest index.
     """
     span = SpanReducer()
-    kernels = []
-    for j, x in enumerate(layout_src.basis_elements(L)):
-        vec = layout_tgt.coords(L.d(x))
-        if vec is None:
-            raise StructError("differential left its degree slice")
-        piv, comb, den = span.insert(vec[0], j, vec[1])
+    kernels, image = {}, []
+    for j, (num, den) in enumerate(_columns(L, layout_src, layout_tgt)):
+        piv, comb, d = span.insert(num, j, den)
         if piv is None:
-            sign = -1 if comb and comb[min(comb)] > 0 else 1
-            kv = {i: -sign * c for i, c in comb.items()}
-            kv[j] = sign * den
-            kernels.append(kv)
-    return span.rank(), kernels, span
+            s = -1 if comb and comb[min(comb)] > 0 else 1
+            kernels[j] = {i: -s * c for i, c in comb.items()} | {j: s * d}
+        else:
+            image.append(num)
+    return kernels, image
+
+
+def _classes(rows, free, dim):
+    """(echelon, classes): the boundary rows' coordinates in free go into
+    one echelon that pivots on the highest index (i stored at dim - 1 - i;
+    rows in ascending length, which limits fill), and the classes are the j
+    in free, ascending, at which no boundary has its highest free entry."""
+    top = dim - 1
+    ech = echelon(({top - i: c for i, c in row.items() if i in free}
+                   for row in rows), len)
+    return ech, [j for j in sorted(free) if top - j not in ech.rows]
 
 
 class HomologyReport:
@@ -116,10 +134,11 @@ class HomologyReport:
 def _homology(L, degrees):
     """Entries of the ascending degrees.
 
-    The pass of d_{q+1} gives the image and the span of degree q; its rank
-    and kernels are kept for degree q + 1, so each d is eliminated once.
-    The representatives are the kernel vectors that add a pivot to the span.
-    """
+    The pass of d_{q+1} gives the boundaries of degree q and the kernels
+    of degree q + 1, so each d is eliminated once.  kv_j is the one kernel
+    vector nonzero at its highest index j, so it is a new class exactly
+    when _classes, free on those j, keeps j; where d^2 != 0, the h check
+    can fail."""
     layouts = {}
 
     def layout(q):
@@ -134,17 +153,13 @@ def _homology(L, degrees):
         if lay.dim == 0:
             entries[q] = {"kernel": 0, "image": 0, "h": 0, "reps": []}
             continue
-        rank_q, kernels = (kept.pop(q, None)
-                           or _kernel_pass(L, lay, layout(q - 1))[:2])
-        im_rank, kernels_up, span = _kernel_pass(L, layout(q + 1), lay)
-        kept = {q + 1: (im_rank, kernels_up)}
-        ker_dim = lay.dim - rank_q
-        reps = []
-        for kv in kernels:
-            if span.insert(kv, ("rep", len(reps)))[0] is not None:
-                reps.append(lay.element(L, kv))
-        del span   # let it go before the next passes run
-        h = len(reps)
+        kernels = (kept.pop(q) if q in kept
+                   else _kernel_pass(L, lay, layout(q - 1))[0])
+        kernels_up, image = _kernel_pass(L, layout(q + 1), lay)
+        kept = {q + 1: kernels_up}
+        reps = [lay.element(L, kernels[j])
+                for j in _classes(image, kernels, lay.dim)[1]]
+        ker_dim, im_rank, h = len(kernels), len(image), len(reps)
         if h != ker_dim - im_rank:
             raise StructError(
                 "homology bookkeeping mismatch at degree %d: ker %d, im %d, "
@@ -232,6 +247,7 @@ class MalcevQuotient:
         """(numerators, den) of the class of a degree-0 element by class
         position: the residual of one reduction against the boundaries, on
         the free coordinates, with the entry at -1 carrying its scale."""
+        _same_frame(x, self.L)
         vec = self._layout.coords(x)
         if vec is None:
             # a word off degree 0 is never cancelled, so coords gave up
@@ -287,22 +303,13 @@ def _h0_quotient(L):
 
     Every unit vector e_j of degree 0 is a cycle, and a new class exactly
     when no boundary has its highest coordinate at j: the representatives
-    are the e_j off the pivots of one echelon of the boundaries that pivots
-    on the highest index.  Rows go in ascending length, which limits fill;
-    the pivot set does not depend on the order.
+    are the e_j given by _classes with every coordinate free.
     """
     _check_non_negative(L)
     lay0 = _DegreeLayout(L, 0)
     top = lay0.dim - 1
-    rows = []
-    for x in _DegreeLayout(L, 1).basis_elements(L):
-        vec = lay0.coords(L.d(x))
-        if vec is None:
-            raise StructError("differential left its degree slice")
-        if vec[0]:
-            rows.append({top - i: c for i, c in vec[0].items()})
-    ech = echelon(rows, len)
-    free = [j for j in range(lay0.dim) if top - j not in ech.rows]
+    rows = (num for num, _ in _columns(L, _DegreeLayout(L, 1), lay0))
+    ech, free = _classes(rows, range(lay0.dim), lay0.dim)
     basis = [Elt._from_num(L.gens, L.N, lay0.basis[j][1], 1) for j in free]
     return MalcevQuotient(L, basis, lay0, ech,
                           {top - j: k for k, j in enumerate(free)})

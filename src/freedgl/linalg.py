@@ -7,8 +7,8 @@ FractionFreeReducer: forward-only integer elimination with leftmost pivots
 and content stripping (fraction-free, after Bareiss 1968), inserting
 vectors in a caller-chosen (hence deterministic) order, with no
 randomization anywhere.  Negative indices are its bookkeeping coordinates.
-echelon fills one with no markers, for π₁'s boundaries
-(homology._h0_quotient) and the transposed system of solve_columns.
+echelon fills one with no markers, for homology's classes
+(homology._classes) and the transposed system of solve_columns.
 
 SpanReducer is the front end for the callers that read combinations.  It
 tags every vector that adds a pivot with its own negative marker
@@ -116,8 +116,7 @@ class SpanReducer:
     entry at -1, which is the one positive denominator of the answer.
     Dependent inserts are not stored, so combinations run over the
     pivot-adding tags only; those tags must be distinct.  Its callers are
-    homology's _kernel_pass and representatives, minimal_model's pairing and
-    the infeasible witness of solve_columns.
+    homology's _kernel_pass and minimal_model's pairing.
     """
 
     __slots__ = ("_ff", "_tags")
@@ -167,9 +166,9 @@ def solve_columns(columns, b):
     system, so it is canonical for a fixed column order.  Equation i goes
     into one echelon as an integer row over the column indices with -b_i at
     -1, by descending largest column index, and x is back-substituted over
-    one denominator.  Only an inconsistent system runs the SpanReducer
-    route, for the residual: b minus its part in the column span, with no
-    support on the span's leftmost pivots.  The builders' length stages
+    one denominator.  An inconsistent system gives the residual: b minus
+    its part in the column span, unique for having no support on the span's
+    pivots, from one markerless reduction.  The builders' length stages
     (simplex._solve_stage) are the callers.
     """
     bnum, bden = b
@@ -179,10 +178,11 @@ def solve_columns(columns, b):
             rows.setdefault(i, {})[j] = c
     ech = echelon(rows.values(), lambda row: -max(row))
     if ech is None:
-        red = SpanReducer()
-        for j, (num, den) in enumerate(columns):
-            red.insert(num, j, den)
-        residual, _, d = red.reduce(bnum, bden)
+        red = FractionFreeReducer()
+        for num, _ in columns:
+            red.insert(num)
+        residual = red.reduce({**bnum, -1: -bden})
+        d = -residual.pop(-1)
         return None, (residual, d)
     # z_j = Z[j] / D solves sum_j z_j * num_j = bnum, so x_j = z_j * den_j /
     # bden; right of its pivot p, a row holds solved pivots and free zeros

@@ -73,6 +73,7 @@ def face_degree(face):
     return len(face) - 2
 
 
+@cache
 def simplex_genset(n):
     return GenSet([(face_name(f), face_degree(f)) for f in faces_of_simplex(n)])
 

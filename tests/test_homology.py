@@ -2,13 +2,14 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freedgl.lie import (
-    ConfigError, DomainError, GenSet, FreeDGL, Elt, zero_elt, slice_coordinates,
-    lyndon_slice_basis,
+    ConfigError, DomainError, StructError, GenSet, FreeDGL, Elt, zero_elt,
+    generator_elt, slice_coordinates, lyndon_slice_basis,
 )
 from freedgl.serialize import emit_element
 from freedgl.series import bch, twist
@@ -58,10 +59,10 @@ class MarkerQuotient(MalcevQuotient):
 
     def __init__(self, L):
         lay0 = _DegreeLayout(L, 0)
-        _, kernels, _ = _kernel_pass(L, lay0, _DegreeLayout(L, -1))
+        kernels, _ = _kernel_pass(L, lay0, _DegreeLayout(L, -1))
         boundaries = [over(*lay0.coords(L.d(x)))
                       for x in _DegreeLayout(L, 1).basis_elements(L)]
-        reps, self.classes = marker_h0(kernels, boundaries)
+        reps, self.classes = marker_h0(kernels.values(), boundaries)
         super().__init__(L, [lay0.element(L, kv) for kv in reps], lay0,
                          None, None)
 
@@ -323,6 +324,20 @@ def test_class_coords_reject_noncycles():
         pi_n(L, 1).class_coords(gen_elt(L, 2))
 
 
+def test_class_coords_refuse_another_frame():
+    # an element over other generators, or at another truncation, is not
+    # read as if it were one of the quotient's
+    grp = pi_n(minimal_model(parse_complex(FIG8), 0, 3), 1)
+    other = GenSet([("p", 0), ("q", 0)])
+    with pytest.raises(ConfigError, match="different generator sets"):
+        grp.class_coords(generator_elt(other, 3, "q"))
+    for N in (2, 5):
+        x = grp.basis[0].at_truncation(N)
+        with pytest.raises(ConfigError, match="mixed truncations"):
+            grp.class_coords(x)
+    assert grp.class_coords(grp.basis[0]) == grp.basis_coords(0)
+
+
 def test_class_coords_reject_a_word_with_an_empty_slice():
     # degree 0, length 2 over one degree-0 letter has no Lyndon element, so
     # the bare word x.x is not a Lie element and has no class
@@ -435,6 +450,55 @@ def test_homology_applies_d_once_per_basis_element(monkeypatch):
     # d once on each basis element read; a separate image pass per degree
     # would make 982 calls
     assert calls[0] == read == 511
+
+
+def test_homology_refuses_a_differential_with_nonzero_square():
+    # d x = y, d y = z: d^2 x = z, so the boundaries of degrees -1..1 are
+    # not cycles and their count does not match ker - im
+    gens = GenSet([("x", 1), ("y", 0), ("z", -1)])
+    L = FreeDGL(gens, 2, {0: generator_elt(gens, 2, "y"),
+                          1: generator_elt(gens, 2, "z")})
+    for q in (-1, 0, 1):
+        with pytest.raises(StructError,
+                           match="homology bookkeeping mismatch at degree %d"
+                           % q):
+            homology(L, degrees=[q])
+
+
+@st.composite
+def twisted_complex_models(draw):
+    """A complex model twisted at a vertex: 1-6 edges and 0-2 triangles on
+    at most 5 vertices (a face inside another dropped), at N=2..3 for a
+    graph and N=1..2 once a triangle is drawn."""
+    faces = draw(st.lists(st.sampled_from(list(combinations(range(5), 2))),
+                          min_size=1, max_size=6, unique=True))
+    faces += draw(st.lists(st.sampled_from(list(combinations(range(5), 3))),
+                           max_size=2, unique=True))
+    faces = [f for f in faces if not any(set(f) < set(g) for g in faces)]
+    graph = all(len(f) == 2 for f in faces)
+    N = draw(st.integers(min_value=1 + graph, max_value=2 + graph))
+    text = "\n".join(" ".join(map(str, f)) for f in faces)
+    cm = model_of_complex(parse_complex(text), N)
+    vertex = draw(st.integers(min_value=0, max_value=cm.K.n_vertices - 1))
+    return twist(cm.dgl, cm.gen((vertex,)))
+
+
+@given(twisted_complex_models())
+@settings(max_examples=60, deadline=None)
+def test_homology_classes_match_the_marker_oracle_in_every_degree(L):
+    # the representatives, term by term, against the marker route: the
+    # kernel vectors inserted into the boundary span in order, each kept
+    # when it adds a pivot
+    for q in homology(L).degrees:
+        lay = _DegreeLayout(L, q)
+        if not lay.dim:
+            continue
+        kernels, _ = _kernel_pass(L, lay, _DegreeLayout(L, q - 1))
+        boundaries = [over(*lay.coords(L.d(x)))
+                      for x in _DegreeLayout(L, q + 1).basis_elements(L)]
+        want, _ = marker_h0(kernels.values(), boundaries)
+        reps = homology(L, degrees=[q]).entries[q]["reps"]
+        assert [over(*lay.coords(x)) for x in reps] == want, q
 
 
 def _xyz():

@@ -225,7 +225,8 @@ def test_solve_columns_edge_cases_match_the_oracle():
     assert solve(*cases[4]) == (None, {2: F(37, 6)})
 
 
-# distinct non-int tags, as homology's spans use them
+# distinct tags of mixed types: the front end only needs them distinct
+# (its package callers tag by int index)
 TAGS = ["a", ("im", 0), ("rep", 0), (1, "x"), None, "b", ("im", 1)]
 
 

@@ -216,6 +216,17 @@ def test_builder_output_text_is_pinned(label, make, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_builds_share_one_genset_per_simplex():
+    # every model of Delta^n is over the one simplex_genset(n), so its
+    # Lyndon slices are built once per process; the texts stay pinned
+    first, second = build_model(3, 3), build_model(3, 3)
+    assert first.gens is second.gens is simplex_genset(3)
+    for m in (first, second):
+        text = emit_dgl(m.dgl)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == BUILDER_TEXT_SHA256[0][2])
+
+
 @cache
 def _three_simplex(flavor):
     return ModelFamily(3, flavor).model(3)
