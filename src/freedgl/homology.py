@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .lie import (
     DomainError, StructError, _same_frame,
-    Elt, DGLMap, linear_combination,
+    Elt, DGLMap, bracket, linear_combination,
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
 from .series import bch, gauge, is_mc
@@ -288,8 +288,13 @@ class MalcevQuotient:
         return self._table[key]
 
     def is_abelian(self):
-        return all(self.table(i, j) == self.table(j, i)
-                   for i in range(self.dim) for j in range(i + 1, self.dim))
+        """Whether every pair of basis classes commutes.  bch(x, y) -
+        bch(y, x) is [x, y] plus brackets one step deeper in the lower
+        central series, and H_0 is nilpotent, so the group is abelian
+        exactly when the class of every [b_i, b_j], i < j, is 0."""
+        b = self.basis
+        return not any(any(self.class_coords(bracket(b[i], b[j])))
+                       for i in range(self.dim) for j in range(i + 1, self.dim))
 
 
 def _check_non_negative(L):

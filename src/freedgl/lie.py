@@ -139,15 +139,19 @@ class Elt:
     words longer than N.  The kernels of this module and its users read num
     and den and build results through _from_num, which normalizes once.
     Instances are immutable by convention: no operation mutates the num or
-    terms dict of an input, so these dicts may be shared.
+    terms dict of an input, so these dicts may be shared, and an element
+    may keep its Dynkin verdict: _lie is set by the first dynkin_verify
+    that passes, or by serialize.parse_element, whose results are Lie by
+    construction.  A failing verdict is never stored.
     """
 
-    __slots__ = ("gens", "N", "num", "den", "_terms")
+    __slots__ = ("gens", "N", "num", "den", "_terms", "_lie")
 
     def __init__(self, gens, N, terms=None):
         _check_truncation(N)
         self.gens = gens
         self.N = N
+        self._lie = False
         if not terms:
             self.num, self.den, self._terms = {}, 1, None
             return
@@ -187,6 +191,7 @@ class Elt:
         x.num = num
         x.den = den
         x._terms = None
+        x._lie = False
         return x
 
     @property
@@ -374,16 +379,19 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # ---------------------------------------------------------------------------
 # Integer word kernel: word->int dicts holding numerators over one common
 # denominator that the caller keeps, as in an Elt's (num, den).  Every Elt
-# operation runs on it: the arithmetic above, bracket, Derivation.__call__
-# and Substitution here; the merged Dynkin map _theta_words, which groups
-# the words of a whole element by last letter, behind dynkin_theta,
-# dynkin_verify and the left-normed words of serialize.parse_element; the
-# other bracket trees of lyndon_slice_basis and parse_element through
-# bracket_words; _slice_coords and elt_from_slice_coords, bch in series, the
-# face-table relabels and Reynolds averages of simplex, and minimal_model's
-# partner solve.  Fractions are built only where an answer leaves as one:
-# Elt.terms, the public slice_coordinates and class_coords; _slice_coords
-# and linalg answer in integers over one denominator.
+# operation runs on it: the arithmetic above; bracket and int_concat, which
+# bucket their right factor's words by length (word_buckets) and so visit
+# only the pairs that fit in N; Derivation.__call__ and Substitution here;
+# the merged Dynkin map _theta_words, which groups the words of a whole
+# element by last letter, behind dynkin_theta, dynkin_verify and the
+# left-normed words of serialize.parse_element; the other bracket trees of
+# lyndon_slice_basis and parse_element through bracket_words; _slice_coords
+# and elt_from_slice_coords, bch in series, the face-table relabels and
+# Reynolds averages of simplex, and minimal_model's partner solve.  The
+# text I/O of serialize reads and writes coefficients as ints too.
+# Fractions are built only where an answer leaves as one: Elt.terms, the
+# public slice_coordinates and class_coords; _slice_coords and linalg
+# answer in integers over one denominator.
 
 
 def clear_denominators(terms):
@@ -393,12 +401,18 @@ def clear_denominators(terms):
     return {w: c.numerator * (D // c.denominator) for w, c in terms.items()}, D
 
 
-def word_buckets(b, N):
-    """fits[r] lists the (word, coeff) items of b of length <= r, r = 0..N.
+def word_buckets(items, N):
+    """fits[r] lists the items of length <= r, r = 0..N, in their given
+    order, filled in one pass; an item is a tuple whose first entry is its
+    word, such as the (word, coeff) items of a dict.
 
-    Concatenating onto a left word u needs only fits[N - len(u)], so pairs
+    Multiplying onto a left word u needs only fits[N - len(u)], so pairs
     longer than N are never visited."""
-    return [[(v, c) for v, c in b.items() if len(v) <= r] for r in range(N + 1)]
+    fits = [[] for _ in range(N + 1)]
+    for item in items:
+        for r in range(len(item[0]), N + 1):
+            fits[r].append(item)
+    return fits
 
 
 def int_concat(a, fits, N):
@@ -418,20 +432,19 @@ def int_concat(a, fits, N):
 
 def bracket(x, y):
     """Graded Lie bracket [x, y] = xy - (-1)^{|x||y|} yx, word by word, on
-    the numerators over the product of the denominators."""
+    the numerators over the product of the denominators.  The words of y
+    are bucketed by length, so only the pairs that fit in N are visited."""
     _same_frame(x, y)
     gens = x.gens
     N = x.N
     degs = gens.degrees
-    right = [(v, cv, sum(degs[i] for i in v) & 1)
-             for v, cv in y.num.items()]
+    right = word_buckets(((v, cv, sum(degs[i] for i in v) & 1)
+                          for v, cv in y.num.items()), N)
     out = {}
     get = out.get
     for u, cu in x.num.items():
         du = sum(degs[i] for i in u) & 1
-        for v, cv, dv in right:
-            if len(u) + len(v) > N:
-                continue
+        for v, cv, dv in right[N - len(u)]:
             c = cu * cv
             w = u + v
             out[w] = get(w, 0) + c
@@ -553,8 +566,12 @@ def dynkin_verify(x):
     Returns (ok, defects) where defects lists (length, defect Elt) for the
     lengths that fail.  The zero element verifies trivially.  The test runs
     on the integer numerators of x over their common denominator D, and each
-    defect is built from its integer residue over D.
+    defect is built from its integer residue over D.  A passing verdict is
+    stored on x, and later calls return it without running theta; a failing
+    one is never stored.
     """
+    if x._lie:
+        return True, []
     num = x.num
     out = _theta_words(num, x.gens.degrees)
     for w, c in num.items():
@@ -563,9 +580,11 @@ def dynkin_verify(x):
     for w, c in out.items():
         if c:
             residues.setdefault(len(w), {})[w] = c
-    defects = [(n, Elt._from_num(x.gens, x.N, residues[n], x.den))
-               for n in sorted(residues)]
-    return (not defects, defects)
+    if not residues:
+        x._lie = True
+        return True, []
+    return False, [(n, Elt._from_num(x.gens, x.N, residues[n], x.den))
+                   for n in sorted(residues)]
 
 
 def is_lie(x):

@@ -5,12 +5,14 @@ the bracket word is fully left-nested: the length-n tensor part with
 coefficients c_w becomes sum over words w of (c_w / n) [[...[w1,w2],...],wn].
 For Lie elements this is exact (left-to-right bracketing recovers n times the
 length-n part), so parse(emit(x)) == x bit for bit.  Non-Lie inputs are
-refused rather than silently projected.  The parser reads any two-argument
-nesting into a tree of flat left spines, so a left-normed bracket (all that
-emit_element writes) arrives as its word: those words are pooled into one
-merged Dynkin map, lie._theta_words, and the other trees are expanded by
-lie.bracket_words.  A bracket word with more than N letters parses to 0 at
-truncation N.
+refused rather than silently projected, by a Dynkin check that reads the
+verdict an element keeps (bch and parse_element return elements that carry
+one).  The parser reads any two-argument nesting into a tree of flat left
+spines, so a left-normed bracket (all that emit_element writes) arrives as
+its word: those words are pooled into one merged Dynkin map,
+lie._theta_words, and the other trees are expanded by lie.bracket_words.
+A bracket word with more than N letters parses to 0 at truncation N.
+Coefficients are read and written as ints, with no Fraction per term.
 
 A DGL file is line-based:
 
@@ -25,12 +27,11 @@ Comments start with '#'; blank lines are ignored.  Parse errors carry the
 """
 
 import re
-from fractions import Fraction
+from math import gcd, lcm
 
 from .lie import (
     ConfigError, DomainError, StructError,
-    GenSet, Elt, FreeDGL, _theta_words, bracket_words, clear_denominators,
-    dynkin_verify,
+    GenSet, Elt, FreeDGL, _theta_words, bracket_words, dynkin_verify,
 )
 
 
@@ -48,31 +49,33 @@ class ParseError(ValueError):
 # Elements
 
 
-def _bracket_word_str(gens, word):
-    s = gens.names[word[0]]
-    for i in word[1:]:
-        s = "[%s,%s]" % (s, gens.names[i])
-    return s
-
-
 def emit_element(x):
-    """Serialize a Lie element; deterministic term order (length, then word)."""
+    """Serialize a Lie element; deterministic term order (length, then word).
+    Word w with numerator n is written as n / (den len w) in lowest terms,
+    then its left-normed bracket."""
     ok, defects = dynkin_verify(x)
     if not ok:
         raise DomainError(
             "cannot serialize: not a Lie element (defect at lengths %s)"
             % [n for n, _ in defects])
-    if not x.num:
+    num = x.num
+    if not num:
         return "0"
+    names = x.gens.names
+    tails = [",%s]" % name for name in names]
+    den = x.den
     bits = []
-    for w in sorted(x.num, key=lambda w: (len(w), w)):
-        n = x.num[w]
-        c = Fraction(n if not bits else abs(n), x.den * len(w))
-        word = _bracket_word_str(x.gens, w)
-        if not bits:
-            bits.append("%s %s" % (c, word))
-        else:
+    for w in sorted(num, key=lambda w: (len(w), w)):
+        n = num[w]
+        k = len(w)
+        q = den * k
+        g = gcd(n, q)
+        c = "%d" % (abs(n) // g) if q == g else "%d/%d" % (abs(n) // g, q // g)
+        word = "[" * (k - 1) + names[w[0]] + "".join([tails[i] for i in w[1:]])
+        if bits:
             bits.append("%s %s %s" % ("-" if n < 0 else "+", c, word))
+        else:
+            bits.append("%s%s %s" % ("-" if n < 0 else "", c, word))
     return " ".join(bits)
 
 
@@ -117,13 +120,16 @@ def _expected(tok, got, line):
 
 
 def _parse_scalar(tok, line):
+    """(p, q) of the rational tok, "p" or "p/q", as ints with q > 0; not
+    reduced."""
+    p, slash, q = tok.partition("/")
     try:
-        if "/" in tok:
-            p, q = tok.split("/")
-            return Fraction(int(p), int(q))
-        return Fraction(int(tok))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("bad rational %r" % tok, line) from None
+        p, q = int(p), int(q) if slash else 1
+    except ValueError:
+        q = 0   # refused below, as a zero denominator is
+    if not q:
+        raise ParseError("bad rational %r" % tok, line)
+    return p, q
 
 
 def _parse_bracket_word(toks, i, gens, line):
@@ -180,6 +186,9 @@ def parse_element(text, gens, N, line=None):
 
     Accepts any two-argument bracket nesting, not only the left-nested form
     the emitter produces.  Words with more than N letters are 0 and skipped.
+    The numerators p of the coefficients p/q are summed over the lcm of the
+    q.  The result, theta of the left-normed words plus the other bracket
+    trees, is Lie by construction and is returned marked as one.
     """
     toks = _tokenize(text, line)
     if not toks:
@@ -187,7 +196,7 @@ def parse_element(text, gens, N, line=None):
     if toks == ["0"]:
         return Elt(gens, N, {})
     toks.append(None)   # the end
-    terms = []   # (signed coefficient, tree) of each word of at most N letters
+    terms = []   # (signed p, q, tree, letters) of each word of <= N letters
     i = 0
     while toks[i] is not None:
         t = toks[i]
@@ -197,21 +206,22 @@ def parse_element(text, gens, N, line=None):
                 raise ParseError("expected '+' or '-', got %r" % t, line)
             sign = -1 if t == "-" else 1
             i += 1
-        coeff = Fraction(1)
+        p, q = 1, 1
         t = toks[i]
         if t is not None and t[0].isdigit():
-            coeff = _parse_scalar(t, line)
+            p, q = _parse_scalar(t, line)
             i += 2 if toks[i + 1] == "*" else 1
         tree, count, i = _parse_bracket_word(toks, i, gens, line)
         if count <= N:
-            terms.append((sign * coeff, tree, count))
-    ks, D = clear_denominators(dict(enumerate(c for c, _, _ in terms)))
+            terms.append((sign * p, q, tree, count))
+    D = lcm(*[q for _, q, _, _ in terms])
     # a left-normed word, a tuple of letters, is theta of its word, so these
     # are pooled into one merged Dynkin map; every other nesting is expanded
     # on its own
     words = {}
     rest = []
-    for k, (_, tree, count) in zip(ks.values(), terms):
+    for p, q, tree, count in terms:
+        k = p * (D // q)
         if len(tree) == count:
             words[tree] = words.get(tree, 0) + k
         else:
@@ -221,7 +231,9 @@ def parse_element(text, gens, N, line=None):
     for k, tree in rest:
         for w, c in bracket_words(tree, gens.degrees)[0].items():
             num[w] = get(w, 0) + k * c
-    return Elt._from_num(gens, N, num, D)
+    x = Elt._from_num(gens, N, num, D)
+    x._lie = True
+    return x
 
 
 # ---------------------------------------------------------------------------

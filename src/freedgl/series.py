@@ -14,7 +14,9 @@ The BCH exp/log runs on the arguments' integer numerators (the integer word
 kernel of the lie module); the result is one Elt over one denominator, and
 it still passes the Dynkin Lie check.  That check computes theta once over
 the merged result (lie._theta_words): words are grouped by last letter, so
-a prefix sum shared by many words is expanded once, not once per word.
+a prefix sum shared by many words is expanded once, not once per word.  The
+passing verdict stays on the result, so emit_element does not check it
+again.
 """
 
 from fractions import Fraction
@@ -68,7 +70,7 @@ def _require_degree(x, d, what):
 
 def _exp_numerators(A, D, N):
     """(numerators, denominator) of exp(A/D) truncated at N."""
-    fits = word_buckets(A, N)
+    fits = word_buckets(A.items(), N)
     fact = factorial(N)
     out = {(): fact * D ** N}
     power = {(): 1}
@@ -86,7 +88,7 @@ def _log_numerators(P, E, N):
     """(numerators, denominator) of log(P/E) for a grouplike P/E, that is
     one whose unit word has numerator E."""
     U = {w: c for w, c in P.items() if w}
-    fits = word_buckets(U, N)
+    fits = word_buckets(U.items(), N)
     L = lcm(*range(1, N + 1))
     out = {}
     power = {(): 1}
@@ -122,7 +124,7 @@ def bch(*xs):
         if not x.num:
             continue
         e, d = _exp_numerators(x.num, x.den, N)
-        prod = int_concat(prod, word_buckets(e, N), N)
+        prod = int_concat(prod, word_buckets(e.items(), N), N)
         den *= d
         g = gcd(den, *prod.values())
         if g > 1:

@@ -236,6 +236,14 @@ def test_parse_errors_exit_two(tmp_path, capsys):
     assert code == 2
     assert "line 2" in err
 
+    # a coefficient that is no rational, in a model file
+    model = tmp_path / "bad.dgl"
+    for coeff in ("1/0", "1/2/3", "1\u00b2"):
+        model.write_text("dgl\ngens a:-1 x:0\ntrunc 2\nd x = %s a\n" % coeff)
+        code, out, err = go(capsys, ["homology", "--model", str(model)])
+        assert code == 2 and not out
+        assert err == "parse error: line 4: bad rational %r\n" % coeff
+
     disconnected = tmp_path / "two.cpx"
     disconnected.write_text("0\n1\n")
     code, _, err = go(capsys, ["malcev", "--complex", str(disconnected),

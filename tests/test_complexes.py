@@ -607,6 +607,18 @@ def test_malcev_tower_matches_twisted_full_model_on_graphs():
                 (text, N)
 
 
+@pytest.mark.parametrize("text, abelian", [
+    (TORUS, True), (FIG8, False), (CIRCLE, True), (_genus_two(), False)],
+    ids=["torus", "figure-eight", "circle", "genus 2"])
+def test_is_abelian_matches_the_bch_table(text, abelian):
+    # is_abelian reads the classes of the brackets [b_i, b_j]; the table
+    # route compares the two BCH products of every pair
+    q = pi_n(minimal_model(parse_complex(text), 0, 3), 1)
+    table = all(q.table(i, j) == q.table(j, i)
+                for i in range(q.dim) for j in range(i + 1, q.dim))
+    assert q.is_abelian() == table == abelian
+
+
 @st.composite
 def bouquets_and_surfaces(draw):
     """(complex text, basepoint, N): a bouquet of 1-3 loops, each a cycle

@@ -250,7 +250,10 @@ def test_parse_element_matches_the_bracket_fold(terms, M):
     want = zero_elt(GENS, M)
     for c, t in terms:
         want = want + c * eval_tree(t, M)
-    assert parse_element(text, GENS, M) == want
+    x = parse_element(text, GENS, M)
+    assert x == want
+    # the parser marks its result as Lie; an unmarked copy must pass the check
+    assert dynkin_verify(Elt._from_num(x.gens, x.N, x.num, x.den))[0]
 
 
 def oracle_standard_bracketing(word, M):
@@ -627,6 +630,15 @@ def test_integer_elt_arithmetic_matches_the_fraction_reference(data, s):
     assert z.N == 5
     assert_canonical(z, a)
     assert (x == y) == (a == b)
+    # bracket at every truncation 1..5, with pairs whose lengths sum past it
+    # and odd letters (a, c) for the Koszul sign
+    c = data.draw(word_dicts(WORDS, 6))
+    for M in range(1, 6):
+        u = {w: q for w, q in a.items() if len(w) <= M}
+        v = {w: q for w, q in c.items() if len(w) <= M}
+        for p, q in ((u, v), (v, u)):
+            assert_canonical(bracket(Elt(GENS, M, p), Elt(GENS, M, q)),
+                             oracle_bracket(p, q, GENS.degrees, M))
 
 
 @given(st.data(), st.integers(min_value=1, max_value=5))

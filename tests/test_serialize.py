@@ -3,15 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from freedgl import lie, serialize
 from freedgl.lie import (
-    GenSet, Elt, FreeDGL, DomainError, bracket, generator_elt,
+    GenSet, Elt, FreeDGL, DomainError, bracket, dynkin_verify, generator_elt,
     lyndon_slice_basis, elt_from_slice_coords,
 )
 from freedgl.serialize import (
     ParseError, emit_element, parse_element, emit_dgl, parse_dgl, _tokenize,
 )
+from freedgl.series import bch
 
 from oracles import scan_tokens
 
@@ -57,9 +59,46 @@ def test_parse_accepts_any_nesting():
 
 
 def test_emit_refuses_non_lie():
+    # a failing verdict is never stored, so every call refuses
     bad = Elt(GENS, N, {(0, 2): Fraction(1)})
-    with pytest.raises(DomainError):
-        emit_element(bad)
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            emit_element(bad)
+        assert not dynkin_verify(bad)[0]
+
+
+def _count_theta(monkeypatch):
+    """A list that gains one entry per run of the merged Dynkin map, from
+    dynkin_verify or from the parser."""
+    calls = []
+    theta = lie._theta_words
+
+    def counted(num, degs):
+        calls.append(len(num))
+        return theta(num, degs)
+
+    monkeypatch.setattr(lie, "_theta_words", counted)
+    monkeypatch.setattr(serialize, "_theta_words", counted)
+    return calls
+
+
+def test_each_element_is_dynkin_checked_once(monkeypatch):
+    # bch checks its result and parse_element builds a Lie element, so
+    # neither is checked again when it is emitted
+    g = GenSet([("x", 0), ("y", 0), ("z", 0)])
+    x, y, z = (generator_elt(g, 4, n) for n in ("x", "y", "z"))
+    calls = _count_theta(monkeypatch)
+    text = emit_element(bch(x, y, z))
+    assert len(calls) == 1
+    del calls[:]
+    back = parse_element(text, g, 4)
+    assert emit_element(back) == text
+    assert len(calls) == 1
+    # an element from elsewhere is checked once, then read off its verdict
+    del calls[:]
+    w = bracket(x, y)
+    assert emit_element(w) == emit_element(w) == "1/2 [x,y] - 1/2 [y,x]"
+    assert len(calls) == 1
 
 
 @given(st.lists(st.builds(Fraction,
@@ -98,6 +137,9 @@ PARSE_ERRORS = [
     ("1 a0 2 a1", "expected '+' or '-', got '2'"),
     ("1/0 a0", "bad rational '1/0'"),             # zero denominator
     ("1/2/3 a0", "bad rational '1/2/3'"),
+    ("1/ a0", "bad rational '1/'"),
+    ("1\u00b2 a0", "bad rational '1\u00b2'"),          # a superscript digit
+    ("\u00b2/3 a0", "bad rational '\u00b2/3'"),
     ("1 a0 % a1", "unexpected character '%'"),
 ]
 
@@ -138,18 +180,22 @@ def tree_elt(t):
                           st.integers(min_value=1, max_value=6),
                           st.booleans(), text_trees),
                 min_size=1, max_size=5))
+@example([(4, 6, False, (2, 0)), (0, 3, True, 1), (-3, 6, False, (0, 1))])
 @settings(max_examples=150, deadline=None)
 def test_parse_matches_bracket_sums(terms):
+    # coefficients are printed unreduced, p/q as drawn: 4/6, 0/3, - 3/6
     bits = []
     want = Elt(GENS, N, {})
     for i, (p, q, star, t) in enumerate(terms):
-        c = Fraction(p, q)
-        op = "-" if c < 0 else "+"
-        if i or c < 0:
-            bits.append(op)
-        bits.append("%s%s %s" % (abs(c), " *" if star else "", tree_text(t)))
-        want = want + c * tree_elt(t)
-    assert parse_element(" ".join(bits), GENS, N) == want
+        if i or p < 0:
+            bits.append("-" if p < 0 else "+")
+        bits.append("%d/%d%s %s" % (abs(p), q, " *" if star else "",
+                                    tree_text(t)))
+        want = want + Fraction(p, q) * tree_elt(t)
+    x = parse_element(" ".join(bits), GENS, N)
+    assert x == want
+    # the parser marks its result as Lie; an unmarked copy must pass the check
+    assert dynkin_verify(Elt._from_num(x.gens, x.N, x.num, x.den))[0]
 
 
 def _deep_word(depth):
