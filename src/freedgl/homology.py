@@ -2,8 +2,8 @@
 
 All computations happen on the finite-dimensional quotients L/L^{>N}: per
 degree, the chain space is the direct sum of the Lyndon slices of lengths
-1..N, the differential is assembled slice by slice, and ranks and kernels
-come from fraction-free integer elimination with leftmost pivots; classes,
+1..N, the differential is assembled slice by slice, and its kernels and
+boundaries come off one markerless echelon (linalg.null_space); classes,
 of homology and π₁ alike, come from one rule (_classes).  On top of that
 sit the homotopy-group extractors: H_{n-1} for n >= 2, and for n = 1 the
 degree-0 homology with its Baker-Campbell-Hausdorff product table
@@ -23,7 +23,7 @@ from .lie import (
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
 from .series import bch, gauge, is_mc
-from .linalg import SpanReducer, FractionFreeReducer, echelon
+from .linalg import FractionFreeReducer, echelon, null_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -75,25 +75,14 @@ def _columns(L, layout_src, layout_tgt):
 
 
 def _kernel_pass(L, layout_src, layout_tgt):
-    """One elimination of the differential from a degree slice to the next
-    one down.
-
-    Returns (kernels, image), image being the numerators of the columns
-    that add a pivot: a basis of the boundaries.  kernels maps each
-    dependent column j to a primitive integer dict, lowest entry positive:
-    den * e_j minus the integer combination of earlier pivot-adding columns
-    equal to den * column j, so j is its highest index.
-    """
-    span = SpanReducer()
-    kernels, image = {}, []
-    for j, (num, den) in enumerate(_columns(L, layout_src, layout_tgt)):
-        piv, comb, d = span.insert(num, j, den)
-        if piv is None:
-            s = -1 if comb and comb[min(comb)] > 0 else 1
-            kernels[j] = {i: -s * c for i, c in comb.items()} | {j: s * d}
-        else:
-            image.append(num)
-    return kernels, image
+    """(kernels, image) of the differential from a degree slice to the next
+    one down, by linalg.null_space of its columns: kernels[j] is the relation
+    of column j to the pivot columns below it, primitive with its lowest
+    entry positive (so j is its highest index), and image, the numerators of
+    the pivot columns, is a basis of the boundaries."""
+    cols = list(_columns(L, layout_src, layout_tgt))
+    kernels, pivots = null_space(cols)
+    return kernels, [cols[p][0] for p in pivots]
 
 
 def _classes(rows, free, dim):

@@ -4,16 +4,11 @@ Vectors are dicts from non-negative int indices to ints (no stored zeros);
 a rational vector is such a dict of numerators over one positive
 denominator, as lie._slice_coords gives it.  There is one eliminator,
 FractionFreeReducer: forward-only integer elimination with leftmost pivots
-and content stripping (fraction-free, after Bareiss 1968), inserting
-vectors in a caller-chosen (hence deterministic) order, with no
-randomization anywhere.  Negative indices are its bookkeeping coordinates.
-echelon fills one with no markers, for homology's classes
-(homology._classes) and the transposed system of solve_columns.
-
-SpanReducer is the front end for the callers that read combinations.  It
-tags every vector that adds a pivot with its own negative marker
-coordinate, so a reduced vector's markers spell out, as integers over one
-denominator, the combination of inserted vectors that it was reduced by.
+and content stripping (fraction-free, after Bareiss 1968) in a caller-chosen
+order.  Negative indices are its bookkeeping coordinates.  It has three
+markerless readers: echelon, for homology._classes, and solve_columns and
+null_space, which back-substitute on one echelon of the transposed system.
+SpanReducer, for minimal_model's pairing, reads combinations off markers.
 """
 
 from bisect import bisect_left, insort
@@ -113,10 +108,9 @@ class SpanReducer:
     a pivot is stored with the marker coordinate -2-k, and a vector being
     reduced carries the marker -1; the markers of the reduced vector then
     give its combination of inserted vectors, as integer numerators over the
-    entry at -1, which is the one positive denominator of the answer.
-    Dependent inserts are not stored, so combinations run over the
-    pivot-adding tags only; those tags must be distinct.  Its callers are
-    homology's _kernel_pass and minimal_model's pairing.
+    entry at -1, the one positive denominator.  Dependent inserts are not
+    stored, so combinations run over the pivot-adding tags (distinct ones);
+    minimal_model's pairing is its one package caller.
     """
 
     __slots__ = ("_ff", "_tags")
@@ -158,39 +152,26 @@ class SpanReducer:
         return None, self._comb(res), d
 
 
-def solve_columns(columns, b):
-    """One exact solution x of sum_j x_j * columns[j] = b, or (None,
-    residual), every vector a pair (integer numerators, positive
-    denominator).  Free variables are 0: x lies on the greedily chosen
-    independent columns, the pivots of any echelon of the transposed
-    system, so it is canonical for a fixed column order.  Equation i goes
-    into one echelon as an integer row over the column indices with -b_i at
-    -1, by descending largest column index, and x is back-substituted over
-    one denominator.  An inconsistent system gives the residual: b minus
-    its part in the column span, unique for having no support on the span's
-    pivots, from one markerless reduction.  The builders' length stages
-    (simplex._solve_stage) are the callers.
-    """
-    bnum, bden = b
+def _transposed_echelon(columns, bnum):
+    """The echelon of the equations sum_j num_j[i] * x_j = bnum[i], with
+    -bnum[i] at -1, inserted by descending largest index, or None if
+    inconsistent.  Its pivots are the greedily independent columns."""
     rows = {i: {-1: -c} for i, c in bnum.items()}
     for j, (num, _) in enumerate(columns):
         for i, c in num.items():
             rows.setdefault(i, {})[j] = c
-    ech = echelon(rows.values(), lambda row: -max(row))
-    if ech is None:
-        red = FractionFreeReducer()
-        for num, _ in columns:
-            red.insert(num)
-        residual = red.reduce({**bnum, -1: -bden})
-        d = -residual.pop(-1)
-        return None, (residual, d)
-    # z_j = Z[j] / D solves sum_j z_j * num_j = bnum, so x_j = z_j * den_j /
-    # bden; right of its pivot p, a row holds solved pivots and free zeros
+    return echelon(rows.values(), lambda row: -max(row))
+
+
+def _back_substitute(ech, rhs, pivots):
+    """(Z, D) with x_p = Z[p] / D at the pivots, x_rhs = 1 and every other
+    x_j = 0 solving ech's rows at the pivots: right of its pivot, a row
+    holds later pivots, rhs and free zeros, so one descending pass runs."""
     Z, D = {}, 1
-    for p in reversed(ech._order):
+    for p in reversed(pivots):
         row = ech.rows[p]
-        s = -row.get(-1, 0) * D - sum(c * Z[j] for j, c in row.items()
-                                      if j in Z)
+        s = -row.get(rhs, 0) * D - sum(c * Z[j] for j, c in row.items()
+                                       if j in Z)
         if s:
             g = gcd(s, row[p])
             a = row[p] // g
@@ -198,4 +179,44 @@ def solve_columns(columns, b):
                 D *= a
                 Z = {j: c * a for j, c in Z.items()}
             Z[p] = s // g
+    return Z, D
+
+
+def solve_columns(columns, b):
+    """One exact solution x of sum_j x_j * columns[j] = b, or (None,
+    residual), every vector a pair (integer numerators, positive
+    denominator).  Free variables are 0: x lies on the greedily chosen
+    independent columns, so it is canonical for a fixed column order.  An
+    inconsistent system gives the residual: b minus its part in the column
+    span, unique for having no support on the span's pivots, from one
+    markerless reduction.  simplex._solve_stage is the caller.
+    """
+    bnum, bden = b
+    ech = _transposed_echelon(columns, bnum)
+    if ech is None:
+        red = FractionFreeReducer()
+        for num, _ in columns:
+            red.insert(num)
+        residual = red.reduce({**bnum, -1: -bden})
+        d = -residual.pop(-1)
+        return None, (residual, d)
+    # Z / D solves it on the numerators, so x_j = Z[j] * den_j / (D * bden)
+    Z, D = _back_substitute(ech, -1, ech._order)
     return ({j: c * columns[j][1] for j, c in Z.items()}, D * bden), None
+
+
+def null_space(columns):
+    """(kernels, pivots) of the map e_j -> columns[j], each column a pair
+    (integer numerators, positive denominator).  pivots are the greedily
+    chosen independent columns, ascending; kernels maps every other j,
+    ascending, to the one relation between column j and the pivots below
+    it, a primitive integer dict with its lowest entry positive."""
+    ech = _transposed_echelon(columns, {})
+    pivots, kernels = ech._order, {}
+    for j in range(len(columns)):
+        if j not in ech.rows:
+            Z, D = _back_substitute(ech, j, pivots[:bisect_left(pivots, j)])
+            x = {k: c * columns[k][1] for k, c in (*Z.items(), (j, D))}
+            g = gcd(*x.values()) if x[min(x)] > 0 else -gcd(*x.values())
+            kernels[j] = {k: c // g for k, c in x.items()}
+    return kernels, pivots

@@ -8,7 +8,8 @@ substitution oracles are plain Fraction loops over dicts: a dense row-reduced
 echelon form, and the word-by-word derivation and substitution rules; the
 Dynkin map folds each word with the word-by-word bracket.  The span
 reference is incremental Gauss-Jordan on Fractions that tracks the
-combination behind every row; on it, the marker route picks degree-0
+combination behind every row; its kernel basis, made primitive, is what the
+package's null space must give; on it, the marker route picks degree-0
 homology representatives and reads classes off their combinations.  Lower central series ranks of surface groups
 come from Labute's closed formula, and element tokens from a plain
 character-by-character scan.
@@ -444,6 +445,19 @@ def kernel_columns(columns):
             k[j] = Fraction(1)
             out.append(k)
     return out
+
+
+def primitive(v):
+    """The nonzero Fraction dict v scaled to a primitive integer dict whose
+    lowest-index entry is positive."""
+    D = 1
+    for c in v.values():
+        D = D * c.denominator // gcd(D, c.denominator)
+    num = {i: int(c * D) for i, c in v.items()}
+    g = gcd(*num.values())
+    if num[min(num)] < 0:
+        g = -g
+    return {i: c // g for i, c in num.items()}
 
 
 def marker_h0(kernels, boundaries):

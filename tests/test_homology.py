@@ -22,9 +22,15 @@ from freedgl.homology import (
     gauge_equivalent_certificate, tower_layers, _DegreeLayout, _h0_quotient,
     _kernel_pass,
 )
-from freedgl.complexes import parse_complex, model_of_complex, minimal_model
+from freedgl.complexes import (
+    parse_complex, model_of_complex, minimal_model, localize,
+)
+from freedgl.linalg import SpanReducer
 
-from oracles import dense_rank, free_lie_slice_dim, marker_h0, over, transpose
+from oracles import (
+    dense_rank, free_lie_slice_dim, kernel_columns, marker_h0, over,
+    primitive, transpose,
+)
 
 ONE = Fraction(1)
 F = Fraction
@@ -435,6 +441,34 @@ def test_full_range_homology_is_pinned():
         assert _homology_digest(report) == digest, text
 
 
+def test_kernels_come_off_no_span_reducer(monkeypatch):
+    # homology's and localize's kernels are read off the markerless
+    # echelon: with SpanReducer refusing to work they give the same answers
+    class Reached(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(SpanReducer, "insert", refuse)
+    monkeypatch.setattr(SpanReducer, "reduce", refuse)
+    report = homology(tetra_model(3).dgl)
+    assert report.dims == {q: 0 for q in range(-3, 7)}
+    assert _homology_digest(report) == (
+        "50be042826ce3eaaabadf4c4d5dd16a77ef2604066b3d1e6469528eb0d321029")
+    cm = model_of_complex(parse_complex(CIRCLE), 3)
+    loc = localize(cm.dgl, cm.gen((0,)))
+    h = hashlib.sha256()
+    for x in loc.kernel_basis + [None] + loc.complement:
+        h.update(("-" if x is None else emit_element(x) + "\n").encode())
+    assert (len(loc.kernel_basis), len(loc.complement)) == (1, 13)
+    assert h.hexdigest() == (
+        "bc2c80d1047536ebad55ce89b7f5bb6f63de8f152fd6a6cd822ee25d9bb42bcc")
+    # the patch has reach: minimal_model's pairing still runs on it
+    with pytest.raises(Reached):
+        minimal_model(parse_complex(CIRCLE), 0, 2)
+
+
 def test_homology_applies_d_once_per_basis_element(monkeypatch):
     L = model_of_complex(parse_complex(FIG8), 3).dgl
     read = sum(_DegreeLayout(L, q).dim for q in range(-3, 1))
@@ -493,7 +527,12 @@ def test_homology_classes_match_the_marker_oracle_in_every_degree(L):
         lay = _DegreeLayout(L, q)
         if not lay.dim:
             continue
-        kernels, _ = _kernel_pass(L, lay, _DegreeLayout(L, q - 1))
+        below = _DegreeLayout(L, q - 1)
+        kernels, _ = _kernel_pass(L, lay, below)
+        # the kernels themselves against the oracle's, on the same columns
+        cols = [over(*below.coords(L.d(x))) for x in lay.basis_elements(L)]
+        assert kernels == {max(k): primitive(k)
+                           for k in kernel_columns(cols)}, q
         boundaries = [over(*lay.coords(L.d(x)))
                       for x in _DegreeLayout(L, q + 1).basis_elements(L)]
         want, _ = marker_h0(kernels.values(), boundaries)

@@ -1,5 +1,5 @@
-"""Exact sparse elimination: rank, solve, kernel, row/column agreement, and
-the span front end against the Gauss-Jordan reference.  The package takes
+"""Exact sparse elimination: rank, solve, null space, row/column agreement,
+and the span front end against the Gauss-Jordan reference.  The package takes
 and gives vectors as integer numerators over one denominator; the tests
 build them from Fraction dicts and read them back as such."""
 
@@ -9,10 +9,10 @@ from math import gcd
 from hypothesis import given, settings, strategies as st
 
 from freedgl.lie import clear_denominators
-from freedgl.linalg import SpanReducer, solve_columns
+from freedgl.linalg import SpanReducer, null_space, solve_columns
 from oracles import (
     GaussJordanReducer, dense_rank, kernel_columns, oracle_solve_columns,
-    over, transpose, vec_add, vec_scale,
+    over, primitive, transpose, vec_add, vec_scale,
 )
 
 
@@ -223,6 +223,41 @@ def test_solve_columns_edge_cases_match_the_oracle():
         assert solve(cols, b) == oracle_solve_columns(cols, b), (cols, b)
     assert solve(*cases[3]) == ({0: F(3, 2)}, None)
     assert solve(*cases[4]) == (None, {2: F(37, 6)})
+
+
+def check_null_space(cols):
+    """null_space against the oracle's kernel: one primitive relation per
+    dependent column j, j being its highest index, and the other columns
+    as the pivots."""
+    kernels, pivots = null_space([clear_denominators(c) for c in cols])
+    want = {max(k): primitive(k) for k in kernel_columns(cols)}
+    assert kernels == want and list(kernels) == sorted(want), cols
+    assert pivots == [j for j in range(len(cols)) if j not in want], cols
+    return kernels, pivots
+
+
+@given(systems())
+@settings(max_examples=300, deadline=None)
+def test_null_space_matches_the_dense_oracle(system):
+    check_null_space(system[0])
+
+
+def test_null_space_edge_cases_match_the_oracle():
+    assert check_null_space([]) == ({}, [])
+    # zero columns relate to nothing: each is its own kernel vector
+    assert check_null_space([{}, {0: F(1, 2)}, {}]) == (
+        {0: {0: 1}, 2: {2: 1}}, [1])
+    # a repeated column, after a zero one
+    assert check_null_space([{}, {1: F(3)}, {1: F(3)}]) == (
+        {0: {0: 1}, 2: {1: 1, 2: -1}}, [1])
+    # mixed denominators: column 1 is 6/5 of column 0
+    assert check_null_space([{0: F(2, 3), 5: F(-1, 6)},
+                             {0: F(4, 5), 5: F(-1, 5)}]) == (
+        {1: {0: 6, 1: -5}}, [0])
+    # the relation runs over the pivots below j only, later ones at 0
+    assert check_null_space([{0: F(1)}, {1: F(1, 2)}, {0: F(-2, 7)},
+                             {0: F(1), 1: F(1)}, {2: F(1)}]) == (
+        {2: {0: 2, 2: 7}, 3: {0: 1, 1: 2, 3: -1}}, [0, 1, 4])
 
 
 # distinct tags of mixed types: the front end only needs them distinct
