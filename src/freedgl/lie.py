@@ -961,12 +961,22 @@ class DGLMap:
         return self._map(x)
 
     def chain_residues(self):
-        """(name, residue) for every source generator, residue = f(dg) - d(f g)."""
+        """(name, residue) for every source generator, residue = f(dg) -
+        d(f g): dg is read off the source's differential table and f g off
+        images.  An image that is missing, of another degree or over
+        another frame than the target's is read through the map instead,
+        which raises on the first two as it would on any argument."""
+        src, tgt = self.source, self.target
+        gens = src.gens
+        table = src.diff.images
+        zero = zero_elt(gens, src.N)
         out = []
-        for i, name in enumerate(self.source.gens.names):
-            g = Elt(self.source.gens, self.source.N, {(i,): ONE})
-            res = self(self.source.d(g)) - self.target.d(self(g))
-            out.append((name, res))
+        for i, name in enumerate(gens.names):
+            fg = self.images.get(i)
+            if (fg is None or fg.gens is not tgt.gens or fg.N != tgt.N
+                    or not fg.has_degree(gens.degrees[i])):
+                fg = self(Elt._from_num(gens, src.N, {(i,): 1}, 1))
+            out.append((name, self(table.get(i, zero)) - tgt.d(fg)))
         return out
 
     def is_chain_map(self):
@@ -1014,18 +1024,20 @@ class FreeDGL:
         derivation extending the length-1 parts of the generator images."""
         if self._d1 is None:
             ones = {i: img.length_part(1) for i, img in self.diff.images.items()}
-            self._d1 = Derivation(self.gens, self.N, ones, -1)
+            self._d1 = Derivation._trusted(self.gens, self.N, ones, -1)
         return self._d1(x)
 
     def check_d_squared(self):
-        """Apply d twice to every generator; returns the nonzero residues as
-        a list of (generator name, residue Elt).  Empty list = valid DGL."""
+        """Apply d once to every image of the differential table (d(dg) for
+        each generator g); returns the nonzero residues as a list of
+        (generator name, residue Elt).  Empty list = valid DGL."""
+        images = self.diff.images
         out = []
         for i, name in enumerate(self.gens.names):
-            g = Elt(self.gens, self.N, {(i,): ONE})
-            r = self.d(self.d(g))
-            if not r.is_zero():
-                out.append((name, r))
+            if i in images:
+                r = self.d(images[i])
+                if not r.is_zero():
+                    out.append((name, r))
         return out
 
     def truncated(self, M):

@@ -205,4 +205,4 @@ def twist(L, a):
         img = L.d(g) + bracket(a, g)
         if not img.is_zero():
             images[i] = img
-    return FreeDGL(L.gens, L.N, images)
+    return FreeDGL._trusted(L.gens, L.N, images)

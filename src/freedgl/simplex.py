@@ -24,16 +24,20 @@ Every vertex map acts on generators through one relabel table (_face_table:
 a_F goes to the signed letter of F's sorted image, or to 0 when the image
 repeats a vertex), applied to words on integer numerators (_relabel).  The
 cofaces, codegeneracies and permutation maps apply it as DGLMaps
-(_vertex_map), and the Reynolds averages sum it.  _face_images relabels
-each face's top differential onto the face to assemble the models of
-simplices and complexes; a sorted face is its own vertex map, with every
-sign +1, so its table is looked up by face.  The two solving builders share
-one length-stage solver (_solve_stage: the canonical preimage under d1 on
-one Lyndon slice, from linalg's markerless echelon).
+(_vertex_map), and the Reynolds averages sum it over one representative
+word per orbit.  _face_images relabels each face's top differential onto
+the face to assemble the models of simplices and complexes; a sorted face
+is its own vertex map, with every sign +1, so its table is looked up by
+face.  A ModelFamily builds that table once per dimension, for the faces
+below the top: the solving builders read it, and a model is it plus the
+top image.  The two solving builders share one length-stage solver
+(_solve_stage: the canonical preimage under d1 on one Lyndon slice, from
+linalg's markerless echelon).
 """
 
 from fractions import Fraction
 from functools import cache
+from math import factorial
 from itertools import combinations, permutations
 
 from .lie import (
@@ -214,13 +218,6 @@ def _face_images(gens, faces, N, diffs, killed=()):
     return images
 
 
-def assemble_model(n, N, top_diffs, flavor, family=None):
-    """Build the model of Delta^n from top differentials for dims 0..n."""
-    gens = simplex_genset(n)
-    images = _face_images(gens, faces_of_simplex(n), N, top_diffs)
-    return SimplexModel(n, N, FreeDGL(gens, N, images), flavor, family)
-
-
 # ---------------------------------------------------------------------------
 # Explicit seeds: dimensions 0..3
 
@@ -300,8 +297,8 @@ def tetra_top_diff(N):
     differential."""
     lower = [vertex_top_diff(N), interval_top_diff(N), triangle_top_diff(N)]
     gens = simplex_genset(3)
-    partial = FreeDGL(gens, N,
-                      _face_images(gens, faces_of_simplex(3), N, lower))
+    partial = FreeDGL._trusted(gens, N,
+                               _face_images(gens, faces_of_simplex(3), N, lower))
     a0 = generator_elt(gens, N, "a0")
     twisted = twist(partial, a0)
     e_list = [generator_elt(gens, N, "a012"),
@@ -404,8 +401,9 @@ def _boundary_letters(gens, n):
     return [i for i, name in enumerate(gens.names) if name != top]
 
 
-def inductive_top_diff(n, N, lower_diffs):
-    """Top differential of Delta^n from models of lower dimensions:
+def inductive_top_diff(n, N, boundary):
+    """Top differential of Delta^n from models of lower dimensions, given
+    by the differential table of Delta^n's boundary (ModelFamily._boundary):
 
         d(top) = (-1)^n (a_{0..n-1} - Gamma) - [a_0, top]
 
@@ -417,8 +415,7 @@ def inductive_top_diff(n, N, lower_diffs):
     if n < 2:
         raise DomainError("the inductive builder starts at dimension 2")
     gens = simplex_genset(n)
-    partial = FreeDGL(gens, N, _face_images(gens, faces_of_simplex(n), N,
-                                            lower_diffs[:n]))
+    partial = FreeDGL._trusted(gens, N, boundary)
     a0 = generator_elt(gens, N, "a0")
     twisted = twist(partial, a0)
 
@@ -462,20 +459,53 @@ def equivariance_residues(model, sigma):
 
 @cache
 def _permutation_tables(n):
-    """(eps_sigma, face table of sigma) per vertex permutation of Delta^n."""
+    """The faces of Delta^n, and (eps_sigma, face table of sigma) per vertex
+    permutation in the lexicographic order of permutations(range(n + 1))."""
     index = simplex_genset(n).index
-    return tuple((perm_sign(sigma), _face_table(n, sigma, index))
-                 for sigma in permutations(range(n + 1)))
+    return tuple(faces_of_simplex(n)), tuple(
+        (perm_sign(sigma), _face_table(n, sigma, index))
+        for sigma in permutations(range(n + 1)))
 
 
 def _reynolds_average(n, x, signed):
     """Average of sigma(x), times eps_sigma when signed, over the vertex
-    permutations of Delta^n, for x over simplex_genset(n): one integer
-    accumulation over the relabeled words, divided once."""
+    permutations of Delta^n, for x over simplex_genset(n).
+
+    The sum runs over orbits.  Each word w of x gives vertex v the bitmask
+    of the positions whose face contains v, and pi relabels the vertices in
+    the order of (-mask, v); vertices with equal masks lie in the same
+    faces, so pi(w) is one representative per orbit of words.  pi acts by
+    its own face table, found by its Lehmer code, so sum_sigma eps_sigma
+    sigma(w) = eps_pi s sum_rho eps_rho rho(pi(w)), s the product of the
+    face signs of pi on w.  The representatives are summed with those
+    signs, and one integer accumulation over the (n+1)! cached tables
+    relabels only them."""
+    faces, tables = _permutation_tables(n)
+    vertices = range(n + 1)
+    weights = [factorial(n - v) for v in vertices]
+    orbits = {}
+    for w, c in x.num.items():
+        mask = [0] * (n + 1)
+        bit = 1
+        for i in w:
+            for v in faces[i]:
+                mask[v] |= bit
+            bit <<= 1
+        # pi(v) is v's place in this order; its lexicographic rank counts,
+        # for each v, the larger vertices placed before v
+        rank = placed = 0
+        for v in sorted(vertices, key=mask.__getitem__, reverse=True):
+            rank += (placed >> v + 1).bit_count() * weights[v]
+            placed |= 1 << v
+        orbits.setdefault(rank, {})[w] = c
+    reps = {}
+    for rank, num in orbits.items():
+        sign, table = tables[rank]
+        _relabel(num, table, reps, sign if signed else 1)
+    reps = {w: c for w, c in reps.items() if c}
     out = {}
-    tables = _permutation_tables(n)
     for sign, table in tables:
-        _relabel(x.num, table, out, sign if signed else 1)
+        _relabel(reps, table, out, sign if signed else 1)
     return Elt._from_num(x.gens, x.N, out, x.den * len(tables))
 
 
@@ -493,16 +523,15 @@ def reynolds_invariant_project(model, x):
 # The symmetric builder
 
 
-def symmetric_top_diff(n, N, lower_diffs):
-    """Equivariant top differential: solve the length-k parts from d^2 = 0
-    and project each onto the sign-isotypic component (the top cell
+def symmetric_top_diff(n, N, boundary):
+    """Equivariant top differential of Delta^n over the differential table
+    of its boundary (ModelFamily._boundary): solve the length-k parts from
+    d^2 = 0 and project each onto the sign-isotypic component (the top cell
     transforms by the sign character, and the defect term is isotypic, so
     the projected stage still solves its equation)."""
     if n < 2:
         raise DomainError("the symmetric builder starts at dimension 2")
     gens = simplex_genset(n)
-    images = _face_images(gens, faces_of_simplex(n), N, lower_diffs[:n])
-
     top_face = tuple(range(n + 1))
     top_idx = gens.index(face_name(top_face))
     top = linear_combination(gens, N, [
@@ -510,7 +539,7 @@ def symmetric_top_diff(n, N, lower_diffs):
         for sign, sub in chain_boundary(top_face)])
 
     for k in range(2, N + 1):
-        Lp = FreeDGL(gens, N, {**images, top_idx: top})
+        Lp = FreeDGL._trusted(gens, N, {**boundary, top_idx: top})
         rk = Lp.d(top).length_part(k)
         if rk.is_zero():
             continue
@@ -528,7 +557,16 @@ def symmetric_top_diff(n, N, lower_diffs):
 
 
 class ModelFamily:
-    """A compatible family of simplex models, one flavor, one truncation."""
+    """A compatible family of simplex models, one flavor, one truncation.
+
+    The family keeps one top differential and one boundary table per
+    dimension p: _boundary(p) is _face_images over Delta^p with the top
+    differentials below p, built once.  The solving builders read it, and
+    model(p) is that table plus the top image.  The tables are built from
+    checked top differentials by relabeling, so the models' FreeDGLs are
+    trusted; a top differential is degree-checked once, when it is
+    installed (the package's builders give the right degree).
+    """
 
     def __init__(self, N, flavor="seed"):
         if flavor not in ("seed", "inductive", "symmetric"):
@@ -536,12 +574,26 @@ class ModelFamily:
         self.N = N
         self.flavor = flavor
         self._diffs = {}
+        self._tables = {}
         self._models = {}
 
     def install_top_diff(self, p, diff):
-        """Override the dimension-p top differential (used for custom seeds)."""
+        """Override the dimension-p top differential (used for custom seeds).
+        It is read at the family's truncation and must have the degree of
+        the top cell less one; the tables above p and the models from p up,
+        which read it, are dropped."""
+        gens = simplex_genset(p)
+        if diff.gens is not gens or diff.N != self.N:
+            diff = Elt._from_num(gens, self.N, {
+                w: c for w, c in diff.num.items() if len(w) <= self.N},
+                diff.den)
+        deg = diff.degree()
+        if deg is not None and deg != p - 2:
+            raise DomainError("image of %s must have degree %d, got %d"
+                              % (gens.names[-1], p - 2, deg))
         self._diffs[p] = diff
-        self._models.clear()
+        self._tables = {q: t for q, t in self._tables.items() if q <= p}
+        self._models = {q: m for q, m in self._models.items() if q < p}
 
     def top_diff(self, p):
         if p in self._diffs:
@@ -555,18 +607,32 @@ class ModelFamily:
         elif self.flavor == "seed" and p == 3:
             d = tetra_top_diff(self.N)
         elif self.flavor == "symmetric":
-            lower = [self.top_diff(q) for q in range(p)]
-            d = symmetric_top_diff(p, self.N, lower)
+            d = symmetric_top_diff(p, self.N, self._boundary(p))
         else:
-            lower = [self.top_diff(q) for q in range(p)]
-            d = inductive_top_diff(p, self.N, lower)
+            d = inductive_top_diff(p, self.N, self._boundary(p))
         self._diffs[p] = d
         return d
 
+    def _boundary(self, p):
+        """The differential table of every face of Delta^p below the top:
+        the top differentials below p relabeled onto the faces."""
+        if p not in self._tables:
+            self._tables[p] = _face_images(
+                simplex_genset(p), faces_of_simplex(p), self.N,
+                [self.top_diff(q) for q in range(p)])
+        return self._tables[p]
+
     def model(self, n):
+        """The model of Delta^n: the boundary table plus the top image."""
         if n not in self._models:
-            diffs = [self.top_diff(p) for p in range(n + 1)]
-            self._models[n] = assemble_model(n, self.N, diffs, self.flavor, self)
+            gens = simplex_genset(n)
+            images = dict(self._boundary(n))
+            top = self.top_diff(n)
+            if top.num:
+                images[len(gens) - 1] = top
+            self._models[n] = SimplexModel(
+                n, self.N, FreeDGL._trusted(gens, self.N, images),
+                self.flavor, self)
         return self._models[n]
 
     def coface(self, i, n):
@@ -615,8 +681,7 @@ def build_model(n, N, seeds=None):
             raise ConfigError("need %d seed differentials, got %d" % (n, len(seeds)))
         for p, d in enumerate(seeds[:n]):
             fam.install_top_diff(p, d)
-    lower = [fam.top_diff(p) for p in range(n)]
-    fam.install_top_diff(n, inductive_top_diff(n, N, lower))
+    fam.install_top_diff(n, inductive_top_diff(n, N, fam._boundary(n)))
     m = fam.model(n)
     m.flavor = "inductive"
     return m

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from freedgl.lie import (
-    Elt, SolveError, ConfigError, DomainError, StructError, DGLMap, zero_elt,
-    lyndon_slice_basis, _slice_coords,
+    Elt, SolveError, ConfigError, DomainError, StructError, DGLMap, FreeDGL,
+    GenSet, zero_elt, generator_elt, lyndon_slice_basis, _slice_coords,
 )
 from freedgl.linalg import FractionFreeReducer
 from freedgl.serialize import emit_dgl
 from freedgl.series import bch, exp_ad, bernoulli_op, is_mc, twist
+import freedgl.simplex as simplex
 from freedgl.simplex import (
-    faces_of_simplex, face_name, simplex_genset,
+    faces_of_simplex, face_name, simplex_genset, SimplexModel,
     seed_family, ModelFamily, interval_model, triangle_model, tetra_model,
     interval_top_diff, triangle_top_diff, tetra_top_diff, vertex_top_diff,
     bch_transgression, solve_boundary, build_model, build_symmetric_model,
@@ -189,6 +190,74 @@ def test_builder_rejects_broken_seeds():
     with pytest.raises(SolveError) as exc:
         fam.model(2)
     assert str(exc.value) == DOUBLED_SEED_SYMMETRIC
+
+
+def _count_face_images(monkeypatch):
+    """Calls of simplex._face_images by the dimension of their faces."""
+    counts = {}
+    face_images = simplex._face_images
+
+    def counted(gens, faces, N, diffs, killed=()):
+        p = len(faces[-1]) - 1
+        counts[p] = counts.get(p, 0) + 1
+        return face_images(gens, faces, N, diffs, killed)
+    monkeypatch.setattr(simplex, "_face_images", counted)
+    return counts
+
+
+def test_family_builds_one_face_table_per_dimension(monkeypatch):
+    counts = _count_face_images(monkeypatch)
+    fam = ModelFamily(2, "symmetric")
+    assert check_model_axioms(fam.model(4))["ok"]
+    assert counts == {2: 1, 3: 1, 4: 1}
+    # installing at 3 keeps the tables up to 3: the model of Delta^3 is
+    # its kept table plus the new top image, and only Delta^4's is rebuilt
+    fam.install_top_diff(3, fam.top_diff(3))
+    fam.model(3)
+    fam.model(4)
+    assert counts == {2: 1, 3: 1, 4: 2}
+    # build_model solves the top of Delta^4 on the table that its model
+    # reads; the seed tetrahedron builds its own table of Delta^3
+    counts.clear()
+    build_model(4, 2)
+    assert counts == {3: 1, 4: 1}
+
+
+def _model_images(fam, n):
+    return {i: x.terms for i, x in fam.model(n).dgl.diff.images.items()}
+
+
+def test_reinstalled_models_equal_a_fresh_family():
+    N = 3
+    for p in (0, 1, 2, 3):
+        fam = seed_family(N)
+        for n in range(4):
+            fam.model(n)
+        diff = -fam.top_diff(p) if p == 0 else 2 * fam.top_diff(p)
+        fam.install_top_diff(p, diff)
+        fresh = seed_family(N)
+        fresh.install_top_diff(p, diff)
+        for n in range(4):
+            assert _model_images(fam, n) == _model_images(fresh, n), (p, n)
+        assert _model_images(fam, p) != _model_images(seed_family(N), p)
+
+
+def test_installed_top_differential_of_the_wrong_degree():
+    for p, name, text in (
+            (0, "a0", "image of a0 must have degree -2, got -1"),
+            (1, "a01", "image of a01 must have degree -1, got 0"),
+            (2, "a012", "image of a012 must have degree 0, got 1")):
+        bad = generator_elt(simplex_genset(p), 3, name)
+        for fam in (seed_family(3), ModelFamily(3, "symmetric")):
+            with pytest.raises(DomainError) as exc:
+                fam.install_top_diff(p, bad)
+            assert str(exc.value) == text
+        if p < 2:
+            seeds = [vertex_top_diff(3), interval_top_diff(3)]
+            seeds[p] = bad
+            with pytest.raises(DomainError) as exc:
+                build_model(2, 3, seeds=seeds)
+            assert str(exc.value) == text
 
 
 # sha256 of the emit_dgl text of builder outputs; any change to the
@@ -370,6 +439,49 @@ def test_relabel_and_reynolds_match_the_substitution_oracle(label, data):
     _check_relabel_against_oracle(m, x, [tuple(vmap)])
 
 
+@given(st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_reynolds_averages_match_the_oracle_on_random_words(n, data):
+    # the averages run over orbits of words, so they are checked on words
+    # that are not Lie elements too: 1-3 letters, repeats included
+    N = 3
+    gens = simplex_genset(n)
+    m = SimplexModel(n, N, FreeDGL(gens, N, {}), "symmetric")
+    faces = faces_of_simplex(n)
+
+    def word(letters):
+        w = data.draw(st.lists(letters, min_size=1, max_size=2))
+        if data.draw(st.booleans()):
+            w.append(w[0])
+        return tuple(w)
+
+    def check(x):
+        assert reynolds_sign_project(m, x).terms \
+            == _oracle_average(m, x, True)
+        assert reynolds_invariant_project(m, x).terms \
+            == _oracle_average(m, x, False)
+
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    letters = st.integers(min_value=0, max_value=len(faces) - 1)
+    terms = {}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        w = word(letters)
+        terms[w] = terms.get(w, 0) + data.draw(coeffs)
+    check(Elt(gens, N, terms))
+    # a word whose faces each hold both or neither of u and v: (u v) sends
+    # it to (-1)^(number holding both) times itself and has sign -1, so one
+    # of its averages is 0
+    u, v = data.draw(st.lists(st.integers(min_value=0, max_value=n),
+                              min_size=2, max_size=2, unique=True))
+    w = word(st.sampled_from([i for i, f in enumerate(faces)
+                              if (u in f) == (v in f)]))
+    x = Elt(gens, N, {w: data.draw(coeffs.filter(bool))})
+    odd = sum(u in faces[i] for i in w) & 1
+    project = reynolds_invariant_project if odd else reynolds_sign_project
+    assert project(m, x).is_zero()
+    check(x)
+
+
 def test_cosimplicial_identities_symmetric():
     fam = ModelFamily(3, "symmetric")
     rep = check_cosimplicial_identities(fam, 3)
@@ -470,6 +582,77 @@ def test_subdivision_morphism_chain_map():
     assert img.length_part(1) == (
         Elt(t, src.N, {(t.index("a01"),): Fraction(1)})
         + Elt(t, src.N, {(t.index("a12"),): Fraction(1)}))
+
+
+def _residues_by_generator(f):
+    """f(dg) - d(fg) with g, dg and fg each built afresh for every source
+    generator g, the map applied to both."""
+    src = f.source
+    out = []
+    for i, name in enumerate(src.gens.names):
+        g = Elt(src.gens, src.N, {(i,): Fraction(1)})
+        out.append((name, f(src.d(g)) - f.target.d(f(g))))
+    return out
+
+
+def _terms(residues):
+    return [(name, r.terms) for name, r in residues]
+
+
+def test_chain_residues_match_the_generator_formula():
+    fam = _SYMMETRIC3
+    maps = [fam.coface(i, n) for n in (0, 1, 2) for i in range(n + 2)]
+    maps += [fam.codegeneracy(i, n) for n in (1, 2, 3) for i in range(n)]
+    maps += [seed_family(3).coface(i, 2) for i in range(4)]
+    maps.append(subdivision_morphism(4))
+    for f in maps:
+        assert _terms(f.chain_residues()) == _terms(_residues_by_generator(f))
+    # one wrong image: its residue is reported under its own name
+    f = subdivision_morphism(4)
+    images = dict(f.images)
+    a01 = f.source.gens.index("a01")
+    x12 = generator_elt(f.target.gens, f.target.N, "a12")
+    images[a01] = images[a01] + x12
+    g = DGLMap(f.source, f.target, images)
+    got = g.chain_residues()
+    assert _terms(got) == _terms(_residues_by_generator(g))
+    assert [name for name, r in got if not r.is_zero()] == ["a01"]
+    # a missing image and an image of another degree are still read through
+    # the map, which raises
+    del images[a01]
+    with pytest.raises(StructError, match="no image for generator 'a01'"):
+        DGLMap(f.source, f.target, images).chain_residues()
+    images[a01] = generator_elt(f.target.gens, f.target.N, "a0")
+    with pytest.raises(DomainError, match="image of a01 changes degree"):
+        DGLMap(f.source, f.target, images).chain_residues()
+    # also where no differential reads the generator: x -> z is no chain
+    # map, though f(dx) = 0 = d(z)
+    src = FreeDGL(GenSet([("x", 0)]), 2, {})
+    tgt = FreeDGL(GenSet([("z", 1)]), 2, {})
+    with pytest.raises(DomainError, match="image of x changes degree"):
+        DGLMap(src, tgt, {0: generator_elt(tgt.gens, 2, "z")}).chain_residues()
+
+
+def test_check_d_squared_matches_the_generator_formula():
+    def by_generator(L):
+        out = []
+        for i, name in enumerate(L.gens.names):
+            r = L.d(L.d(Elt(L.gens, L.N, {(i,): Fraction(1)})))
+            if not r.is_zero():
+                out.append((name, r.terms))
+        return out
+
+    broken = seed_family(3)
+    broken.install_top_diff(1, 2 * broken.top_diff(1))
+    g = GenSet([("x", 1), ("y", 0), ("z", -1)])
+    chain = FreeDGL(g, 3, {0: generator_elt(g, 3, "y"),
+                           1: generator_elt(g, 3, "z")})
+    for L in (_SYMMETRIC3.model(3).dgl, build_model(3, 3).dgl,
+              broken.model(2).dgl, chain):
+        assert [(name, r.terms) for name, r in L.check_d_squared()] \
+            == by_generator(L)
+    assert [name for name, _ in chain.check_d_squared()] == ["x"]
+    assert broken.model(2).dgl.check_d_squared()
 
 
 def test_barycentric_mc():
