@@ -965,10 +965,14 @@ class DGLMap:
         d(f g): dg is read off the source's differential table and f g off
         images.  An image that is missing, of another degree or over
         another frame than the target's is read through the map instead,
-        which raises on the first two as it would on any argument."""
+        which raises on the first two as it would on any argument.  When
+        f g is a combination of letters (a vertex map's image is a signed
+        letter or 0), d(f g) is the same combination of the target's table
+        images, so the residue is one _combine and no derivation runs."""
         src, tgt = self.source, self.target
         gens = src.gens
         table = src.diff.images
+        target_table = tgt.diff.images
         zero = zero_elt(gens, src.N)
         out = []
         for i, name in enumerate(gens.names):
@@ -976,7 +980,17 @@ class DGLMap:
             if (fg is None or fg.gens is not tgt.gens or fg.N != tgt.N
                     or not fg.has_degree(gens.degrees[i])):
                 fg = self(Elt._from_num(gens, src.N, {(i,): 1}, 1))
-            out.append((name, self(table.get(i, zero)) - tgt.d(fg)))
+            fdg = self(table.get(i, zero))
+            if all(len(w) == 1 for w in fg.num):
+                items = [(1, fdg.den, fdg.num)]
+                for (j,), c in fg.num.items():
+                    img = target_table.get(j)
+                    if img is not None:
+                        items.append((-c, fg.den * img.den, img.num))
+                residue = _combine(tgt.gens, tgt.N, items)
+            else:
+                residue = fdg - tgt.d(fg)
+            out.append((name, residue))
         return out
 
     def is_chain_map(self):

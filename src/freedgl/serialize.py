@@ -52,7 +52,8 @@ class ParseError(ValueError):
 def emit_element(x):
     """Serialize a Lie element; deterministic term order (length, then word).
     Word w with numerator n is written as n / (den len w) in lowest terms,
-    then its left-normed bracket."""
+    then its left-normed bracket.  The words are grouped by length, so each
+    length's denominator and opening brackets are formed once."""
     ok, defects = dynkin_verify(x)
     if not ok:
         raise DomainError(
@@ -63,20 +64,24 @@ def emit_element(x):
         return "0"
     names = x.gens.names
     tails = [",%s]" % name for name in names]
-    den = x.den
-    bits = []
-    for w in sorted(num, key=lambda w: (len(w), w)):
-        n = num[w]
-        k = len(w)
-        q = den * k
-        g = gcd(n, q)
-        c = "%d" % (abs(n) // g) if q == g else "%d/%d" % (abs(n) // g, q // g)
-        word = "[" * (k - 1) + names[w[0]] + "".join([tails[i] for i in w[1:]])
-        if bits:
-            bits.append("%s %s %s" % ("-" if n < 0 else "+", c, word))
-        else:
-            bits.append("%s%s %s" % ("-" if n < 0 else "", c, word))
-    return " ".join(bits)
+    by_length = {}
+    for w in num:
+        by_length.setdefault(len(w), []).append(w)
+    bits = []   # the sign and the term of each word, in turn
+    for k in sorted(by_length):
+        q = x.den * k
+        opening = "[" * (k - 1)
+        for w in sorted(by_length[k]):
+            n = num[w]
+            bits.append("-" if n < 0 else "+")
+            n = abs(n)
+            g = gcd(n, q)
+            c = "%d" % (n // g) if q == g else "%d/%d" % (n // g, q // g)
+            bits.append("%s %s%s%s" % (c, opening, names[w[0]],
+                                       "".join([tails[i] for i in w[1:]])))
+    text = " ".join(bits)
+    # the first sign is a bare minus or nothing
+    return "-" + text[2:] if text[0] == "-" else text[2:]
 
 
 # a token is a punctuation mark, a number (a digit, then digits and '/') or
@@ -86,7 +91,9 @@ def emit_element(x):
 # filled in from the text at hand.
 _TOKEN = (r"[\[\],+*-]|[\d%(digit)s][\d/%(digit)s]*"
           r"|[^\W\d%(digit)s%(numeric)s]\w*")
-_ASCII_TOKEN = re.compile(_TOKEN % {"digit": "", "numeric": ""})
+# ASCII text has no such characters, and on it re.ASCII classes match the
+# same characters, faster
+_ASCII_TOKEN = re.compile(_TOKEN % {"digit": "", "numeric": ""}, re.ASCII)
 
 
 def _token_pattern(text):
@@ -141,6 +148,7 @@ def _parse_bracket_word(toks, i, gens, line):
     nesting does not recurse."""
     stack = []   # per open bracket: None, or the left spine read so far
     count = 0
+    index = gens._index
     while True:
         t = toks[i]
         i += 1
@@ -151,10 +159,9 @@ def _parse_bracket_word(toks, i, gens, line):
             raise ParseError("unexpected end of element", line)
         if not t.isidentifier():
             raise ParseError("expected a generator or '[', got %r" % t, line)
-        try:
-            tree = gens.index(t)
-        except StructError:
-            raise ParseError("unknown generator %r" % t, line) from None
+        tree = index.get(t)
+        if tree is None:
+            raise ParseError("unknown generator %r" % t, line)
         count += 1
         while stack and stack[-1] is not None:
             if toks[i] != "]":

@@ -17,6 +17,13 @@ the merged result (lie._theta_words): words are grouped by last letter, so
 a prefix sum shared by many words is expanded once, not once per word.  The
 passing verdict stays on the result, so emit_element does not check it
 again.
+
+The adjoint series (exp_ad, the two Bernoulli operators and gauge) run on
+integer numerators too, through _ad_terms: the degree-0 conjugator's words
+are bucketed by length once, each power (ad X)^n V is a word->int dict
+formed from the last by [X, C] = XC - CX, and the series is one _combine of
+the powers over dx^n dv, normalized once; gauge sums its two series in that
+one _combine.
 """
 
 from fractions import Fraction
@@ -24,7 +31,8 @@ from math import comb, factorial, gcd, lcm
 
 from .lie import (
     ConfigError, DomainError,
-    Elt, FreeDGL, bracket, dynkin_verify, int_concat, word_buckets,
+    Elt, FreeDGL, _combine, _same_frame, bracket, dynkin_verify, int_concat,
+    word_buckets,
 )
 
 ZERO = Fraction(0)
@@ -139,36 +147,69 @@ def bch(*xs):
     return out
 
 
-def ad_series(x, v, coeff_of_n):
-    """Sum over n >= 0 of coeff_of_n(n) * ad_x^n(v), truncated."""
-    total = v * coeff_of_n(0)
-    cur = v
+def _ad_terms(x, v, coeff_of_n):
+    """The _combine items (p, den, numerators) of the sum over n >= 0 of
+    coeff_of_n(n) * ad_x^n(v), for x of degree 0 over v's frame.
+
+    With x = X/dx and v = V/dv, ad_x^n(v) = (ad X)^n V / (dx^n dv).  The
+    words of X are bucketed by length once, and each power is formed from
+    the last as a word->int dict by [X, C] = XC - CX: x has even degree, so
+    no Koszul sign is read, and a word u of C meets only the words of X that
+    fit in N - len(u).  The powers are never bucketed; power n has no word
+    shorter than n + 1, so the loop ends after at most N nonzero powers."""
+    _same_frame(x, v)
+    N = x.N
+    fits = word_buckets(x.num.items(), N)
+    cur, den = v.num, v.den
+    items = []
     n = 0
-    while not cur.is_zero() and n <= x.N:
-        n += 1
-        cur = bracket(x, cur)
+    while cur:
         c = coeff_of_n(n)
         if c:
-            total = total + cur * c
-    return total
+            items.append((c.numerator, c.denominator * den, cur))
+        out = {}
+        get = out.get
+        for u, cu in cur.items():
+            for w, cw in fits[N - len(u)]:
+                p = cw * cu
+                k = w + u
+                out[k] = get(k, 0) + p
+                k = u + w
+                out[k] = get(k, 0) - p
+        cur = {k: c for k, c in out.items() if c}
+        den *= x.den
+        n += 1
+    return items
+
+
+def _exp_coeff(n):
+    return Fraction(1, factorial(n))
+
+
+def _bernoulli_coeff(n):
+    return bernoulli(n) / factorial(n)
+
+
+def _bernoulli_inverse_coeff(n):
+    return Fraction(1, factorial(n + 1))
 
 
 def exp_ad(x, v):
     """e^{ad_x}(v) for |x| = 0."""
     _require_degree(x, 0, "exp_ad conjugator")
-    return ad_series(x, v, lambda n: Fraction(1, factorial(n)))
+    return _combine(x.gens, x.N, _ad_terms(x, v, _exp_coeff))
 
 
 def bernoulli_op(x, v):
     """(ad_x / (e^{ad_x} - 1))(v) = sum of (B_n/n!) ad_x^n(v), |x| = 0."""
     _require_degree(x, 0, "bernoulli_op conjugator")
-    return ad_series(x, v, lambda n: bernoulli(n) / factorial(n))
+    return _combine(x.gens, x.N, _ad_terms(x, v, _bernoulli_coeff))
 
 
 def bernoulli_op_inverse(x, v):
     """((e^{ad_x} - 1) / ad_x)(v): the series inverse of bernoulli_op."""
     _require_degree(x, 0, "bernoulli_op_inverse conjugator")
-    return ad_series(x, v, lambda n: Fraction(1, factorial(n + 1)))
+    return _combine(x.gens, x.N, _ad_terms(x, v, _bernoulli_inverse_coeff))
 
 
 def is_mc(L, a):
@@ -188,11 +229,14 @@ def gauge(x, a, L):
         x . a = e^{ad_x}(a) - ((e^{ad_x} - 1)/ad_x)(dx)
 
     The result is again MC; failures of the input MC check are domain errors.
+    Both series come from _ad_terms and are summed by one _combine.
     """
     _require_degree(x, 0, "gauge parameter")
     if not is_mc(L, a):
         raise DomainError("gauge target fails the Maurer-Cartan check")
-    return exp_ad(x, a) - bernoulli_op_inverse(x, L.d(x))
+    return _combine(x.gens, x.N, _ad_terms(x, a, _exp_coeff)
+                    + _ad_terms(x, L.d(x),
+                                lambda n: -_bernoulli_inverse_coeff(n)))
 
 
 def twist(L, a):

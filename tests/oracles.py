@@ -6,7 +6,9 @@ matrix elimination over Fraction; the BCH product comes from exp and log
 power series over word->Fraction dicts.  The exact solve, derivation and
 substitution oracles are plain Fraction loops over dicts: a dense row-reduced
 echelon form, and the word-by-word derivation and substitution rules; the
-Dynkin map folds each word with the word-by-word bracket.  The span
+Dynkin map folds each word with the word-by-word bracket, and the adjoint
+series sum its powers, with the Bernoulli coefficients from inverting the
+power series (e^t - 1)/t.  The span
 reference is incremental Gauss-Jordan on Fractions that tracks the
 combination behind every row; its kernel basis, made primitive, is what the
 package's null space must give; on it, the marker route picks degree-0
@@ -317,6 +319,36 @@ def oracle_dynkin_theta(terms, degrees, N):
         for g in w[1:]:
             acc = oracle_bracket(acc, {(g,): Fraction(1)}, degrees, N)
         _accumulate(out, acc, Fraction(c))
+    return out
+
+
+def series_coefficients(kind, n):
+    """c_0..c_n of the adjoint series: "exp" 1/k!, "bernoulli_inverse"
+    (e^t - 1)/t = sum t^k/(k+1)!, and "bernoulli" its reciprocal t/(e^t - 1),
+    found by inverting that power series term by term."""
+    inverse = [Fraction(1, factorial(k + 1)) for k in range(n + 1)]
+    if kind == "exp":
+        return [Fraction(1, factorial(k)) for k in range(n + 1)]
+    if kind == "bernoulli_inverse":
+        return inverse
+    out = []
+    for k in range(n + 1):
+        acc = Fraction(1 if k == 0 else 0)
+        for j in range(k):
+            acc -= out[j] * inverse[k - j]
+        out.append(acc)
+    return out
+
+
+def oracle_ad_series(x, v, coeffs, degrees, N):
+    """sum of coeffs[k] * ad_x^k(v) for word->Fraction dicts x and v: each
+    power is oracle_bracket of x with the last, scaled by its Fraction and
+    summed, zeros dropped."""
+    out = {}
+    power = dict(v)
+    for c in coeffs:
+        _accumulate(out, power, c)
+        power = oracle_bracket(x, power, degrees, N)
     return out
 
 

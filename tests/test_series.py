@@ -6,16 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freedgl import cli
+from freedgl import cli, lie, series
 from freedgl.lie import (
-    GenSet, Elt, FreeDGL, DomainError, bracket, generator_elt,
+    GenSet, Elt, FreeDGL, ConfigError, DomainError, bracket, generator_elt,
     lyndon_slice_basis, elt_from_slice_coords,
 )
 from freedgl.series import (
     bernoulli_numbers, bch, exp_ad, bernoulli_op, bernoulli_op_inverse,
     is_mc, mc_residue, gauge, twist,
 )
-from oracles import bch_terms
+from oracles import (
+    bch_terms, oracle_ad_series, oracle_combine, oracle_derivation,
+    series_coefficients,
+)
 
 
 def test_bernoulli_first_kind():
@@ -160,6 +163,125 @@ def test_bernoulli_op_inverse_is_inverse():
     x, v = g3("x"), g3("y")
     assert bernoulli_op(x, bernoulli_op_inverse(x, v)) == v
     assert bernoulli_op_inverse(x, bernoulli_op(x, v)) == v
+
+
+# letters of degree -1, 0 and 1: a is Maurer-Cartan, and d g = +-[g, a]
+# on the others
+MIXED = GenSet([("a", -1), ("x", 0), ("t", 1)])
+
+
+def _mixed_dgl(n):
+    a, x, t = (generator_elt(MIXED, n, name) for name in ("a", "x", "t"))
+    return FreeDGL(MIXED, n, {0: Fraction(-1, 2) * bracket(a, a),
+                              1: bracket(x, a), 2: -bracket(t, a)})
+
+
+@st.composite
+def adjoint_series_inputs(draw):
+    """(N, x, v, a): a degree-0 conjugator x of mixed word lengths (maybe
+    0), an argument v of degree -1, 0, 1 or 2 (maybe 0) and a Maurer-Cartan
+    element a of _mixed_dgl(N), at N = 1..6."""
+    n = draw(st.integers(1, 6))
+
+    def element(degree):
+        basis = [terms for k in range(1, n + 1)
+                 for _, terms, _ in lyndon_slice_basis(MIXED, degree, k)]
+        out = Elt(MIXED, n, {})
+        if basis:
+            for i, c in draw(st.lists(
+                    st.tuples(st.integers(0, len(basis) - 1), small_fractions),
+                    max_size=5)):
+                out = out + Elt(MIXED, n, basis[i]) * c
+        return out
+
+    x = element(0)
+    v = element(draw(st.integers(-1, 2)))
+    a = draw(st.sampled_from((generator_elt(MIXED, n, "a"), Elt(MIXED, n, {}))))
+    return n, x, v, a
+
+
+@given(adjoint_series_inputs())
+@settings(max_examples=60, deadline=None)
+def test_adjoint_series_match_fraction_oracle(inputs):
+    n, x, v, a = inputs
+    degs = MIXED.degrees
+
+    def want(kind, arg):
+        return oracle_ad_series(x.terms, arg, series_coefficients(kind, n),
+                                degs, n)
+
+    assert exp_ad(x, v).terms == want("exp", v.terms)
+    assert bernoulli_op(x, v).terms == want("bernoulli", v.terms)
+    assert bernoulli_op_inverse(x, v).terms == want("bernoulli_inverse",
+                                                    v.terms)
+    L = _mixed_dgl(n)
+    table = {g: img.terms for g, img in L.diff.images.items()}
+    dx = oracle_derivation(x.terms, table, degs, -1, n)
+    assert gauge(x, a, L).terms == oracle_combine(
+        want("exp", a.terms), want("bernoulli_inverse", dx), -1)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of lie.<name>, through lie or through series."""
+    calls = []
+    for module in (lie, series):
+        real = getattr(module, name)
+
+        def counted(*args, real=real):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_adjoint_series_run_no_bracket_and_one_combine(monkeypatch):
+    n = 5
+    L = _mixed_dgl(n)
+    a, x, t = (L.gen(name) for name in ("a", "x", "t"))
+    conj = x + bracket(a, t) + Fraction(2, 3) * bracket(x, bracket(a, t))
+    v = t + bracket(x, t)
+    brackets = _count_calls(monkeypatch, "bracket")
+    combines = _count_calls(monkeypatch, "_combine")
+    for op in (exp_ad, bernoulli_op, bernoulli_op_inverse):
+        del brackets[:], combines[:]
+        op(conj, v)
+        assert (len(brackets), len(combines)) == (0, 1)
+    # gauge: one _combine and no bracket once its MC check has run
+    after_mc = []
+    real_is_mc = series.is_mc
+
+    def is_mc_then_count(L, a):
+        ok = real_is_mc(L, a)
+        after_mc.append((len(brackets), len(combines)))
+        return ok
+    monkeypatch.setattr(series, "is_mc", is_mc_then_count)
+    del brackets[:], combines[:]
+    gauge(conj, a, L)
+    assert after_mc == [(len(brackets), len(combines) - 1)]
+
+
+def test_adjoint_series_refuse_bad_conjugators():
+    n = 4
+    L = _mixed_dgl(n)
+    a, x, t = (L.gen(name) for name in ("a", "x", "t"))
+    other = GenSet([("a", -1), ("x", 0), ("t", 1), ("u", 0)])
+    elsewhere = generator_elt(other, n, "x")
+    for op in (exp_ad, bernoulli_op, bernoulli_op_inverse):
+        with pytest.raises(DomainError, match="conjugator must have degree 0"):
+            op(t, x)
+        with pytest.raises(DomainError, match="conjugator must have degree 0"):
+            op(x + a, x)
+        with pytest.raises(ConfigError, match="different generator sets"):
+            op(elsewhere, x)
+        with pytest.raises(ConfigError, match="mixed truncations"):
+            op(generator_elt(MIXED, n + 1, "x"), x)
+        # the frame is checked even where the series is 0
+        with pytest.raises(ConfigError, match="different generator sets"):
+            op(x, Elt(other, n, {}))
+    with pytest.raises(DomainError, match="gauge parameter must have degree 0"):
+        gauge(t, a, L)
+    with pytest.raises(ConfigError):
+        gauge(elsewhere, a, L)
 
 
 def _ls_dgl(n):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from freedgl.lie import (
     Elt, SolveError, ConfigError, DomainError, StructError, DGLMap, FreeDGL,
-    GenSet, zero_elt, generator_elt, lyndon_slice_basis, _slice_coords,
+    Derivation, GenSet, zero_elt, generator_elt, lyndon_slice_basis, _slice_coords,
 )
 from freedgl.linalg import FractionFreeReducer
 from freedgl.serialize import emit_dgl
@@ -631,6 +631,32 @@ def test_chain_residues_match_the_generator_formula():
     tgt = FreeDGL(GenSet([("z", 1)]), 2, {})
     with pytest.raises(DomainError, match="image of x changes degree"):
         DGLMap(src, tgt, {0: generator_elt(tgt.gens, 2, "z")}).chain_residues()
+
+
+def test_coface_check_runs_no_derivation(monkeypatch):
+    # a coface sends each letter to one letter, so its residues are read off
+    # the two differential tables with no derivation call
+    model = ModelFamily(2, "symmetric").model(4)
+    inside, calls = [], []
+    real_residues = DGLMap.chain_residues
+    real_call = Derivation.__call__
+
+    def residues(self):
+        inside.append(self)
+        try:
+            return real_residues(self)
+        finally:
+            inside.pop()
+
+    def call(self, x):
+        if inside:
+            calls.append(x)
+        return real_call(self, x)
+    monkeypatch.setattr(DGLMap, "chain_residues", residues)
+    monkeypatch.setattr(Derivation, "__call__", call)
+    report = check_model_axioms(model)
+    assert report["ok"] and report["cofaces"] == []
+    assert calls == []
 
 
 def test_check_d_squared_matches_the_generator_formula():
