@@ -26,7 +26,7 @@ from .lie import (
     GenSet, Elt, FreeDGL, Derivation, Substitution, generator_elt, zero_elt,
     _combine,
 )
-from .linalg import SpanReducer, FractionFreeReducer
+from .linalg import SpanReducer, echelon
 from .series import twist
 from .serialize import ParseError
 from .simplex import face_name, face_degree, _face_images, _seed_top_diffs
@@ -255,9 +255,7 @@ class LocalizedDGL:
             if not self.L.d(b).is_zero():
                 return False
         lay0 = _DegreeLayout(self.L, 0)
-        red = FractionFreeReducer()
-        for b in self.kernel_basis:
-            red.insert(lay0.coords(b)[0])
+        red = echelon([lay0.coords(b)[0] for b in self.kernel_basis], len)
         for x in _DegreeLayout(self.L, 1).basis_elements(self.L):
             if red.reduce(lay0.coords(self.L.d(x))[0]):
                 return False

@@ -23,7 +23,7 @@ from .lie import (
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
 from .series import bch, gauge, is_mc
-from .linalg import FractionFreeReducer, echelon, null_space
+from .linalg import echelon, null_space
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -366,9 +366,8 @@ def malcev_tower(K, basepoint, N_max):
     for N in range(2, N_max + 1):
         big = quotients[N - 1]
         small = quotients[N - 2]
-        red = FractionFreeReducer()
-        for rep in big.basis:
-            red.insert(small._residual(rep.truncated(small.N))[0])
+        red = echelon([small._residual(rep.truncated(small.N))[0]
+                       for rep in big.basis], len)
         if red.rank() != small.dim:
             raise StructError(
                 "tower projection at N=%d is not surjective" % N)

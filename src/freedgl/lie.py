@@ -344,7 +344,10 @@ def linear_combination(gens, N, pairs):
 def _combine(gens, N, items):
     """sum(p * num / den for p, den, num in items) over gens at truncation
     N, for int p, positive int den and word->int dicts num: one integer
-    accumulation over the lcm of the dens, and one normalization."""
+    accumulation over the lcm of the dens, and one normalization.  A lone
+    item with p = 1 is not copied: the result may share its num."""
+    if len(items) == 1 and items[0][0] == 1:
+        return Elt._from_num(gens, N, items[0][2], items[0][1])
     D = lcm(*[den for _, den, _ in items]) if items else 1
     out = {}
     get = out.get
@@ -358,8 +361,9 @@ def _combine(gens, N, items):
 def concat_terms(a, b, N, out=None, scale=ONE):
     """Concatenation product of two word->coeff dicts, truncated at N.
 
-    Accumulates into out if given.  The Fraction form of int_concat; the
-    package's own products run on the integer kernel below.
+    Accumulates into out if given.  The Fraction form of int_concat; no
+    package code calls it, and it stays only while perfbench's LAYERS
+    names it.
     """
     if out is None:
         out = {}
@@ -379,19 +383,16 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # ---------------------------------------------------------------------------
 # Integer word kernel: word->int dicts holding numerators over one common
 # denominator that the caller keeps, as in an Elt's (num, den).  Every Elt
-# operation runs on it: the arithmetic above; bracket and int_concat, which
-# bucket their right factor's words by length (word_buckets) and so visit
-# only the pairs that fit in N; Derivation.__call__ and Substitution here;
-# the merged Dynkin map _theta_words, which groups the words of a whole
-# element by last letter, behind dynkin_theta, dynkin_verify and the
-# left-normed words of serialize.parse_element; the other bracket trees of
-# lyndon_slice_basis and parse_element through bracket_words; _slice_coords
-# and elt_from_slice_coords, bch in series, the face-table relabels and
-# Reynolds averages of simplex, and minimal_model's partner solve.  The
-# text I/O of serialize reads and writes coefficients as ints too.
-# Fractions are built only where an answer leaves as one: Elt.terms, the
-# public slice_coordinates and class_coords; _slice_coords and linalg
-# answer in integers over one denominator.
+# operation runs on it, and two loops are written once: _bracket_into, the
+# bracket rule on two sequences of (word, int) items, for bracket,
+# bracket_words and series' adjoint powers; and _combine, the weighted sum
+# over the lcm of the denominators, for the arithmetic above, Substitution,
+# elt_from_slice_coords, parse_element, the adjoint series and
+# minimal_model's partner images.  bracket and int_concat bucket their
+# right factor's words by length (word_buckets), so only the pairs that fit
+# in N are visited.  The merged Dynkin map _theta_words groups a whole
+# element's words by last letter.  Fractions are built only where an answer
+# leaves as one: Elt.terms, the public slice_coordinates and class_coords.
 
 
 def clear_denominators(terms):
@@ -430,27 +431,49 @@ def int_concat(a, fits, N):
     return {w: c for w, c in out.items() if c}
 
 
-def bracket(x, y):
-    """Graded Lie bracket [x, y] = xy - (-1)^{|x||y|} yx, word by word, on
-    the numerators over the product of the denominators.  The words of y
-    are bucketed by length, so only the pairs that fit in N are visited."""
-    _same_frame(x, y)
-    gens = x.gens
-    N = x.N
-    degs = gens.degrees
-    right = word_buckets(((v, cv, sum(degs[i] for i in v) & 1)
-                          for v, cv in y.num.items()), N)
-    out = {}
+def _bracket_into(out, a, b, s):
+    """Add A.B + s * B.A into the word->int dict out, for sequences a and b
+    of (word, int) items (lists or dict item views) whose every pair fits:
+    the one loop of the bracket rule, with s = -(-1)^{|u||v|} for the
+    degrees of a's and b's words."""
     get = out.get
-    for u, cu in x.num.items():
-        du = sum(degs[i] for i in u) & 1
-        for v, cv, dv in right[N - len(u)]:
+    for u, cu in a:
+        for v, cv in b:
             c = cu * cv
             w = u + v
             out[w] = get(w, 0) + c
             w = v + u
-            out[w] = get(w, 0) + (c if du and dv else -c)
-    return Elt._from_num(gens, N, out, x.den * y.den)
+            out[w] = get(w, 0) + s * c
+
+
+def bracket(x, y):
+    """Graded Lie bracket [x, y] = xy - (-1)^{|x||y|} yx, word by word, on
+    the numerators over the product of the denominators.  x's words are
+    grouped by length and parity, y's bucketed by length within each
+    parity, so each _bracket_into call visits only pairs that fit in N."""
+    _same_frame(x, y)
+    N = x.N
+    deg = x.gens.degrees.__getitem__
+    groups = {}   # x's words by 2 * length + parity
+    for item in x.num.items():
+        u = item[0]
+        k = 2 * len(u) + (sum(map(deg, u)) & 1)
+        if k in groups:
+            groups[k].append(item)
+        else:
+            groups[k] = [item]
+    right = ([], [])
+    for item in y.num.items():
+        right[sum(map(deg, item[0])) & 1].append(item)
+    out = {}
+    for dv, r in enumerate(right):
+        if r:
+            fits = word_buckets(r, N)
+            for k, a in groups.items():
+                b = fits[N - k // 2]
+                if b:
+                    _bracket_into(out, a, b, 1 if k & dv else -1)
+    return Elt._from_num(x.gens, N, out, x.den * y.den)
 
 
 def bracket_words(tree, degs):
@@ -483,16 +506,9 @@ def bracket_words(tree, degs):
             words, deg, rights = stack.pop()
         else:
             return words, deg
-        s = 1 if (deg & 1) and (rdeg & 1) else -1
         out = {}
-        get = out.get
-        for u, cu in words.items():
-            for v, cv in rwords.items():
-                c = cu * cv
-                w = u + v
-                out[w] = get(w, 0) + c
-                w = v + u
-                out[w] = get(w, 0) + s * c
+        _bracket_into(out, words.items(), rwords.items(),
+                      1 if (deg & 1) and (rdeg & 1) else -1)
         words = {w: c for w, c in out.items() if c}
         deg += rdeg
 
@@ -720,13 +736,8 @@ def elt_from_slice_coords(gens, N, basis, coords, den=1):
     """The element with sparse coordinates coords (position -> int or
     Fraction) over den, on a lyndon_slice_basis list, the inverse of
     _slice_coords: a sum of integer numerators over one denominator."""
-    num, D = clear_denominators({i: c for i, c in coords.items() if c})
-    out = {}
-    get = out.get
-    for i, c in sorted(num.items()):
-        for w, cw in basis[i][1].items():
-            out[w] = get(w, 0) + c * cw
-    return Elt._from_num(gens, N, out, D * den)
+    return _combine(gens, N, [(c.numerator, c.denominator * den, basis[i][1])
+                              for i, c in sorted(coords.items()) if c])
 
 
 # ---------------------------------------------------------------------------
@@ -925,16 +936,8 @@ class Substitution:
                 if r >= n:
                     prod = self._product(w, r, table)
                     if prod is not None:
-                        parts.append((c, prod))
-        # each product has its own denominator; bring them to their lcm
-        common = lcm(*[den for _, (_, den) in parts]) if parts else 1
-        out = {}
-        get = out.get
-        for c, (num, den) in parts:
-            s = c * (common // den)
-            for v, cv in num.items():
-                out[v] = get(v, 0) + s * cv
-        return Elt._from_num(self.target_gens, self.N, out, x.den * common)
+                        parts.append((c, x.den * prod[1], prod[0]))
+        return _combine(self.target_gens, self.N, parts)
 
 
 def substitute(x, target_gens, target_N, images):

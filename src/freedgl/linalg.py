@@ -5,10 +5,12 @@ a rational vector is such a dict of numerators over one positive
 denominator, as lie._slice_coords gives it.  There is one eliminator,
 FractionFreeReducer: forward-only integer elimination with leftmost pivots
 and content stripping (fraction-free, after Bareiss 1968) in a caller-chosen
-order.  Negative indices are its bookkeeping coordinates.  It has three
-markerless readers: echelon, for homology._classes, and solve_columns and
-null_space, which back-substitute on one echelon of the transposed system.
-SpanReducer, for minimal_model's pairing, reads combinations off markers.
+order.  Negative indices are its bookkeeping coordinates.  Other modules
+reach it only through its three markerless readers: echelon (homology's
+classes, the tower's surjectivity check, LocalizedDGL.check), and
+solve_columns and null_space, which back-substitute on one echelon of the
+transposed system.  SpanReducer, for minimal_model's pairing, reads
+combinations off markers.
 """
 
 from bisect import bisect_left, insort

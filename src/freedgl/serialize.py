@@ -31,7 +31,7 @@ from math import gcd, lcm
 
 from .lie import (
     ConfigError, DomainError, StructError,
-    GenSet, Elt, FreeDGL, _theta_words, bracket_words, dynkin_verify,
+    GenSet, Elt, FreeDGL, _combine, _theta_words, bracket_words, dynkin_verify,
 )
 
 
@@ -225,20 +225,16 @@ def parse_element(text, gens, N, line=None):
     # a left-normed word, a tuple of letters, is theta of its word, so these
     # are pooled into one merged Dynkin map; every other nesting is expanded
     # on its own
+    degs = gens.degrees
     words = {}
-    rest = []
+    items = []
     for p, q, tree, count in terms:
-        k = p * (D // q)
         if len(tree) == count:
-            words[tree] = words.get(tree, 0) + k
+            words[tree] = words.get(tree, 0) + p * (D // q)
         else:
-            rest.append((k, tree))
-    num = _theta_words(words, gens.degrees)
-    get = num.get
-    for k, tree in rest:
-        for w, c in bracket_words(tree, gens.degrees)[0].items():
-            num[w] = get(w, 0) + k * c
-    x = Elt._from_num(gens, N, num, D)
+            items.append((p, q, bracket_words(tree, degs)[0]))
+    items.append((1, D, _theta_words(words, degs)))
+    x = _combine(gens, N, items)
     x._lie = True
     return x
 

@@ -11,19 +11,19 @@ derivations, the Bernoulli operator ad_x/(e^{ad_x}-1) and its series inverse
 elements, the MC equation checker, and differential twisting d + ad_a.
 
 The BCH exp/log runs on the arguments' integer numerators (the integer word
-kernel of the lie module); the result is one Elt over one denominator, and
-it still passes the Dynkin Lie check.  That check computes theta once over
-the merged result (lie._theta_words): words are grouped by last letter, so
-a prefix sum shared by many words is expanded once, not once per word.  The
-passing verdict stays on the result, so emit_element does not check it
-again.
+kernel of the lie module), exp and log each through _power_sum; the result
+is one Elt over one denominator, and it still passes the Dynkin Lie check.
+That check computes theta once over the merged result (lie._theta_words):
+words are grouped by last letter, so a prefix sum shared by many words is
+expanded once, not once per word.  The passing verdict stays on the
+result, so emit_element does not check it again.
 
 The adjoint series (exp_ad, the two Bernoulli operators and gauge) run on
-integer numerators too, through _ad_terms: the degree-0 conjugator's words
-are bucketed by length once, each power (ad X)^n V is a word->int dict
-formed from the last by [X, C] = XC - CX, and the series is one _combine of
-the powers over dx^n dv, normalized once; gauge sums its two series in that
-one _combine.
+integer numerators too, through _ad_terms: the words of the degree-0
+conjugator's negative are bucketed by length once, each power (ad X)^n V is
+a word->int dict formed from the last by lie._bracket_into, the one loop of
+the bracket rule, and the series is one _combine of the powers over
+dx^n dv, normalized once; gauge sums its two series in that one _combine.
 """
 
 from fractions import Fraction
@@ -31,8 +31,8 @@ from math import comb, factorial, gcd, lcm
 
 from .lie import (
     ConfigError, DomainError,
-    Elt, FreeDGL, _combine, _same_frame, bracket, dynkin_verify, int_concat,
-    word_buckets,
+    Elt, FreeDGL, _bracket_into, _combine, _same_frame, bracket,
+    dynkin_verify, int_concat, word_buckets,
 )
 
 ZERO = Fraction(0)
@@ -76,40 +76,39 @@ def _require_degree(x, d, what):
 # The result is reduced to lowest terms once.
 
 
-def _exp_numerators(A, D, N):
-    """(numerators, denominator) of exp(A/D) truncated at N."""
+def _power_sum(A, N, scale):
+    """sum over k = 1..N of scale(k) * A^k, for the word->int dict A without
+    the unit word and int scale(k), truncated at N: A's words are bucketed
+    once, and the powers end at the first that is 0."""
     fits = word_buckets(A.items(), N)
-    fact = factorial(N)
-    out = {(): fact * D ** N}
+    out = {}
+    get = out.get
     power = {(): 1}
     for k in range(1, N + 1):
         power = int_concat(power, fits, N)
         if not power:
             break
-        scale = fact // factorial(k) * D ** (N - k)
+        s = scale(k)
         for w, c in power.items():
-            out[w] = out.get(w, 0) + c * scale
-    return out, fact * D ** N
+            out[w] = get(w, 0) + c * s
+    return out
+
+
+def _exp_numerators(A, D, N):
+    """(numerators, denominator) of exp(A/D) truncated at N."""
+    fact = factorial(N)
+    out = _power_sum(A, N, lambda k: fact // factorial(k) * D ** (N - k))
+    out[()] = E = fact * D ** N
+    return out, E
 
 
 def _log_numerators(P, E, N):
     """(numerators, denominator) of log(P/E) for a grouplike P/E, that is
     one whose unit word has numerator E."""
-    U = {w: c for w, c in P.items() if w}
-    fits = word_buckets(U.items(), N)
     L = lcm(*range(1, N + 1))
-    out = {}
-    power = {(): 1}
-    for k in range(1, N + 1):
-        power = int_concat(power, fits, N)
-        if not power:
-            break
-        scale = (L // k) * E ** (N - k)
-        if not k & 1:
-            scale = -scale
-        for w, c in power.items():
-            out[w] = out.get(w, 0) + c * scale
-    return out, L * E ** N
+    U = {w: c for w, c in P.items() if w}
+    return _power_sum(U, N, lambda k: (L // k) * E ** (N - k)
+                      * (1 if k & 1 else -1)), L * E ** N
 
 
 def bch(*xs):
@@ -151,35 +150,34 @@ def _ad_terms(x, v, coeff_of_n):
     """The _combine items (p, den, numerators) of the sum over n >= 0 of
     coeff_of_n(n) * ad_x^n(v), for x of degree 0 over v's frame.
 
-    With x = X/dx and v = V/dv, ad_x^n(v) = (ad X)^n V / (dx^n dv).  The
-    words of X are bucketed by length once, and each power is formed from
-    the last as a word->int dict by [X, C] = XC - CX: x has even degree, so
-    no Koszul sign is read, and a word u of C meets only the words of X that
-    fit in N - len(u).  The powers are never bucketed; power n has no word
-    shorter than n + 1, so the loop ends after at most N nonzero powers."""
+    With x = X/dx and v = V/dv, ad_x^n(v) = (ad X)^n V / (dx^n dv).  Each
+    power is formed from the last by [X, C] = C(-X) - (-X)C: x has even
+    degree, so no Koszul parity is read, and one lie._bracket_into per
+    length group of C meets the words of -X, bucketed once, that fit in N.
+    The grouping drops the words that cancelled; power n has no word
+    shorter than n + 1, so at most N powers are nonzero."""
     _same_frame(x, v)
     N = x.N
-    fits = word_buckets(x.num.items(), N)
+    fits = word_buckets([(w, -c) for w, c in x.num.items()], N)
     cur, den = v.num, v.den
     items = []
     n = 0
-    while cur:
+    while True:
+        groups = [[] for _ in range(N + 1)]
+        for item in cur.items():
+            if item[1]:
+                groups[len(item[0])].append(item)
+        if not any(groups):
+            return items
         c = coeff_of_n(n)
         if c:
             items.append((c.numerator, c.denominator * den, cur))
-        out = {}
-        get = out.get
-        for u, cu in cur.items():
-            for w, cw in fits[N - len(u)]:
-                p = cw * cu
-                k = w + u
-                out[k] = get(k, 0) + p
-                k = u + w
-                out[k] = get(k, 0) - p
-        cur = {k: c for k, c in out.items() if c}
+        cur = {}
+        for k in range(1, N):
+            if groups[k] and fits[N - k]:
+                _bracket_into(cur, groups[k], fits[N - k], -1)
         den *= x.den
         n += 1
-    return items
 
 
 def _exp_coeff(n):

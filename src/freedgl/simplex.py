@@ -47,7 +47,7 @@ from .lie import (
     lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
 from .series import bch, exp_ad, bernoulli_op, is_mc, twist, gauge
-from .linalg import FractionFreeReducer, solve_columns
+from .linalg import null_space, solve_columns
 from .homology import linear_homology
 
 ONE = Fraction(1)
@@ -847,16 +847,15 @@ def generator_homology(model, invariant=False):
     inv_dims = {}
     inv_reps = {}
     for q, classes in reps.items():
-        red = FractionFreeReducer()
-        for i, d in enumerate(gens.degrees):
-            if d == q + 1:
-                dx = L.d1(Elt(gens, model.N, {(i,): ONE}))
-                red.insert({w[0]: c for w, c in dx.num.items()})
-        found = []
-        for x in classes:
-            y = reynolds_invariant_project(model, x)
-            if red.insert({w[0]: c for w, c in y.num.items()}) is None:
-                found.append(y)
+        # the greedily independent columns of the d1-boundaries followed by
+        # the projected classes are the pivots of one transposed echelon
+        columns = [L.d1(Elt(gens, model.N, {(i,): ONE}))
+                   for i, d in enumerate(gens.degrees) if d == q + 1]
+        start = len(columns)
+        columns += [reynolds_invariant_project(model, x) for x in classes]
+        _, pivots = null_space([({w[0]: c for w, c in y.num.items()}, y.den)
+                                for y in columns])
+        found = [columns[j] for j in pivots if j >= start]
         if found:
             inv_dims[q] = len(found)
             inv_reps[q] = found

@@ -120,6 +120,8 @@ def test_bracket_words_match_the_bracket_fold(t, M):
     (0, 1), (1, 2),           # odd, even and even, odd
     ((0, 0), 2), (2, (0, 0)), (2, (1, 3)), ((0, 1), (2, 1)),
     (0, 0, 2, 2), (2, (0, 1), 3), ((0, 2), 1, (3, 2)), (3, 3),
+    # [b, b] = 0 for the even letter b, so the next bracket meets no words
+    (1, 1, 0), (2, (1, 1)),
 ])
 def test_bracket_words_on_every_degree_parity(tree):
     words, deg = bracket_words(tree, GENS.degrees)
