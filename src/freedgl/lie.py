@@ -361,9 +361,8 @@ def _combine(gens, N, items):
 def concat_terms(a, b, N, out=None, scale=ONE):
     """Concatenation product of two word->coeff dicts, truncated at N.
 
-    Accumulates into out if given.  The Fraction form of int_concat; no
-    package code calls it, and it stays only while perfbench's LAYERS
-    names it.
+    Accumulates into out if given.  No package code calls it, and it stays
+    only while perfbench's LAYERS names it.
     """
     if out is None:
         out = {}
@@ -388,9 +387,13 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # bracket_words and series' adjoint powers; and _combine, the weighted sum
 # over the lcm of the denominators, for the arithmetic above, Substitution,
 # elt_from_slice_coords, parse_element, the adjoint series and
-# minimal_model's partner images.  bracket and int_concat bucket their
-# right factor's words by length (word_buckets), so only the pairs that fit
-# in N are visited.  The merged Dynkin map _theta_words groups a whole
+# minimal_model's partner images.  bracket buckets its right factor's words
+# by length (word_buckets), so only the pairs that fit in N are visited.
+# series.bch's exp, products and log run on the same numerators with each
+# word coded as one int: code(w) = sum of (w[i] + 1) B^(n-1-i) for a word of
+# length n and B = len(gens) + 1, grouped by length, so code(uv) =
+# code(u) B^|v| + code(v); the log is decoded into words once, before the
+# Dynkin check.  The merged Dynkin map _theta_words groups a whole
 # element's words by last letter.  Fractions are built only where an answer
 # leaves as one: Elt.terms, the public slice_coordinates and class_coords.
 
@@ -414,21 +417,6 @@ def word_buckets(items, N):
         for r in range(len(item[0]), N + 1):
             fits[r].append(item)
     return fits
-
-
-def int_concat(a, fits, N):
-    """Concatenation product of the word->int dict a with the word_buckets
-    fits of a right factor, truncated at N; zero entries are dropped."""
-    out = {}
-    get = out.get
-    for u, cu in a.items():
-        room = N - len(u)
-        if room < 0:
-            continue
-        for v, cv in fits[room]:
-            w = u + v
-            out[w] = get(w, 0) + cu * cv
-    return {w: c for w, c in out.items() if c}
 
 
 def _bracket_into(out, a, b, s):

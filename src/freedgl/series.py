@@ -10,13 +10,18 @@ derivations, the Bernoulli operator ad_x/(e^{ad_x}-1) and its series inverse
 (e^{ad_x}-1)/ad_x, the gauge action of degree-0 elements on Maurer-Cartan
 elements, the MC equation checker, and differential twisting d + ad_a.
 
-The BCH exp/log runs on the arguments' integer numerators (the integer word
-kernel of the lie module), exp and log each through _power_sum; the result
-is one Elt over one denominator, and it still passes the Dynkin Lie check.
-That check computes theta once over the merged result (lie._theta_words):
-words are grouped by last letter, so a prefix sum shared by many words is
-expanded once, not once per word.  The passing verdict stays on the
-result, so emit_element does not check it again.
+The BCH exp/log runs on the arguments' integer numerators with each word
+coded as one int: a word w of length n has code sum of (w[i] + 1) B^(n-1-i)
+for B = len(gens) + 1, and a word->int dict is held as {n: {code:
+numerator}} over the lengths that occur.  Since code(uv) = code(u) B^|v| +
+code(v), the inner loop of a product is one multiply-add and one dict update
+keyed by an int.  bch codes each argument once, runs exp and log each
+through _power_sum and the products through _times, and decodes the log
+once into one Elt over one denominator, which still passes the Dynkin Lie
+check.  That check computes theta once over the merged result
+(lie._theta_words): words are grouped by last letter, so a prefix sum
+shared by many words is expanded once, not once per word.  The passing
+verdict stays on the result, so emit_element does not check it again.
 
 The adjoint series (exp_ad, the two Bernoulli operators and gauge) run on
 integer numerators too, through _ad_terms: the words of the degree-0
@@ -27,12 +32,14 @@ dx^n dv, normalized once; gauge sums its two series in that one _combine.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import comb, factorial, gcd, lcm
 
 from .lie import (
     ConfigError, DomainError,
     Elt, FreeDGL, _bracket_into, _combine, _same_frame, bracket,
-    dynkin_verify, int_concat, word_buckets,
+    dynkin_verify, word_buckets,
 )
 
 ZERO = Fraction(0)
@@ -66,56 +73,149 @@ def _require_degree(x, d, what):
 
 
 # ---------------------------------------------------------------------------
-# exp/log with the unit word, on integer numerators over one denominator
+# exp/log with the unit word, on coded words over one denominator
 #
-# An argument X = A/D (A a word->int dict) has
+# A word w of length n is coded as the int sum of (w[i] + 1) B^(n-1-i) for
+# B = len(gens) + 1, so code(uv) = code(u) B^|v| + code(v), and a word->int
+# dict as {n: {code: numerator}} over the lengths n that occur.  An argument
+# X = A/D has
 #     exp(X) = sum_k A^k (N!/k!) D^(N-k)  /  N! D^N,
-# the exponentials multiply as integer dicts with the gcd stripped after each
-# factor, and the product P = (E + U)/E (U without the unit word) has
+# the exponentials multiply with the gcd stripped after each factor, and the
+# product P = (E + U)/E (U without the unit word, code 0) has
 #     log(P) = sum_k (-1)^(k+1) U^k (L/k) E^(N-k)  /  L E^N,  L = lcm(1..N).
-# The result is reduced to lowest terms once.
 
 
-def _power_sum(A, N, scale):
-    """sum over k = 1..N of scale(k) * A^k, for the word->int dict A without
-    the unit word and int scale(k), truncated at N: A's words are bucketed
-    once, and the powers end at the first that is 0."""
-    fits = word_buckets(A.items(), N)
+def _coded(num, B):
+    """The coded dict of the word->int dict num."""
     out = {}
-    get = out.get
-    power = {(): 1}
-    for k in range(1, N + 1):
-        power = int_concat(power, fits, N)
-        if not power:
-            break
-        s = scale(k)
-        for w, c in power.items():
-            out[w] = get(w, 0) + c * s
+    for w, c in num.items():
+        code = 0
+        for i in w:
+            code = code * B + i + 1
+        group = out.get(len(w))
+        if group is None:
+            out[len(w)] = {code: c}
+        else:
+            group[code] = c
     return out
 
 
-def _exp_numerators(A, D, N):
-    """(numerators, denominator) of exp(A/D) truncated at N."""
+def _right_factor(b, Bpow):
+    """(length, B^length, items) for each length group of the coded dict b,
+    shortest first: the form _times reads its right factor in."""
+    return [(n, Bpow[n], b[n].items()) for n in sorted(b)]
+
+
+def _times(a, right, N):
+    """The product of the coded dict a with the _right_factor right,
+    truncated at N.  Numerators that cancel stay, as 0."""
+    out = {}
+    for m, group in a.items():
+        for n, scale, items in right:
+            if m + n > N:
+                break
+            acc = out.get(m + n)
+            if acc is None:
+                acc = out[m + n] = {}
+            get = acc.get
+            for u, cu in group.items():
+                u *= scale
+                for v, cv in items:
+                    w = u + v
+                    acc[w] = get(w, 0) + cu * cv
+    return out
+
+
+def _power_sum(A, N, Bpow, scale):
+    """sum over k = 1..N of scale(k) * A^k, for the coded dict A without
+    the unit word and int scale(k), truncated at N.  Numerators that cancel
+    stay, as 0."""
+    if not A:
+        return {}
+    right = _right_factor(A, Bpow)
+    out = {}
+    power = A
+    k = 1
+    while True:
+        s = scale(k)
+        for n, group in power.items():
+            acc = out.get(n)
+            if acc is None:
+                out[n] = {w: c * s for w, c in group.items()}
+            else:
+                get = acc.get
+                for w, c in group.items():
+                    acc[w] = get(w, 0) + c * s
+        k += 1
+        # A^k has no word shorter than k times A's shortest
+        if k * right[0][0] > N:
+            return out
+        power = _times(power, right, N)
+
+
+def _exp_numerators(A, D, N, Bpow):
+    """(numerators, denominator) of exp(A/D) truncated at N, A coded."""
     fact = factorial(N)
-    out = _power_sum(A, N, lambda k: fact // factorial(k) * D ** (N - k))
-    out[()] = E = fact * D ** N
-    return out, E
+    out = _power_sum(A, N, Bpow, lambda k: fact // factorial(k) * D ** (N - k))
+    out[0] = {0: fact * D ** N}
+    return out, fact * D ** N
 
 
-def _log_numerators(P, E, N):
-    """(numerators, denominator) of log(P/E) for a grouplike P/E, that is
-    one whose unit word has numerator E."""
+def _log_numerators(P, E, N, Bpow):
+    """(numerators, denominator) of log(P/E) for a coded grouplike P/E,
+    that is one whose unit word has numerator E."""
     L = lcm(*range(1, N + 1))
-    U = {w: c for w, c in P.items() if w}
-    return _power_sum(U, N, lambda k: (L // k) * E ** (N - k)
+    U = {n: group for n, group in P.items() if n}
+    return _power_sum(U, N, Bpow, lambda k: (L // k) * E ** (N - k)
                       * (1 if k & 1 else -1)), L * E ** N
+
+
+@lru_cache(maxsize=32)
+def _word_table(B, N):
+    """(k, B^k, table): table maps the code of every word of length 1..k
+    over B - 1 letters to the word, for k >= 1 the largest with k <= N,
+    k <= 16 and (B - 1)^k <= 256.  A code is at least B^k exactly when its
+    word is longer than k."""
+    n = B - 1
+    k = 1
+    while k < min(N, 16) and n ** (k + 1) <= 256:
+        k += 1
+    level = {i + 1: (i,) for i in range(n)}
+    table = dict(level)
+    for _ in range(k - 1):
+        level = {c * B + i + 1: w + (i,) for c, w in level.items()
+                 for i in range(n)}
+        table.update(level)
+    return k, B ** k, table
+
+
+def _decoded(P, B, N):
+    """The word->int dict of the coded dict P of words of length <= N,
+    without its zero numerators: a word of length <= k is read off
+    _word_table at once, a longer one k letters at a time from the right."""
+    k, Bk, table = _word_table(B, N)
+    out = {}
+    for n, group in P.items():
+        if n <= k:
+            out.update({table[code]: c for code, c in group.items() if c})
+            continue
+        for code, c in group.items():
+            if c:
+                word = ()
+                while code >= Bk:
+                    code, low = divmod(code, Bk)
+                    word = table[low] + word
+                out[table[code] + word] = c
+    return out
 
 
 def bch(*xs):
     """log(exp(x1) ... exp(xk)) for degree-0 elements, all at one truncation.
 
-    The result is checked to be a Lie element (left-to-right bracketing test)
-    before being returned; a failure would mean corrupted arithmetic.
+    The exp, products and log run on coded words (see above): each argument
+    is coded once and the log decoded once.  The result is checked to be a
+    Lie element (left-to-right bracketing test) before being returned; a
+    failure would mean corrupted arithmetic.
     """
     if not xs:
         raise DomainError("bch needs at least one argument")
@@ -126,19 +226,22 @@ def bch(*xs):
     for x in xs:
         _require_degree(x, 0, "bch argument")
     N = first.N
-    prod, den = {(): 1}, 1
+    B = len(first.gens) + 1
+    Bpow = [B ** n for n in range(N + 1)]
+    prod, den = {}, 1
     for x in xs:
         if not x.num:
             continue
-        e, d = _exp_numerators(x.num, x.den, N)
-        prod = int_concat(prod, word_buckets(e.items(), N), N)
+        e, d = _exp_numerators(_coded(x.num, B), x.den, N, Bpow)
+        prod = _times(prod, _right_factor(e, Bpow), N) if prod else e
         den *= d
-        g = gcd(den, *prod.values())
-        if g > 1:
-            prod = {w: c // g for w, c in prod.items()}
+        g = gcd(den, *chain.from_iterable(map(dict.values, prod.values())))
+        if g > 1 or any(0 in group.values() for group in prod.values()):
+            prod = {n: {w: c // g for w, c in group.items() if c}
+                    for n, group in prod.items()}
             den //= g
-    num, den = _log_numerators(prod, den, N)
-    out = Elt._from_num(first.gens, N, num, den)
+    num, den = _log_numerators(prod, den, N, Bpow)
+    out = Elt._from_num(first.gens, N, _decoded(num, B, N), den)
     ok, defects = dynkin_verify(out)
     if not ok:
         raise RuntimeError(

@@ -294,8 +294,9 @@ def bch_transgression(e_list, L):
 def tetra_top_diff(N):
     """d(a0123) = e^{ad_{a01}} a123 - B_{a012, a023, -a013} - [a0, a0123],
     where B is the transgression element taken for the a0-twisted
-    differential."""
-    lower = [vertex_top_diff(N), interval_top_diff(N), triangle_top_diff(N)]
+    differential.  The lower top differentials are the seed family's,
+    built once per N (_seed_top_diffs)."""
+    lower = _seed_top_diffs(N, 2)
     gens = simplex_genset(3)
     partial = FreeDGL._trusted(gens, N,
                                _face_images(gens, faces_of_simplex(3), N, lower))
@@ -661,7 +662,8 @@ def seed_family(N):
 @cache
 def _seed_top_diffs(N, dim):
     """The seed family's top differentials of dimensions 0..dim at
-    truncation N, built once and shared by every complex model.  A tuple of
+    truncation N, built once and shared by every complex model and by
+    tetra_top_diff.  A tuple of
     Elts, which no operation mutates, so install_top_diff on any
     ModelFamily cannot reach it."""
     fam = ModelFamily(N, "seed")

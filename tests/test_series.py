@@ -4,7 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from freedgl import cli, lie, series
 from freedgl.lie import (
@@ -77,12 +77,24 @@ small_fractions = st.builds(Fraction,
 
 @st.composite
 def bch_arguments(draw):
-    """1-4 degree-0 Lie elements on 2-3 generators at N <= 5; later arguments
-    may be zero or the negative of an earlier one."""
-    gens = GenSet([("x", 0), ("y", 0), ("z", 0)][:draw(st.integers(2, 3))])
-    n = draw(st.integers(1, 5))
-    basis = [terms for k in range(1, n + 1)
+    """1-4 degree-0 Lie elements at N <= 5, on 2-3 letters of degree 0 or
+    on up to 8 letters of degrees -1, 0 and 1, whose degree-0 Lyndon
+    elements mix odd letters; later arguments may be zero or the negative
+    of an earlier one."""
+    if draw(st.booleans()):
+        gens = GenSet([("x", 0), ("y", 0), ("z", 0)][:draw(st.integers(2, 3))])
+        n = draw(st.integers(1, 5))
+    else:
+        # [a, b] for |a| = -1 and |b| = 1 is a degree-0 bracket at length 2
+        k = draw(st.integers(2, 8))
+        degs = [-1, 1] + draw(st.lists(st.sampled_from((-1, 0, 1)),
+                                       min_size=k - 2, max_size=k - 2))
+        gens = GenSet([("g%d" % i, d) for i, d in enumerate(degs)])
+        n = draw(st.integers(2, 4 if k <= 5 else 3))
+    # longest first, so that the first picks are brackets, not letters
+    basis = [terms for k in range(n, 0, -1)
              for _, terms, _ in lyndon_slice_basis(gens, 0, k)]
+    assume(basis)
     args = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(("new", "zero", "neg") if args else ("new", "zero")))
@@ -101,14 +113,32 @@ def bch_arguments(draw):
     return args
 
 
+# two high letters of an 80-letter alphabet at N = 10: bch codes a word of
+# length 10 as at least 79 (81^10 - 1) / 80 > 2^63, so its products run on
+# big ints
+HIGH = GenSet([("g%d" % i, 0) for i in range(80)])
+
+
 @given(bch_arguments())
-@settings(max_examples=60, deadline=None)
+@example([generator_elt(HIGH, 10, "g78"), generator_elt(HIGH, 10, "g79")])
+@settings(max_examples=100, deadline=None)
 def test_bch_matches_fraction_oracle(xs):
     out = bch(*xs)
     assert out.terms == bch_terms([x.terms for x in xs], xs[0].N)
     # emit_element divides each coefficient by the word length: an int
     # coefficient would come out as a float there
     assert all(type(c) is Fraction for c in out.terms.values())
+
+
+def test_bch_of_a_non_lie_argument_fails_the_dynkin_check():
+    # log(exp(xy)) = xy, a degree-0 element that is not a Lie element
+    x, y = g3("x"), g3("y")
+    xy = Elt(GENS3, N, {(0, 1): 1})
+    assert not lie.is_lie(xy)
+    with pytest.raises(RuntimeError, match="non-Lie"):
+        bch(xy)
+    with pytest.raises(RuntimeError, match="non-Lie"):
+        bch(x, xy, y)
 
 
 @given(st.lists(st.builds(Fraction,

@@ -223,6 +223,22 @@ def test_family_builds_one_face_table_per_dimension(monkeypatch):
     assert counts == {3: 1, 4: 1}
 
 
+def test_seed_tetrahedron_reads_the_shared_lower_tops(monkeypatch):
+    # tetra_top_diff takes the vertex, interval and triangle tops from
+    # _seed_top_diffs, built once per N; a fresh family still builds its
+    # own Delta^2 top, the one three-term bch of tetra_model
+    tetra_model(3)
+    calls = []
+    triangle = simplex.triangle_top_diff
+
+    def counted(N):
+        calls.append(N)
+        return triangle(N)
+    monkeypatch.setattr(simplex, "triangle_top_diff", counted)
+    tetra_model(3)
+    assert calls == [3]
+
+
 def _model_images(fam, n):
     return {i: x.terms for i, x in fam.model(n).dgl.diff.images.items()}
 
