@@ -256,7 +256,7 @@ class LocalizedDGL:
                 return False
         lay0 = _DegreeLayout(self.L, 0)
         red = echelon([lay0.coords(b)[0] for b in self.kernel_basis], len)
-        for x in _DegreeLayout(self.L, 1).basis_elements(self.L):
+        for x in _DegreeLayout(self.L, 1).elements(self.N):
             if red.reduce(lay0.coords(self.L.d(x))[0]):
                 return False
         return True
@@ -270,8 +270,8 @@ def localize(L, z):
     lay0 = _DegreeLayout(tw, 0)
     laym1 = _DegreeLayout(tw, -1)
     kernels, _ = _kernel_pass(tw, lay0, laym1)
-    kernel_basis = [lay0.element(tw, kv) for kv in kernels.values()]
-    elts = list(lay0.basis_elements(tw))
+    kernel_basis = [lay0.element(tw.N, kv) for kv in kernels.values()]
+    elts = lay0.elements(tw.N)
     complement = [elts[j] for j in range(lay0.dim) if j not in kernels]
     return LocalizedDGL(tw, kernel_basis, complement)
 

@@ -2,13 +2,13 @@
 
 All computations happen on the finite-dimensional quotients L/L^{>N}: per
 degree, the chain space is the direct sum of the Lyndon slices of lengths
-1..N, the differential is assembled slice by slice, and its kernels and
-boundaries come off one markerless echelon (linalg.null_space); classes,
-of homology and π₁ alike, come from one rule (_classes).  On top of that
-sit the homotopy-group extractors: H_{n-1} for n >= 2, and for n = 1 the
-degree-0 homology with its Baker-Campbell-Hausdorff product table
-(a nilpotent group presented by exact rational structure constants), plus
-the tower of these groups over increasing truncation.
+1..N (one lie._SliceLayout), the differential is assembled on it, and its
+kernels and boundaries come off one markerless echelon (linalg.null_space);
+classes, of homology and π₁ alike, come from one rule (_classes).  On top
+of that sit the homotopy-group extractors: H_{n-1} for n >= 2, and for
+n = 1 the degree-0 homology with its Baker-Campbell-Hausdorff product
+table (a nilpotent group presented by exact rational structure
+constants), plus the tower of these groups over increasing truncation.
 
 freedgl/__init__ binds the name homology to the function of that name, so
 `import freedgl.homology` reaches the function, not this module; tools that
@@ -18,9 +18,8 @@ need the module read sys.modules["freedgl.homology"].
 from fractions import Fraction
 
 from .lie import (
-    DomainError, StructError, _same_frame,
+    DomainError, StructError, _check_frame, _SliceLayout,
     Elt, DGLMap, bracket, linear_combination,
-    lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
 )
 from .series import bch, gauge, is_mc
 from .linalg import echelon, null_space
@@ -33,41 +32,15 @@ ONE = Fraction(1)
 # Degree-graded chain spaces
 
 
-class _DegreeLayout:
-    """Indexing of the degree-q part of L/L^{>N}: one basis list, the Lyndon
-    slices of lengths 1..N concatenated, with one lead index.
-
-    Leads of different lengths are different words, and _slice_coords takes
-    the least remaining word, which is also the least of its own length, so
-    the triangular reduction runs on each length as on its own slice."""
-
-    __slots__ = ("q", "basis", "lead_index", "dim")
-
-    def __init__(self, L, q):
-        self.q = q
-        self.basis = [b for k in range(1, L.N + 1)
-                      for b in lyndon_slice_basis(L.gens, q, k)]
-        self.lead_index = {lead: i
-                           for i, (lead, _, _) in enumerate(self.basis)}
-        self.dim = len(self.basis)
-
-    def coords(self, x):
-        """Global coordinates of a degree-q element as (numerators, D), or
-        None if it falls outside the span (an empty slice included)."""
-        return _slice_coords(x, self.basis, self.lead_index)
-
-    def element(self, L, vec):
-        """The element with the global integer coordinate dict vec."""
-        return elt_from_slice_coords(L.gens, L.N, self.basis, vec)
-
-    def basis_elements(self, L):
-        for _, terms, _ in self.basis:
-            yield Elt._from_num(L.gens, L.N, terms, 1)
+def _DegreeLayout(L, q):
+    """The degree-q chain space of L/L^{>N}: the lie._SliceLayout of the
+    Lyndon slices of lengths 1..N."""
+    return _SliceLayout(L.gens, q, range(1, L.N + 1))
 
 
 def _columns(L, layout_src, layout_tgt):
     """The columns d(x_j) over the target layout, as (numerators, den)."""
-    for x in layout_src.basis_elements(L):
+    for x in layout_src.elements(L.N):
         vec = layout_tgt.coords(L.d(x))
         if vec is None:
             raise StructError("differential left its degree slice")
@@ -146,7 +119,7 @@ def _homology(L, degrees):
                    else _kernel_pass(L, lay, layout(q - 1))[0])
         kernels_up, image = _kernel_pass(L, layout(q + 1), lay)
         kept = {q + 1: kernels_up}
-        reps = [lay.element(L, kernels[j])
+        reps = [lay.element(L.N, kernels[j])
                 for j in _classes(image, kernels, lay.dim)[1]]
         ker_dim, im_rank, h = len(kernels), len(image), len(reps)
         if h != ker_dim - im_rank:
@@ -236,7 +209,7 @@ class MalcevQuotient:
         """(numerators, den) of the class of a degree-0 element by class
         position: the residual of one reduction against the boundaries, on
         the free coordinates, with the entry at -1 carrying its scale."""
-        _same_frame(x, self.L)
+        _check_frame(x, self.L.gens, self.L.N)
         vec = self._layout.coords(x)
         if vec is None:
             # a word off degree 0 is never cancelled, so coords gave up
@@ -333,8 +306,7 @@ def verify_simplex(model, L, assignment):
     for key, val in assignment.items():
         idx = model.gens.index(key) if isinstance(key, str) else key
         images[idx] = val
-    f = DGLMap(model.dgl, L, images)
-    return all(r.is_zero() for _, r in f.chain_residues())
+    return DGLMap(model.dgl, L, images).is_chain_map()
 
 
 def gauge_equivalent_certificate(L, a, b, x):

@@ -10,7 +10,8 @@ built on demand.  The bracket is
 
 applied word by word, so inhomogeneous elements work.  Everything is computed
 modulo words of length > N for a truncation N fixed at construction; mixing
-truncations is a hard error, never a silent coercion.
+truncations or generator sets is a hard error, never a silent coercion, and
+_check_frame is the one place that refuses it.
 
 Lie membership and canonical coordinates use two classical tools:
 
@@ -22,7 +23,10 @@ Lie membership and canonical coordinates use two classical tools:
   * the Lyndon-Shirshov basis of lyndon_slice_basis: standard bracketings b_w
     of Lyndon words w, plus [b_w, b_w] for w of odd total degree.
     b_w = w + (lex-higher words) and [b_w, b_w] = 2*ww + (lex-higher), so
-    coordinate extraction is triangular on leading words.
+    coordinate extraction is triangular on leading words.  _SliceLayout
+    is the one owner of slice coordinates: the slices of one degree and
+    given lengths as one basis with one lead index, read by homology's
+    chain spaces and by the builders' length stages.
 
 Degrees are integers >= -1.  Degree -2 or lower is rejected at construction.
 """
@@ -120,11 +124,13 @@ def _check_truncation(N):
         raise ConfigError("truncation must be >= 1, got %d" % N)
 
 
-def _same_frame(x, y):
-    if x.gens is not y.gens and x.gens != y.gens:
+def _check_frame(x, gens, N=None):
+    """Refuse x unless it is over gens and, when N is given, at truncation
+    N: the one check of a foreign generator set or truncation."""
+    if x.gens is not gens and x.gens != gens:
         raise ConfigError("elements over different generator sets")
-    if x.N != y.N:
-        raise ConfigError("mixed truncations: %d vs %d" % (x.N, y.N))
+    if N is not None and x.N != N:
+        raise ConfigError("mixed truncations: %d vs %d" % (x.N, N))
 
 
 class Elt:
@@ -227,18 +233,18 @@ class Elt:
     def __eq__(self, other):
         if not isinstance(other, Elt):
             return NotImplemented
-        _same_frame(self, other)
+        _check_frame(self, other.gens, other.N)
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         return hash((self.den, frozenset(self.num.items())))
 
     def __add__(self, other):
-        _same_frame(self, other)
+        _check_frame(self, other.gens, other.N)
         return linear_combination(self.gens, self.N, ((1, self), (1, other)))
 
     def __sub__(self, other):
-        _same_frame(self, other)
+        _check_frame(self, other.gens, other.N)
         return linear_combination(self.gens, self.N, ((1, self), (-1, other)))
 
     def __neg__(self):
@@ -329,8 +335,7 @@ def linear_combination(gens, N, pairs):
     one normalization."""
     items = []
     for c, x in pairs:
-        if (x.gens is not gens and x.gens != gens) or x.N != N:
-            raise ConfigError("combination term over a different frame")
+        _check_frame(x, gens, N)
         if type(c) is int:
             p, q = c, 1
         else:
@@ -439,7 +444,7 @@ def bracket(x, y):
     the numerators over the product of the denominators.  x's words are
     grouped by length and parity, y's bucketed by length within each
     parity, so each _bracket_into call visits only pairs that fit in N."""
-    _same_frame(x, y)
+    _check_frame(x, y.gens, y.N)
     N = x.N
     deg = x.gens.degrees.__getitem__
     groups = {}   # x's words by 2 * length + parity
@@ -660,14 +665,6 @@ def lyndon_slice_basis(gens, degree, length, subset=None):
     return out
 
 
-def lyndon_basis(gens, degree, length, N=None, subset=None):
-    """The slice basis as a list of Elt, in extraction order."""
-    if N is None:
-        N = length
-    return [Elt._from_num(gens, N, terms, 1)
-            for _, terms, _ in lyndon_slice_basis(gens, degree, length, subset)]
-
-
 def slice_coordinates(x, basis):
     """Coordinates of x in a lyndon_slice_basis list, or None if outside.
 
@@ -728,8 +725,56 @@ def elt_from_slice_coords(gens, N, basis, coords, den=1):
                               for i, c in sorted(coords.items()) if c])
 
 
+class _SliceLayout:
+    """Coordinates on the Lyndon slices of degree q and the given word
+    lengths over the generators in subset (default: all): one basis list,
+    the slices concatenated in length order, with one lead index.
+
+    Leads of different lengths are different words, and _slice_coords takes
+    the least remaining word, which is also the least of its own length, so
+    the triangular reduction runs on each length as on its own slice."""
+
+    __slots__ = ("gens", "basis", "lead_index", "dim")
+
+    def __init__(self, gens, q, lengths, subset=None):
+        self.gens = gens
+        self.basis = [b for k in lengths
+                      for b in lyndon_slice_basis(gens, q, k, subset)]
+        self.lead_index = {lead: i
+                           for i, (lead, _, _) in enumerate(self.basis)}
+        self.dim = len(self.basis)
+
+    def coords(self, x):
+        """(numerators, D) of x, or None off the span (or an empty slice)."""
+        return _slice_coords(x, self.basis, self.lead_index)
+
+    def element(self, N, coords, den=1):
+        """The element at truncation N with sparse coordinates coords/den."""
+        return elt_from_slice_coords(self.gens, N, self.basis, coords, den)
+
+    def elements(self, N):
+        """The basis as a list of Elt at truncation N, in basis order."""
+        return [Elt._from_num(self.gens, N, terms, 1)
+                for _, terms, _ in self.basis]
+
+
+def lyndon_basis(gens, degree, length, N=None, subset=None):
+    """The slice basis as a list of Elt, in extraction order."""
+    return _SliceLayout(gens, degree, (length,), subset).elements(
+        length if N is None else N)
+
+
 # ---------------------------------------------------------------------------
 # Derivations, morphisms, differentials
+
+
+def _check_image(gens, i, img, shift):
+    """Refuse an image of generator i that is not homogeneous of degree
+    deg(i) + shift (0 passes)."""
+    d = img.degree()
+    if d is not None and d != gens.degrees[i] + shift:
+        raise DomainError("image of %s must have degree %d, got %d"
+                          % (gens.names[i], gens.degrees[i] + shift, d))
 
 
 class Derivation:
@@ -753,15 +798,8 @@ class Derivation:
         self.shift = shift
         self._num_images = None   # the integer images, built on first call
         for i, img in images.items():
-            if img.gens is not gens and img.gens != gens:
-                raise ConfigError("derivation image over a different generator set")
-            if img.N != N:
-                raise ConfigError("derivation image at a different truncation")
-            d = img.degree()
-            if d is not None and d != gens.degrees[i] + shift:
-                raise DomainError(
-                    "image of %s must have degree %d, got %d"
-                    % (gens.names[i], gens.degrees[i] + shift, d))
+            _check_frame(img, gens, N)
+            _check_image(gens, i, img, shift)
 
     @classmethod
     def _trusted(cls, gens, N, images, shift):
@@ -787,10 +825,7 @@ class Derivation:
         return self._num_images
 
     def __call__(self, x):
-        if x.gens is not self.gens and x.gens != self.gens:
-            raise ConfigError("element over a different generator set")
-        if x.N != self.N:
-            raise ConfigError("mixed truncations: %d vs %d" % (x.N, self.N))
+        _check_frame(x, self.gens, self.N)
         gens = self.gens
         N = self.N
         degs = gens.degrees
@@ -902,9 +937,7 @@ class Substitution:
         """The parts of the given lengths (each 1..N) of x under the map,
         as one Elt at truncation N, with every product read from or added
         to the caller's (prefix, length) table."""
-        if x.gens is not self.source_gens and x.gens != self.source_gens:
-            raise ConfigError("substitution argument over a different "
-                              "generator set")
+        _check_frame(x, self.source_gens)
         images = self.images
         zero = set()
         for i in sorted(x.letters()):

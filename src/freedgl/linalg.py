@@ -9,8 +9,8 @@ order.  Negative indices are its bookkeeping coordinates.  Other modules
 reach it only through its three markerless readers: echelon (homology's
 classes, the tower's surjectivity check, LocalizedDGL.check), and
 solve_columns and null_space, which back-substitute on one echelon of the
-transposed system.  SpanReducer, for minimal_model's pairing, reads
-combinations off markers.
+transposed system.  Inside this module only echelon and SpanReducer, which
+reads minimal_model's pairing combinations off markers, construct it.
 """
 
 from bisect import bisect_left, insort
@@ -189,17 +189,16 @@ def solve_columns(columns, b):
     residual), every vector a pair (integer numerators, positive
     denominator).  Free variables are 0: x lies on the greedily chosen
     independent columns, so it is canonical for a fixed column order.  An
-    inconsistent system gives the residual: b minus its part in the column
-    span, unique for having no support on the span's pivots, from one
-    markerless reduction.  simplex._solve_stage is the caller.
+    inconsistent system gives the residual, _solve_stage's homology
+    witness: b minus its part in the column span, unique for having no
+    support on the span's pivots, so one reduction of b against
+    echelon(columns, len) gives it.  simplex._solve_stage is the caller.
     """
     bnum, bden = b
     ech = _transposed_echelon(columns, bnum)
     if ech is None:
-        red = FractionFreeReducer()
-        for num, _ in columns:
-            red.insert(num)
-        residual = red.reduce({**bnum, -1: -bden})
+        residual = echelon((num for num, _ in columns), len).reduce(
+            {**bnum, -1: -bden})
         d = -residual.pop(-1)
         return None, (residual, d)
     # Z / D solves it on the numerators, so x_j = Z[j] * den_j / (D * bden)

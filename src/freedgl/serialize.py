@@ -30,8 +30,9 @@ import re
 from math import gcd, lcm
 
 from .lie import (
-    ConfigError, DomainError, StructError,
-    GenSet, Elt, FreeDGL, _combine, _theta_words, bracket_words, dynkin_verify,
+    DomainError, StructError,
+    GenSet, Elt, FreeDGL, _check_image, _combine, _theta_words, bracket_words,
+    dynkin_verify,
 )
 
 
@@ -259,7 +260,8 @@ def emit_dgl(L):
 
 
 def parse_dgl(text):
-    """Parse a DGL file back into a FreeDGL."""
+    """Parse a DGL file back into a FreeDGL.  Every image is degree-checked
+    on its own 'd' line, so the FreeDGL is built trusted."""
     gens = None
     N = None
     raw_d = []
@@ -330,9 +332,10 @@ def parse_dgl(text):
             raise ParseError("duplicate differential for %r" % gens.names[idx],
                              lineno)
         img = parse_element(expr, gens, N, line=lineno)
+        try:
+            _check_image(gens, idx, img, -1)
+        except DomainError as e:
+            raise ParseError(str(e), lineno) from None
         if not img.is_zero():
             images[idx] = img
-    try:
-        return FreeDGL(gens, N, images)
-    except (DomainError, StructError, ConfigError) as e:
-        raise ParseError(str(e)) from None
+    return FreeDGL._trusted(gens, N, images)

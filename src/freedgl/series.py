@@ -37,8 +37,8 @@ from itertools import chain
 from math import comb, factorial, gcd, lcm
 
 from .lie import (
-    ConfigError, DomainError,
-    Elt, FreeDGL, _bracket_into, _combine, _same_frame, bracket,
+    DomainError,
+    Elt, FreeDGL, _bracket_into, _check_frame, _combine, bracket,
     dynkin_verify, word_buckets,
 )
 
@@ -221,8 +221,7 @@ def bch(*xs):
         raise DomainError("bch needs at least one argument")
     first = xs[0]
     for x in xs[1:]:
-        if (x.gens is not first.gens and x.gens != first.gens) or x.N != first.N:
-            raise ConfigError("bch arguments must share generators and truncation")
+        _check_frame(x, first.gens, first.N)
     for x in xs:
         _require_degree(x, 0, "bch argument")
     N = first.N
@@ -259,7 +258,7 @@ def _ad_terms(x, v, coeff_of_n):
     length group of C meets the words of -X, bucketed once, that fit in N.
     The grouping drops the words that cancelled; power n has no word
     shorter than n + 1, so at most N powers are nonzero."""
-    _same_frame(x, v)
+    _check_frame(x, v.gens, v.N)
     N = x.N
     fits = word_buckets([(w, -c) for w, c in x.num.items()], N)
     cur, den = v.num, v.den

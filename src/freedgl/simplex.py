@@ -31,8 +31,8 @@ is its own vertex map, with every sign +1, so its table is looked up by
 face.  A ModelFamily builds that table once per dimension, for the faces
 below the top: the solving builders read it, and a model is it plus the
 top image.  The two solving builders share one length-stage solver
-(_solve_stage: the canonical preimage under d1 on one Lyndon slice, from
-linalg's markerless echelon).
+(_solve_stage: the canonical preimage under d1 on one Lyndon slice, read
+through two lie._SliceLayouts and solved on linalg's markerless echelon).
 """
 
 from fractions import Fraction
@@ -44,7 +44,7 @@ from .lie import (
     ConfigError, DomainError, SolveError,
     GenSet, Elt, FreeDGL, DGLMap, Derivation,
     bracket, generator_elt, zero_elt, substitute, linear_combination,
-    lyndon_slice_basis, elt_from_slice_coords, _slice_coords,
+    _check_frame, _SliceLayout,
 )
 from .series import bch, exp_ad, bernoulli_op, is_mc, twist, gauge
 from .linalg import null_space, solve_columns
@@ -155,9 +155,7 @@ def _vertex_map(source, target, vertex_map):
     table = _face_table(source.n, vertex_map, gens.index)
 
     def apply(x):
-        if x.gens is not source.gens and x.gens != source.gens:
-            raise ConfigError("substitution argument over a different "
-                              "generator set")
+        _check_frame(x, source.gens)
         return _relabeled(x, table, gens, N)
     return DGLMap(source.dgl, target.dgl, {
         i: Elt._from_num(gens, N, {} if t is None else {(t[0],): t[1]}, 1)
@@ -324,34 +322,33 @@ def _solve_stage(L, r, allowed=None):
     """The canonical x with d1(x) = r, for r of one degree and one word
     length: x lies on the Lyndon slice of the sub-alphabet `allowed`
     (default: every letter) one degree above r, with the free variables
-    pinned to 0 under the basis order.  Raises SolveError when r or a d1
-    column leaves the sub-alphabet's slice, or, with a homology witness,
-    when r is not a d1-boundary."""
-    gens = L.gens
+    pinned to 0 under the basis order: r's slice and the one above are two
+    one-length lie._SliceLayouts, and the d1 images of the upper basis are
+    the columns.  Raises SolveError when r or a d1 column leaves the
+    sub-alphabet's slice, or, with a homology witness, when r is not a
+    d1-boundary."""
     k = len(next(iter(r.num)))
     tdeg = r.degree()
-    tbasis = lyndon_slice_basis(gens, tdeg, k, allowed)
-    lead_index = {lead: i for i, (lead, _, _) in enumerate(tbasis)}
-    b = _slice_coords(r, tbasis, lead_index)
+    target = _SliceLayout(L.gens, tdeg, (k,), allowed)
+    b = target.coords(r)
     if b is None:
         raise SolveError(
             "stage length %d: residue is not a Lie element of the "
             "sub-alphabet: %s" % (k, r.pretty()))
-    sbasis = lyndon_slice_basis(gens, tdeg + 1, k, allowed)
+    source = _SliceLayout(L.gens, tdeg + 1, (k,), allowed)
     cols = []
-    for _, terms, _ in sbasis:
-        col = _slice_coords(L.d1(Elt._from_num(gens, L.N, terms, 1)), tbasis,
-                            lead_index)
+    for y in source.elements(L.N):
+        col = target.coords(L.d1(y))
         if col is None:
             raise SolveError("stage length %d: d1 leaves the sub-alphabet" % k)
         cols.append(col)
     x, residual = solve_columns(cols, b)
     if x is None:
-        witness = elt_from_slice_coords(gens, L.N, tbasis, *residual)
+        witness = target.element(L.N, *residual)
         raise SolveError(
             "no boundary at degree %d, length %d; homology witness: %s"
             % (tdeg, k, witness.pretty()))
-    return elt_from_slice_coords(gens, L.N, sbasis, *x)
+    return source.element(L.N, *x)
 
 
 def solve_boundary(L, target, allowed):

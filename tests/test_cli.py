@@ -278,3 +278,18 @@ def test_repeat_runs_are_identical(tmp_path, capsys):
     _, first, _ = go(capsys, argv)
     _, second, _ = go(capsys, argv)
     assert first == second and first
+
+
+@pytest.mark.parametrize("window, message", [
+    ("3", "--degrees wants LO:HI"),
+    ("a:1", "--degrees wants integers"),
+    ("-1:x", "--degrees wants integers"),
+    ("2:1", "--degrees window is empty"),
+])
+def test_homology_degrees_refusals(tmp_path, capsys, window, message):
+    model = tmp_path / "m.dgl"
+    model.write_text("dgl\ngens a:-1 x:0\ntrunc 2\nd x = 1 a\n")
+    code, out, err = go(capsys, ["homology", "--model", str(model),
+                                 "--degrees=" + window])
+    assert code == 2 and out == ""
+    assert err == "usage error: %s\n" % message

@@ -76,6 +76,33 @@ def test_parse_errors_carry_line_numbers():
         parse_complex("# nothing\n")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("0 1\n1 x\n", 2, "vertex ids must be integers: '1 x'"),
+    ("0 1\n-1 2\n", 2, "negative vertex id in '-1 2'"),
+    ("0 1\n2 2\n", 2, "face '2 2' repeats a vertex"),
+    ("0 1\n# again\n1 0\n", 3, "duplicate face '1 0'"),
+    ("# nothing\n\n", None, "no faces given"),
+])
+def test_parse_complex_refusals(text, line, message):
+    with pytest.raises(ParseError) as e:
+        parse_complex(text)
+    assert e.value.line == line
+    assert str(e.value) == (
+        message if line is None else "line %d: %s" % (line, message))
+
+
+@pytest.mark.parametrize("faces, message", [
+    ([], "a complex needs at least one face"),
+    ([(0, 1), (1, 2, 1)], "face (1, 2, 1) repeats a vertex"),
+    ([(0, 2)], "vertices must be 0..n-1 without gaps; renumber first "
+               "(parse_complex does this)"),
+])
+def test_simplicial_complex_refusals(faces, message):
+    with pytest.raises(DomainError) as e:
+        SimplicialComplex(faces)
+    assert str(e.value) == message
+
+
 def test_model_of_full_simplex_is_the_simplex_model():
     K = parse_complex("0 1 2")
     cm = model_of_complex(K, 4)

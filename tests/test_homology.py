@@ -67,9 +67,9 @@ class MarkerQuotient(MalcevQuotient):
         lay0 = _DegreeLayout(L, 0)
         kernels, _ = _kernel_pass(L, lay0, _DegreeLayout(L, -1))
         boundaries = [over(*lay0.coords(L.d(x)))
-                      for x in _DegreeLayout(L, 1).basis_elements(L)]
+                      for x in _DegreeLayout(L, 1).elements(L.N)]
         reps, self.classes = marker_h0(kernels.values(), boundaries)
-        super().__init__(L, [lay0.element(L, kv) for kv in reps], lay0,
+        super().__init__(L, [lay0.element(L.N, kv) for kv in reps], lay0,
                          None, None)
 
     def class_coords(self, x):
@@ -130,10 +130,10 @@ def test_row_and_column_elimination_agree():
     layouts = {q: _DegreeLayout(tw, q) for q in range(-4, 2)}
     for q in range(-3, 1):
         cols = []
-        for x in layouts[q].basis_elements(tw):
+        for x in layouts[q].elements(tw.N):
             cols.append(over(*layouts[q - 1].coords(tw.d(x))))
         up = []
-        for x in layouts[q + 1].basis_elements(tw):
+        for x in layouts[q + 1].elements(tw.N):
             up.append(over(*layouts[q].coords(tw.d(x))))
         rk = dense_rank(cols, layouts[q - 1].dim)
         assert rk == dense_rank(transpose(cols), layouts[q].dim)
@@ -153,7 +153,7 @@ def test_layout_coords_concatenate_slice_coordinates():
             slices.append((k, off, basis))
             off += len(basis)
         assert off == lay.dim
-        for x in _DegreeLayout(tw, q + 1).basis_elements(tw):
+        for x in _DegreeLayout(tw, q + 1).elements(tw.N):
             dx = tw.d(x)
             want = {}
             for k, off, basis in slices:
@@ -179,7 +179,7 @@ _LAY = _DegreeLayout(_TW, -2)
                        max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_layout_element_and_coords_are_inverse(v):
-    assert over(*_LAY.coords(_LAY.element(_TW, v))) == v
+    assert over(*_LAY.coords(_LAY.element(_TW.N, v))) == v
 
 
 def test_pi_2_of_single_degree_one_generator():
@@ -530,11 +530,11 @@ def test_homology_classes_match_the_marker_oracle_in_every_degree(L):
         below = _DegreeLayout(L, q - 1)
         kernels, _ = _kernel_pass(L, lay, below)
         # the kernels themselves against the oracle's, on the same columns
-        cols = [over(*below.coords(L.d(x))) for x in lay.basis_elements(L)]
+        cols = [over(*below.coords(L.d(x))) for x in lay.elements(L.N)]
         assert kernels == {max(k): primitive(k)
                            for k in kernel_columns(cols)}, q
         boundaries = [over(*lay.coords(L.d(x)))
-                      for x in _DegreeLayout(L, q + 1).basis_elements(L)]
+                      for x in _DegreeLayout(L, q + 1).elements(L.N)]
         want, _ = marker_h0(kernels.values(), boundaries)
         reps = homology(L, degrees=[q]).entries[q]["reps"]
         assert [over(*lay.coords(x)) for x in reps] == want, q
@@ -555,7 +555,7 @@ def test_class_coords_of_a_rep_plus_a_boundary_is_a_unit_vector():
         grp = pi_n(L, 1)
         assert grp.dim == 2
         boundary = zero_elt(L.gens, L.N)
-        for j, x in enumerate(_DegreeLayout(L, 1).basis_elements(L)):
+        for j, x in enumerate(_DegreeLayout(L, 1).elements(L.N)):
             boundary = boundary + (j + 1) * L.d(x)
         assert not boundary.is_zero()
         for i, rep in enumerate(grp.basis):

@@ -393,3 +393,29 @@ def test_accepted_generator_names_survive_a_round_trip(a, b):
     assert M.diff.images.keys() == L.diff.images.keys()
     for i, img in L.diff.images.items():
         assert M.diff.images[i] == img
+
+
+GENS_LINE = "dgl\ngens a:-1 x:0\ntrunc 2\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("dgl\ngens a:-1\ngens x:0\ntrunc 2\n", 3, "duplicate gens line"),
+    ("dgl\ngens a:-1 x:zero\ntrunc 2\n", 2, "bad degree in 'x:zero'"),
+    ("dgl\ngens a:-1\ntrunc 2\ntrunc 3\n", 4, "duplicate trunc line"),
+    ("dgl\ngens a:-1\ntrunc two\n", 3, "bad truncation 'two'"),
+    ("dgl\ngens a:-1\ntrunc 0\n", 3, "truncation must be >= 1"),
+    (GENS_LINE + "d x 1 a\n", 4, "expected 'd <name> = <element>'"),
+    (GENS_LINE + "d y = 1 a\n", 4, "unknown generator 'y'"),
+    ("dgl\ngens a:-1\n", None, "missing trunc line"),
+    # an image of the wrong degree, or of no one degree, names its own line
+    ("dgl\ngens a:0 b:0\ntrunc 2\nd a = 1 b\n", 4,
+     "image of a must have degree -1, got 0"),
+    (GENS_LINE + "# the image\nd x = 1 a + 1 x\n", 5,
+     "element is not degree-homogeneous"),
+])
+def test_parse_dgl_refusals(text, line, message):
+    with pytest.raises(ParseError) as e:
+        parse_dgl(text)
+    assert e.value.line == line
+    assert str(e.value) == (
+        message if line is None else "line %d: %s" % (line, message))
