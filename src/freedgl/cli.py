@@ -4,6 +4,8 @@ Every subcommand writes a deterministic line-oriented text report; scalars
 are printed as exact rationals ("p/q"), never floats, so outputs can be
 compared byte for byte.  Exit codes: 0 on success, 1 when a check ran and
 found failures (the failing items are listed), 2 on usage or parse errors.
+Usage errors are reported before any input file is read, and run() writes
+every report, to stdout or to the --out path.
 
 Output schemas by subcommand:
 
@@ -120,7 +122,24 @@ def _build_parser():
     return top
 
 
+def _parse_degrees(text):
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise _UsageError("--degrees wants LO:HI")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise _UsageError("--degrees wants integers") from None
+    if lo > hi:
+        raise _UsageError("--degrees window is empty")
+    return list(range(lo, hi + 1))
+
+
 def _validate(args):
+    """Check every argument, then read and parse the input files, the one
+    place that reads them: --complex becomes a SimplicialComplex, --model a
+    FreeDGL, --basepoint the dense index of its vertex and --degrees a list
+    of degrees."""
     # a --model route reads its truncation from the file and builds nothing,
     # so --trunc and --flavor are refused there rather than ignored
     for flag, default in (("trunc", 4), ("flavor", "seed")):
@@ -141,120 +160,84 @@ def _validate(args):
     if args.command == "homology":
         if (args.model is None) == (args.complex is None):
             raise _UsageError("give exactly one of --model / --complex")
-        if args.degrees is not None and args.model is None:
-            raise _UsageError("--degrees needs --model")
+        if args.degrees is not None:
+            if args.model is None:
+                raise _UsageError("--degrees needs --model")
+            args.degrees = _parse_degrees(args.degrees)
     if args.command == "check":
         if (args.model is None) == (args.n is None):
             raise _UsageError("give exactly one of --model / --n")
-
-
-def _read(path):
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError as e:
-        raise _UsageError("cannot read %s: %s" % (path, e)) from None
-
-
-def _basepoint(K, vertex):
-    """Dense index of a vertex id of the complex file (None: the smallest)."""
-    if vertex is not None and vertex not in K.labels:
-        raise _UsageError("basepoint %d is not a vertex of the complex"
-                          % vertex)
-    return 0 if vertex is None else K.labels.index(vertex)
-
-
-def _emit(args, text):
-    out = getattr(args, "out", None)
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise _UsageError("cannot write %s: %s" % (out, e)) from None
-    else:
-        sys.stdout.write(text)
-    return 0
+    for flag, parse in (("complex", parse_complex), ("model", parse_dgl)):
+        path = getattr(args, flag, None)
+        if path is not None:
+            try:
+                with open(path) as fh:
+                    text = fh.read()
+            except OSError as e:
+                raise _UsageError("cannot read %s: %s" % (path, e)) from None
+            setattr(args, flag, parse(text))
+    if hasattr(args, "basepoint"):
+        # a vertex id as written in the complex file (None: the smallest)
+        labels, vertex = args.complex.labels, args.basepoint
+        if vertex is not None and vertex not in labels:
+            raise _UsageError("basepoint %d is not a vertex of the complex"
+                              % vertex)
+        args.basepoint = 0 if vertex is None else labels.index(vertex)
 
 
 def _cmd_build_model(args):
-    fam = ModelFamily(args.trunc, args.flavor)
-    model = fam.model(args.n)
-    return _emit(args, emit_dgl(model.dgl))
+    model = ModelFamily(args.trunc, args.flavor).model(args.n)
+    # emit_dgl's text less its last newline, which run() writes
+    return [emit_dgl(model.dgl)[:-1]], 0
 
 
 def _cmd_model_of_complex(args):
-    K = parse_complex(_read(args.complex))
-    cm = model_of_complex(K, args.trunc)
-    return _emit(args, emit_dgl(cm.dgl))
-
-
-def _parse_degrees(text):
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise _UsageError("--degrees wants LO:HI")
-    try:
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise _UsageError("--degrees wants integers") from None
-    if lo > hi:
-        raise _UsageError("--degrees window is empty")
-    return list(range(lo, hi + 1))
+    return [emit_dgl(model_of_complex(args.complex, args.trunc).dgl)[:-1]], 0
 
 
 def _cmd_homology(args):
     lines = ["homology"]
-    if args.model:
-        L = parse_dgl(_read(args.model))
+    if args.model is not None:
+        L = args.model
         bad = [name for name, _ in L.check_d_squared()]
         if bad:
             raise DomainError("d^2 is not zero on %s" % ", ".join(bad))
-        degrees = _parse_degrees(args.degrees) if args.degrees else None
-        report = homology(L, degrees=degrees)
+        report = homology(L, degrees=args.degrees)
         lines.append("trunc %d" % L.N)
         for q in report.degrees:
             lines.append("H[%d] = %d" % (q, report.entries[q]["h"]))
     else:
-        K = parse_complex(_read(args.complex))
-        cm = model_of_complex(K, args.trunc)
+        cm = model_of_complex(args.complex, args.trunc)
         dims, _ = linear_homology(cm.dgl)
         lines.append("trunc %d" % args.trunc)
         for q in sorted(dims):
             lines.append("H[%d] = %d" % (q, dims[q]))
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return lines, 0
 
 
 def _cmd_malcev(args):
-    K = parse_complex(_read(args.complex))
-    quotients = malcev_tower(K, _basepoint(K, args.basepoint), args.trunc)
+    quotients = malcev_tower(args.complex, args.basepoint, args.trunc)
     layers = tower_layers(quotients)
     lines = ["malcev", "trunc %d" % args.trunc]
     for k, (q, new) in enumerate(zip(quotients, layers), start=1):
         lines.append("stage %d: dim %d new %d" % (k, q.dim, new))
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return lines, 0
 
 
 def _cmd_pi(args):
-    K = parse_complex(_read(args.complex))
-    M = minimal_model(K, _basepoint(K, args.basepoint), args.trunc)
+    M = minimal_model(args.complex, args.basepoint, args.trunc)
     group = pi_n(M, args.n)
     if args.n == 1:
-        lines = ["pi_1 dim %d" % group.dim,
-                 "abelian %s" % ("yes" if group.is_abelian() else "no")]
-    else:
-        lines = ["pi_%d dim %d" % (args.n, group["h"])]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+        return ["pi_1 dim %d" % group.dim,
+                "abelian %s" % ("yes" if group.is_abelian() else "no")], 0
+    return ["pi_%d dim %d" % (args.n, group["h"])], 0
 
 
 def _cmd_bch(args):
     names = ["x%d" % i for i in range(1, args.count + 1)]
     gens = GenSet([(n, 0) for n in names])
     elts = [generator_elt(gens, args.trunc, n) for n in names]
-    sys.stdout.write(emit_element(bch(*elts)) + "\n")
-    return 0
+    return [emit_element(bch(*elts))], 0
 
 
 def _whitney_suite(n):
@@ -297,55 +280,38 @@ def _whitney_suite(n):
 
 def _cmd_whitney(args):
     lines = ["whitney n=%d" % args.n]
-    code = 0
     if args.check:
-        for label, ok in _whitney_suite(args.n):
-            lines.append("%s %s" % (label, "ok" if ok else "FAIL"))
-            if not ok:
-                code = 1
-    else:
-        for k in range(args.n + 1):
-            for face in combinations(range(args.n + 1), k + 1):
-                form = wh.elementary_form(face, args.n)
-                lines.append("w_%s = %s" % ("".join(map(str, face)), form))
-    sys.stdout.write("\n".join(lines) + "\n")
-    return code
+        suite = _whitney_suite(args.n)
+        lines += ["%s %s" % (label, "ok" if ok else "FAIL")
+                  for label, ok in suite]
+        return lines, int(not all(ok for _, ok in suite))
+    for k in range(args.n + 1):
+        for face in combinations(range(args.n + 1), k + 1):
+            form = wh.elementary_form(face, args.n)
+            lines.append("w_%s = %s" % ("".join(map(str, face)), form))
+    return lines, 0
 
 
 def _cmd_check(args):
-    lines = ["check"]
-    failed = False
-    if args.model:
-        L = parse_dgl(_read(args.model))
-        residues = [(name, r) for name, r in L.check_d_squared()]
-        if residues:
-            failed = True
-            for name, r in residues:
-                lines.append("d_squared FAIL %s: %s" % (name,
-                                                        emit_element(r)))
-        else:
-            lines.append("d_squared ok")
+    if args.model is not None:
+        report = {"d_squared": args.model.check_d_squared()}
     else:
-        fam = ModelFamily(args.trunc, args.flavor)
-        model = fam.model(args.n)
-        report = check_model_axioms(model)
-        for key in ("d_squared", "vertices_mc", "linear_part", "cofaces"):
-            items = report[key]
-            if not items:
-                lines.append("%s ok" % key)
-                continue
-            failed = True
-            for item in items:
-                if isinstance(item, tuple):
-                    name = item[0] if len(item) == 2 else "%s %s" % item[:2]
-                    r = item[-1]
-                    lines.append("%s FAIL %s: %s"
-                                 % (key, name, emit_element(r)))
-                else:
-                    lines.append("%s FAIL %s" % (key, item))
+        report = check_model_axioms(
+            ModelFamily(args.trunc, args.flavor).model(args.n))
+        del report["ok"]
+    lines = ["check"]
+    for key, items in report.items():
+        if not items:
+            lines.append("%s ok" % key)
+        for item in items:
+            if isinstance(item, tuple):
+                # (name, residue) or (coface, name, residue)
+                item = "%s: %s" % (" ".join(item[:-1]),
+                                   emit_element(item[-1]))
+            lines.append("%s FAIL %s" % (key, item))
+    failed = any(report.values())
     lines.append("FAIL" if failed else "ok")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 1 if failed else 0
+    return lines, int(failed)
 
 
 _DISPATCH = {
@@ -368,7 +334,19 @@ def run(argv):
         if args.command is None:
             raise _UsageError("a subcommand is required")
         _validate(args)
-        return _DISPATCH[args.command](args)
+        lines, code = _DISPATCH[args.command](args)
+        text = "\n".join(lines) + "\n"
+        if getattr(args, "out", None):
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise _UsageError("cannot write %s: %s"
+                                  % (args.out, e)) from None
+        else:
+            # looked up now, so a redirect_stdout around run() catches it
+            sys.stdout.write(text)
+        return code
     except _UsageError as e:
         sys.stderr.write("usage error: %s\n" % e)
         return 2

@@ -361,12 +361,12 @@ def minimal_model(K, basepoint, N):
     chain map, reading the pass's (prefix, length) products; p kills I, so
     p(d x) on L/I is p(d x) on L.
     """
-    comps = components(K)
-    if len(comps) != 1:
+    tree = set(maximal_tree(K, basepoint))
+    # a spanning forest has one edge fewer than vertices only when connected
+    if len(tree) != K.n_vertices - 1:
         raise DomainError(
             "minimal models need a connected complex; "
             "split it with components() first")
-    tree = set(maximal_tree(K, basepoint))
     killed = {i for i, f in enumerate(K.faces) if len(f) == 1 or f in tree}
     L = _complex_dgl(K, N, killed)
     gens = L.gens

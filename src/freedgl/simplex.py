@@ -44,7 +44,7 @@ from .lie import (
     ConfigError, DomainError, SolveError,
     GenSet, Elt, FreeDGL, DGLMap, Derivation,
     bracket, generator_elt, zero_elt, substitute, linear_combination,
-    _check_frame, _SliceLayout,
+    _check_frame, _check_image, _SliceLayout,
 )
 from .series import bch, exp_ad, bernoulli_op, is_mc, twist, gauge
 from .linalg import null_space, solve_columns
@@ -585,10 +585,7 @@ class ModelFamily:
             diff = Elt._from_num(gens, self.N, {
                 w: c for w, c in diff.num.items() if len(w) <= self.N},
                 diff.den)
-        deg = diff.degree()
-        if deg is not None and deg != p - 2:
-            raise DomainError("image of %s must have degree %d, got %d"
-                              % (gens.names[-1], p - 2, deg))
+        _check_image(gens, len(gens) - 1, diff, -1)
         self._diffs[p] = diff
         self._tables = {q: t for q, t in self._tables.items() if q <= p}
         self._models = {q: m for q, m in self._models.items() if q < p}

@@ -217,6 +217,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["pi", "--complex", "x.cpx", "--n", "0"],
         ["check"],
         ["check", "--model", "/nonexistent/path.dgl"],
+        ["check", "--model", ""],
+        ["homology", "--model", ""],
         ["build-model", "--n", "1", "--out", "/nonexistent/dir/m.dgl"],
         ["build-model", "--n", "1", "--out", "/"],
         ["whitney", "--n", "-1"],
@@ -293,3 +295,34 @@ def test_homology_degrees_refusals(tmp_path, capsys, window, message):
                                  "--degrees=" + window])
     assert code == 2 and out == ""
     assert err == "usage error: %s\n" % message
+
+
+@pytest.mark.parametrize("kind", ["malformed", "missing", "valid"])
+def test_empty_degree_window_is_refused_before_the_model_is_read(
+        tmp_path, capsys, kind):
+    # the window is an argument, so its refusal neither waits for the file
+    # to be read and d^2-checked nor hides behind the file's own errors
+    model = tmp_path / "m.dgl"
+    if kind != "missing":
+        coeff = "1/0" if kind == "malformed" else "1"
+        model.write_text("dgl\ngens a:-1 x:0\ntrunc 2\nd x = %s a\n" % coeff)
+    code, out, err = go(capsys, ["homology", "--model", str(model),
+                                 "--degrees=2:1"])
+    assert code == 2 and out == ""
+    assert err == "usage error: --degrees window is empty\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-model", "--n", "2", "--trunc", "3"],
+    ["model-of-complex", "--complex", "FIG8", "--trunc", "3"],
+])
+def test_out_file_holds_the_stdout_report(tmp_path, capsys, argv):
+    fig8 = tmp_path / "fig8.cpx"
+    fig8.write_text(FIG8)
+    argv = [str(fig8) if a == "FIG8" else a for a in argv]
+    code, printed, _ = go(capsys, argv)
+    assert code == 0 and printed
+    path = tmp_path / "report.dgl"
+    code, out, err = go(capsys, argv + ["--out", str(path)])
+    assert code == 0 and out == "" and err == ""
+    assert path.read_bytes() == printed.encode()
