@@ -4,8 +4,9 @@ Every subcommand writes a deterministic line-oriented text report; scalars
 are printed as exact rationals ("p/q"), never floats, so outputs can be
 compared byte for byte.  Exit codes: 0 on success, 1 when a check ran and
 found failures (the failing items are listed), 2 on usage or parse errors.
-Usage errors are reported before any input file is read, and run() writes
-every report, to stdout or to the --out path.
+Usage errors, an unwritable --out path among them, are reported before any
+input file is read or anything is built, and run() writes every report, to
+stdout or to the --out path.
 
 Output schemas by subcommand:
 
@@ -27,6 +28,7 @@ Output schemas by subcommand:
 """
 
 import argparse
+import os
 import sys
 from itertools import combinations, product
 
@@ -45,6 +47,10 @@ FLAVORS = ("seed", "inductive", "symmetric")
 
 class _UsageError(Exception):
     pass
+
+
+def _cannot_write(path, error):
+    return _UsageError("cannot write %s: %s" % (path, error))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,6 +173,18 @@ def _validate(args):
     if args.command == "check":
         if (args.model is None) == (args.n is None):
             raise _UsageError("give exactly one of --model / --n")
+    out = getattr(args, "out", None)
+    if out:
+        # opened for appending, which writes nothing, so that an unwritable
+        # path is refused before anything is built; a file the probe made
+        # is removed again
+        made = not os.path.exists(out)
+        try:
+            open(out, "a").close()
+        except OSError as e:
+            raise _cannot_write(out, e) from None
+        if made:
+            os.remove(out)
     for flag, parse in (("complex", parse_complex), ("model", parse_dgl)):
         path = getattr(args, flag, None)
         if path is not None:
@@ -246,9 +264,10 @@ def _whitney_suite(n):
         for k in range(n + 1):
             yield from combinations(range(n + 1), k + 1)
 
+    # each face's form is built once and read by every identity below
+    forms = {f: wh.elementary_form(f, n) for f in faces()}
     results = []
-    ok = all(wh.face_integral(wh.elementary_form(f, n), f) == 1
-             for f in faces())
+    ok = all(wh.face_integral(form, f) == 1 for f, form in forms.items())
     results.append(("integral_normalization", ok))
 
     ok = all(wh.integrate_p(wh.whitney_i(wh.Cochain(n, {f: 1}))) ==
@@ -271,8 +290,8 @@ def _whitney_suite(n):
                 ok = False
     results.append(("projection_chain_map", ok))
 
-    ok = all(wh.restrict(wh.elementary_form(f, n), sub).is_zero()
-             for f in faces() for sub in faces()
+    ok = all(wh.restrict(form, sub).is_zero()
+             for f, form in forms.items() for sub in forms
              if not set(f) <= set(sub))
     results.append(("restriction_locality", ok))
     return results
@@ -341,8 +360,7 @@ def run(argv):
                 with open(args.out, "w") as fh:
                     fh.write(text)
             except OSError as e:
-                raise _UsageError("cannot write %s: %s"
-                                  % (args.out, e)) from None
+                raise _cannot_write(args.out, e) from None
         else:
             # looked up now, so a redirect_stdout around run() catches it
             sys.stdout.write(text)

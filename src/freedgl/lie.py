@@ -18,8 +18,9 @@ Lie membership and canonical coordinates use two classical tools:
   * the Dynkin map theta (left-to-right bracketing), with theta(x_n) = n*x_n
     characterizing Lie elements among length-n tensors; the check runs on
     the numerators (it is scale-invariant), over the whole element at once
-    by _theta_words, which also expands the left-normed brackets that
-    serialize.parse_element reads, each handed over as its word;
+    on words coded as ints by _theta_coded, which also expands the
+    left-normed brackets that serialize.parse_element reads, each handed
+    over as its word, and checks series.bch's log before it is decoded;
   * the Lyndon-Shirshov basis of lyndon_slice_basis: standard bracketings b_w
     of Lyndon words w, plus [b_w, b_w] for w of odd total degree.
     b_w = w + (lex-higher words) and [b_w, b_w] = 2*ww + (lex-higher), so
@@ -32,6 +33,7 @@ Degrees are integers >= -1.  Degree -2 or lower is rejected at construction.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 
@@ -394,13 +396,17 @@ def concat_terms(a, b, N, out=None, scale=ONE):
 # elt_from_slice_coords, parse_element, the adjoint series and
 # minimal_model's partner images.  bracket buckets its right factor's words
 # by length (word_buckets), so only the pairs that fit in N are visited.
-# series.bch's exp, products and log run on the same numerators with each
-# word coded as one int: code(w) = sum of (w[i] + 1) B^(n-1-i) for a word of
-# length n and B = len(gens) + 1, grouped by length, so code(uv) =
-# code(u) B^|v| + code(v); the log is decoded into words once, before the
-# Dynkin check.  The merged Dynkin map _theta_words groups a whole
-# element's words by last letter.  Fractions are built only where an answer
-# leaves as one: Elt.terms, the public slice_coordinates and class_coords.
+# Words may also be coded as ints, by the one code/decode pair _code and
+# _decode: code(w) = sum of (w[i] + 1) B^(n-1-i) for a word of length n and
+# B = len(gens) + 1, so code(uv) = code(u) B^|v| + code(v) and a code's
+# last letter is code % B - 1.  _code groups the words by (length, degree),
+# summing each word's degree once.  series.bch's exp, products and log run
+# on coded numerators; the Dynkin map _theta_coded runs on the groups, for
+# dynkin_theta, dynkin_verify, bch's check of its log and the left-normed
+# words that parse_element reads; and each result is decoded once, a
+# failing dynkin_verify decoding only its residues.  Fractions are built
+# only where an answer leaves as one: Elt.terms, the public
+# slice_coordinates and class_coords.
 
 
 def clear_denominators(terms):
@@ -506,67 +512,170 @@ def bracket_words(tree, degs):
         deg += rdeg
 
 
-def _theta_split(words):
-    """(letters, groups) of a word->int dict: the length-1 words as their own
-    word->int dict, and for each last letter a the merged prefix sum
-    sum_u c_{ua} u, as a list of (a, prefix dict) pairs."""
-    letters = {}
+def _code(items, gens):
+    """The coded form of the (word, int) pairs items, a word being a
+    sequence of letter indices: {(length, degree): {code: sum of the ints}}
+    over the pairs that occur, where a word w of length n has code sum of
+    (w[i] + 1) B^(n-1-i) for B = len(gens) + 1."""
+    B = len(gens) + 1
+    degs = gens.degrees
+    out = {}
+    for w, c in items:
+        code = d = 0
+        for i in w:
+            code = code * B + i + 1
+            d += degs[i]
+        key = (len(w), d)
+        group = out.get(key)
+        if group is None:
+            out[key] = {code: c}
+        else:
+            group[code] = group.get(code, 0) + c
+    return out
+
+
+@lru_cache(maxsize=32)
+def _word_table(B, N):
+    """(k, B^k, table): table maps the code of every word of length 1..k
+    over B - 1 letters to the word, for k >= 1 the largest with k <= N,
+    k <= 16 and (B - 1)^k <= 256.  A code is at least B^k exactly when its
+    word is longer than k."""
+    n = B - 1
+    k = 1
+    while k < min(N, 16) and n ** (k + 1) <= 256:
+        k += 1
+    level = {i + 1: (i,) for i in range(n)}
+    table = dict(level)
+    for _ in range(k - 1):
+        level = {c * B + i + 1: w + (i,) for c, w in level.items()
+                 for i in range(n)}
+        table.update(level)
+    return k, B ** k, table
+
+
+def _decode(groups, gens, N):
+    """The word->int dict of the code->int dicts groups, of words over gens
+    of length <= N, without zero numerators: a word of length <= k is read
+    off _word_table at once, a longer one k letters at a time from the
+    right."""
+    k, Bk, table = _word_table(len(gens) + 1, N)
+    out = {}
+    for group in groups:
+        for code, c in group.items():
+            if c:
+                if code < Bk:
+                    out[table[code]] = c
+                    continue
+                word = ()
+                while code >= Bk:
+                    code, low = divmod(code, Bk)
+                    word = table[low] + word
+                out[table[code] + word] = c
+    return out
+
+
+def _split(words, B):
+    """The code->int dict words split by last letter: a list of (digit,
+    {prefix code: numerator}) pairs, the digit being the letter plus 1, as
+    code(u.a) = code(u) B + a + 1."""
     groups = {}
     for w, c in words.items():
-        if len(w) == 1:
-            letters[w] = c
+        r = w % B
+        sub = groups.get(r)
+        if sub is None:
+            groups[r] = {w // B: c}
         else:
-            a = w[-1]
-            sub = groups.get(a)
-            if sub is None:
-                sub = groups[a] = {}
-            sub[w[:-1]] = c
-    return letters, list(groups.items())
+            sub[w // B] = c
+    return list(groups.items())
 
 
-def _theta_words(num, degs):
-    """The Dynkin map theta of the word->int dict num; words that cancel
-    may stay, with 0.
+def _theta_pairs(words, B, degs):
+    """theta of a code->int dict of words of two letters, degs indexed by
+    digit: ab -> [a, b] = ab - (-1)^{|a||b|} ba."""
+    out = {}
+    get = out.get
+    for w, c in words.items():
+        if c:
+            out[w] = get(w, 0) + c
+            a, b = divmod(w, B)
+            w = b * B + a
+            out[w] = get(w, 0) + (c if degs[a] & degs[b] & 1 else -c)
+    return out
 
-    theta is linear with theta(a) = a and theta(u.a) = [theta(u), a], so the
-    words are grouped by last letter a, theta of each group's merged prefix
-    sum is bracketed with a by bracket's Koszul sign, and a prefix sum
-    shared by many words is expanded once.  The groups nest as a trie of
-    suffixes walked with an explicit stack, so word length cannot overflow
-    the interpreter stack."""
-    out, todo = _theta_split(num)
-    stack = [(None, out, todo)]
-    while True:
-        a, out, todo = stack[-1]
-        if todo:
-            b, sub = todo.pop()
-            stack.append((b,) + _theta_split(sub))
+
+def _theta_coded(groups, gens):
+    """The Dynkin map theta of the coded groups {(length, degree): {code:
+    numerator}}, in the same form; words that cancel may stay, with 0.
+
+    theta is linear with theta(u.a) = [theta(u), a], so each group's words
+    are split by last letter a, theta of each split's merged prefix sum is
+    bracketed with a by bracket's Koszul sign, and a prefix sum shared by
+    many words is expanded once; prefixes of two letters are expanded
+    directly.  The splits nest as a trie of suffixes walked with an
+    explicit stack, so word length cannot overflow the interpreter stack.
+    The prefixes at one node all have its length and degree, the group's
+    less its suffix's, so the sign of [theta(u), a] is read once per node
+    and no word's degree is summed."""
+    B = len(gens) + 1
+    degs = (0,) + gens.degrees   # by digit
+    out = {}
+    for (n, d), words in groups.items():
+        if n < 3:
+            out[n, d] = _theta_pairs(words, B, degs) if n == 2 else dict(words)
             continue
-        stack.pop()
-        if not stack:
-            return out
-        # the parent gains [out, a] = out.a - (-1)^{|v||a|} a.out
-        parent = stack[-1][1]
-        get = parent.get
-        tail = (a,)
-        odd = degs[a] & 1
-        for v, c in out.items():
-            if not c:
-                continue
-            w = v + tail
-            parent[w] = get(w, 0) + c
-            w = tail + v
-            if odd and sum(degs[i] for i in v) & 1:
-                parent[w] = get(w, 0) + c
+        root = out[n, d] = {}
+        # per node: the digit of its last letter, the length and degree of
+        # its prefixes, theta of them so far, and the splits still to do
+        stack = [(0, n, d, root, _split(words, B))]
+        while True:
+            a, m, e, acc, todo = stack[-1]
+            if todo:
+                b, sub = todo.pop()
+                if m > 3:
+                    stack.append((b, m - 1, e - degs[b], {},
+                                  _split(sub, B)))
+                    continue
+                v_out, m, e, parent = (_theta_pairs(sub, B, degs), 2,
+                                       e - degs[b], acc)
             else:
-                parent[w] = get(w, 0) - c
+                stack.pop()
+                if not stack:
+                    break
+                v_out, b, parent = acc, a, stack[-1][3]
+            # the parent gains [v, b] = v.b - (-1)^{|v||b|} b.v
+            get = parent.get
+            head = b * B ** m
+            s = 1 if e & degs[b] & 1 else -1
+            for v, c in v_out.items():
+                if c:
+                    w = v * B + b
+                    parent[w] = get(w, 0) + c
+                    w = head + v
+                    parent[w] = get(w, 0) + s * c
+    return out
+
+
+def _lie_residues(groups, gens):
+    """theta(x_n) - n x_n for the coded groups of x, as {n: {code:
+    residue}} over the lengths n where it is not 0."""
+    out = {}
+    for key, theta in _theta_coded(groups, gens).items():
+        n = key[0]
+        get = theta.get
+        for w, c in groups[key].items():
+            theta[w] = get(w, 0) - n * c
+        bad = {w: c for w, c in theta.items() if c}
+        if bad:
+            out.setdefault(n, {}).update(bad)
+    return out
 
 
 def dynkin_theta(x):
     """Left-to-right bracketing map: g1 g2 ... gk -> [...[[g1,g2],g3]...,gk],
-    over the whole element at once (see _theta_words)."""
-    out = _theta_words(x.num, x.gens.degrees)
-    return Elt._from_num(x.gens, x.N, out, x.den)
+    over the whole element at once, on coded words (see _theta_coded)."""
+    gens = x.gens
+    out = _theta_coded(_code(x.num.items(), gens), gens)
+    return Elt._from_num(gens, x.N, _decode(out.values(), gens, x.N), x.den)
 
 
 def dynkin_verify(x):
@@ -574,25 +683,20 @@ def dynkin_verify(x):
 
     Returns (ok, defects) where defects lists (length, defect Elt) for the
     lengths that fail.  The zero element verifies trivially.  The test runs
-    on the integer numerators of x over their common denominator D, and each
-    defect is built from its integer residue over D.  A passing verdict is
-    stored on x, and later calls return it without running theta; a failing
-    one is never stored.
+    on the coded integer numerators of x over their common denominator D,
+    and only the residues of a failing length are decoded, into a defect
+    over D.  A passing verdict is stored on x, and later calls return it
+    without running theta; a failing one is never stored.
     """
     if x._lie:
         return True, []
-    num = x.num
-    out = _theta_words(num, x.gens.degrees)
-    for w, c in num.items():
-        out[w] = out.get(w, 0) - len(w) * c
-    residues = {}
-    for w, c in out.items():
-        if c:
-            residues.setdefault(len(w), {})[w] = c
+    gens = x.gens
+    residues = _lie_residues(_code(x.num.items(), gens), gens)
     if not residues:
         x._lie = True
         return True, []
-    return False, [(n, Elt._from_num(x.gens, x.N, residues[n], x.den))
+    return False, [(n, Elt._from_num(gens, x.N,
+                                     _decode((residues[n],), gens, x.N), x.den))
                    for n in sorted(residues)]
 
 

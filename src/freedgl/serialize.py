@@ -7,11 +7,12 @@ For Lie elements this is exact (left-to-right bracketing recovers n times the
 length-n part), so parse(emit(x)) == x bit for bit.  Non-Lie inputs are
 refused rather than silently projected, by a Dynkin check that reads the
 verdict an element keeps (bch and parse_element return elements that carry
-one).  The parser reads any two-argument nesting into a tree of flat left
-spines, so a left-normed bracket (all that emit_element writes) arrives as
-its word: those words are pooled into one merged Dynkin map,
-lie._theta_words, and the other trees are expanded by lie.bracket_words.
-A bracket word with more than N letters parses to 0 at truncation N.
+one).  The parser reads a left-normed bracket (all that emit_element
+writes) off its tokens as its list of letters; those words are coded by
+lie._code and pooled into one coded Dynkin map, lie._theta_coded, whose
+result is decoded once.  Any other two-argument nesting is read into a tree
+of flat left spines and expanded by lie.bracket_words.  A bracket word with
+more than N letters parses to 0 at truncation N, and is not coded.
 Coefficients are read and written as ints, with no Fraction per term.
 
 A DGL file is line-based:
@@ -31,8 +32,8 @@ from math import gcd, lcm
 
 from .lie import (
     DomainError, StructError,
-    GenSet, Elt, FreeDGL, _check_image, _combine, _theta_words, bracket_words,
-    dynkin_verify,
+    GenSet, Elt, FreeDGL, _check_image, _combine, _decode, _theta_coded,
+    _code, bracket_words, dynkin_verify,
 )
 
 
@@ -204,7 +205,12 @@ def parse_element(text, gens, N, line=None):
     if toks == ["0"]:
         return Elt(gens, N, {})
     toks.append(None)   # the end
-    terms = []   # (signed p, q, tree, letters) of each word of <= N letters
+    index = gens._index
+    degs = gens.degrees
+    # (signed p, q, letters) of each left-normed word and (signed p, q,
+    # expansion) of each other bracket word, of <= N letters
+    terms = []
+    trees = []
     i = 0
     while toks[i] is not None:
         t = toks[i]
@@ -219,23 +225,37 @@ def parse_element(text, gens, N, line=None):
         if t is not None and t[0].isdigit():
             p, q = _parse_scalar(t, line)
             i += 2 if toks[i + 1] == "*" else 1
+        # a left-normed word or a bare letter: m opening brackets, a
+        # letter, then m times ',' letter ']'; any other nesting, or an
+        # error, is left to _parse_bracket_word
+        j = i
+        while toks[j] == "[":
+            j += 1
+        m = j - i
+        end = j + 1 + 3 * m
+        if not m or (toks[j + 1:end:3].count(",") == m
+                     and toks[j + 3:end:3].count("]") == m):
+            try:
+                letters = [index[toks[j]]]
+                if m:
+                    letters += map(index.__getitem__, toks[j + 2:end:3])
+            except KeyError:   # a token that is not a generator, or the end
+                pass
+            else:
+                i = end
+                if m < N:
+                    terms.append((sign * p, q, letters))
+                continue
         tree, count, i = _parse_bracket_word(toks, i, gens, line)
         if count <= N:
-            terms.append((sign * p, q, tree, count))
-    D = lcm(*[q for _, q, _, _ in terms])
-    # a left-normed word, a tuple of letters, is theta of its word, so these
-    # are pooled into one merged Dynkin map; every other nesting is expanded
-    # on its own
-    degs = gens.degrees
-    words = {}
-    items = []
-    for p, q, tree, count in terms:
-        if len(tree) == count:
-            words[tree] = words.get(tree, 0) + p * (D // q)
-        else:
-            items.append((p, q, bracket_words(tree, degs)[0]))
-    items.append((1, D, _theta_words(words, degs)))
-    x = _combine(gens, N, items)
+            trees.append((sign * p, q, bracket_words(tree, degs)[0]))
+    D = lcm(*[q for _, q, _ in terms])
+    # a left-normed word is theta of its word, so these are pooled into one
+    # coded Dynkin map; every other nesting is expanded on its own
+    words = _code([(letters, p * (D // q)) for p, q, letters in terms], gens)
+    theta = _theta_coded(words, gens)
+    trees.append((1, D, _decode(theta.values(), gens, N)))
+    x = _combine(gens, N, trees)
     x._lie = True
     return x
 

@@ -11,17 +11,17 @@ derivations, the Bernoulli operator ad_x/(e^{ad_x}-1) and its series inverse
 elements, the MC equation checker, and differential twisting d + ad_a.
 
 The BCH exp/log runs on the arguments' integer numerators with each word
-coded as one int: a word w of length n has code sum of (w[i] + 1) B^(n-1-i)
-for B = len(gens) + 1, and a word->int dict is held as {n: {code:
-numerator}} over the lengths that occur.  Since code(uv) = code(u) B^|v| +
-code(v), the inner loop of a product is one multiply-add and one dict update
-keyed by an int.  bch codes each argument once, runs exp and log each
-through _power_sum and the products through _times, and decodes the log
-once into one Elt over one denominator, which still passes the Dynkin Lie
-check.  That check computes theta once over the merged result
-(lie._theta_words): words are grouped by last letter, so a prefix sum
-shared by many words is expanded once, not once per word.  The passing
-verdict stays on the result, so emit_element does not check it again.
+coded as one int by lie's code/decode pair: a word w of length n has code
+sum of (w[i] + 1) B^(n-1-i) for B = len(gens) + 1, and a word->int dict is
+held here as {n: {code: numerator}} over the lengths that occur.  Since
+code(uv) = code(u) B^|v| + code(v), the inner loop of a product is one
+multiply-add and one dict update keyed by an int.  bch codes each argument
+once with lie._code, whose (length, degree) groups are also its degree-0
+check, runs exp and log each through _power_sum and the products through
+_times, and checks the log, in lowest terms, with the coded Dynkin map
+(lie._lie_residues) before lie._decode turns it into one Elt over one
+denominator.  The result is marked Lie, so emit_element does not check it
+again.
 
 The adjoint series (exp_ad, the two Bernoulli operators and gauge) run on
 integer numerators too, through _ad_terms: the words of the degree-0
@@ -32,14 +32,13 @@ dx^n dv, normalized once; gauge sums its two series in that one _combine.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, gcd, lcm
 
 from .lie import (
     DomainError,
-    Elt, FreeDGL, _bracket_into, _check_frame, _combine, bracket,
-    dynkin_verify, word_buckets,
+    Elt, FreeDGL, _bracket_into, _check_frame, _code, _combine, _decode,
+    _lie_residues, bracket, word_buckets,
 )
 
 ZERO = Fraction(0)
@@ -75,29 +74,14 @@ def _require_degree(x, d, what):
 # ---------------------------------------------------------------------------
 # exp/log with the unit word, on coded words over one denominator
 #
-# A word w of length n is coded as the int sum of (w[i] + 1) B^(n-1-i) for
-# B = len(gens) + 1, so code(uv) = code(u) B^|v| + code(v), and a word->int
-# dict as {n: {code: numerator}} over the lengths n that occur.  An argument
+# A word is coded by lie._code, so code(uv) = code(u) B^|v| + code(v), and
+# a word->int dict is held as {n: {code: numerator}} over the lengths n
+# that occur; the unit word has code 0.  An argument
 # X = A/D has
 #     exp(X) = sum_k A^k (N!/k!) D^(N-k)  /  N! D^N,
 # the exponentials multiply with the gcd stripped after each factor, and the
-# product P = (E + U)/E (U without the unit word, code 0) has
+# product P = (E + U)/E (U without the unit word) has
 #     log(P) = sum_k (-1)^(k+1) U^k (L/k) E^(N-k)  /  L E^N,  L = lcm(1..N).
-
-
-def _coded(num, B):
-    """The coded dict of the word->int dict num."""
-    out = {}
-    for w, c in num.items():
-        code = 0
-        for i in w:
-            code = code * B + i + 1
-        group = out.get(len(w))
-        if group is None:
-            out[len(w)] = {code: c}
-        else:
-            group[code] = c
-    return out
 
 
 def _right_factor(b, Bpow):
@@ -170,81 +154,57 @@ def _log_numerators(P, E, N, Bpow):
                       * (1 if k & 1 else -1)), L * E ** N
 
 
-@lru_cache(maxsize=32)
-def _word_table(B, N):
-    """(k, B^k, table): table maps the code of every word of length 1..k
-    over B - 1 letters to the word, for k >= 1 the largest with k <= N,
-    k <= 16 and (B - 1)^k <= 256.  A code is at least B^k exactly when its
-    word is longer than k."""
-    n = B - 1
-    k = 1
-    while k < min(N, 16) and n ** (k + 1) <= 256:
-        k += 1
-    level = {i + 1: (i,) for i in range(n)}
-    table = dict(level)
-    for _ in range(k - 1):
-        level = {c * B + i + 1: w + (i,) for c, w in level.items()
-                 for i in range(n)}
-        table.update(level)
-    return k, B ** k, table
-
-
-def _decoded(P, B, N):
-    """The word->int dict of the coded dict P of words of length <= N,
-    without its zero numerators: a word of length <= k is read off
-    _word_table at once, a longer one k letters at a time from the right."""
-    k, Bk, table = _word_table(B, N)
-    out = {}
-    for n, group in P.items():
-        if n <= k:
-            out.update({table[code]: c for code, c in group.items() if c})
-            continue
-        for code, c in group.items():
-            if c:
-                word = ()
-                while code >= Bk:
-                    code, low = divmod(code, Bk)
-                    word = table[low] + word
-                out[table[code] + word] = c
-    return out
+def _lowest_terms(P, den):
+    """(P, den) for the coded dict P over den with the gcd of den and the
+    numerators divided out and the zero numerators dropped."""
+    g = gcd(den, *chain.from_iterable(map(dict.values, P.values())))
+    if g > 1 or any(0 in group.values() for group in P.values()):
+        P = {n: {w: c // g for w, c in group.items() if c}
+             for n, group in P.items()}
+        den //= g
+    return P, den
 
 
 def bch(*xs):
     """log(exp(x1) ... exp(xk)) for degree-0 elements, all at one truncation.
 
     The exp, products and log run on coded words (see above): each argument
-    is coded once and the log decoded once.  The result is checked to be a
-    Lie element (left-to-right bracketing test) before being returned; a
-    failure would mean corrupted arithmetic.
+    is coded once, by lie._code, whose (length, degree) groups also refuse
+    an argument of another degree before any exp runs.  The coded log is
+    checked to be a Lie element (left-to-right bracketing test) and then
+    decoded once into an element marked Lie; a failure would mean corrupted
+    arithmetic.
     """
     if not xs:
         raise DomainError("bch needs at least one argument")
     first = xs[0]
     for x in xs[1:]:
         _check_frame(x, first.gens, first.N)
+    gens = first.gens
+    args = []
     for x in xs:
-        _require_degree(x, 0, "bch argument")
+        groups = _code(x.num.items(), gens)
+        if any(d for _, d in groups):
+            raise DomainError("bch argument must have degree 0")
+        if groups:
+            args.append(({n: group for (n, _), group in groups.items()},
+                         x.den))
     N = first.N
-    B = len(first.gens) + 1
+    B = len(gens) + 1
     Bpow = [B ** n for n in range(N + 1)]
     prod, den = {}, 1
-    for x in xs:
-        if not x.num:
-            continue
-        e, d = _exp_numerators(_coded(x.num, B), x.den, N, Bpow)
+    for A, D in args:
+        e, d = _exp_numerators(A, D, N, Bpow)
         prod = _times(prod, _right_factor(e, Bpow), N) if prod else e
-        den *= d
-        g = gcd(den, *chain.from_iterable(map(dict.values, prod.values())))
-        if g > 1 or any(0 in group.values() for group in prod.values()):
-            prod = {n: {w: c // g for w, c in group.items() if c}
-                    for n, group in prod.items()}
-            den //= g
-    num, den = _log_numerators(prod, den, N, Bpow)
-    out = Elt._from_num(first.gens, N, _decoded(num, B, N), den)
-    ok, defects = dynkin_verify(out)
-    if not ok:
+        prod, den = _lowest_terms(prod, den * d)
+    num, den = _lowest_terms(*_log_numerators(prod, den, N, Bpow))
+    groups = {(n, 0): group for n, group in num.items()}
+    bad = _lie_residues(groups, gens)
+    if bad:
         raise RuntimeError(
-            "bch produced a non-Lie element at lengths %s" % [n for n, _ in defects])
+            "bch produced a non-Lie element at lengths %s" % sorted(bad))
+    out = Elt._from_num(gens, N, _decode(groups.values(), gens, N), den)
+    out._lie = True
     return out
 
 

@@ -6,8 +6,9 @@ matrix elimination over Fraction; the BCH product comes from exp and log
 power series over word->Fraction dicts.  The exact solve, derivation and
 substitution oracles are plain Fraction loops over dicts: a dense row-reduced
 echelon form, and the word-by-word derivation and substitution rules; the
-Dynkin map folds each word with the word-by-word bracket, and the adjoint
-series sum its powers, with the Bernoulli coefficients from inverting the
+Dynkin map folds each word with the word-by-word bracket, or walks a suffix
+trie of tuple words (oracle_theta_words), and the adjoint series sum its
+powers, with the Bernoulli coefficients from inverting the
 power series (e^t - 1)/t.  The span
 reference is incremental Gauss-Jordan on Fractions that tracks the
 combination behind every row; its kernel basis, made primitive, is what the
@@ -320,6 +321,48 @@ def oracle_dynkin_theta(terms, degrees, N):
             acc = oracle_bracket(acc, {(g,): Fraction(1)}, degrees, N)
         _accumulate(out, acc, Fraction(c))
     return out
+
+
+def _theta_split(words):
+    """(letters, groups) of a word->coefficient dict: the length-1 words as
+    their own dict, and for each last letter a the merged prefix sum
+    sum_u c_{ua} u, as a list of (a, prefix dict) pairs."""
+    letters = {}
+    groups = {}
+    for w, c in words.items():
+        if len(w) == 1:
+            letters[w] = c
+        else:
+            groups.setdefault(w[-1], {})[w[:-1]] = c
+    return letters, list(groups.items())
+
+
+def oracle_theta_words(terms, degrees):
+    """The Dynkin map of a word->coefficient dict on a trie of tuple words,
+    zeros dropped.  theta is linear with theta(a) = a and theta(u.a) =
+    [theta(u), a], so the words are grouped by last letter a, theta of each
+    group's merged prefix sum is bracketed with a, and the groups nest as a
+    trie of suffixes walked with an explicit stack; every word stays a tuple
+    and the degree of each prefix is summed where its sign is read."""
+    out, todo = _theta_split(terms)
+    stack = [(None, out, todo)]
+    while True:
+        a, out, todo = stack[-1]
+        if todo:
+            b, sub = todo.pop()
+            stack.append((b,) + _theta_split(sub))
+            continue
+        stack.pop()
+        if not stack:
+            return {w: c for w, c in out.items() if c}
+        # the parent gains [out, a] = out.a - (-1)^{|v||a|} a.out
+        parent = stack[-1][1]
+        odd = degrees[a] % 2
+        for v, c in out.items():
+            if c:
+                parent[v + (a,)] = parent.get(v + (a,), 0) + c
+                sign = 1 if odd and sum(degrees[i] for i in v) % 2 else -1
+                parent[(a,) + v] = parent.get((a,) + v, 0) + sign * c
 
 
 def series_coefficients(kind, n):

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from freedgl import cli
 from freedgl.cli import run
 from freedgl.serialize import parse_dgl
 
@@ -39,6 +40,30 @@ def test_build_model_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     L = parse_dgl(path.read_text())
     assert not list(L.check_d_squared())
+
+
+def test_unwritable_out_is_refused_before_any_build(tmp_path, capsys,
+                                                   monkeypatch):
+    # the probe of a writable path leaves no file behind when the command
+    # then fails
+    complex_path = tmp_path / "bad.cpx"
+    complex_path.write_text("0 1\n0 x\n")
+    target = tmp_path / "m.dgl"
+    code, _, err = go(capsys, ["model-of-complex", "--complex",
+                               str(complex_path), "--out", str(target)])
+    assert code == 2 and "line 2" in err
+    assert not target.exists()
+
+    def no_build(*args):
+        raise AssertionError("a builder ran")
+
+    monkeypatch.setattr(cli, "ModelFamily", no_build)
+    path = "/nonexistent/dir/m.dgl"
+    code, out, err = go(capsys, ["build-model", "--n", "4", "--trunc", "3",
+                                 "--out", path])
+    assert code == 2 and out == ""
+    assert err == ("usage error: cannot write %s: [Errno 2] No such file or "
+                   "directory: %r\n" % (path, path))
 
 
 def test_model_of_complex_roundtrip(tmp_path, capsys):

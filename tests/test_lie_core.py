@@ -18,7 +18,7 @@ from freedgl.lie import (
 from freedgl.serialize import emit_element, parse_element
 from oracles import (
     free_lie_slice_dim, oracle_bracket, oracle_combine, oracle_derivation,
-    oracle_dynkin_theta, oracle_substitute,
+    oracle_dynkin_theta, oracle_substitute, oracle_theta_words,
 )
 
 GENS = GenSet([("a", -1), ("b", 0), ("c", 1), ("d", 0)])
@@ -221,14 +221,14 @@ def test_dynkin_verify_defects_match_the_word_fold(terms, t, c):
     assert ok == (not want)
 
 
-def tree_text(t):
+def tree_text(t, names=GENS.names):
     """A bracket tree as element text: a tuple (t1, ..., tk) is written as
     the left-nested [[t1, t2], ..., tk]."""
     if isinstance(t, int):
-        return GENS.names[t]
-    s = tree_text(t[0])
+        return names[t]
+    s = tree_text(t[0], names)
     for u in t[1:]:
-        s = "[%s,%s]" % (s, tree_text(u))
+        s = "[%s,%s]" % (s, tree_text(u, names))
     return s
 
 
@@ -256,6 +256,76 @@ def test_parse_element_matches_the_bracket_fold(terms, M):
     assert x == want
     # the parser marks its result as Lie; an unmarked copy must pass the check
     assert dynkin_verify(Elt._from_num(x.gens, x.N, x.num, x.den))[0]
+
+
+# two odd and three even letters, so words of one length have many degrees
+MIXED = GenSet([("a", -1), ("b", 0), ("c", 1), ("d", 2), ("e", -1)])
+MIXED_N = 6
+mixed_words = st.dictionaries(
+    st.lists(st.integers(min_value=0, max_value=4),
+             min_size=1, max_size=MIXED_N).map(tuple),
+    scalars.filter(bool), max_size=10)
+
+
+@given(mixed_words, mixed_words)
+@settings(max_examples=150, deadline=None)
+def test_coded_theta_matches_the_tuple_trie(terms, lie_seed):
+    # theta(y_n) / n is Lie, so the lengths of lie_seed that terms lacks
+    # pass the check and the others fail
+    lie_part = {w: c / len(w) for w, c in
+                oracle_theta_words(lie_seed, MIXED.degrees).items()}
+    terms = oracle_combine(terms, lie_part)
+    x = Elt(MIXED, MIXED_N, terms)
+    want = oracle_theta_words(terms, MIXED.degrees)
+    assert dynkin_theta(x).terms == want
+    residues = {}
+    for w, c in oracle_combine(
+            want, {w: len(w) * c for w, c in terms.items()}, -1).items():
+        residues.setdefault(len(w), {})[w] = c
+    ok, defects = dynkin_verify(x)
+    assert [(n, d.terms) for n, d in defects] == sorted(residues.items())
+    assert ok == (not residues)
+
+
+def oracle_fold(t, M):
+    """A bracket tree's expansion by oracle_bracket at truncation M."""
+    if isinstance(t, int):
+        return {(t,): Fraction(1)}
+    out = oracle_fold(t[0], M)
+    for u in t[1:]:
+        out = oracle_bracket(out, oracle_fold(u, M), MIXED.degrees, M)
+    return out
+
+
+mixed_trees = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=4),
+             min_size=1, max_size=MIXED_N).map(tuple),
+    st.recursive(st.integers(min_value=0, max_value=4),
+                 lambda kids: st.lists(kids, min_size=2, max_size=3).map(tuple),
+                 max_leaves=6),
+)
+
+
+@given(st.lists(st.tuples(scalars.filter(bool), mixed_trees),
+                min_size=1, max_size=8),
+       st.integers(min_value=1, max_value=MIXED_N))
+@settings(max_examples=150, deadline=None)
+def test_parse_element_matches_the_tuple_trie(terms, M):
+    # a left-normed word (a flat tuple) reads as theta of its word, which
+    # the tuple trie expands; any other nesting is the bracket fold
+    text = " ".join("%s %s %s" % ("-" if c < 0 else "+", abs(c),
+                                  tree_text(t, MIXED.names))
+                    for c, t in terms)
+    want = {}
+    for c, t in terms:
+        if isinstance(t, int) or all(isinstance(u, int) for u in t):
+            word = (t,) if isinstance(t, int) else t
+            part = (oracle_theta_words({word: Fraction(1)}, MIXED.degrees)
+                    if len(word) <= M else {})
+        else:
+            part = oracle_fold(t, M)
+        want = oracle_combine(want, part, c)
+    assert parse_element(text, MIXED, M).terms == want
 
 
 def oracle_standard_bracketing(word, M):

@@ -71,14 +71,14 @@ def _count_theta(monkeypatch):
     """A list that gains one entry per run of the merged Dynkin map, from
     dynkin_verify or from the parser."""
     calls = []
-    theta = lie._theta_words
+    theta = lie._theta_coded
 
-    def counted(num, degs):
-        calls.append(len(num))
-        return theta(num, degs)
+    def counted(groups, gens):
+        calls.append(len(groups))
+        return theta(groups, gens)
 
-    monkeypatch.setattr(lie, "_theta_words", counted)
-    monkeypatch.setattr(serialize, "_theta_words", counted)
+    monkeypatch.setattr(lie, "_theta_coded", counted)
+    monkeypatch.setattr(serialize, "_theta_coded", counted)
     return calls
 
 

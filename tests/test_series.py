@@ -181,6 +181,24 @@ def test_bch_rejects_nonzero_degree():
         exp_ad(a, x)
 
 
+def test_bch_refuses_a_nonzero_degree_before_any_exp(monkeypatch):
+    # the degrees come from the same pass that codes the arguments, and an
+    # argument of even degree 0 may still have odd letters
+    g = GenSet([("a", -1), ("c", 1), ("x", 0), ("d", 2)])
+    a, c, x, d = (generator_elt(g, 4, n) for n in "acxd")
+    even = bracket(a, c)
+    assert bch(x, even) == bch(x, even, 0 * x)
+
+    def no_exp(*args):
+        raise AssertionError("an exp ran")
+
+    monkeypatch.setattr(series, "_exp_numerators", no_exp)
+    for bad in (a, d, x + d, bracket(a, a), even + c):
+        with pytest.raises(DomainError,
+                           match="^bch argument must have degree 0$"):
+            bch(x, even, bad)
+
+
 def test_bernoulli_op_values():
     x, v = g3("x"), g3("y")
     out = bernoulli_op(x, v)
