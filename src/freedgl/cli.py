@@ -270,13 +270,15 @@ def _whitney_suite(n):
     ok = all(wh.face_integral(form, f) == 1 for f, form in forms.items())
     results.append(("integral_normalization", ok))
 
-    ok = all(wh.integrate_p(wh.whitney_i(wh.Cochain(n, {f: 1}))) ==
-             wh.Cochain(n, {f: 1}) for f in faces())
+    # each face's unit cochain and its Whitney inclusion, built once and
+    # read by the next two identities
+    units = {f: wh.Cochain(n, {f: 1}) for f in forms}
+    incl = {f: wh.whitney_i(c) for f, c in units.items()}
+    ok = all(wh.integrate_p(incl[f]) == c for f, c in units.items())
     results.append(("projection_splits_inclusion", ok))
 
-    ok = all(wh.exterior_d(wh.whitney_i(wh.Cochain(n, {f: 1}))) ==
-             wh.whitney_i(wh.cochain_d(wh.Cochain(n, {f: 1})))
-             for f in faces())
+    ok = all(wh.exterior_d(incl[f]) == wh.whitney_i(wh.cochain_d(c))
+             for f, c in units.items())
     results.append(("inclusion_chain_map", ok))
 
     ok = True

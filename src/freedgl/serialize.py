@@ -199,11 +199,18 @@ def parse_element(text, gens, N, line=None):
     q.  The result, theta of the left-normed words plus the other bracket
     trees, is Lie by construction and is returned marked as one.
     """
+    return _parse_element(text, gens, N, line)[0]
+
+
+def _parse_element(text, gens, N, line=None):
+    """parse_element's element and the set of the degrees of its parsed
+    parts (its words and bracket words of at most N letters), which holds
+    the degree of every word of the element."""
     toks = _tokenize(text, line)
     if not toks:
         raise ParseError("empty element", line)
     if toks == ["0"]:
-        return Elt(gens, N, {})
+        return Elt(gens, N, {}), set()
     toks.append(None)   # the end
     index = gens._index
     degs = gens.degrees
@@ -211,6 +218,7 @@ def parse_element(text, gens, N, line=None):
     # expansion) of each other bracket word, of <= N letters
     terms = []
     trees = []
+    degrees = set()
     i = 0
     while toks[i] is not None:
         t = toks[i]
@@ -248,7 +256,9 @@ def parse_element(text, gens, N, line=None):
                 continue
         tree, count, i = _parse_bracket_word(toks, i, gens, line)
         if count <= N:
-            trees.append((sign * p, q, bracket_words(tree, degs)[0]))
+            expansion, d = bracket_words(tree, degs)
+            trees.append((sign * p, q, expansion))
+            degrees.add(d)
     D = lcm(*[q for _, q, _ in terms])
     # a left-normed word is theta of its word, so these are pooled into one
     # coded Dynkin map; every other nesting is expanded on its own
@@ -257,7 +267,8 @@ def parse_element(text, gens, N, line=None):
     trees.append((1, D, _decode(theta.values(), gens, N)))
     x = _combine(gens, N, trees)
     x._lie = True
-    return x
+    degrees.update(d for _, d in words)
+    return x, degrees
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +362,15 @@ def parse_dgl(text):
         if idx in images:
             raise ParseError("duplicate differential for %r" % gens.names[idx],
                              lineno)
-        img = parse_element(expr, gens, N, line=lineno)
-        try:
-            _check_image(gens, idx, img, -1)
-        except DomainError as e:
-            raise ParseError(str(e), lineno) from None
+        img, degrees = _parse_element(expr, gens, N, lineno)
+        # when every part has the image's degree, so has every word, and no
+        # word's degree is summed again; parts of other degrees are left to
+        # _check_image, which names the degree or the mix
+        if degrees != {gens.degrees[idx] - 1}:
+            try:
+                _check_image(gens, idx, img, -1)
+            except DomainError as e:
+                raise ParseError(str(e), lineno) from None
         if not img.is_zero():
             images[idx] = img
     return FreeDGL._trusted(gens, N, images)

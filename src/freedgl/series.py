@@ -17,18 +17,24 @@ held here as {n: {code: numerator}} over the lengths that occur.  Since
 code(uv) = code(u) B^|v| + code(v), the inner loop of a product is one
 multiply-add and one dict update keyed by an int.  bch codes each argument
 once with lie._code, whose (length, degree) groups are also its degree-0
-check, runs exp and log each through _power_sum and the products through
-_times, and checks the log, in lowest terms, with the coded Dynkin map
-(lie._lie_residues) before lie._decode turns it into one Elt over one
-denominator.  The result is marked Lie, so emit_element does not check it
-again.
+check, folds each argument into the running product P <- P exp(x) by one
+truncated Horner pass (_horner) and takes the log by one more, and checks
+the log, in lowest terms, with the coded Dynkin map (lie._lie_residues)
+before lie._decode turns it into one Elt over one denominator.  The result
+is marked Lie, so emit_element does not check it again.
+
+A Horner pass builds sum_k c_k P A^k from the last k down as
+R_k = c_k P + R_(k+1) A, and since R_k still meets k factors A, each of
+length at least A's shortest, it is kept only to the lengths that can still
+reach N: no power A^k is built in full and then summed.
 
 The adjoint series (exp_ad, the two Bernoulli operators and gauge) run on
 integer numerators too, through _ad_terms: the words of the degree-0
-conjugator's negative are bucketed by length once, each power (ad X)^n V is
-a word->int dict formed from the last by lie._bracket_into, the one loop of
-the bracket rule, and the series is one _combine of the powers over
-dx^n dv, normalized once; gauge sums its two series in that one _combine.
+conjugator's negative are bucketed by length once, and the series is the
+same truncated Horner pass over ad X, H_n = a_n V + [X, H_(n+1)] with int
+a_n, each bracket one lie._bracket_into, the one loop of the bracket rule.
+Each series is one _combine item, normalized once; gauge sums its two
+series in that one _combine.
 """
 
 from fractions import Fraction
@@ -76,12 +82,14 @@ def _require_degree(x, d, what):
 #
 # A word is coded by lie._code, so code(uv) = code(u) B^|v| + code(v), and
 # a word->int dict is held as {n: {code: numerator}} over the lengths n
-# that occur; the unit word has code 0.  An argument
-# X = A/D has
-#     exp(X) = sum_k A^k (N!/k!) D^(N-k)  /  N! D^N,
-# the exponentials multiply with the gcd stripped after each factor, and the
-# product P = (E + U)/E (U without the unit word) has
-#     log(P) = sum_k (-1)^(k+1) U^k (L/k) E^(N-k)  /  L E^N,  L = lcm(1..N).
+# that occur; the unit word has code 0.  Every series here is one pass of
+# _horner over a coded dict A with no word shorter than m: A^k has none
+# shorter than k m, so it reaches N only for k <= K = N // m.  With
+# X = A/D,
+#     P exp(X) = sum_k P A^k (K!/k!) D^(K-k)  /  K! D^K,
+# and the grouplike P/E = (E + U)/E (U without the unit word, shortest
+# length m, K = N // m) has
+#     log(P/E) = sum_k (-1)^(k+1) U^k (L/k) E^(K-k)  /  L E^K,  L = lcm(1..K).
 
 
 def _right_factor(b, Bpow):
@@ -110,48 +118,31 @@ def _times(a, right, N):
     return out
 
 
-def _power_sum(A, N, Bpow, scale):
-    """sum over k = 1..N of scale(k) * A^k, for the coded dict A without
-    the unit word and int scale(k), truncated at N.  Numerators that cancel
-    stay, as 0."""
-    if not A:
-        return {}
+def _horner(P, A, coeffs, N, Bpow):
+    """sum over k of coeffs[k] * P A^k for the coded dicts P and A, A
+    without the unit word and int coeffs, truncated at N, by Horner's rule
+    R_k = c_k P + R_(k+1) A from the last k down to R_0.  R_k reaches R_0
+    through k more factors A, each of length at least m, A's shortest, so
+    it is kept only to length N - k m.  Numerators that cancel stay, as 0."""
     right = _right_factor(A, Bpow)
-    out = {}
-    power = A
-    k = 1
-    while True:
-        s = scale(k)
-        for n, group in power.items():
-            acc = out.get(n)
-            if acc is None:
-                out[n] = {w: c * s for w, c in group.items()}
-            else:
-                get = acc.get
-                for w, c in group.items():
-                    acc[w] = get(w, 0) + c * s
-        k += 1
-        # A^k has no word shorter than k times A's shortest
-        if k * right[0][0] > N:
-            return out
-        power = _times(power, right, N)
-
-
-def _exp_numerators(A, D, N, Bpow):
-    """(numerators, denominator) of exp(A/D) truncated at N, A coded."""
-    fact = factorial(N)
-    out = _power_sum(A, N, Bpow, lambda k: fact // factorial(k) * D ** (N - k))
-    out[0] = {0: fact * D ** N}
-    return out, fact * D ** N
-
-
-def _log_numerators(P, E, N, Bpow):
-    """(numerators, denominator) of log(P/E) for a coded grouplike P/E,
-    that is one whose unit word has numerator E."""
-    L = lcm(*range(1, N + 1))
-    U = {n: group for n, group in P.items() if n}
-    return _power_sum(U, N, Bpow, lambda k: (L // k) * E ** (N - k)
-                      * (1 if k & 1 else -1)), L * E ** N
+    m = right[0][0] if right else 0
+    R = {}
+    for k in range(len(coeffs) - 1, -1, -1):
+        top = N - k * m
+        if R:
+            R = _times(R, right, top)
+        c = coeffs[k]
+        if c:
+            for n, group in P.items():
+                if n <= top:
+                    acc = R.get(n)
+                    if acc is None:
+                        R[n] = {w: c * v for w, v in group.items()}
+                    else:
+                        get = acc.get
+                        for w, v in group.items():
+                            acc[w] = get(w, 0) + c * v
+    return R
 
 
 def _lowest_terms(P, den):
@@ -170,10 +161,11 @@ def bch(*xs):
 
     The exp, products and log run on coded words (see above): each argument
     is coded once, by lie._code, whose (length, degree) groups also refuse
-    an argument of another degree before any exp runs.  The coded log is
-    checked to be a Lie element (left-to-right bracketing test) and then
-    decoded once into an element marked Lie; a failure would mean corrupted
-    arithmetic.
+    an argument of another degree before any exp runs.  Each argument is
+    folded into the running product by one _horner pass, P <- P exp(x), and
+    the log is one more.  The coded log is checked to be a Lie element
+    (left-to-right bracketing test) and then decoded once into an element
+    marked Lie; a failure would mean corrupted arithmetic.
     """
     if not xs:
         raise DomainError("bch needs at least one argument")
@@ -186,18 +178,25 @@ def bch(*xs):
         groups = _code(x.num.items(), gens)
         if any(d for _, d in groups):
             raise DomainError("bch argument must have degree 0")
-        if groups:
-            args.append(({n: group for (n, _), group in groups.items()},
-                         x.den))
+        args.append(({n: group for (n, _), group in groups.items()}, x.den))
     N = first.N
     B = len(gens) + 1
     Bpow = [B ** n for n in range(N + 1)]
-    prod, den = {}, 1
+    prod, den = {0: {0: 1}}, 1
     for A, D in args:
-        e, d = _exp_numerators(A, D, N, Bpow)
-        prod = _times(prod, _right_factor(e, Bpow), N) if prod else e
-        prod, den = _lowest_terms(prod, den * d)
-    num, den = _lowest_terms(*_log_numerators(prod, den, N, Bpow))
+        K = N // min(A) if A else 0
+        f = factorial(K)
+        coeffs = [f // factorial(k) * D ** (K - k) for k in range(K + 1)]
+        prod, den = _lowest_terms(_horner(prod, A, coeffs, N, Bpow),
+                                  den * f * D ** K)
+    # prod / den is grouplike: its unit word's numerator is den
+    U = {n: group for n, group in prod.items() if n and group}
+    K = N // min(U) if U else 0
+    L = lcm(*range(1, K + 1))
+    coeffs = [0] + [(L // k) * den ** (K - k) * (1 if k & 1 else -1)
+                    for k in range(1, K + 1)]
+    num, den = _lowest_terms(_horner({0: {0: 1}}, U, coeffs, N, Bpow),
+                             L * den ** K)
     groups = {(n, 0): group for n, group in num.items()}
     bad = _lie_residues(groups, gens)
     if bad:
@@ -210,36 +209,51 @@ def bch(*xs):
 
 def _ad_terms(x, v, coeff_of_n):
     """The _combine items (p, den, numerators) of the sum over n >= 0 of
-    coeff_of_n(n) * ad_x^n(v), for x of degree 0 over v's frame.
+    coeff_of_n(n) * ad_x^n(v), for x of degree 0 over v's frame: one item,
+    or none when v is 0.
 
-    With x = X/dx and v = V/dv, ad_x^n(v) = (ad X)^n V / (dx^n dv).  Each
-    power is formed from the last by [X, C] = C(-X) - (-X)C: x has even
-    degree, so no Koszul parity is read, and one lie._bracket_into per
-    length group of C meets the words of -X, bucketed once, that fit in N.
-    The grouping drops the words that cancelled; power n has no word
-    shorter than n + 1, so at most N powers are nonzero."""
+    With x = X/dx and v = V/dv, ad_x^n(v) = (ad X)^n V / (dx^n dv).  If X's
+    shortest word has length m and V's has length l, (ad X)^n V is 0 past
+    n = M = (N - l) // m, and the series is H_0 / (Q dx^M dv) for Q the lcm
+    of the denominators of c_n = coeff_of_n(n), n <= M, by Horner's rule
+    H_n = a_n V + [X, H_(n+1)] with the int a_n = Q c_n dx^(M-n).  H_n
+    reaches H_0 through n more brackets with X, so it is kept only to
+    length N - n m.  x has even degree, so [X, C] = C(-X) - (-X)C reads no
+    Koszul parity, and one lie._bracket_into per length group of C meets
+    the words of -X, bucketed once, that fit."""
     _check_frame(x, v.gens, v.N)
+    X, V = x.num, v.num
+    if not V:
+        return []
     N = x.N
-    fits = word_buckets([(w, -c) for w, c in x.num.items()], N)
-    cur, den = v.num, v.den
-    items = []
-    n = 0
-    while True:
-        groups = [[] for _ in range(N + 1)]
-        for item in cur.items():
-            if item[1]:
-                groups[len(item[0])].append(item)
-        if not any(groups):
-            return items
-        c = coeff_of_n(n)
+    m = min(map(len, X)) if X else N + 1
+    vs = sorted(V, key=len)   # V's words, shortest first
+    M = (N - len(vs[0])) // m
+    coeffs = [coeff_of_n(n) for n in range(M + 1)]
+    Q = lcm(*[c.denominator for c in coeffs])
+    fits = word_buckets([(w, -c) for w, c in X.items()], N)
+    H = {}
+    for n in range(M, -1, -1):
+        top = N - n * m
+        if H:
+            # H_(n+1) has no word longer than top - m
+            groups = [[] for _ in range(top)]
+            for item in H.items():
+                if item[1]:
+                    groups[len(item[0])].append(item)
+            H = {}
+            for k in range(1, top):
+                if groups[k] and fits[top - k]:
+                    _bracket_into(H, groups[k], fits[top - k], -1)
+        c = coeffs[n]
         if c:
-            items.append((c.numerator, c.denominator * den, cur))
-        cur = {}
-        for k in range(1, N):
-            if groups[k] and fits[N - k]:
-                _bracket_into(cur, groups[k], fits[N - k], -1)
-        den *= x.den
-        n += 1
+            a = Q // c.denominator * c.numerator * x.den ** (M - n)
+            get = H.get
+            for w in vs:
+                if len(w) > top:
+                    break
+                H[w] = get(w, 0) + a * V[w]
+    return [(1, Q * x.den ** M * v.den, H)]
 
 
 def _exp_coeff(n):

@@ -419,3 +419,25 @@ def test_parse_dgl_refusals(text, line, message):
     assert e.value.line == line
     assert str(e.value) == (
         message if line is None else "line %d: %s" % (line, message))
+
+
+@pytest.mark.parametrize("body, message", [
+    # a left-normed word and a nesting of two degrees
+    ("d x = 1 [a,[a,x]] + 1 x", "element is not degree-homogeneous"),
+    # two nestings of two degrees, one of them the image's
+    ("d t = 1 [a,[x,t]] + 1 [x,[x,a]]", "element is not degree-homogeneous"),
+    # a left-normed word and a nesting of one wrong degree
+    ("d a = 1 [x,a] + 2 [x,[x,a]]", "image of a must have degree -2, got -1"),
+])
+def test_parse_dgl_refuses_parts_of_other_degrees_on_their_line(body, message):
+    with pytest.raises(ParseError) as e:
+        parse_dgl("dgl\ngens a:-1 x:0 t:1\ntrunc 3\n# the image\n" + body)
+    assert e.value.line == 5
+    assert str(e.value) == "line 5: " + message
+
+
+def test_parse_dgl_reads_parts_of_other_degrees_that_vanish():
+    # [a,[a,a]] = 0 for a odd, and x - x = 0: only a's part is left
+    L = parse_dgl("dgl\ngens a:-1 x:0 t:1\ntrunc 3\n"
+                  "d x = 1 a + 1 [a,[a,a]]\nd a = 1 x - 1 x\n")
+    assert L.diff.images == {1: parse_element("a", L.gens, 3)}

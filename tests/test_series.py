@@ -11,6 +11,7 @@ from freedgl.lie import (
     GenSet, Elt, FreeDGL, ConfigError, DomainError, bracket, generator_elt,
     lyndon_slice_basis, elt_from_slice_coords,
 )
+from freedgl.serialize import parse_element
 from freedgl.series import (
     bernoulli_numbers, bch, exp_ad, bernoulli_op, bernoulli_op_inverse,
     is_mc, mc_residue, gauge, twist,
@@ -118,9 +119,19 @@ def bch_arguments(draw):
 # big ints
 HIGH = GenSet([("g%d" % i, 0) for i in range(80)])
 
+# arguments with no word shorter than m = 2 or 3, whose Horner passes keep
+# R_k only to length N - k m
+X7, Y7, Z7 = (g3(name, 7) for name in "xyz")
+XY7 = bracket(X7, Y7)
+
 
 @given(bch_arguments())
 @example([generator_elt(HIGH, 10, "g78"), generator_elt(HIGH, 10, "g79")])
+@example([XY7, bracket(Y7, Z7) + bracket(XY7, Z7)])
+@example([bracket(XY7, Z7) * Fraction(2, 3), bracket(bracket(Y7, Z7), X7)])
+@example([X7, bracket(XY7, Y7), XY7 - Z7])
+@example([Elt(GENS3, 4, {})])
+@example([g3("x", 4), Elt(GENS3, 4, {}), g3("y", 4)])
 @settings(max_examples=100, deadline=None)
 def test_bch_matches_fraction_oracle(xs):
     out = bch(*xs)
@@ -192,11 +203,28 @@ def test_bch_refuses_a_nonzero_degree_before_any_exp(monkeypatch):
     def no_exp(*args):
         raise AssertionError("an exp ran")
 
-    monkeypatch.setattr(series, "_exp_numerators", no_exp)
+    monkeypatch.setattr(series, "_horner", no_exp)
     for bad in (a, d, x + d, bracket(a, a), even + c):
         with pytest.raises(DomainError,
                            match="^bch argument must have degree 0$"):
             bch(x, even, bad)
+
+
+def test_bch_runs_one_horner_pass_per_argument_and_one_for_the_log(
+        monkeypatch):
+    calls = []
+    real = series._horner
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(series, "_horner", counted)
+    x, y, z = g3("x"), g3("y"), g3("z")
+    zero = Elt(GENS3, N, {})
+    for xs in ([x], [x, y], [x, bracket(y, z), zero], [x, y, z, -x]):
+        del calls[:]
+        bch(*xs)
+        assert len(calls) == len(xs) + 1
 
 
 def test_bernoulli_op_values():
@@ -248,7 +276,24 @@ def adjoint_series_inputs(draw):
     return n, x, v, a
 
 
+def _mixed(n, text):
+    return parse_element(text, MIXED, n)
+
+
 @given(adjoint_series_inputs())
+# conjugators with no word shorter than m = 2 or 3, whose Horner passes
+# keep H_n only to length N - n m
+@example((6, _mixed(6, "[a, t]"), _mixed(6, "t + 2 [x, t]"),
+          generator_elt(MIXED, 6, "a")))
+@example((6, _mixed(6, "[[x, a], t] - 1/2 [x, [a, t]]"),
+          _mixed(6, "a + [[a, x], x]"), Elt(MIXED, 6, {})))
+# a conjugator of word lengths 1 and 3
+@example((5, _mixed(5, "x + [[x, a], t]"), _mixed(5, "[x, t]"),
+          generator_elt(MIXED, 5, "a")))
+# conjugators that commute with v
+@example((5, _mixed(5, "2 x"), _mixed(5, "x"), generator_elt(MIXED, 5, "a")))
+@example((6, _mixed(6, "1/2 [a, t]"), _mixed(6, "[a, t]"),
+          Elt(MIXED, 6, {})))
 @settings(max_examples=60, deadline=None)
 def test_adjoint_series_match_fraction_oracle(inputs):
     n, x, v, a = inputs
