@@ -7,15 +7,17 @@ over K's faces, so each face's differential is the relabeled top
 differential of its dimension.  That is supported on the face's subfaces,
 so the restriction closes whenever the face set is closed under subsets.
 The seed top differentials are built once per truncation and dimension
-and shared by every complex (simplex._seed_top_diffs).  On top of the raw
-model: component splitting, localization at a Maurer-Cartan element, and
-the minimal model as one quotient (build the model modulo the vertices and
-a spanning tree, so that no word with one of their letters is formed, pair
-the other generators in one echelon of the linear differential, and solve
-every partner's image in one pass over word length).  The pass and the
-chain-map check share one table of (prefix, length) products, which lives
-for one minimal_model call: stage k builds the length-k products only, and
-every product is built once.
+and shared by every complex (simplex._seed_top_diffs).  The 1-skeleton is
+walked in one place, _forest, whose breadth-first spanning forest gives
+the components, the component of a vertex and the spanning tree.  On top
+of the raw model: component splitting, localization at a Maurer-Cartan
+element, and the minimal model as one quotient (build the model modulo the
+vertices and a spanning tree, so that no word with one of their letters is
+formed, pair the other generators in one echelon of the linear
+differential, and solve every partner's image in one pass over word
+length).  The pass and the chain-map check share one table of (prefix,
+length) products, which lives for one minimal_model call: stage k builds
+the length-k products only, and every product is built once.
 """
 
 from fractions import Fraction
@@ -159,25 +161,38 @@ def _complex_dgl(K, N, killed=()):
 # Components
 
 
-def components(K):
-    """Vertex sets of the connected components (1-skeleton union-find),
-    ordered by smallest vertex."""
-    parent = list(range(K.n_vertices))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+def _forest(K, root):
+    """The breadth-first spanning forest of K's 1-skeleton, the one walk of
+    it: the search starts at root, then at each unreached vertex in
+    increasing order, and visits neighbors in increasing order.  Returns
+    the sorted tree edges and each tree's vertices in the order found."""
+    adj = [[] for _ in range(K.n_vertices)]
+    # edges come sorted, so each neighbor list is built in increasing order
     for u, v in K.faces_of_dim(1):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups = {}
-    for v in range(K.n_vertices):
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(groups[r]) for r in sorted(groups)]
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * K.n_vertices
+    edges, trees = [], []
+    for r in (root, *range(K.n_vertices)):
+        if seen[r]:
+            continue
+        seen[r] = True
+        tree = [r]
+        for u in tree:   # tree grows behind u: it is the search's queue
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    edges.append((u, v) if u < v else (v, u))
+                    tree.append(v)
+        trees.append(tuple(tree))
+    return tuple(sorted(edges)), trees
+
+
+def components(K):
+    """Vertex sets of the connected components, each sorted, ordered by
+    smallest vertex: the trees of the spanning forest rooted at 0, whose
+    roots are each component's lowest vertex."""
+    return [tuple(sorted(t)) for t in _forest(K, 0)[1]]
 
 
 def subcomplex(K, vertices):
@@ -195,13 +210,9 @@ def subcomplex(K, vertices):
 def component_inclusion_check(K, a, N, degrees):
     """Homology-dimension comparison between the component of a and all of
     K, both twisted at a, over the requested degree window."""
-    comp = None
-    for c in components(K):
-        if a in c:
-            comp = c
-            break
-    if comp is None:
+    if a not in range(K.n_vertices):
         raise DomainError("vertex %d is not in the complex" % a)
+    comp = tuple(sorted(_forest(K, a)[1][0]))
     Ka, remap = subcomplex(K, comp)
     sub = model_of_complex(Ka, N)
     full = model_of_complex(K, N)
@@ -281,39 +292,15 @@ def localize(L, z):
 
 
 def maximal_tree(K, basepoint=None):
-    """Spanning tree edges by breadth-first search, visiting neighbors in
-    increasing vertex order.  The search starts at the basepoint (default:
-    lowest vertex); on a disconnected complex the result is a spanning
-    forest rooted at each component's lowest vertex."""
+    """Spanning tree edges, sorted: the breadth-first spanning forest
+    (_forest) from the basepoint (default: lowest vertex), neighbors
+    visited in increasing vertex order.  On a disconnected complex it is a
+    spanning forest whose other trees are rooted at their lowest vertex."""
     if basepoint is None:
         basepoint = 0
     if not 0 <= basepoint < K.n_vertices:
         raise DomainError("basepoint %r is not a vertex" % (basepoint,))
-    adj = {v: [] for v in range(K.n_vertices)}
-    for u, v in K.faces_of_dim(1):
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
-    seen = set()
-    tree = []
-
-    def bfs(root):
-        seen.add(root)
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    tree.append(tuple(sorted((u, v))))
-                    queue.append(v)
-
-    bfs(basepoint)
-    for v in range(K.n_vertices):
-        if v not in seen:
-            bfs(v)
-    return tuple(sorted(tree))
+    return _forest(K, basepoint)[0]
 
 
 def _restricted_dgl(source, keep, p, table):

@@ -958,8 +958,10 @@ class Substitution:
     """Multiplicative substitution, prepared once: replace letter i of
     source_gens by images[i] in every word.
 
-    images maps letters to Elts over target_gens with the letter's degree
-    (or zero Elts); a letter without an image may not occur in an argument.
+    images maps letters to Elts over target_gens at truncation N with the
+    letter's degree (or zero Elts); a letter without an image may not occur
+    in an argument, and an image read over another generator set or
+    truncation raises ConfigError.
     This is the tensor extension of a degree-preserving Lie morphism, so it
     implements DGL morphisms, quotient maps and relabelings on canonical
     forms.  A word with a letter whose image is 0 is skipped.
@@ -986,11 +988,12 @@ class Substitution:
 
     def _part(self, i, r):
         """(numerators, den) of the length-r words of images[i], or None
-        when it has none; read and degree-checked on first use."""
+        when it has none; read, frame- and degree-checked on first use."""
         key = (i, r)
         if key in self._parts:
             return self._parts[key]
         img = self.images[i]
+        _check_frame(img, self.target_gens, self.N)
         num = {w: c for w, c in img.num.items() if len(w) == r}
         gens = self.source_gens
         for w in num:
@@ -1093,7 +1096,7 @@ class DGLMap:
         d(f g): dg is read off the source's differential table and f g off
         images.  An image that is missing, of another degree or over
         another frame than the target's is read through the map instead,
-        which raises on the first two as it would on any argument.  When
+        which raises on each as it would on any argument.  When
         f g is a combination of letters (a vertex map's image is a signed
         letter or 0), d(f g) is the same combination of the target's table
         images, so the residue is one _combine and no derivation runs."""

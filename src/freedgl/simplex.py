@@ -577,10 +577,12 @@ class ModelFamily:
 
     def install_top_diff(self, p, diff):
         """Override the dimension-p top differential (used for custom seeds).
-        It is read at the family's truncation and must have the degree of
-        the top cell less one; the tables above p and the models from p up,
-        which read it, are dropped."""
+        It must be over Delta^p's generator set (an equal GenSet will do;
+        another one raises ConfigError) and have the degree of the top cell
+        less one; it is read at the family's truncation.  The tables above
+        p and the models from p up, which read it, are dropped."""
         gens = simplex_genset(p)
+        _check_frame(diff, gens)
         if diff.gens is not gens or diff.N != self.N:
             diff = Elt._from_num(gens, self.N, {
                 w: c for w, c in diff.num.items() if len(w) <= self.N},

@@ -11,6 +11,7 @@ face F = (f_0 < ... < f_k), t^a dt_{F minus f_j} integrates to
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import factorial
 from operator import add
@@ -225,10 +226,18 @@ def _check_face(face, n):
 
 def elementary_form(face, n):
     """The Whitney form of a face F = (f_0 < ... < f_k),
-    k! sum_j (-1)^j t_{f_j} dt_{F minus f_j}, written down monomial by
-    monomial: only t_0 = 1 - sum t_i and dt_0 = -sum dt_i (i = 1..n) expand,
-    and dt_i wedge dt_D sorts to (-1)^{#(d in D, d < i)} dt_{D + i}."""
+    k! sum_j (-1)^j t_{f_j} dt_{F minus f_j}."""
     face = _check_face(face, n)
+    return PolyForm._from_items(n, _elementary_terms(face, n).items())
+
+
+@cache
+def _elementary_terms(face, n):
+    """The terms of elementary_form(face, n) for a checked face, built once
+    per (face, n) and shared, so callers copy them and never mutate them.
+    They are written down monomial by monomial: only t_0 = 1 - sum t_i and
+    dt_0 = -sum dt_i (i = 1..n) expand, and dt_i wedge dt_D sorts to
+    (-1)^{#(d in D, d < i)} dt_{D + i}."""
     scale = factorial(len(face) - 1) * ONE
     const = (0,) * n
 
@@ -247,7 +256,7 @@ def elementary_form(face, n):
             for exps, a in ts:
                 for key, b in dts:
                     yield (exps, key), (-1) ** j * scale * a * b
-    return PolyForm._from_items(n, items())
+    return _collect(items())
 
 
 def restrict(u, face):
@@ -335,10 +344,11 @@ def cochain_d(c):
 
 
 def whitney_i(c):
-    """The inclusion of cochains into forms: faces to elementary forms."""
+    """The inclusion of cochains into forms: faces to elementary forms,
+    each built once per process."""
     return PolyForm._from_items(c.n, (
         (key, coeff * v) for face, coeff in c.terms.items()
-        for key, v in elementary_form(face, c.n).terms.items()))
+        for key, v in _elementary_terms(face, c.n).items()))
 
 
 def integrate_p(u):

@@ -14,7 +14,8 @@ reference is incremental Gauss-Jordan on Fractions that tracks the
 combination behind every row; its kernel basis, made primitive, is what the
 package's null space must give; on it, the marker route picks degree-0
 homology representatives and reads classes off their combinations.  Lower central series ranks of surface groups
-come from Labute's closed formula, and element tokens from a plain
+come from Labute's closed formula, the components and spanning forest of a
+graph from a union-find and a breadth-first search, and element tokens from a plain
 character-by-character scan.
 """
 
@@ -160,6 +161,59 @@ def simplicial_betti(maximal):
     for q in range(0, top + 1):
         betti[q] = len(by_dim.get(q, [])) - ranks.get(q, 0) - ranks.get(q + 1, 0)
     return betti
+
+
+def union_find_components(n_vertices, edges):
+    """Vertex sets of the connected components of the graph on vertices
+    0..n_vertices-1 with the given edges, by union-find, each sorted and
+    ordered by smallest vertex."""
+    parent = list(range(n_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    groups = {}
+    for v in range(n_vertices):
+        groups.setdefault(find(v), []).append(v)
+    return [tuple(groups[r]) for r in sorted(groups)]
+
+
+def bfs_spanning_tree(n_vertices, edges, basepoint):
+    """Sorted edges of the breadth-first spanning forest of the graph: the
+    search starts at the basepoint, then at each unreached vertex in
+    increasing order, and visits neighbors in increasing order."""
+    adj = {v: [] for v in range(n_vertices)}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for v in adj:
+        adj[v].sort()
+    seen = set()
+    tree = []
+
+    def bfs(root):
+        seen.add(root)
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    tree.append(tuple(sorted((u, v))))
+                    queue.append(v)
+
+    bfs(basepoint)
+    for v in range(n_vertices):
+        if v not in seen:
+            bfs(v)
+    return tuple(sorted(tree))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from freedgl.complexes import (
 
 from oracles import (
     dense_rank, simplicial_betti, free_lie_slice_dim, surface_lcs_ranks,
+    close_faces, union_find_components, bfs_spanning_tree,
 )
 from test_homology import MarkerQuotient
 
@@ -227,6 +228,38 @@ def test_maximal_tree_bfs_order():
     assert maximal_tree(K2, 1) == ((0, 1), (1, 2))
     with pytest.raises(DomainError):
         maximal_tree(K2, 9)
+
+
+@st.composite
+def small_complexes(draw):
+    """Maximal faces of a complex on 1-9 vertices: random vertices, edges
+    and triangles, with every vertex in some face."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    faces = draw(st.lists(st.lists(vertex, min_size=1, max_size=3,
+                                   unique=True).map(tuple), max_size=12))
+    used = {v for f in faces for v in f}
+    return faces + [(v,) for v in range(n) if v not in used]
+
+
+@given(small_complexes())
+@settings(max_examples=200, deadline=None)
+def test_one_forest_matches_the_union_find_and_the_bfs(maximal):
+    # components, maximal_tree at every basepoint and the component of each
+    # vertex all read one breadth-first forest; the oracles walk the
+    # 1-skeleton twice, as a union-find and a breadth-first search
+    K = SimplicialComplex(maximal)
+    n = K.n_vertices
+    edges = [f for f in close_faces(maximal) if len(f) == 2]
+    comps = union_find_components(n, edges)
+    assert components(K) == comps
+    for b in range(n):
+        tree = maximal_tree(K, b)
+        assert tree == bfs_spanning_tree(n, edges, b)
+        assert len(tree) == n - len(comps)
+        assert set(tree) <= set(edges)
+        assert tuple(sorted(complexes._forest(K, b)[1][0])) == next(
+            c for c in comps if b in c)
 
 
 def test_minimal_model_circle():

@@ -252,6 +252,23 @@ def test_verify_simplex_vertex_is_mc_check():
     assert not verify_simplex(vertex, Lc, {"a0": gen_elt(Lc, 0)})
 
 
+def test_verify_simplex_refuses_images_over_another_frame():
+    # an assignment's image is not read by letter index over another
+    # generator set, nor at another truncation than the target's
+    m = seed_family(3).model(0)
+    b = generator_elt(GenSet([("b", -1)]), 3, "b")
+    z = generator_elt(GenSet([("x", 0), ("y", 0), ("z", -1)]), 3, "z")
+    for img, text in (
+            (b, "elements over different generator sets"),
+            (generator_elt(m.gens, 2, "a0"), "mixed truncations: 2 vs 3"),
+            (z, "elements over different generator sets")):
+        with pytest.raises(ConfigError) as e:
+            verify_simplex(m, m.dgl, {"a0": img})
+        assert str(e.value) == text
+    equal = generator_elt(GenSet([("a0", -1)]), 3, "a0")
+    assert verify_simplex(m, m.dgl, {"a0": equal})
+
+
 def test_verify_simplex_interval_with_zero_endpoints():
     iv = seed_family(3).model(1)
     L = FreeDGL(GenSet([("u", 0)]), 3, {})

@@ -462,6 +462,26 @@ def test_substitute_rejects_degree_change():
         substitute(x, h, N, {0: generator_elt(h, N, "u")})
 
 
+def test_substitute_refuses_images_over_another_frame():
+    # an image is read over the target's generators at its truncation, not
+    # by letter index: another generator set or truncation is refused
+    g = GenSet([("x", 0)])
+    h = GenSet([("u", 0)])
+    x = generator_elt(g, N, "x")
+    for img, text in (
+            (generator_elt(GenSet([("w", 0)]), N, "w"),
+             "elements over different generator sets"),
+            (generator_elt(GenSet([("p", 1), ("q", 0)]), N, "q"),
+             "elements over different generator sets"),
+            (generator_elt(h, N - 1, "u"),
+             "mixed truncations: %d vs %d" % (N - 1, N))):
+        with pytest.raises(ConfigError) as e:
+            substitute(x, h, N, {0: img})
+        assert str(e.value) == text
+    equal = generator_elt(GenSet([("u", 0)]), N, "u")
+    assert substitute(x, h, N, {0: equal}).terms == {(0,): 1}
+
+
 def test_public_derivation_and_free_dgl_check_image_degrees():
     # tables the package builds from checked differentials skip the
     # re-check; a table passed to the public constructors does not

@@ -276,6 +276,23 @@ def test_installed_top_differential_of_the_wrong_degree():
             assert str(exc.value) == text
 
 
+def test_installed_top_differential_over_another_frame():
+    # a seed is read over Delta^p's generator set, never by letter index
+    # over another one; an equal GenSet is read as Delta^p's
+    from freedgl.lie import bracket
+    b = generator_elt(GenSet([("b", -1)]), 3, "b")
+    z = generator_elt(GenSet([("x", 0), ("y", 0), ("z", -1)]), 3, "z")
+    for diff in (-HALF * bracket(b, b), bracket(z, z)):
+        for install in (lambda: seed_family(3).install_top_diff(0, diff),
+                        lambda: build_model(
+                            2, 3, seeds=[diff, interval_top_diff(3)])):
+            with pytest.raises(ConfigError) as exc:
+                install()
+            assert str(exc.value) == "elements over different generator sets"
+    seeded = build_model(2, 3, seeds=[vertex_top_diff(3), interval_top_diff(3)])
+    assert emit_dgl(seeded.dgl) == emit_dgl(build_model(2, 3).dgl)
+
+
 # sha256 of the emit_dgl text of builder outputs; any change to the
 # arithmetic or to the canonical choices of the builders shows here
 BUILDER_TEXT_SHA256 = [

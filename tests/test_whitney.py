@@ -7,6 +7,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freedgl import whitney
+from freedgl.cli import _whitney_suite
 from freedgl.lie import DomainError
 from freedgl.whitney import (
     Cochain,
@@ -29,6 +31,18 @@ from freedgl.whitney import (
 def faces(n):
     for k in range(n + 1):
         yield from combinations(range(n + 1), k + 1)
+
+
+def test_whitney_suite_builds_each_face_form_once():
+    # the n=3 suite reads 15 faces' forms, through its own table and its
+    # whitney_i calls, and builds each once; every caller gets a copy
+    whitney._elementary_terms.cache_clear()
+    assert all(ok for _, ok in _whitney_suite(3))
+    assert whitney._elementary_terms.cache_info().misses == 15
+    form = elementary_form((0, 2), 3)
+    form.terms.clear()
+    assert elementary_form((0, 2), 3).terms
+    assert whitney_i(Cochain(3, {(0, 2): 1})) == elementary_form((0, 2), 3)
 
 
 def test_pinned_elementary_forms():
