@@ -9,7 +9,7 @@ so the restriction closes whenever the face set is closed under subsets.
 The seed top differentials are built once per truncation and dimension
 and shared by every complex (simplex._seed_top_diffs).  The 1-skeleton is
 walked in one place, _forest, whose breadth-first spanning forest gives
-the components, the component of a vertex and the spanning tree.  On top
+the components and the spanning tree.  On top
 of the raw model: component splitting, localization at a Maurer-Cartan
 element, and the minimal model as one quotient (build the model modulo the
 vertices and a spanning tree, so that no word with one of their letters is
@@ -32,7 +32,7 @@ from .linalg import SpanReducer, echelon
 from .series import twist
 from .serialize import ParseError
 from .simplex import face_name, face_degree, _face_images, _seed_top_diffs
-from .homology import homology, _DegreeLayout, _kernel_pass
+from .homology import _DegreeLayout, _kernel_pass
 
 ONE = Fraction(1)
 
@@ -205,30 +205,6 @@ def subcomplex(K, vertices):
     if not maximal:
         raise DomainError("no faces inside the requested vertex set")
     return SimplicialComplex(maximal, labels=vs), remap
-
-
-def component_inclusion_check(K, a, N, degrees):
-    """Homology-dimension comparison between the component of a and all of
-    K, both twisted at a, over the requested degree window."""
-    if a not in range(K.n_vertices):
-        raise DomainError("vertex %d is not in the complex" % a)
-    comp = tuple(sorted(_forest(K, a)[1][0]))
-    Ka, remap = subcomplex(K, comp)
-    sub = model_of_complex(Ka, N)
-    full = model_of_complex(K, N)
-    tw_sub = twist(sub.dgl, sub.gen((remap[a],)))
-    tw_full = twist(full.dgl, full.gen((a,)))
-    rep_sub = homology(tw_sub, degrees=degrees)
-    rep_full = homology(tw_full, degrees=degrees)
-    out = {}
-    ok = True
-    for q in sorted(degrees):
-        ds = rep_sub.entries[q]["h"]
-        df = rep_full.entries[q]["h"]
-        agree = ds == df
-        ok = ok and agree
-        out[q] = {"sub": ds, "full": df, "agree": agree}
-    return {"component": comp, "degrees": out, "ok": ok}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .lie import (
     DomainError, StructError, _check_frame, _SliceLayout,
     Elt, DGLMap, bracket, linear_combination,
 )
-from .series import bch, gauge, is_mc
+from .series import bch
 from .linalg import echelon, null_space
 
 ZERO = Fraction(0)
@@ -307,13 +307,6 @@ def verify_simplex(model, L, assignment):
         idx = model.gens.index(key) if isinstance(key, str) else key
         images[idx] = val
     return DGLMap(model.dgl, L, images).is_chain_map()
-
-
-def gauge_equivalent_certificate(L, a, b, x):
-    """Whether the gauge action of x carries a to b, mod L^{>N}."""
-    if not is_mc(L, b):
-        raise DomainError("gauge certificate target is not Maurer-Cartan")
-    return gauge(x, a, L) == b
 
 
 # ---------------------------------------------------------------------------

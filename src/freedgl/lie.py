@@ -960,8 +960,8 @@ class Substitution:
 
     images maps letters to Elts over target_gens at truncation N with the
     letter's degree (or zero Elts); a letter without an image may not occur
-    in an argument, and an image read over another generator set or
-    truncation raises ConfigError.
+    in an argument, and the image of a letter of an argument, zero or not,
+    over another generator set or truncation raises ConfigError.
     This is the tensor extension of a degree-preserving Lie morphism, so it
     implements DGL morphisms, quotient maps and relabelings on canonical
     forms.  A word with a letter whose image is 0 is skipped.
@@ -988,12 +988,12 @@ class Substitution:
 
     def _part(self, i, r):
         """(numerators, den) of the length-r words of images[i], or None
-        when it has none; read, frame- and degree-checked on first use."""
+        when it has none; read and degree-checked on first use (graded
+        frame-checks the image)."""
         key = (i, r)
         if key in self._parts:
             return self._parts[key]
         img = self.images[i]
-        _check_frame(img, self.target_gens, self.N)
         num = {w: c for w, c in img.num.items() if len(w) == r}
         gens = self.source_gens
         for w in num:
@@ -1043,7 +1043,8 @@ class Substitution:
     def graded(self, x, lengths, table):
         """The parts of the given lengths (each 1..N) of x under the map,
         as one Elt at truncation N, with every product read from or added
-        to the caller's (prefix, length) table."""
+        to the caller's (prefix, length) table.  The image of each letter
+        of x is frame-checked here, before a zero image is skipped."""
         _check_frame(x, self.source_gens)
         images = self.images
         zero = set()
@@ -1052,6 +1053,7 @@ class Substitution:
             if img is None:
                 raise StructError("no image for generator %r"
                                   % self.source_gens.names[i])
+            _check_frame(img, self.target_gens, self.N)
             if not img.num:
                 zero.add(i)
         top = max(lengths)

@@ -7,13 +7,18 @@ For Lie elements this is exact (left-to-right bracketing recovers n times the
 length-n part), so parse(emit(x)) == x bit for bit.  Non-Lie inputs are
 refused rather than silently projected, by a Dynkin check that reads the
 verdict an element keeps (bch and parse_element return elements that carry
-one).  The parser reads a left-normed bracket (all that emit_element
-writes) off its tokens as its list of letters; those words are coded by
-lie._code and pooled into one coded Dynkin map, lie._theta_coded, whose
-result is decoded once.  Any other two-argument nesting is read into a tree
-of flat left spines and expanded by lie.bracket_words.  A bracket word with
-more than N letters parses to 0 at truncation N, and is not coded.
-Coefficients are read and written as ints, with no Fraction per term.
+one).  The emitter builds each bracket string from its prefix's string.
+
+The parser reads each term as emit_element writes it (a sign, a
+coefficient and a left-normed bracket over ASCII names) whole, with one
+pattern match, as its list of letters.  From the first term the pattern
+does not read, the rest of the text is tokenized and each bracket word read
+into a tree of flat left spines; a left-normed word is its list of letters.
+The left-normed words are coded by lie._code and pooled into one coded
+Dynkin map, lie._theta_coded, whose result is decoded once; any other
+nesting is expanded by lie.bracket_words.  A bracket word with more than N
+letters parses to 0 at truncation N, and is not coded.  Coefficients are
+read and written as ints, with no Fraction per term.
 
 A DGL file is line-based:
 
@@ -54,8 +59,10 @@ class ParseError(ValueError):
 def emit_element(x):
     """Serialize a Lie element; deterministic term order (length, then word).
     Word w with numerator n is written as n / (den len w) in lowest terms,
-    then its left-normed bracket.  The words are grouped by length, so each
-    length's denominator and opening brackets are formed once."""
+    then its left-normed bracket.  The words are grouped by length; within
+    one call each distinct numerator of a length is formatted once, and each
+    bracket string is its prefix's string plus one tail, so a prefix shared
+    by many words is written once."""
     ok, defects = dynkin_verify(x)
     if not ok:
         raise DomainError(
@@ -66,24 +73,49 @@ def emit_element(x):
         return "0"
     names = x.gens.names
     tails = [",%s]" % name for name in names]
+    # the bracket string of each word and prefix so far, without its
+    # opening brackets: w1,w2],...,wn]
+    bodies = {(i,): name for i, name in enumerate(names)}
     by_length = {}
     for w in num:
         by_length.setdefault(len(w), []).append(w)
-    bits = []   # the sign and the term of each word, in turn
+    bits = []   # the signed coefficient and the bracket string of each word
     for k in sorted(by_length):
         q = x.den * k
         opening = "[" * (k - 1)
+        heads = {}   # numerator -> " + c [[" or " - c [["
         for w in sorted(by_length[k]):
             n = num[w]
-            bits.append("-" if n < 0 else "+")
-            n = abs(n)
-            g = gcd(n, q)
-            c = "%d" % (n // g) if q == g else "%d/%d" % (n // g, q // g)
-            bits.append("%s %s%s%s" % (c, opening, names[w[0]],
-                                       "".join([tails[i] for i in w[1:]])))
-    text = " ".join(bits)
+            head = heads.get(n)
+            if head is None:
+                a = abs(n)
+                g = gcd(a, q)
+                c = "%d" % (a // g) if q == g else "%d/%d" % (a // g, q // g)
+                head = heads[n] = "%s %s %s" % (
+                    " -" if n < 0 else " +", c, opening)
+            bits.append(head)
+            if k == 1:
+                bits.append(names[w[0]])
+                continue
+            prefix = w[:-1]
+            body = bodies.get(prefix)
+            if body is None:   # a prefix that is no word of x
+                body = bodies[prefix] = names[w[0]] + "".join(
+                    [tails[i] for i in prefix[1:]])
+            body = bodies[w] = body + tails[w[-1]]
+            bits.append(body)
+    text = "".join(bits)
     # the first sign is a bare minus or nothing
-    return "-" + text[2:] if text[0] == "-" else text[2:]
+    return "-" + text[3:] if text[1] == "-" else text[3:]
+
+
+# one term as emit_element writes it: an optional sign, an optional
+# coefficient p or p/q with an optional '*', m opening brackets, a letter,
+# then tails ',letter]', whose count the reader compares with m.  The term
+# ends where a token ends: at whitespace, a sign or the end of the text.
+_TERM = re.compile(
+    r"\s*(?:([+-])\s*)?(?:(\d+)(?:/(\d+))?\s*(?:\*\s*)?)?"
+    r"(\[*)([A-Za-z_]\w*)((?:,[A-Za-z_]\w*\])*)(?![^\s+-])\s*", re.ASCII)
 
 
 # a token is a punctuation mark, a number (a digit, then digits and '/') or
@@ -184,10 +216,8 @@ def _parse_bracket_word(toks, i, gens, line):
 
 def _readable(name):
     """Whether parse_element reads name as one generator."""
-    try:
-        return _tokenize(name) == [name] and name.isidentifier()
-    except ParseError:
-        return False
+    return (name.isidentifier()
+            and _token_pattern(name).fullmatch(name) is not None)
 
 
 def parse_element(text, gens, N, line=None):
@@ -198,6 +228,12 @@ def parse_element(text, gens, N, line=None):
     The numerators p of the coefficients p/q are summed over the lcm of the
     q.  The result, theta of the left-normed words plus the other bracket
     trees, is Lie by construction and is returned marked as one.
+
+    Each term as emit_element writes it (a left-normed word over ASCII
+    generator names, with a nonzero denominator) is read whole by one
+    pattern match; from the first term that is not, the rest of the text is
+    tokenized and read token by token, so errors and their messages are the
+    tokenizer's and _parse_bracket_word's.
     """
     return _parse_element(text, gens, N, line)[0]
 
@@ -206,59 +242,68 @@ def _parse_element(text, gens, N, line=None):
     """parse_element's element and the set of the degrees of its parsed
     parts (its words and bracket words of at most N letters), which holds
     the degree of every word of the element."""
-    toks = _tokenize(text, line)
-    if not toks:
+    # strip drops the whitespace the tokenizer skips, so these are the texts
+    # it reads as no tokens and as the one token "0"
+    bare = text.strip()
+    if not bare:
         raise ParseError("empty element", line)
-    if toks == ["0"]:
+    if bare == "0":
         return Elt(gens, N, {}), set()
-    toks.append(None)   # the end
     index = gens._index
-    degs = gens.degrees
     # (signed p, q, letters) of each left-normed word and (signed p, q,
     # expansion) of each other bracket word, of <= N letters
     terms = []
     trees = []
     degrees = set()
-    i = 0
-    while toks[i] is not None:
-        t = toks[i]
-        sign = 1
-        if i or t in ("+", "-"):
-            if t not in ("+", "-"):
-                raise ParseError("expected '+' or '-', got %r" % t, line)
-            sign = -1 if t == "-" else 1
-            i += 1
-        p, q = 1, 1
-        t = toks[i]
-        if t is not None and t[0].isdigit():
-            p, q = _parse_scalar(t, line)
-            i += 2 if toks[i + 1] == "*" else 1
-        # a left-normed word or a bare letter: m opening brackets, a
-        # letter, then m times ',' letter ']'; any other nesting, or an
-        # error, is left to _parse_bracket_word
-        j = i
-        while toks[j] == "[":
-            j += 1
-        m = j - i
-        end = j + 1 + 3 * m
-        if not m or (toks[j + 1:end:3].count(",") == m
-                     and toks[j + 3:end:3].count("]") == m):
-            try:
-                letters = [index[toks[j]]]
-                if m:
-                    letters += map(index.__getitem__, toks[j + 2:end:3])
-            except KeyError:   # a token that is not a generator, or the end
-                pass
-            else:
-                i = end
-                if m < N:
-                    terms.append((sign * p, q, letters))
+    match = _TERM.match
+    pos = 0
+    while pos < len(text):
+        m = match(text, pos)
+        if m is None:
+            break
+        sign, p, q, opening, head, tails = m.groups()
+        if sign is None and pos:
+            break   # a missing sign
+        try:
+            p = int(p) if p else 1
+            q = int(q) if q else 1
+            letters = [index[head]]
+            if tails:
+                letters += map(index.__getitem__, tails[1:-1].split("],"))
+        except (ValueError, KeyError):   # too many digits, or no generator
+            break
+        if not q or len(letters) != len(opening) + 1:
+            break   # a zero denominator, or another nesting
+        if len(letters) <= N:
+            terms.append((-p if sign == "-" else p, q, letters))
+        pos = m.end()
+    if pos < len(text):
+        toks = _tokenize(text[pos:], line)
+        toks.append(None)   # the end
+        degs = gens.degrees
+        i = 0
+        while toks[i] is not None:
+            t = toks[i]
+            sign = 1
+            if pos or i or t in ("+", "-"):
+                if t not in ("+", "-"):
+                    raise ParseError("expected '+' or '-', got %r" % t, line)
+                sign = -1 if t == "-" else 1
+                i += 1
+            p, q = 1, 1
+            t = toks[i]
+            if t is not None and t[0].isdigit():
+                p, q = _parse_scalar(t, line)
+                i += 2 if toks[i + 1] == "*" else 1
+            tree, count, i = _parse_bracket_word(toks, i, gens, line)
+            if count > N:
                 continue
-        tree, count, i = _parse_bracket_word(toks, i, gens, line)
-        if count <= N:
-            expansion, d = bracket_words(tree, degs)
-            trees.append((sign * p, q, expansion))
-            degrees.add(d)
+            if count == len(tree):   # a left-normed word: its letters
+                terms.append((sign * p, q, tree))
+            else:
+                expansion, d = bracket_words(tree, degs)
+                trees.append((sign * p, q, expansion))
+                degrees.add(d)
     D = lcm(*[q for _, q, _ in terms])
     # a left-normed word is theta of its word, so these are pooled into one
     # coded Dynkin map; every other nesting is expanded on its own

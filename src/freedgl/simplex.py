@@ -129,17 +129,6 @@ def _relabel(num, table, out, scale=1):
     return out
 
 
-def relabel_element(x, vertex_map, target_gens, target_N):
-    """Push an element over simplex_genset(p) along a vertex map.
-
-    vertex_map sends vertex v = 0..p to vertex_map[v] (a tuple or a dict);
-    a_F goes to the sort sign times a_{sorted image of F}, or to 0 when the
-    image repeats a vertex.
-    """
-    table = _face_table(len(vertex_map) - 1, vertex_map, target_gens.index)
-    return _relabeled(x, table, target_gens, target_N)
-
-
 def _relabeled(x, table, target_gens, target_N):
     """x mapped through a face table onto target_gens at target_N."""
     out = _relabel(x.num, table, {})
@@ -505,11 +494,6 @@ def _reynolds_average(n, x, signed):
     for sign, table in tables:
         _relabel(reps, table, out, sign if signed else 1)
     return Elt._from_num(x.gens, x.N, out, x.den * len(tables))
-
-
-def reynolds_sign_project(model, x):
-    """Average of eps_sigma * sigma(x) over the vertex permutation group."""
-    return _reynolds_average(model.n, x, True)
 
 
 def reynolds_invariant_project(model, x):

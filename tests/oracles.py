@@ -15,8 +15,8 @@ combination behind every row; its kernel basis, made primitive, is what the
 package's null space must give; on it, the marker route picks degree-0
 homology representatives and reads classes off their combinations.  Lower central series ranks of surface groups
 come from Labute's closed formula, the components and spanning forest of a
-graph from a union-find and a breadth-first search, and element tokens from a plain
-character-by-character scan.
+graph from a union-find and a breadth-first search, element tokens from a plain
+character-by-character scan, and element text from a word-by-word writer.
 """
 
 from fractions import Fraction
@@ -707,3 +707,22 @@ def scan_tokens(text):
         else:
             return None, ch
     return toks, None
+
+
+def emit_terms(terms, names):
+    """The text of the Lie element with the tensor terms {word: Fraction}
+    over the generator names: word by word, in order of length and then
+    word, the sign, c_w / len(w) in lowest terms and the left-normed
+    bracket [[...[w1,w2],...],wn]; "0" when there are no terms."""
+    text = ""
+    for w in sorted(terms, key=lambda w: (len(w), w)):
+        c = terms[w] / len(w)
+        bracket = names[w[0]]
+        for i in w[1:]:
+            bracket = "[%s,%s]" % (bracket, names[i])
+        if text:
+            text += " - " if c < 0 else " + "
+        elif c < 0:
+            text = "-"
+        text += "%s %s" % (abs(c), bracket)
+    return text or "0"

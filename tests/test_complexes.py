@@ -21,8 +21,7 @@ from freedgl.homology import (
 from freedgl import complexes
 from freedgl.complexes import (
     SimplicialComplex, parse_complex, model_of_complex, components,
-    subcomplex, component_inclusion_check, localize, maximal_tree,
-    minimal_model,
+    subcomplex, localize, maximal_tree, minimal_model,
 )
 
 from oracles import (
@@ -172,6 +171,24 @@ def test_components_and_subcomplex():
     assert sub.n_vertices == 3
     assert len(sub.faces) == 6
     assert remap == {0: 0, 1: 1, 2: 2}
+
+
+def component_inclusion_check(K, a, N, degrees):
+    """Homology-dimension comparison between the component of a and all of
+    K, both twisted at a, over the requested degree window."""
+    comp = next(c for c in components(K) if a in c)
+    Ka, remap = subcomplex(K, comp)
+    sub = model_of_complex(Ka, N)
+    full = model_of_complex(K, N)
+    rep_sub = homology(twist(sub.dgl, sub.gen((remap[a],))), degrees=degrees)
+    rep_full = homology(twist(full.dgl, full.gen((a,))), degrees=degrees)
+    out = {}
+    for q in sorted(degrees):
+        ds = rep_sub.entries[q]["h"]
+        df = rep_full.entries[q]["h"]
+        out[q] = {"sub": ds, "full": df, "agree": ds == df}
+    return {"component": comp, "degrees": out,
+            "ok": all(e["agree"] for e in out.values())}
 
 
 def test_component_inclusion_two_points():

@@ -12,15 +12,14 @@ from freedgl.lie import (
     generator_elt, slice_coordinates, lyndon_slice_basis,
 )
 from freedgl.serialize import emit_element
-from freedgl.series import bch, twist
+from freedgl.series import bch, gauge, is_mc, twist
 from freedgl.simplex import (
     seed_family, interval_model, vertex_top_diff, interval_top_diff,
-    relabel_element, tetra_model,
+    tetra_model,
 )
 from freedgl.homology import (
     MalcevQuotient, homology, linear_homology, pi_n, verify_simplex,
-    gauge_equivalent_certificate, tower_layers, _DegreeLayout, _h0_quotient,
-    _kernel_pass,
+    tower_layers, _DegreeLayout, _h0_quotient, _kernel_pass,
 )
 from freedgl.complexes import (
     parse_complex, model_of_complex, minimal_model, localize,
@@ -31,6 +30,7 @@ from oracles import (
     dense_rank, free_lie_slice_dim, kernel_columns, marker_h0, over,
     primitive, transpose,
 )
+from test_simplex import relabel_element
 
 ONE = Fraction(1)
 F = Fraction
@@ -261,7 +261,11 @@ def test_verify_simplex_refuses_images_over_another_frame():
     for img, text in (
             (b, "elements over different generator sets"),
             (generator_elt(m.gens, 2, "a0"), "mixed truncations: 2 vs 3"),
-            (z, "elements over different generator sets")):
+            (z, "elements over different generator sets"),
+            # a zero image is checked before it is skipped
+            (zero_elt(GenSet([("b", -1), ("c", 0)]), 2),
+             "elements over different generator sets"),
+            (zero_elt(m.gens, 2), "mixed truncations: 2 vs 3")):
         with pytest.raises(ConfigError) as e:
             verify_simplex(m, m.dgl, {"a0": img})
         assert str(e.value) == text
@@ -287,6 +291,13 @@ def test_verify_simplex_triangle_composite():
     bad = dict(asg)
     bad["a02"] = f
     assert not verify_simplex(tri, A, bad)
+
+
+def gauge_equivalent_certificate(L, a, b, x):
+    """Whether the gauge action of x carries a to b, mod L^{>N}."""
+    if not is_mc(L, b):
+        raise DomainError("gauge certificate target is not Maurer-Cartan")
+    return gauge(x, a, L) == b
 
 
 def test_gauge_certificate_on_interval():

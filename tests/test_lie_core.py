@@ -474,7 +474,11 @@ def test_substitute_refuses_images_over_another_frame():
             (generator_elt(GenSet([("p", 1), ("q", 0)]), N, "q"),
              "elements over different generator sets"),
             (generator_elt(h, N - 1, "u"),
-             "mixed truncations: %d vs %d" % (N - 1, N))):
+             "mixed truncations: %d vs %d" % (N - 1, N)),
+            # a zero image is checked before it is skipped
+            (zero_elt(GenSet([("w", 0)]), N),
+             "elements over different generator sets"),
+            (zero_elt(h, N - 1), "mixed truncations: %d vs %d" % (N - 1, N))):
         with pytest.raises(ConfigError) as e:
             substitute(x, h, N, {0: img})
         assert str(e.value) == text

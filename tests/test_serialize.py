@@ -15,7 +15,7 @@ from freedgl.serialize import (
 )
 from freedgl.series import bch
 
-from oracles import scan_tokens
+from oracles import emit_terms, scan_tokens
 
 GENS = GenSet([("a0", -1), ("a1", -1), ("x", 0)])
 N = 5
@@ -115,6 +115,28 @@ def test_round_trip_random_lie_elements(coeffs, slice_):
     coords = [coeffs[i % len(coeffs)] for i in range(len(basis))]
     x = elt_from_slice_coords(GENS, N, basis, dict(enumerate(coords)))
     assert parse_element(emit_element(x), GENS, N) == x
+
+
+@given(st.lists(st.tuples(st.sampled_from(
+    [(-1, 1), (-1, 2), (-2, 2), (-1, 3), (0, 3), (-2, 4), (-2, 5), (0, 5)]),
+    st.lists(st.builds(Fraction, st.integers(min_value=-30, max_value=30),
+                       st.integers(min_value=1, max_value=12)),
+             min_size=1, max_size=6)), min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_emit_matches_the_word_by_word_writer(slices):
+    # sums of slices, so lengths and denominators mix
+    x = Elt(GENS, N, {})
+    for (q, n), coeffs in slices:
+        basis = lyndon_slice_basis(GENS, q, n)
+        coords = {i: coeffs[i % len(coeffs)] for i in range(len(basis))}
+        x = x + elt_from_slice_coords(GENS, N, basis, coords)
+    assert emit_element(x) == emit_terms(x.terms, GENS.names)
+
+
+def test_emit_of_bch_matches_the_word_by_word_writer():
+    g = GenSet([("x", 0), ("y", 0), ("z", 0)])
+    b = bch(*(generator_elt(g, 5, n) for n in ("x", "y", "z")))
+    assert emit_element(b) == emit_terms(b.terms, g.names)
 
 
 def test_round_trip_inhomogeneous():
@@ -263,6 +285,72 @@ def test_parse_element_fuzz_returns_or_raises_parse_error(soup, spaced):
     except ParseError:
         return
     assert x.gens is GENS and x.N == 3
+
+
+# characters that start no token and whitespace outside ASCII, put
+# between the tokens of a term; word characters outside ASCII, glued to its
+# end; and a letter that is no generator of GENS
+STRAYS = ["%", ".", "/", "?", "\u20ac", "\u00a0", "\x1c"]
+GLUED = ["\u00b2", "\u00e9", "\u0663"]
+LETTERS = list(GENS.names) * 3 + ["q0"]
+tree_tokens = st.recursive(
+    st.sampled_from(LETTERS).map(lambda a: [a]),
+    lambda kids: st.tuples(kids, kids).map(
+        lambda t: ["["] + t[0] + [","] + t[1] + ["]"]),
+    max_leaves=6)
+term_texts = st.tuples(
+    st.sampled_from(["+", "-"] * 4 + [""]),
+    st.one_of(st.just(""), st.integers(0, 40).map(str),
+              st.tuples(st.integers(0, 40), st.integers(0, 8)).map(
+                  lambda pq: "%d/%d" % pq)),
+    st.booleans(), tree_tokens,
+    st.one_of(st.just([]), st.tuples(st.integers(0, 12),
+                                     st.sampled_from(STRAYS)).map(
+        lambda t: [t])),
+    st.sampled_from([""] * 6 + GLUED))
+
+
+def _term_text(sign, coeff, star, toks, strays, glued, sep):
+    toks = list(toks)
+    for at, c in strays:
+        toks.insert(at % (len(toks) + 1), c)
+    return " ".join(b for b in (sign, coeff, "*" if star else "",
+                                sep.join(toks) + glued) if b)
+
+
+def _read(text, N, line):
+    """(element, degrees) of text, or its ParseError's message and line."""
+    try:
+        x, degrees = serialize._parse_element(text, GENS, N, line)
+    except ParseError as e:
+        return str(e), e.line
+    return x, degrees
+
+
+def _term(toks, sign="+", coeff="", glued=""):
+    return (sign, coeff, False, toks, [], glued)
+
+
+WORD = ["[", "x", ",", "a0", "]"]
+
+
+@given(st.lists(term_texts, min_size=1, max_size=5),
+       st.sampled_from([3, 5]), st.one_of(st.none(), st.integers(1, 9)))
+# after a bracket word: a missing sign, a zero denominator, a word
+# character outside ASCII, and a left-normed word of N letters
+@example([_term(WORD), _term(["a1"], "", "2")], 5, 4)
+@example([_term(WORD, "-", "4/6"), _term(["a1"], "+", "1/0")], 5, None)
+@example([_term(WORD), _term(["x"], glued="\u00b2")], 3, 2)
+@example([_term(WORD), _term(["[", "[", "x", ",", "x", "]", ",", "a1", "]"])],
+         3, None)
+@settings(max_examples=400, deadline=None)
+def test_terms_read_whole_agree_with_the_token_path(terms, N, line):
+    # spaces inside every bracket keep each bracket word from being read
+    # whole, so those terms and every later one are read token by token;
+    # both readings give the same element and degrees, or the same error
+    whole = " ".join(_term_text(*t, "") for t in terms)
+    spaced = " ".join(_term_text(*t, " ") for t in terms)
+    assert _read(whole, N, line) == _read(spaced, N, line)
 
 
 LINES = ["dgl", "gens a0:-1 a1:-1 x:0", "gens a:-2", "gens a:x", "gens :0",

@@ -21,8 +21,8 @@ from freedgl.simplex import (
     seed_family, ModelFamily, interval_model, triangle_model, tetra_model,
     interval_top_diff, triangle_top_diff, tetra_top_diff, vertex_top_diff,
     bch_transgression, solve_boundary, build_model, build_symmetric_model,
-    permutation_map, equivariance_residues, reynolds_sign_project,
-    reynolds_invariant_project, relabel_element, subdivision_morphism,
+    permutation_map, equivariance_residues, reynolds_invariant_project,
+    subdivision_morphism,
     barycentric_mc, check_model_axioms, check_cosimplicial_identities,
     generator_homology,
 )
@@ -30,6 +30,23 @@ from freedgl.simplex import (
 from oracles import oracle_substitute
 
 HALF = Fraction(1, 2)
+
+
+def relabel_element(x, vertex_map, target_gens, target_N):
+    """Push an element over simplex_genset(p) along a vertex map.
+
+    vertex_map sends vertex v = 0..p to vertex_map[v] (a tuple or a dict);
+    a_F goes to the sort sign times a_{sorted image of F}, or to 0 when the
+    image repeats a vertex.
+    """
+    table = simplex._face_table(len(vertex_map) - 1, vertex_map,
+                                target_gens.index)
+    return simplex._relabeled(x, table, target_gens, target_N)
+
+
+def reynolds_sign_project(model, x):
+    """Average of eps_sigma * sigma(x) over the vertex permutation group."""
+    return simplex._reynolds_average(model.n, x, True)
 
 
 def barycenter(model):
