@@ -27,7 +27,8 @@ Lie membership and canonical coordinates use two classical tools:
     coordinate extraction is triangular on leading words.  _SliceLayout
     is the one owner of slice coordinates: the slices of one degree and
     given lengths as one basis with one lead index, read by homology's
-    chain spaces and by the builders' length stages.
+    chain spaces and by the builders' length stages, whose d1 matrix it
+    reads off the lead words alone.
 
 Degrees are integers >= -1.  Degree -2 or lower is rejected at construction.
 """
@@ -789,20 +790,27 @@ def _slice_coords(x, basis, lead_index):
     """slice_coordinates of x as (numerators, D): a sparse dict position ->
     int over one positive denominator D, in lowest terms, given the basis's
     lead word -> position index, so that the cost follows the terms of x
-    rather than the size of the slice.
+    rather than the size of the slice."""
+    return _reduce_on_leads(dict(x.num), x.den, basis, lead_index)
 
-    Runs on the integer numerators of x over its denominator D: basis
-    elements have integer coefficients, so only a doubled lead with an odd
-    numerator leaves the integers, and then D doubles."""
-    work, D = dict(x.num), x.den
+
+def _reduce_on_leads(work, D, basis, lead_index):
+    """_slice_coords of the numerators work (a dict it consumes, zeros
+    skipped) over D, on basis entries (lead, integer terms, doubled): only
+    a doubled lead with an odd numerator leaves the integers, and then D
+    doubles.  Numerators in lowest terms give coordinates in lowest
+    terms."""
     coords = {}
     while work:
         w = min(work)
+        c = work[w]
+        if not c:
+            del work[w]
+            continue
         i = lead_index.get(w)
         if i is None:
             return None
         _, bterms, doubled = basis[i]
-        c = work[w]
         if doubled:
             if c & 1:
                 work = {v: 2 * cv for v, cv in work.items()}
@@ -836,12 +844,15 @@ class _SliceLayout:
 
     Leads of different lengths are different words, and _slice_coords takes
     the least remaining word, which is also the least of its own length, so
-    the triangular reduction runs on each length as on its own slice."""
+    the triangular reduction runs on each length as on its own slice.
+    linear_columns reads the coordinates of a linear derivation's images of
+    another layout's basis off this layout's lead words only."""
 
-    __slots__ = ("gens", "basis", "lead_index", "dim")
+    __slots__ = ("gens", "subset", "basis", "lead_index", "dim")
 
     def __init__(self, gens, q, lengths, subset=None):
         self.gens = gens
+        self.subset = None if subset is None else frozenset(subset)
         self.basis = [b for k in lengths
                       for b in lyndon_slice_basis(gens, q, k, subset)]
         self.lead_index = {lead: i
@@ -851,6 +862,74 @@ class _SliceLayout:
     def coords(self, x):
         """(numerators, D) of x, or None off the span (or an empty slice)."""
         return _slice_coords(x, self.basis, self.lead_index)
+
+    def linear_columns(self, source, d1):
+        """[self.coords(d1(y)) for y in source.elements(d1.N)], or None when
+        some d1(y) leaves this layout's sub-alphabet, for a derivation d1
+        with linear images (FreeDGL.linear_part()) and a source of one
+        length over the same sub-alphabet; no d1(y) is built.
+
+        d1(y) leaves the sub-alphabet exactly when the derivation of the
+        images' foreign letters is nonzero on y, which is applied only when
+        some image has one.  The part over the sub-alphabet is a Lie element
+        of the span, and b_w is w plus lex-higher words, so its coordinates
+        follow from its coefficients on the lead words u: the sum over
+        positions p and letters g with u_p in d1(g) of the Koszul sign of
+        u[:p] times d1(g)[u_p] times y[u[:p] g u[p+1:]], read through an
+        index of the source words, then reduced on the lead-word rows."""
+        images, Di = d1._integer_images()
+        gens, allowed = self.gens, self.subset
+        if allowed is not None:
+            foreign = {}
+            for g in sorted(allowed & images.keys()):
+                num = {w: c for w, c in images[g] if w[0] not in allowed}
+                if num:
+                    foreign[g] = Elt._from_num(gens, d1.N, num, Di)
+            if foreign:
+                off = Derivation._trusted(gens, d1.N, foreign, d1.shift)
+                if any(off(y).num for y in source.elements(d1.N)):
+                    return None
+        pre = {}   # letter h -> (g, coefficient of h in d1(g))
+        for g, img in images.items():
+            if allowed is None or g in allowed:
+                for (h,), c in img:
+                    pre.setdefault(h, []).append((g, c))
+        index = {}   # source word -> (j, its coefficient in y_j)
+        for j, (_, terms, _) in enumerate(source.basis):
+            for w, c in terms.items():
+                index.setdefault(w, []).append((j, c))
+        degs = gens.degrees
+        odd = d1.shift & 1
+        leads = [{} for _ in source.basis]   # j -> lead position -> numerator
+        for i, (u, _, _) in enumerate(self.basis):
+            sign = 1
+            for p, h in enumerate(u):
+                for g, c in pre.get(h, ()):
+                    hits = index.get(u[:p] + (g,) + u[p + 1:])
+                    if hits:
+                        c *= sign
+                        for j, cj in hits:
+                            col = leads[j]
+                            col[i] = col.get(i, 0) + c * cj
+                if odd and degs[h] & 1:
+                    sign = -sign
+        lead_index = self.lead_index
+        rows = [(lead, {lead_index[v]: cv for v, cv in terms.items()
+                        if v in lead_index}, doubled)
+                for lead, terms, doubled in self.basis]
+        # the reduction runs on positions, which hash and compare faster
+        # than the lead words and, the basis being sorted by lead within
+        # each length, come in the same order: positions are their own index
+        positions = {i: i for i in range(self.dim)}
+        out = []
+        for work in leads:
+            coords, D = _reduce_on_leads(work, Di, rows, positions)
+            if D != 1:   # Di may share a factor with every coordinate
+                g = gcd(D, *coords.values())
+                coords = {i: c // g for i, c in coords.items()}
+                D //= g
+            out.append((coords, D))
+        return out
 
     def element(self, N, coords, den=1):
         """The element at truncation N with sparse coordinates coords/den."""
@@ -1166,13 +1245,17 @@ class FreeDGL:
     def d(self, x):
         return self.diff(x)
 
-    def d1(self, x):
-        """Linear (length-preserving) part of the differential: the
-        derivation extending the length-1 parts of the generator images."""
+    def linear_part(self):
+        """The derivation d1 extending the length-1 parts of the generator
+        images, built on first use."""
         if self._d1 is None:
             ones = {i: img.length_part(1) for i, img in self.diff.images.items()}
             self._d1 = Derivation._trusted(self.gens, self.N, ones, -1)
-        return self._d1(x)
+        return self._d1
+
+    def d1(self, x):
+        """Linear (length-preserving) part of the differential."""
+        return self.linear_part()(x)
 
     def check_d_squared(self):
         """Apply d once to every image of the differential table (d(dg) for

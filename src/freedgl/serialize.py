@@ -10,10 +10,11 @@ verdict an element keeps (bch and parse_element return elements that carry
 one).  The emitter builds each bracket string from its prefix's string.
 
 The parser reads each term as emit_element writes it (a sign, a
-coefficient and a left-normed bracket over ASCII names) whole, with one
-pattern match, as its list of letters.  From the first term the pattern
-does not read, the rest of the text is tokenized and each bracket word read
-into a tree of flat left spines; a left-normed word is its list of letters.
+coefficient and a left-normed bracket over ASCII names, also with spaces
+beside its brackets and commas) whole, with one pattern match, as its list
+of letters.  From the first term the pattern does not read, the rest of the
+text is tokenized and each bracket word read into a tree of flat left
+spines; a left-normed word is its list of letters.
 The left-normed words are coded by lie._code and pooled into one coded
 Dynkin map, lie._theta_coded, whose result is decoded once; any other
 nesting is expanded by lie.bracket_words.  A bracket word with more than N
@@ -111,11 +112,16 @@ def emit_element(x):
 
 # one term as emit_element writes it: an optional sign, an optional
 # coefficient p or p/q with an optional '*', m opening brackets, a letter,
-# then tails ',letter]', whose count the reader compares with m.  The term
-# ends where a token ends: at whitespace, a sign or the end of the text.
+# then tails ',letter]', whose count the reader compares with m.  Spaces
+# beside '[', ',' and ']' separate no tokens, so a bracket word with such
+# spaces is read too, by a second alternative that the emitter's text never
+# reaches.  The term ends where a token ends: at whitespace, a sign or the
+# end of the text, and not before a ',' or ']' that spaces put off.
 _TERM = re.compile(
     r"\s*(?:([+-])\s*)?(?:(\d+)(?:/(\d+))?\s*(?:\*\s*)?)?"
-    r"(\[*)([A-Za-z_]\w*)((?:,[A-Za-z_]\w*\])*)(?![^\s+-])\s*", re.ASCII)
+    r"(?:(\[*)([A-Za-z_]\w*)((?:,[A-Za-z_]\w*\])*)"
+    r"|((?:\[ *)+)([A-Za-z_]\w*)((?: *, *[A-Za-z_]\w* *\])+))"
+    r"(?![^\s+-]| *[,\]])\s*", re.ASCII)
 
 
 # a token is a punctuation mark, a number (a digit, then digits and '/') or
@@ -230,10 +236,11 @@ def parse_element(text, gens, N, line=None):
     trees, is Lie by construction and is returned marked as one.
 
     Each term as emit_element writes it (a left-normed word over ASCII
-    generator names, with a nonzero denominator) is read whole by one
-    pattern match; from the first term that is not, the rest of the text is
-    tokenized and read token by token, so errors and their messages are the
-    tokenizer's and _parse_bracket_word's.
+    generator names, with a nonzero denominator), also with spaces beside
+    its brackets and commas, is read whole by one pattern match; from the
+    first term that is not, the rest of the text is tokenized and read token
+    by token, so errors and their messages are the tokenizer's and
+    _parse_bracket_word's.
     """
     return _parse_element(text, gens, N, line)[0]
 
@@ -261,7 +268,10 @@ def _parse_element(text, gens, N, line=None):
         m = match(text, pos)
         if m is None:
             break
-        sign, p, q, opening, head, tails = m.groups()
+        sign, p, q, opening, head, tails, sopening, shead, stails = m.groups()
+        if opening is None:   # a bracket word with spaces
+            opening = sopening.replace(" ", "")
+            head, tails = shead, stails.replace(" ", "")
         if sign is None and pos:
             break   # a missing sign
         try:

@@ -32,7 +32,8 @@ face.  A ModelFamily builds that table once per dimension, for the faces
 below the top: the solving builders read it, and a model is it plus the
 top image.  The two solving builders share one length-stage solver
 (_solve_stage: the canonical preimage under d1 on one Lyndon slice, read
-through two lie._SliceLayouts and solved on linalg's markerless echelon).
+through two lie._SliceLayouts, whose d1 matrix comes off the lead words,
+and solved on linalg's markerless echelon).
 """
 
 from fractions import Fraction
@@ -312,9 +313,11 @@ def _solve_stage(L, r, allowed=None):
     length: x lies on the Lyndon slice of the sub-alphabet `allowed`
     (default: every letter) one degree above r, with the free variables
     pinned to 0 under the basis order: r's slice and the one above are two
-    one-length lie._SliceLayouts, and the d1 images of the upper basis are
-    the columns.  Raises SolveError when r or a d1 column leaves the
-    sub-alphabet's slice, or, with a homology witness, when r is not a
+    one-length lie._SliceLayouts, and the coordinates of the d1 images of
+    the upper basis are the columns, read off r's slice's lead words by
+    _SliceLayout.linear_columns without building any image.  Raises
+    SolveError when r or a d1 image leaves the sub-alphabet's slice (r is
+    checked first), or, with a homology witness, when r is not a
     d1-boundary."""
     k = len(next(iter(r.num)))
     tdeg = r.degree()
@@ -325,12 +328,9 @@ def _solve_stage(L, r, allowed=None):
             "stage length %d: residue is not a Lie element of the "
             "sub-alphabet: %s" % (k, r.pretty()))
     source = _SliceLayout(L.gens, tdeg + 1, (k,), allowed)
-    cols = []
-    for y in source.elements(L.N):
-        col = target.coords(L.d1(y))
-        if col is None:
-            raise SolveError("stage length %d: d1 leaves the sub-alphabet" % k)
-        cols.append(col)
+    cols = target.linear_columns(source, L.linear_part())
+    if cols is None:
+        raise SolveError("stage length %d: d1 leaves the sub-alphabet" % k)
     x, residual = solve_columns(cols, b)
     if x is None:
         witness = target.element(L.N, *residual)
@@ -344,11 +344,12 @@ def solve_boundary(L, target, allowed):
     """A solution beta of d(beta) = target with all letters in `allowed`.
 
     Works length stage by length stage: each stage inverts the
-    length-preserving part of d on the Lyndon slice basis of the
-    sub-alphabet (_solve_stage, so the output is canonical), then the full
-    differential of the stage solution is subtracted from the target.
-    Requires d to preserve the sub-alphabet's span; raises SolveError with
-    the first infeasible stage's witness.
+    length-preserving part d1 of d on the Lyndon slice basis of the
+    sub-alphabet (_solve_stage, whose matrix is read off the slice's lead
+    words, so the output is canonical), then the full differential of the
+    stage solution is subtracted from the target.  Requires d to preserve
+    the sub-alphabet's span (horns and the full boundary do); raises
+    SolveError with the first infeasible stage's witness.
     """
     allowed = tuple(sorted(allowed))
     if target.is_zero():

@@ -345,12 +345,123 @@ WORD = ["[", "x", ",", "a0", "]"]
          3, None)
 @settings(max_examples=400, deadline=None)
 def test_terms_read_whole_agree_with_the_token_path(terms, N, line):
-    # spaces inside every bracket keep each bracket word from being read
+    # tabs inside every bracket keep each bracket word from being read
     # whole, so those terms and every later one are read token by token;
-    # both readings give the same element and degrees, or the same error
+    # spaces there are read whole, as the compact text is; all three
+    # readings give the same element and degrees, or the same error
     whole = " ".join(_term_text(*t, "") for t in terms)
     spaced = " ".join(_term_text(*t, " ") for t in terms)
-    assert _read(whole, N, line) == _read(spaced, N, line)
+    tabbed = " ".join(_term_text(*t, "\t") for t in terms)
+    assert _read(whole, N, line) == _read(spaced, N, line) == _read(
+        tabbed, N, line)
+
+
+def test_spaced_left_normed_words_read_without_the_tokenizer(monkeypatch):
+    want = _read("[x,a0] - 2 [[a1,x],a0] + 1/2 * [[[x,a0],a1],x]", 4, None)
+
+    def refuse(text, line=None):
+        raise AssertionError("tokenized %r" % text)
+    monkeypatch.setattr(serialize, "_tokenize", refuse)
+    for text in ("[x, a0] - 2 [[a1, x], a0] + 1/2 * [[[x, a0], a1], x]",
+                 "[ x , a0 ] - 2 [ [ a1 ,x ] ,a0 ]"
+                 " + 1/2 * [[[x  ,a0]  , a1] ,x]",
+                 "[x ,a0] - 2 [[a1,x] , a0] + 1/2*[[ [x,a0],a1 ], x ]"):
+        assert _read(text, 4, None) == want
+
+
+# a generator set with a name that is no identifier: "1" reads as a number,
+# never as a letter of a bracket word
+ODD_NAMES = GenSet([("a0", -1), ("x", 0), ("1", 0), ("y", 0)])
+ODD_LETTERS = {"a0": 0, "x": 1, "y": 3}
+
+
+def _reference_word(toks, i, line):
+    """(binary tree, letter count, next index) of the bracket word at
+    toks[i], read by recursive descent, or the ParseError of
+    _parse_bracket_word."""
+    t = toks[i]
+    if t == "[":
+        left, n, i = _reference_word(toks, i + 1, line)
+        if toks[i] != ",":
+            raise serialize._expected(",", toks[i], line)
+        right, m, i = _reference_word(toks, i + 1, line)
+        if toks[i] != "]":
+            raise serialize._expected("]", toks[i], line)
+        return (left, right), n + m, i + 1
+    if t is None:
+        raise ParseError("unexpected end of element", line)
+    if not t.isidentifier():
+        raise ParseError("expected a generator or '[', got %r" % t, line)
+    if t not in ODD_LETTERS:
+        raise ParseError("unknown generator %r" % t, line)
+    return ODD_LETTERS[t], 1, i + 1
+
+
+def _spine(tree):
+    """The flat left spine (t1, ..., tk) of a binary tree, its entries after
+    t1 letters or such spines."""
+    out = []
+    while type(tree) is tuple:
+        out.append(tree[1])
+        tree = tree[0]
+    out.append(tree)
+    return tuple(t if type(t) is int else _spine(t) for t in reversed(out))
+
+
+def _word_tokens(tree):
+    if type(tree) is str:
+        return [tree]
+    return ["["] + _word_tokens(tree[0]) + [","] + _word_tokens(tree[1]) + ["]"]
+
+
+word_trees = st.recursive(
+    st.sampled_from(["a0", "x", "y", "x", "1", "q"]),
+    lambda kids: st.one_of(st.tuples(kids, kids),
+                           st.tuples(kids, st.sampled_from(["a0", "x", "y"]))),
+    max_leaves=6)
+
+
+@given(word_trees, st.lists(st.tuples(st.integers(0, 30), st.sampled_from(
+    ["[", "]", ",", "x", "1", None])), max_size=2), st.integers(0, 3),
+    st.one_of(st.none(), st.integers(1, 9)))
+@example(("x", "y"), [], 0, None)
+@example((("x", "y"), "a0"), [], 0, 3)
+@example((("x", "y"), "1"), [], 0, None)
+@example((("x", "y"), "a0"), [(9, None)], 0, None)
+@example((("x", "y"), "a0"), [(4, "]")], 0, 2)
+@example(("x", "y"), [(2, None), (2, "[")], 0, None)   # "[x [ y]"
+@settings(max_examples=400, deadline=None)
+def test_bracket_words_agree_with_recursive_descent(tree, edits, cut, line):
+    # left-normed words and every other nesting, with a token put in or
+    # taken out (None takes one out) and the end cut short
+    toks = _word_tokens(tree)
+    for at, tok in edits:
+        at %= len(toks) + 1
+        if tok is None:
+            del toks[at:at + 1]
+        else:
+            toks.insert(at, tok)
+    toks = toks[:len(toks) - cut] + [None]
+    try:
+        want = _reference_word(toks, 0, line)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            serialize._parse_bracket_word(toks, 0, ODD_NAMES, line)
+        assert (str(got.value), got.value.line) == (str(e), e.line)
+        return
+    tree, count, end = want
+    assert serialize._parse_bracket_word(toks, 0, ODD_NAMES, line) == (
+        _spine(tree), count, end)
+
+
+def test_names_that_are_no_identifiers_are_no_letters():
+    # "1" is a generator, but inside a bracket it is a number token
+    for text in ("[x, 1]", "[x, y] + [x , 1]", "x + [ 1 , x]"):
+        with pytest.raises(ParseError) as e:
+            parse_element(text, ODD_NAMES, 3)
+        assert str(e.value) == "expected a generator or '[', got '1'"
+    x = parse_element("[ x , y ] - 2 [[a0, x], y]", ODD_NAMES, 3)
+    assert x == parse_element("[x,y] - 2 [[a0,x],y]", ODD_NAMES, 3)
 
 
 LINES = ["dgl", "gens a0:-1 a1:-1 x:0", "gens a:-2", "gens a:x", "gens :0",

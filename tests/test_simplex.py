@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 from freedgl.lie import (
     Elt, SolveError, ConfigError, DomainError, StructError, DGLMap, FreeDGL,
     Derivation, GenSet, zero_elt, generator_elt, lyndon_slice_basis, _slice_coords,
+    _SliceLayout, bracket,
 )
-from freedgl.linalg import FractionFreeReducer
+from freedgl.linalg import FractionFreeReducer, solve_columns
 from freedgl.serialize import emit_dgl
 from freedgl.series import bch, exp_ad, bernoulli_op, is_mc, twist
 import freedgl.simplex as simplex
@@ -27,7 +28,7 @@ from freedgl.simplex import (
     generator_homology,
 )
 
-from oracles import oracle_substitute
+from oracles import oracle_substitute, over
 
 HALF = Fraction(1, 2)
 
@@ -160,6 +161,212 @@ def test_solve_boundary_infeasible_has_witness():
         solve_boundary(m.dgl, b - a, [m.gens.index("a0"), m.gens.index("a1")])
     assert str(exc.value) == (
         "no boundary at degree -1, length 1; homology witness: -1*a0 + 1*a1")
+
+
+# ---------------------------------------------------------------------------
+# The d1 columns of a length stage, against d1 of every basis element
+
+
+def _d1_columns(L, target, source):
+    """The target coordinates of d1 of every source basis element, each d1
+    expanded and reduced, or None when one leaves the target's slice."""
+    cols = [target.coords(L.d1(y)) for y in source.elements(L.N)]
+    return None if None in cols else cols
+
+
+def _stage_layouts(L, r, allowed):
+    k = len(next(iter(r.num)))
+    q = r.degree()
+    return (_SliceLayout(L.gens, q, (k,), allowed),
+            _SliceLayout(L.gens, q + 1, (k,), allowed))
+
+
+def _reference_solve_stage(L, r, allowed=None):
+    """_solve_stage on _d1_columns: the canonical x with d1(x) = r, with the
+    same SolveError texts."""
+    target, source = _stage_layouts(L, r, allowed)
+    k = len(next(iter(r.num)))
+    b = target.coords(r)
+    if b is None:
+        raise SolveError(
+            "stage length %d: residue is not a Lie element of the "
+            "sub-alphabet: %s" % (k, r.pretty()))
+    cols = _d1_columns(L, target, source)
+    if cols is None:
+        raise SolveError("stage length %d: d1 leaves the sub-alphabet" % k)
+    x, residual = solve_columns(cols, b)
+    if x is None:
+        raise SolveError(
+            "no boundary at degree %d, length %d; homology witness: %s"
+            % (r.degree(), k, target.element(L.N, *residual).pretty()))
+    return source.element(L.N, *x)
+
+
+def _assert_columns_match(L, target, source):
+    want = _d1_columns(L, target, source)
+    got = target.linear_columns(source, L.linear_part())
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert [over(*c) for c in got] == [over(*c) for c in want]
+        # both in lowest terms, so the pairs agree too
+        assert got == want
+
+
+def _record_stages(monkeypatch, build):
+    """(L, r, allowed) of every length stage that build() solves."""
+    stages = []
+    solve = simplex._solve_stage
+
+    def record(L, r, allowed=None):
+        stages.append((L, r, allowed))
+        return solve(L, r, allowed)
+
+    monkeypatch.setattr(simplex, "_solve_stage", record)
+    build()
+    return stages
+
+
+STAGE_BUILDS = [
+    ("build_model(2,5)", lambda: build_model(2, 5)),
+    ("build_model(3,3)", lambda: build_model(3, 3)),
+    ("build_model(3,4)", lambda: build_model(3, 4)),
+    ("build_model(4,3)", lambda: build_model(4, 3)),
+    ("build_model(5,2)", lambda: build_model(5, 2)),
+    ("build_symmetric_model(2,5)", lambda: build_symmetric_model(2, 5)),
+    ("build_symmetric_model(3,3)", lambda: build_symmetric_model(3, 3)),
+    ("build_symmetric_model(4,2)", lambda: build_symmetric_model(4, 2)),
+    ("build_symmetric_model(5,2)", lambda: build_symmetric_model(5, 2)),
+]
+
+
+@pytest.mark.parametrize("label, build", STAGE_BUILDS,
+                         ids=[label for label, _ in STAGE_BUILDS])
+def test_stage_columns_match_d1_of_every_basis_element(monkeypatch, label,
+                                                       build):
+    stages = _record_stages(monkeypatch, build)
+    assert stages
+    doubled = 0
+    for L, r, allowed in stages:
+        assert L.linear_part()._integer_images()[1] == 1
+        target, source = _stage_layouts(L, r, allowed)
+        doubled += sum(d for _, _, d in target.basis)
+        _assert_columns_match(L, target, source)
+    # the length-2 stage of Delta^5 (degree 2) reduces on 20 doubled leads
+    # [b_w, b_w]
+    assert (doubled > 0) == label.endswith("(5,2)")
+
+
+def test_stages_of_closed_sub_alphabets_apply_no_derivation(monkeypatch):
+    # horns and the full boundary are closed under d1, so a stage reads its
+    # columns off the lead words without building any d1(y)
+    calls = []
+    call = Derivation.__call__
+    solve = simplex._solve_stage
+
+    def counted(self, x):
+        calls.append(self)
+        return call(self, x)
+
+    def stage(L, r, allowed=None):
+        before = len(calls)
+        out = solve(L, r, allowed)
+        stage_calls.append(len(calls) - before)
+        return out
+
+    stage_calls = []
+    monkeypatch.setattr(Derivation, "__call__", counted)
+    monkeypatch.setattr(simplex, "_solve_stage", stage)
+    build_model(3, 3)
+    assert stage_calls == [0, 0]
+    assert len(calls) <= 25
+
+
+def _closed_faces(maximal):
+    return {f for face in maximal for p in range(1, len(face) + 1)
+            for f in combinations(face, p)}
+
+
+@cache
+def _rescaled(label, scales):
+    """The model's differential with generator i's image times
+    scales[i % len(scales)]."""
+    m = _three_simplex("inductive") if label == "3" else build_model(4, 2)
+    images = m.dgl.diff.images
+    return FreeDGL(m.gens, m.N, {i: img * scales[i % len(scales)]
+                                 for i, img in images.items()})
+
+
+@given(st.sampled_from(["3", "4"]), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_stage_columns_on_random_sub_alphabets(label, closed, data):
+    # sub-alphabets closed under faces (horns, boundaries, subcomplexes) and
+    # arbitrary ones, where d1 may leave them; the images are rescaled by
+    # rationals, so the columns have denominators
+    n = int(label)
+    scales = data.draw(st.sampled_from([
+        (1,), (-1, 2), (Fraction(1, 2), 1, Fraction(-2, 3)),
+        (3, Fraction(1, 6))]))
+    L = _rescaled(label, scales)
+    faces = faces_of_simplex(n)
+    if closed:
+        maximal = data.draw(st.lists(st.sampled_from(faces), min_size=1,
+                                     max_size=4))
+        chosen = _closed_faces(maximal)
+    else:
+        chosen = set(data.draw(st.lists(st.sampled_from(faces), min_size=1,
+                                        max_size=2 * n + 2)))
+    allowed = tuple(sorted(L.gens.index(face_name(f)) for f in chosen))
+    k = data.draw(st.integers(min_value=1, max_value=L.N))
+    q = data.draw(st.integers(min_value=-k, max_value=(n - 1) * k - 1))
+    target = _SliceLayout(L.gens, q, (k,), allowed)
+    source = _SliceLayout(L.gens, q + 1, (k,), allowed)
+    assume(source.dim)
+    _assert_columns_match(L, target, source)
+
+
+def _foreign_letter_dgl():
+    # d y = x - c with c outside the sub-alphabet {a, b, x, y}
+    gens = GenSet([("a", -1), ("b", -1), ("c", 0), ("x", 0), ("y", 1)])
+    N = 3
+    g = {name: generator_elt(gens, N, name) for name in gens.names}
+    L = FreeDGL(gens, N, {gens.index("x"): g["b"] - g["a"],
+                          gens.index("y"): g["x"] - g["c"]})
+    allowed = tuple(gens.index(name) for name in ("a", "b", "x", "y"))
+    return L, g, allowed
+
+
+def test_stage_guard_fires_only_where_the_foreign_letter_occurs():
+    L, g, allowed = _foreign_letter_dgl()
+    a, b, x = g["a"], g["b"], g["x"]
+    # y is in the source slice of degree 0, length 2 ([a, y], [b, y]) and
+    # of degree 1, length 1: d1 leaves the sub-alphabet
+    for r in (bracket(a, x) - bracket(b, x), x):
+        for solve in (simplex._solve_stage, _reference_solve_stage):
+            with pytest.raises(SolveError) as exc:
+                solve(L, r, allowed)
+            k = len(next(iter(r.num)))
+            assert str(exc.value) == (
+                "stage length %d: d1 leaves the sub-alphabet" % k)
+    # no y in the source slice of degree -1, length 2 ([a, x], [b, x]): the
+    # stage solves as it does on d1 of every basis element; the target
+    # slice is [a, a], [a, b], [b, b], two of them doubled
+    aa, ab, bb = bracket(a, a), bracket(a, b), bracket(b, b)
+    for r in (aa - ab, ab - bb, aa - bb, 3 * ab - 3 * aa):
+        got = simplex._solve_stage(L, r, allowed)
+        assert got == _reference_solve_stage(L, r, allowed)
+        assert L.d1(got) == r
+    # no boundary: the same witness; the residue's own slice check runs
+    # first
+    for r, start in ((aa, "no boundary at degree -2, length 2; homology "
+                          "witness: "),
+                     (bracket(a, g["c"]), "stage length 2: residue is not a "
+                                          "Lie element of the sub-alphabet")):
+        texts = []
+        for solve in (simplex._solve_stage, _reference_solve_stage):
+            with pytest.raises(SolveError) as exc:
+                solve(L, r, allowed)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1] and texts[0].startswith(start)
 
 
 def test_built_triangle_matches_closed_form():
