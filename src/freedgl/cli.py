@@ -191,7 +191,7 @@ def _validate(args):
             try:
                 with open(path) as fh:
                     text = fh.read()
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 raise _UsageError("cannot read %s: %s" % (path, e)) from None
             setattr(args, flag, parse(text))
     if hasattr(args, "basepoint"):

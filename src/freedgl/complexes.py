@@ -32,7 +32,7 @@ from .linalg import SpanReducer, echelon
 from .series import twist
 from .serialize import ParseError
 from .simplex import face_name, face_degree, _face_images, _seed_top_diffs
-from .homology import _DegreeLayout, _kernel_pass
+from .homology import _DegreeLayout, _columns, _kernel_pass
 
 ONE = Fraction(1)
 
@@ -237,16 +237,16 @@ class LocalizedDGL:
 
     def check(self):
         """Differential closes on the presentation: kernel classes are
-        cycles and degree-1 boundaries land in the kernel span."""
-        for b in self.kernel_basis:
-            if not self.L.d(b).is_zero():
-                return False
+        cycles and degree-1 boundaries land in the kernel span.  The
+        boundaries are the columns of d from degree 1, read off the degree-0
+        lead words (homology._columns), which raises StructError when d
+        leaves the degree-0 slice."""
+        if any(self.L.d(b).num for b in self.kernel_basis):
+            return False
         lay0 = _DegreeLayout(self.L, 0)
         red = echelon([lay0.coords(b)[0] for b in self.kernel_basis], len)
-        for x in _DegreeLayout(self.L, 1).elements(self.N):
-            if red.reduce(lay0.coords(self.L.d(x))[0]):
-                return False
-        return True
+        return not any(red.reduce(num) for num, _ in
+                       _columns(self.L, _DegreeLayout(self.L, 1), lay0))
 
 
 def localize(L, z):

@@ -2,13 +2,15 @@
 
 All computations happen on the finite-dimensional quotients L/L^{>N}: per
 degree, the chain space is the direct sum of the Lyndon slices of lengths
-1..N (one lie._SliceLayout), the differential is assembled on it, and its
-kernels and boundaries come off one markerless echelon (linalg.null_space);
-classes, of homology and π₁ alike, come from one rule (_classes).  On top
-of that sit the homotopy-group extractors: H_{n-1} for n >= 2, and for
-n = 1 the degree-0 homology with its Baker-Campbell-Hausdorff product
-table (a nilpotent group presented by exact rational structure
-constants), plus the tower of these groups over increasing truncation.
+1..N (one lie._SliceLayout), and the matrix of the differential between
+two of them is read off the target's lead words (_SliceLayout.columns),
+so no d(x) is built for a matrix; its kernels and boundaries come off one
+markerless echelon (linalg.null_space), and classes, of homology and π₁
+alike, come from one rule (_classes).  On top of that sit the
+homotopy-group extractors: H_{n-1} for n >= 2, and for n = 1 the degree-0
+homology with its Baker-Campbell-Hausdorff product table (a nilpotent
+group presented by exact rational structure constants), plus the tower of
+these groups over increasing truncation.
 
 freedgl/__init__ binds the name homology to the function of that name, so
 `import freedgl.homology` reaches the function, not this module; tools that
@@ -39,12 +41,12 @@ def _DegreeLayout(L, q):
 
 
 def _columns(L, layout_src, layout_tgt):
-    """The columns d(x_j) over the target layout, as (numerators, den)."""
-    for x in layout_src.elements(L.N):
-        vec = layout_tgt.coords(L.d(x))
-        if vec is None:
-            raise StructError("differential left its degree slice")
-        yield vec
+    """The columns d(x_j) over the target layout, as (numerators, den), read
+    off its lead words by lie._SliceLayout.columns."""
+    cols = layout_tgt.columns(layout_src, L.diff)
+    if cols is None:
+        raise StructError("differential left its degree slice")
+    return cols
 
 
 def _kernel_pass(L, layout_src, layout_tgt):
@@ -53,7 +55,7 @@ def _kernel_pass(L, layout_src, layout_tgt):
     of column j to the pivot columns below it, primitive with its lowest
     entry positive (so j is its highest index), and image, the numerators of
     the pivot columns, is a basis of the boundaries."""
-    cols = list(_columns(L, layout_src, layout_tgt))
+    cols = _columns(L, layout_src, layout_tgt)
     kernels, pivots = null_space(cols)
     return kernels, [cols[p][0] for p in pivots]
 
@@ -137,7 +139,7 @@ def homology(L, N=None, degrees=None):
     Every entry carries kernel, image and homology dimensions together with
     cycle representatives of an H basis; dim H = dim ker - dim im by
     construction, and a bookkeeping mismatch raises instead of passing.
-    Each differential d_q is built and eliminated once: its pass gives the
+    Each differential d_q is read and eliminated once: its pass gives the
     kernel of degree q and the boundaries of degree q - 1.
     """
     if N is not None and N != L.N:

@@ -27,8 +27,11 @@ Lie membership and canonical coordinates use two classical tools:
     coordinate extraction is triangular on leading words.  _SliceLayout
     is the one owner of slice coordinates: the slices of one degree and
     given lengths as one basis with one lead index, read by homology's
-    chain spaces and by the builders' length stages, whose d1 matrix it
-    reads off the lead words alone.
+    chain spaces, pi_1 and the builders' length stages.  Its columns is
+    the one reader of a derivation's matrix: a Lie element of the span is
+    fixed by its coefficients on the lead words, so the matrix of d, or
+    of its linear part d1, comes off the lead words alone, with no d(x)
+    built.
 
 Degrees are integers >= -1.  Degree -2 or lower is rejected at construction.
 """
@@ -845,15 +848,20 @@ class _SliceLayout:
     Leads of different lengths are different words, and _slice_coords takes
     the least remaining word, which is also the least of its own length, so
     the triangular reduction runs on each length as on its own slice.
-    linear_columns reads the coordinates of a linear derivation's images of
-    another layout's basis off this layout's lead words only."""
+    columns is the one reader of a derivation's matrix: the coordinates of
+    its images of another layout's basis, read off this layout's lead words
+    only, for homology, localize, pi_1, LocalizedDGL.check and the
+    builders' length stages.  lengths keeps the given lengths, the words
+    of the span being those lengths over the subset (default: every
+    generator)."""
 
-    __slots__ = ("gens", "subset", "basis", "lead_index", "dim")
+    __slots__ = ("gens", "subset", "lengths", "basis", "lead_index", "dim")
 
     def __init__(self, gens, q, lengths, subset=None):
         self.gens = gens
-        self.subset = None if subset is None else frozenset(subset)
-        self.basis = [b for k in lengths
+        self.subset = frozenset(range(len(gens)) if subset is None else subset)
+        self.lengths = tuple(lengths)
+        self.basis = [b for k in self.lengths
                       for b in lyndon_slice_basis(gens, q, k, subset)]
         self.lead_index = {lead: i
                            for i, (lead, _, _) in enumerate(self.basis)}
@@ -863,56 +871,70 @@ class _SliceLayout:
         """(numerators, D) of x, or None off the span (or an empty slice)."""
         return _slice_coords(x, self.basis, self.lead_index)
 
-    def linear_columns(self, source, d1):
-        """[self.coords(d1(y)) for y in source.elements(d1.N)], or None when
-        some d1(y) leaves this layout's sub-alphabet, for a derivation d1
-        with linear images (FreeDGL.linear_part()) and a source of one
-        length over the same sub-alphabet; no d1(y) is built.
+    def columns(self, source, d):
+        """[self.coords(d(y)) for y in source.elements(d.N)] for a
+        derivation d and a source layout over the same sub-alphabet, one
+        degree step of d above this one; no d(y) is built, and an empty
+        source gives [] at once.
 
-        d1(y) leaves the sub-alphabet exactly when the derivation of the
-        images' foreign letters is nonzero on y, which is applied only when
-        some image has one.  The part over the sub-alphabet is a Lie element
-        of the span, and b_w is w plus lex-higher words, so its coordinates
-        follow from its coefficients on the lead words u: the sum over
-        positions p and letters g with u_p in d1(g) of the Koszul sign of
-        u[:p] times d1(g)[u_p] times y[u[:p] g u[p+1:]], read through an
-        index of the source words, then reduced on the lead-word rows."""
-        images, Di = d1._integer_images()
-        gens, allowed = self.gens, self.subset
-        if allowed is not None:
-            foreign = {}
-            for g in sorted(allowed & images.keys()):
-                num = {w: c for w, c in images[g] if w[0] not in allowed}
-                if num:
-                    foreign[g] = Elt._from_num(gens, d1.N, num, Di)
-            if foreign:
-                off = Derivation._trusted(gens, d1.N, foreign, d1.shift)
-                if any(off(y).num for y in source.elements(d1.N)):
-                    return None
-        pre = {}   # letter h -> (g, coefficient of h in d1(g))
-        for g, img in images.items():
-            if allowed is None or g in allowed:
-                for (h,), c in img:
-                    pre.setdefault(h, []).append((g, c))
-        index = {}   # source word -> (j, its coefficient in y_j)
+        None when some d(y) is off the span: the image of a letter of the
+        source is not Lie (dynkin_verify, a stored verdict after the first
+        call), or d(y) has a word off this layout's words.  Such a word has
+        a letter outside the sub-alphabet or a length this layout lacks,
+        and every term of d(y) on it comes from an image word that puts a
+        source word there (a foreign letter, or a length l with m + l - 1
+        <= N missing for a source length m), so the derivation of those
+        image words, applied only when some image has one, finds it.
+        Otherwise d(y) is a Lie element of the span, and b_w is w plus
+        lex-higher words, so its coordinates follow from its coefficients
+        on the lead words u: the sum over positions p and image words v =
+        u[p:p+l] of d(g) of the Koszul sign of u[:p] times d(g)[v] times
+        y[u[:p] g u[p+l:]], read through an index of the source words, then
+        reduced on the lead-word rows."""
+        if not source.dim:
+            return []
+        images, Di = d._integer_images()
+        gens, N, allowed, kept = self.gens, d.N, self.subset, self.lengths
+        letters = [g for g in images if g in allowed]
+        if any(not dynkin_verify(d.images[g])[0]
+               and any(g in w for w, _, _ in source.basis) for g in letters):
+            return None
+        gone = {n + 1 - m for m in source.lengths for n in range(m, N + 1)
+                if n not in kept}
+        off = {}
+        for g in letters:
+            num = {w: c for w, c in images[g]
+                   if len(w) in gone or not allowed.issuperset(w)}
+            if num:
+                off[g] = Elt._from_num(gens, N, num, Di)
+        if off:
+            off = Derivation._trusted(gens, N, off, d.shift)
+            if any(len(w) not in kept or not allowed.issuperset(w)
+                   for y in source.elements(N) for w in off(y).num):
+                return None
+        parts = {}   # l -> image word of length l (its letter when l = 1)
+        # -> [(g, coefficient of the word in d(g))]
+        for g in letters:
+            for w, c in images[g]:
+                parts.setdefault(len(w), {}).setdefault(
+                    w if len(w) > 1 else w[0], []).append((g, c))
+        index = {}   # source word -> [(j, its coefficient in y_j)]
         for j, (_, terms, _) in enumerate(source.basis):
             for w, c in terms.items():
                 index.setdefault(w, []).append((j, c))
         degs = gens.degrees
-        odd = d1.shift & 1
+        odd = d.shift & 1
         leads = [{} for _ in source.basis]   # j -> lead position -> numerator
-        for i, (u, _, _) in enumerate(self.basis):
-            sign = 1
-            for p, h in enumerate(u):
-                for g, c in pre.get(h, ()):
-                    hits = index.get(u[:p] + (g,) + u[p + 1:])
-                    if hits:
-                        c *= sign
-                        for j, cj in hits:
+        for l, pre in parts.items():
+            for i, (u, _, _) in enumerate(self.basis):
+                sign = 1
+                for p, h in enumerate(u if l == 1 else u[:len(u) + 1 - l]):
+                    for g, c in pre.get(h if l == 1 else u[p:p + l], ()):
+                        for j, cj in index.get(u[:p] + (g,) + u[p + l:], ()):
                             col = leads[j]
-                            col[i] = col.get(i, 0) + c * cj
-                if odd and degs[h] & 1:
-                    sign = -sign
+                            col[i] = col.get(i, 0) + sign * c * cj
+                    if odd and degs[h] & 1:
+                        sign = -sign
         lead_index = self.lead_index
         rows = [(lead, {lead_index[v]: cv for v, cv in terms.items()
                         if v in lead_index}, doubled)

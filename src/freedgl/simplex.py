@@ -32,8 +32,9 @@ face.  A ModelFamily builds that table once per dimension, for the faces
 below the top: the solving builders read it, and a model is it plus the
 top image.  The two solving builders share one length-stage solver
 (_solve_stage: the canonical preimage under d1 on one Lyndon slice, read
-through two lie._SliceLayouts, whose d1 matrix comes off the lead words,
-and solved on linalg's markerless echelon).
+through two lie._SliceLayouts, whose d1 matrix comes off the lead words by
+_SliceLayout.columns, the reader homology and pi_1 share, and solved on
+linalg's markerless echelon).
 """
 
 from fractions import Fraction
@@ -315,7 +316,8 @@ def _solve_stage(L, r, allowed=None):
     pinned to 0 under the basis order: r's slice and the one above are two
     one-length lie._SliceLayouts, and the coordinates of the d1 images of
     the upper basis are the columns, read off r's slice's lead words by
-    _SliceLayout.linear_columns without building any image.  Raises
+    _SliceLayout.columns of L.linear_part() without building any image,
+    as homology and pi_1 read the whole differential's.  Raises
     SolveError when r or a d1 image leaves the sub-alphabet's slice (r is
     checked first), or, with a homology witness, when r is not a
     d1-boundary."""
@@ -328,7 +330,7 @@ def _solve_stage(L, r, allowed=None):
             "stage length %d: residue is not a Lie element of the "
             "sub-alphabet: %s" % (k, r.pretty()))
     source = _SliceLayout(L.gens, tdeg + 1, (k,), allowed)
-    cols = target.linear_columns(source, L.linear_part())
+    cols = target.columns(source, L.linear_part())
     if cols is None:
         raise SolveError("stage length %d: d1 leaves the sub-alphabet" % k)
     x, residual = solve_columns(cols, b)

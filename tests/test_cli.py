@@ -1,12 +1,19 @@
 """Command-line surface: subcommands, exit codes, deterministic output."""
 
 import hashlib
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freedgl import cli
 from freedgl.cli import run
 from freedgl.serialize import parse_dgl
+
+from test_complexes import LINE_SOUP
 
 CIRCLE = "0 1\n1 2\n0 2\n"
 FIG8 = "0 1\n1 2\n0 2\n0 3\n3 4\n0 4\n"
@@ -351,3 +358,41 @@ def test_out_file_holds_the_stdout_report(tmp_path, capsys, argv):
     code, out, err = go(capsys, argv + ["--out", str(path)])
     assert code == 0 and out == "" and err == ""
     assert path.read_bytes() == printed.encode()
+
+
+# complex files for the fuzzed command lines: mostly distinct faces of up
+# to three of six vertices (so disconnected complexes and faces inside
+# others occur), else line soup, and one in four ending in a byte that is
+# not UTF-8
+_FACES = st.lists(st.frozensets(st.integers(min_value=0, max_value=5),
+                                min_size=1, max_size=3),
+                  min_size=1, max_size=6, unique=True).map(
+    lambda faces: "\n".join(" ".join(map(str, sorted(f))) for f in faces))
+_COMPLEX_FILES = st.tuples(st.one_of(_FACES, _FACES, LINE_SOUP),
+                           st.sampled_from([b"", b"", b"", b"\n0 \xff\n"])
+                           ).map(lambda t: t[0].encode() + t[1])
+_FUZZED_COMMANDS = (["pi", "--n", "1"], ["pi", "--n", "2"], ["malcev"],
+                    ["homology"], ["model-of-complex"])
+
+
+@given(_COMPLEX_FILES)
+@settings(max_examples=60, deadline=None)
+def test_complex_files_exit_0_or_2_and_raise_nothing(data):
+    # every command reads the file through the one input boundary; a
+    # malformed file is refused with exit 2 and one message on stderr,
+    # never a traceback
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "k.cpx")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for argv in _FUZZED_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run(argv + ["--complex", path, "--trunc", "2"])
+            assert code in (0, 2), (argv, data)
+            if code == 2:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith(
+                    ("usage error: ", "parse error: ", "error: "))
+            else:
+                assert out.getvalue() and err.getvalue() == ""

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from freedgl.lie import (
     ConfigError, DomainError, StructError, GenSet, FreeDGL, Elt, zero_elt,
-    generator_elt, slice_coordinates, lyndon_slice_basis,
+    generator_elt, slice_coordinates, lyndon_slice_basis, _SliceLayout,
 )
 from freedgl.serialize import emit_element
 from freedgl.series import bch, gauge, is_mc, twist
@@ -497,21 +497,49 @@ def test_kernels_come_off_no_span_reducer(monkeypatch):
         minimal_model(parse_complex(CIRCLE), 0, 2)
 
 
-def test_homology_applies_d_once_per_basis_element(monkeypatch):
-    L = model_of_complex(parse_complex(FIG8), 3).dgl
-    read = sum(_DegreeLayout(L, q).dim for q in range(-3, 1))
-    calls = [0]
-    d = FreeDGL.d
+def _count_column_reads(monkeypatch):
+    """(source dims of the _SliceLayout.columns calls, FreeDGL.d calls)."""
+    reads, calls = [], [0]
+    columns, d = _SliceLayout.columns, FreeDGL.d
 
-    def counted(self, x):
+    def counted_columns(self, source, der):
+        reads.append(source.dim)
+        return columns(self, source, der)
+
+    def counted_d(self, x):
         calls[0] += 1
         return d(self, x)
 
-    monkeypatch.setattr(FreeDGL, "d", counted)
+    monkeypatch.setattr(_SliceLayout, "columns", counted_columns)
+    monkeypatch.setattr(FreeDGL, "d", counted_d)
+    return reads, calls
+
+
+def test_homology_reads_each_differential_once(monkeypatch):
+    L = model_of_complex(parse_complex(FIG8), 3).dgl
+    dims = [_DegreeLayout(L, q).dim for q in range(-3, 2)]
+    reads, calls = _count_column_reads(monkeypatch)
     assert homology(L).degrees == [-3, -2, -1, 0]
-    # d once on each basis element read; a separate image pass per degree
-    # would make 982 calls
-    assert calls[0] == read == 511
+    # one columns call per differential, from degrees -3..1 (degree 1 is
+    # empty), read off the lead words: no d(x) is built, and a separate
+    # image pass per degree would read 982 columns
+    assert reads == dims and sum(reads) == 511
+    assert calls[0] == 0
+
+
+def test_a_non_lie_differential_is_refused():
+    # d y = a.b is not a Lie element, so d leaves every degree slice; the
+    # lead words alone would read it as some Lie element
+    gens = GenSet([("a", 0), ("b", 0), ("y", 1)])
+    L = FreeDGL(gens, 3, {2: Elt(gens, 3, {(0, 1): 1})})
+    for run in (lambda: homology(L), lambda: homology(L, degrees=[0]),
+                lambda: pi_n(L, 1),
+                # localize reads degree 0, where y does not occur; its
+                # check reads degree 1
+                lambda: localize(L, zero_elt(gens, 3)).check()):
+        with pytest.raises(StructError,
+                           match="^differential left its degree slice$"):
+            run()
 
 
 def test_homology_refuses_a_differential_with_nonzero_square():

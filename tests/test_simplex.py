@@ -16,6 +16,8 @@ from freedgl.lie import (
 from freedgl.linalg import FractionFreeReducer, solve_columns
 from freedgl.serialize import emit_dgl
 from freedgl.series import bch, exp_ad, bernoulli_op, is_mc, twist
+from freedgl.homology import _DegreeLayout
+from freedgl.complexes import minimal_model, model_of_complex, parse_complex
 import freedgl.simplex as simplex
 from freedgl.simplex import (
     faces_of_simplex, face_name, simplex_genset, SimplexModel,
@@ -164,13 +166,13 @@ def test_solve_boundary_infeasible_has_witness():
 
 
 # ---------------------------------------------------------------------------
-# The d1 columns of a length stage, against d1 of every basis element
+# The columns of a derivation, against d of every basis element
 
 
-def _d1_columns(L, target, source):
-    """The target coordinates of d1 of every source basis element, each d1
-    expanded and reduced, or None when one leaves the target's slice."""
-    cols = [target.coords(L.d1(y)) for y in source.elements(L.N)]
+def _expanded_columns(d, target, source):
+    """The target coordinates of d of every source basis element, each d(y)
+    expanded and reduced, or None when one leaves the target's span."""
+    cols = [target.coords(d(y)) for y in source.elements(d.N)]
     return None if None in cols else cols
 
 
@@ -182,8 +184,8 @@ def _stage_layouts(L, r, allowed):
 
 
 def _reference_solve_stage(L, r, allowed=None):
-    """_solve_stage on _d1_columns: the canonical x with d1(x) = r, with the
-    same SolveError texts."""
+    """_solve_stage on _expanded_columns of d1: the canonical x with d1(x) =
+    r, with the same SolveError texts."""
     target, source = _stage_layouts(L, r, allowed)
     k = len(next(iter(r.num)))
     b = target.coords(r)
@@ -191,7 +193,7 @@ def _reference_solve_stage(L, r, allowed=None):
         raise SolveError(
             "stage length %d: residue is not a Lie element of the "
             "sub-alphabet: %s" % (k, r.pretty()))
-    cols = _d1_columns(L, target, source)
+    cols = _expanded_columns(L.linear_part(), target, source)
     if cols is None:
         raise SolveError("stage length %d: d1 leaves the sub-alphabet" % k)
     x, residual = solve_columns(cols, b)
@@ -203,13 +205,18 @@ def _reference_solve_stage(L, r, allowed=None):
 
 
 def _assert_columns_match(L, target, source):
-    want = _d1_columns(L, target, source)
-    got = target.linear_columns(source, L.linear_part())
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert [over(*c) for c in got] == [over(*c) for c in want]
-        # both in lowest terms, so the pairs agree too
-        assert got == want
+    """columns of d1 and of the whole differential, each against d of every
+    basis element; d(y) with words of a length the target lacks is off its
+    span, so on one-length layouts the whole differential mostly gives
+    None."""
+    for d in (L.linear_part(), L.diff):
+        want = _expanded_columns(d, target, source)
+        got = target.columns(source, d)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert [over(*c) for c in got] == [over(*c) for c in want]
+            # both in lowest terms, so the pairs agree too
+            assert got == want
 
 
 def _record_stages(monkeypatch, build):
@@ -254,6 +261,47 @@ def test_stage_columns_match_d1_of_every_basis_element(monkeypatch, label,
     # the length-2 stage of Delta^5 (degree 2) reduces on 20 doubled leads
     # [b_w, b_w]
     assert (doubled > 0) == label.endswith("(5,2)")
+
+
+def _twisted(model):
+    return twist(model.dgl, model.gen((0,)))
+
+
+def _minimal(surface, N):
+    # test_complexes imports this module, so its complexes are read late
+    import test_complexes
+    text = (test_complexes.TORUS if surface == "torus"
+            else test_complexes._genus_two())
+    return minimal_model(parse_complex(text), 0, N)
+
+
+DEGREE_CASES = [
+    ("twisted figure-eight N=3", lambda: _twisted(model_of_complex(
+        parse_complex("0 1\n1 2\n0 2\n0 3\n3 4\n0 4"), 3)), range(-3, 2)),
+    ("twisted triangle N=3", lambda: _twisted(triangle_model(3)),
+     range(-3, 4)),
+] + [("%s minimal N=%d" % (surface, N),
+      lambda surface=surface, N=N: _minimal(surface, N), (1,))
+     for surface, N in (("torus", 3), ("torus", 4), ("torus", 5),
+                        ("genus-2", 4), ("genus-2", 5))]
+
+
+@pytest.mark.parametrize("label, build, degrees", DEGREE_CASES,
+                         ids=[label for label, _, _ in DEGREE_CASES])
+def test_degree_columns_match_d_of_every_basis_element(label, build,
+                                                       degrees):
+    # whole degree layouts, lengths 1..N, as homology and pi_1 read them
+    L = build()
+    sources, doubled = [], 0
+    for q in degrees:
+        target, source = _DegreeLayout(L, q - 1), _DegreeLayout(L, q)
+        sources.append(source.dim)
+        doubled += sum(d for _, _, d in target.basis)
+        _assert_columns_match(L, target, source)
+    if label.startswith("twisted figure-eight"):
+        # degree 1 is empty, and degree -2 has the doubled leads [a, a]
+        assert sources[-1] == 0 and doubled > 0
+    assert any(sources)
 
 
 def test_stages_of_closed_sub_alphabets_apply_no_derivation(monkeypatch):
